@@ -7,12 +7,35 @@
 //! per-shard instruments are pre-registered as handle vectors indexed by
 //! source / shard id, so ingest and dispatch never format a label.
 //!
+//! Two time accounts are defined here because the bench harness and the
+//! operator read them as shares of wall time. `zstream_shard_service_ns`
+//! ([`shard_service_ns`], recorded by the shard thread) covers everything a
+//! shard does for one traffic message — evaluation, wrapping records into
+//! sequenced matches, sorting the reply — up to, but not including, the
+//! reply-channel send. `zstream_merge_ns` covers the control thread's merge
+//! stage: one observation per pass that folds the replies that have arrived
+//! into the merger and emits what became final (once per `ingest_columns` /
+//! `poll` call; `shutdown` records its final emit, not its blocking wait).
+//!
 //! The two symbol-table gauges are registered as scrape-time sources
 //! ([`zstream_obs::Registry::gauge_fn`]) with **Max** fold: the interner
 //! is process-global, so several runtimes sharing one hub each report the
 //! same truth and the fold deduplicates instead of double-counting.
 
+use std::time::Instant;
+
 use zstream_obs::{labels, Counter, Gauge, GaugeFold, Histogram, Obs};
+
+/// Nanoseconds since `start`, as a histogram observation.
+pub(crate) fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Registers `zstream_shard_service_ns{shard}`, the handle a shard thread
+/// takes with it (see the module docs for what it times).
+pub(crate) fn shard_service_ns(hub: &Obs, shard: usize) -> Histogram {
+    hub.metrics.histogram("zstream_shard_service_ns", labels(&[("shard", &shard.to_string())]))
+}
 
 /// Pipeline-level instrument handles, owned by the runtime's control
 /// thread. Shard- and engine-level instruments live with their threads
@@ -44,6 +67,9 @@ pub(crate) struct RtInstruments {
     /// `zstream_merge_frontier_lag` — stream watermark minus the merge
     /// frontier: how far finality trails ingest.
     pub merge_frontier_lag: Gauge,
+    /// `zstream_merge_ns` — control-thread time per merge pass (fold
+    /// arrived replies into the merger + emit what became final).
+    pub merge_ns: Histogram,
     /// `zstream_checkpoints_total` — checkpoints written.
     pub checkpoints: Counter,
     /// `zstream_checkpoint_bytes_total` — serialized checkpoint bytes.
@@ -105,6 +131,7 @@ impl RtInstruments {
                 labels(&[]),
                 GaugeFold::Sum,
             ),
+            merge_ns: hub.metrics.histogram("zstream_merge_ns", labels(&[])),
             checkpoints: hub.metrics.counter("zstream_checkpoints_total", labels(&[])),
             checkpoint_bytes: hub.metrics.counter("zstream_checkpoint_bytes_total", labels(&[])),
             checkpoint_ns: hub.metrics.histogram("zstream_checkpoint_duration_ns", labels(&[])),

@@ -9,9 +9,18 @@
 //! shards force an evaluation round per batch). A buffered match is
 //! therefore final once its end timestamp is strictly below the minimum
 //! watermark across live shards.
+//!
+//! The same invariant makes every shard's stream a **sorted queue**: a
+//! shard sorts each reply by `(end_ts, seq)` before sending it, every match
+//! of a reply ends at or before the watermark the reply echoes, and every
+//! later match ends at or after it — so appending replies keeps the shard's
+//! queue sorted. The merger therefore never sorts or sifts: the final
+//! matches of a queue are a prefix (found by binary search against the
+//! frontier), and emitting is a k-way merge of those prefixes' heads — a
+//! bulk move when only one shard has anything final, which is always the
+//! case with one worker.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use zstream_events::{Record, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter, Ts};
 
@@ -36,35 +45,24 @@ impl RuntimeMatch {
     pub fn key(&self) -> (Ts, usize, u64) {
         (self.record.end_ts(), self.shard, self.seq)
     }
+
+    /// The order of one shard's own stream: the merge key minus the shard.
+    fn run_key(&self) -> (Ts, u64) {
+        (self.record.end_ts(), self.seq)
+    }
 }
 
-/// Heap entry ordered by the merge key only (records carry no total order).
-struct Entry {
-    key: (Ts, usize, u64),
-    m: RuntimeMatch,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+/// True when `matches` is strictly ascending in `(end_ts, seq)` — the order
+/// every per-shard queue keeps.
+fn is_run<'a>(matches: impl Iterator<Item = &'a RuntimeMatch>) -> bool {
+    matches.map(RuntimeMatch::run_key).is_sorted_by(|a, b| a < b)
 }
 
 /// Buffers per-shard matches and releases them in deterministic order as
 /// the shard watermarks advance.
 pub(crate) struct OrderedMerge {
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// Per shard, its buffered matches in `(end_ts, seq)` order.
+    queues: Vec<VecDeque<RuntimeMatch>>,
     /// Per-shard watermark; `None` once the shard has finished (treated as
     /// an infinite watermark).
     watermarks: Vec<Option<Ts>>,
@@ -73,7 +71,7 @@ pub(crate) struct OrderedMerge {
 impl std::fmt::Debug for OrderedMerge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrderedMerge")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending())
             .field("watermarks", &self.watermarks)
             .finish()
     }
@@ -81,12 +79,22 @@ impl std::fmt::Debug for OrderedMerge {
 
 impl OrderedMerge {
     pub fn new(shards: usize) -> OrderedMerge {
-        OrderedMerge { heap: BinaryHeap::new(), watermarks: vec![Some(0); shards] }
+        OrderedMerge {
+            queues: (0..shards).map(|_| VecDeque::new()).collect(),
+            watermarks: vec![Some(0); shards],
+        }
     }
 
-    /// Buffers one match.
-    pub fn offer(&mut self, m: RuntimeMatch) {
-        self.heap.push(Reverse(Entry { key: m.key(), m }));
+    /// Buffers one reply's matches. `run` must be in `(end_ts, seq)` order
+    /// and continue the order of what `shard` offered before — which the
+    /// finality invariant gives for free (see the module docs).
+    pub fn offer(&mut self, shard: usize, run: Vec<RuntimeMatch>) {
+        let queue = &mut self.queues[shard];
+        debug_assert!(
+            run.iter().all(|m| m.shard == shard) && is_run(queue.back().into_iter().chain(&run)),
+            "shard {shard} offered a run out of (end_ts, seq) order"
+        );
+        queue.extend(run);
     }
 
     /// Advances a shard's watermark (monotone).
@@ -127,30 +135,28 @@ impl OrderedMerge {
 
     /// Number of buffered (not yet final) matches.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Discards every buffered match of `query` (the
     /// [`crate::Runtime::drop_query`] path: a dropped query's matches must
     /// not surface after the drop, even ones already evaluated and waiting
-    /// on the frontier). Cold path — rebuilds the heap only when the query
-    /// actually has buffered matches.
+    /// on the frontier). Cold path; removing matches keeps a queue sorted.
     pub fn purge_query(&mut self, query: QueryId) {
-        if self.heap.iter().any(|Reverse(e)| e.m.query == query) {
-            let entries = std::mem::take(&mut self.heap);
-            self.heap = entries.into_iter().filter(|Reverse(e)| e.m.query != query).collect();
+        for queue in &mut self.queues {
+            queue.retain(|m| m.query != query);
         }
     }
 
     /// Serializes the frontier state and every buffered match. Entries are
-    /// written in merge-key order (the heap's internal order is arbitrary),
+    /// written in merge-key order (the format predates per-shard queues),
     /// so serializing the same state twice is byte-identical.
     pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
         w.len(self.watermarks.len());
         for wm in &self.watermarks {
             w.opt_u64(*wm);
         }
-        let mut entries: Vec<&RuntimeMatch> = self.heap.iter().map(|Reverse(e)| &e.m).collect();
+        let mut entries: Vec<&RuntimeMatch> = self.queues.iter().flatten().collect();
         entries.sort_by_key(|m| m.key());
         w.len(entries.len());
         for m in entries {
@@ -162,11 +168,11 @@ impl OrderedMerge {
     }
 
     /// Rebuilds a merger from a [`zstream_events::Snapshot`] stream:
-    /// buffered matches re-enter the heap and release under the restored
-    /// per-shard watermarks exactly once, after restore. `is_live_query`
-    /// decides which query ids a buffered match may legally carry — dropped
-    /// queries purge their matches before checkpointing, so a tombstoned id
-    /// here means the file is corrupt.
+    /// buffered matches re-enter their shard's queue and release under the
+    /// restored per-shard watermarks exactly once, after restore.
+    /// `is_live_query` decides which query ids a buffered match may legally
+    /// carry — dropped queries purge their matches before checkpointing, so
+    /// a tombstoned id here means the file is corrupt.
     pub fn restore_snapshot(
         r: &mut SnapshotReader<'_>,
         is_live_query: impl Fn(usize) -> bool,
@@ -176,9 +182,9 @@ impl OrderedMerge {
         for _ in 0..shards {
             watermarks.push(r.opt_u64()?);
         }
-        let n = r.len()?;
-        let mut heap = BinaryHeap::with_capacity(n);
-        for _ in 0..n {
+        let mut queues: Vec<VecDeque<RuntimeMatch>> =
+            (0..shards).map(|_| VecDeque::new()).collect();
+        for _ in 0..r.len()? {
             let query =
                 usize::try_from(r.u64()?).ok().filter(|q| is_live_query(*q)).ok_or_else(|| {
                     SnapshotError::Corrupt("buffered match query out of range".into())
@@ -189,24 +195,48 @@ impl OrderedMerge {
                 })?;
             let seq = r.u64()?;
             let record = r.record()?;
-            let m = RuntimeMatch { query: QueryId(query), shard, seq, record };
-            heap.push(Reverse(Entry { key: m.key(), m }));
+            queues[shard].push_back(RuntimeMatch { query: QueryId(query), shard, seq, record });
         }
-        Ok(OrderedMerge { heap, watermarks })
+        // Draining binary-searches the queues, so their order is checked
+        // here, where the bytes enter, rather than trusted.
+        if !queues.iter().all(|queue| is_run(queue.iter())) {
+            return Err(SnapshotError::Corrupt("buffered matches out of merge order".into()));
+        }
+        Ok(OrderedMerge { queues, watermarks })
     }
 
-    /// Pops every final match, in `(end_ts, shard, seq)` order.
+    /// Removes every final match, in `(end_ts, shard, seq)` order.
     pub fn drain_ready(&mut self) -> Vec<RuntimeMatch> {
         let frontier = self.frontier();
-        let mut out = Vec::new();
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if frontier.is_some_and(|f| top.key.0 >= f) {
-                break;
+        // Per shard, how many matches at the front of its queue are final.
+        let mut ready: Vec<usize> = self
+            .queues
+            .iter()
+            .map(|queue| match frontier {
+                Some(f) => queue.partition_point(|m| m.record.end_ts() < f),
+                None => queue.len(),
+            })
+            .collect();
+        let mut sources = (0..ready.len()).filter(|s| ready[*s] > 0);
+        match (sources.next(), sources.next()) {
+            (None, _) => Vec::new(),
+            (Some(only), None) => self.queues[only].drain(..ready[only]).collect(),
+            _ => {
+                let total = ready.iter().sum();
+                let mut out = Vec::with_capacity(total);
+                while out.len() < total {
+                    // One scan of the shards' heads per match: `k` is the
+                    // worker count, not the number of buffered matches.
+                    let s = (0..ready.len())
+                        .filter(|s| ready[*s] > 0)
+                        .min_by_key(|s| self.queues[*s][0].key())
+                        .expect("ready counts queued matches");
+                    out.extend(self.queues[s].pop_front());
+                    ready[s] -= 1;
+                }
+                out
             }
-            let Reverse(entry) = self.heap.pop().expect("peeked above");
-            out.push(entry.m);
         }
-        out
     }
 }
 
@@ -227,7 +257,7 @@ mod tests {
     #[test]
     fn holds_matches_until_all_shards_pass_them() {
         let mut merge = OrderedMerge::new(2);
-        merge.offer(m(0, 0, 0, 5));
+        merge.offer(0, vec![m(0, 0, 0, 5)]);
         merge.advance(0, 10);
         // Shard 1 is still at 0 — nothing is final.
         assert!(merge.drain_ready().is_empty());
@@ -240,10 +270,10 @@ mod tests {
     #[test]
     fn orders_by_end_ts_then_shard_then_seq() {
         let mut merge = OrderedMerge::new(3);
-        merge.offer(m(0, 2, 0, 7));
-        merge.offer(m(0, 0, 3, 7));
-        merge.offer(m(1, 1, 1, 4));
-        merge.offer(m(0, 0, 9, 9));
+        merge.offer(2, vec![m(0, 2, 0, 7)]);
+        merge.offer(0, vec![m(0, 0, 3, 7)]);
+        merge.offer(1, vec![m(1, 1, 1, 4)]);
+        merge.offer(0, vec![m(0, 0, 9, 9)]);
         for s in 0..3 {
             merge.finish(s);
         }
@@ -256,7 +286,7 @@ mod tests {
         // A match ending exactly at the frontier must wait: another shard
         // at watermark w can still produce a match ending at w.
         let mut merge = OrderedMerge::new(2);
-        merge.offer(m(0, 0, 0, 10));
+        merge.offer(0, vec![m(0, 0, 0, 10)]);
         merge.advance(0, 10);
         merge.advance(1, 10);
         assert!(merge.drain_ready().is_empty());
@@ -268,7 +298,7 @@ mod tests {
     #[test]
     fn finished_shards_do_not_hold_the_frontier() {
         let mut merge = OrderedMerge::new(2);
-        merge.offer(m(0, 0, 0, 100));
+        merge.offer(0, vec![m(0, 0, 0, 100)]);
         merge.finish(1);
         merge.advance(0, 50);
         assert!(merge.drain_ready().is_empty(), "shard 0 could still emit before 100");
@@ -281,9 +311,7 @@ mod tests {
     #[test]
     fn purge_discards_only_the_dropped_querys_matches() {
         let mut merge = OrderedMerge::new(1);
-        merge.offer(m(0, 0, 0, 5));
-        merge.offer(m(1, 0, 1, 6));
-        merge.offer(m(0, 0, 2, 7));
+        merge.offer(0, vec![m(0, 0, 0, 5), m(1, 0, 1, 6), m(0, 0, 2, 7)]);
         merge.purge_query(QueryId(0));
         assert_eq!(merge.pending(), 1);
         merge.finish(0);
@@ -308,5 +336,124 @@ mod tests {
         merge.advance(1, 99);
         assert!(merge.is_finished(1));
         assert_eq!(merge.finished_count(), 1);
+    }
+
+    /// The reference the per-shard queues are held against: every buffered
+    /// match in one list, sorted by the merge key and cut at the frontier.
+    fn model_drain(
+        buffered: &mut Vec<RuntimeMatch>,
+        frontier: Option<Ts>,
+    ) -> Vec<(Ts, usize, u64)> {
+        buffered.sort_by_key(RuntimeMatch::key);
+        let ready = match frontier {
+            Some(f) => buffered.partition_point(|m| m.record.end_ts() < f),
+            None => buffered.len(),
+        };
+        buffered.drain(..ready).map(|m| m.key()).collect()
+    }
+
+    fn snapshot_bytes(merge: &OrderedMerge) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        merge.write_snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256 })]
+
+        /// Random interleavings of shard replies (run offer + watermark
+        /// echo), heartbeats, shard departures, query purges, drains and
+        /// snapshot round-trips over 1–8 shards agree with the sort-and-cut
+        /// reference at every step. Timestamps come from a narrow domain, so
+        /// equal end timestamps across shards and matches ending exactly at
+        /// the frontier are the common case, not the corner.
+        #[test]
+        fn run_queues_agree_with_the_sorted_reference(
+            shards in 1usize..9,
+            ops in proptest::prop::collection::vec(
+                (0u8..8, 0usize..8, 0u64..3, proptest::prop::collection::vec((0u64..3, 0usize..3), 0..6)),
+                1..60,
+            ),
+        ) {
+            let mut merge = OrderedMerge::new(shards);
+            let mut model: Vec<RuntimeMatch> = Vec::new();
+            // What each live shard last echoed, and its emission counter.
+            let mut watermark = vec![0u64; shards];
+            let mut next_seq = vec![0u64; shards];
+            let check_drain = |merge: &mut OrderedMerge, model: &mut Vec<RuntimeMatch>| {
+                let frontier = merge.frontier();
+                let got: Vec<_> = merge.drain_ready().iter().map(RuntimeMatch::key).collect();
+                assert_eq!(got, model_drain(model, frontier));
+            };
+            for (op, shard, lead, rows) in ops {
+                let shard = shard % shards;
+                match op {
+                    // A shard reply: matches numbered in emission order,
+                    // stable-sorted by end timestamp as the shard does, all
+                    // ending between the last echoed watermark and the new.
+                    0..=2 if !merge.is_finished(shard) => {
+                        let mut run: Vec<RuntimeMatch> = rows
+                            .iter()
+                            .map(|(gap, query)| {
+                                let seq = next_seq[shard];
+                                next_seq[shard] += 1;
+                                m(*query, shard, seq, watermark[shard] + gap)
+                            })
+                            .collect();
+                        run.sort_by_key(|m| m.record.end_ts());
+                        let newest = run.last().map_or(watermark[shard], |m| m.record.end_ts());
+                        model.extend(run.iter().cloned());
+                        merge.offer(shard, run);
+                        watermark[shard] = newest + lead;
+                        merge.advance(shard, watermark[shard]);
+                    }
+                    // A heartbeat echo.
+                    3 if !merge.is_finished(shard) => {
+                        watermark[shard] += lead;
+                        merge.advance(shard, watermark[shard]);
+                    }
+                    4 if lead == 0 => merge.finish(shard),
+                    5 => {
+                        let query = QueryId(shard % 3);
+                        merge.purge_query(query);
+                        model.retain(|m| m.query != query);
+                    }
+                    6 => {
+                        let bytes = snapshot_bytes(&merge);
+                        let mut r = SnapshotReader::new(&bytes);
+                        let restored = OrderedMerge::restore_snapshot(&mut r, |_| true).unwrap();
+                        assert!(r.is_exhausted());
+                        assert_eq!(snapshot_bytes(&restored), bytes);
+                        merge = restored;
+                    }
+                    _ => check_drain(&mut merge, &mut model),
+                }
+                assert_eq!(merge.pending(), model.len());
+            }
+            for shard in 0..shards {
+                merge.finish(shard);
+            }
+            check_drain(&mut merge, &mut model);
+            assert_eq!(merge.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_buffered_matches_out_of_order() {
+        // Hand-written stream: one shard, two matches with descending seq at
+        // one end timestamp — never produced by `write_snapshot`.
+        let mut w = SnapshotWriter::new();
+        w.len(1);
+        w.opt_u64(Some(9));
+        w.len(2);
+        for seq in [1u64, 0] {
+            w.u64(0);
+            w.u64(0);
+            w.u64(seq);
+            w.record(&m(0, 0, seq, 5).record);
+        }
+        let bytes = w.into_bytes();
+        let err = OrderedMerge::restore_snapshot(&mut SnapshotReader::new(&bytes), |_| true);
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "got {err:?}");
     }
 }

@@ -4,20 +4,21 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use zstream_core::{CompiledParts, EngineMetrics};
 use zstream_events::{
     repack_events, split_batch_rows, split_by_field, BatchRelease, ColumnarReorder, EventBatch,
     EventRef, Record, ReorderOutcome, Snapshot, SnapshotReader, SnapshotWriter, Ts,
 };
-use zstream_obs::{labels, Obs, ObsSnapshot, TraceKind};
+use zstream_obs::{Obs, ObsSnapshot, TraceKind};
 
 use crate::checkpoint::{
     check_fingerprint, expect_tag, write_fingerprint, CheckpointId, Fingerprint, MAGIC, TAG_CONFIG,
     TAG_END, TAG_MERGE, TAG_REORDER, TAG_RUNTIME, TAG_SHARDS, VERSION,
 };
 use crate::error::RuntimeError;
-use crate::instruments::RtInstruments;
+use crate::instruments::{elapsed_ns, shard_service_ns, RtInstruments};
 use crate::merge::{OrderedMerge, RuntimeMatch};
 use crate::registry::{
     next_live_home, resolve_route, resolve_routes, Partitioning, QueryId, QueryState, Route,
@@ -273,9 +274,7 @@ impl RuntimeBuilder {
         let mut handles = Vec::with_capacity(self.workers);
         for shard in 0..self.workers {
             let (engines, shared) = build_engines(&queries, shard, &obs, self.shared_intake)?;
-            let service_ns = obs
-                .metrics
-                .histogram("zstream_shard_service_ns", labels(&[("shard", &shard.to_string())]));
+            let service_ns = shard_service_ns(&obs, shard);
             let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
             let reply_tx = reply_tx.clone();
             let hub = Arc::clone(&obs);
@@ -309,7 +308,7 @@ impl RuntimeBuilder {
             lateness: self.lateness,
             dead_letters: Vec::new(),
             checkpoint_seq: 0,
-            last_chunk_digest: vec![None; self.sources],
+            last_chunk: (0..self.sources).map(|_| None).collect(),
             replay_guard: vec![None; self.sources],
             snapshot_stash: Vec::new(),
         };
@@ -445,9 +444,9 @@ impl RuntimeBuilder {
                 self.sources
             )));
         }
-        let mut last_chunk_digest = Vec::with_capacity(self.sources);
+        let mut replay_guard = Vec::with_capacity(self.sources);
         for _ in 0..self.sources {
-            last_chunk_digest.push(r.opt_u64()?);
+            replay_guard.push(r.opt_u64()?);
         }
 
         expect_tag(&mut r, TAG_MERGE, "MERGE")?;
@@ -503,9 +502,7 @@ impl RuntimeBuilder {
             let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
             // Registered for departed shards too, so the instrument
             // family has one entry per configured shard either way.
-            let service_ns = obs
-                .metrics
-                .histogram("zstream_shard_service_ns", labels(&[("shard", &shard.to_string())]));
+            let service_ns = shard_service_ns(&obs, shard);
             let handle = if alive {
                 let seq = r.u64()?;
                 let blob = r.blob()?;
@@ -560,8 +557,8 @@ impl RuntimeBuilder {
             lateness: self.lateness,
             dead_letters,
             checkpoint_seq,
-            replay_guard: last_chunk_digest.clone(),
-            last_chunk_digest,
+            last_chunk: replay_guard.iter().map(|d| d.map(LastChunk::Digest)).collect(),
+            replay_guard,
             snapshot_stash: Vec::new(),
         };
         runtime.publish_queries_live();
@@ -677,10 +674,10 @@ pub struct Runtime {
     /// Monotone checkpoint counter; carried across restore so checkpoint
     /// ids keep increasing over the runtime's whole (durable) lifetime.
     checkpoint_seq: u64,
-    /// Per-source content digest of the last non-empty chunk ingested —
+    /// Per source, the last non-empty chunk ingested. Its content digest is
     /// persisted in checkpoints so a restored runtime can recognize an
     /// at-least-once replay of the final pre-checkpoint chunk.
-    last_chunk_digest: Vec<Option<u64>>,
+    last_chunk: Vec<Option<LastChunk>>,
     /// One-shot per-source replay guard, armed only by
     /// [`RuntimeBuilder::restore`]: the first post-restore ingest from a
     /// source is skipped iff its content digest equals the persisted
@@ -940,6 +937,12 @@ impl Runtime {
     /// order across calls; with one, rows may arrive in any order within
     /// the slack window. Either way this produces exactly the match set of
     /// [`Runtime::ingest`] over the same rows.
+    ///
+    /// The runtime keeps a handle to the source's most recent non-empty
+    /// batch (for the replay-guard digest a [`Runtime::checkpoint`] records
+    /// — hashed then, not here), so that batch's storage is released by the
+    /// next successful ingest from the same source rather than when the
+    /// caller drops it.
     pub fn ingest_columns(
         &mut self,
         batch: &EventBatch,
@@ -957,15 +960,15 @@ impl Runtime {
         source: usize,
         batch: &EventBatch,
     ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let digest = (!batch.is_empty()).then(|| chunk_digest(batch.len(), batch.iter()));
-        if self.skip_replayed_chunk(source, digest)? {
-            return Ok(self.emit_ready());
+        // Retaining the chunk is an `Arc` bump; nothing on this path reads
+        // a row unless a replay guard is armed.
+        let chunk = (!batch.is_empty()).then(|| LastChunk::Batch(batch.clone()));
+        if self.skip_replayed_chunk(source, chunk.as_ref())? {
+            return Ok(self.emit_ready(Instant::now()));
         }
         let out = self.ingest_columns_inner(source, batch);
-        if out.is_ok() {
-            if let Some(d) = digest {
-                self.last_chunk_digest[source] = Some(d);
-            }
+        if out.is_ok() && chunk.is_some() {
+            self.last_chunk[source] = chunk;
         }
         out
     }
@@ -993,8 +996,7 @@ impl Runtime {
                 }
                 self.record_ingest(source, batch.len());
                 self.dispatch_columns(batch)?;
-                self.drain_replies()?;
-                return Ok(self.emit_ready());
+                return self.merge_ready();
             }
             Some(reorder) => {
                 Self::check_source(source, reorder.num_sources())?;
@@ -1021,8 +1023,7 @@ impl Runtime {
         }
         self.watermark = self.watermark.max(frontier);
         self.publish_reorder();
-        self.drain_replies()?;
-        Ok(self.emit_ready())
+        self.merge_ready()
     }
 
     /// Routes a slice of events to the worker shards (in chunks of the
@@ -1047,16 +1048,14 @@ impl Runtime {
         source: usize,
         events: &[EventRef],
     ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let digest =
-            (!events.is_empty()).then(|| chunk_digest(events.len(), events.iter().cloned()));
-        if self.skip_replayed_chunk(source, digest)? {
-            return Ok(self.emit_ready());
+        let chunk = (!events.is_empty())
+            .then(|| LastChunk::Digest(chunk_digest(events.len(), events.iter().cloned())));
+        if self.skip_replayed_chunk(source, chunk.as_ref())? {
+            return Ok(self.emit_ready(Instant::now()));
         }
         let out = self.ingest_inner(source, events);
-        if out.is_ok() {
-            if let Some(d) = digest {
-                self.last_chunk_digest[source] = Some(d);
-            }
+        if out.is_ok() && chunk.is_some() {
+            self.last_chunk[source] = chunk;
         }
         out
     }
@@ -1086,8 +1085,7 @@ impl Runtime {
                 let mut ready = Vec::new();
                 for chunk in events.chunks(self.batch_size) {
                     self.dispatch(chunk)?;
-                    self.drain_replies()?;
-                    ready.append(&mut self.emit_ready());
+                    ready.append(&mut self.merge_ready()?);
                 }
                 return Ok(ready);
             }
@@ -1134,13 +1132,11 @@ impl Runtime {
         let mut ready = Vec::new();
         for chunk in released.chunks(self.batch_size) {
             self.dispatch(chunk)?;
-            self.drain_replies()?;
-            ready.append(&mut self.emit_ready());
+            ready.append(&mut self.merge_ready()?);
         }
         self.watermark = self.watermark.max(frontier);
         self.publish_reorder();
-        self.drain_replies()?;
-        ready.append(&mut self.emit_ready());
+        ready.append(&mut self.merge_ready()?);
         Ok(ready)
     }
 
@@ -1167,8 +1163,7 @@ impl Runtime {
                 self.inst.queue_depth[shard].add(1);
             }
         }
-        self.drain_replies()?;
-        Ok(self.emit_ready())
+        self.merge_ready()
     }
 
     /// Failure injection (test/chaos hook): asks a shard to behave exactly
@@ -1213,7 +1208,7 @@ impl Runtime {
         &mut self,
         out: &mut W,
     ) -> Result<CheckpointId, RuntimeError> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let workers = self.senders.len();
         let mut blobs: Vec<Option<(u64, Vec<u8>)>> = (0..workers).map(|_| None).collect();
         let mut awaiting = vec![false; workers];
@@ -1255,6 +1250,9 @@ impl Runtime {
                 blobs[shard] = Some((seq, bytes));
             }
         }
+        // In-flight output was folded into the merger, not emitted: the
+        // gauges must say so until the next emit.
+        self.publish_merge();
         self.checkpoint_seq += 1;
         let mut w = SnapshotWriter::new();
         w.u64(self.checkpoint_seq);
@@ -1287,9 +1285,9 @@ impl Runtime {
         for e in &self.dead_letters {
             w.event(e);
         }
-        w.len(self.last_chunk_digest.len());
-        for d in &self.last_chunk_digest {
-            w.opt_u64(*d);
+        w.len(self.last_chunk.len());
+        for chunk in &self.last_chunk {
+            w.opt_u64(chunk.as_ref().map(LastChunk::digest));
         }
         w.u8(TAG_MERGE);
         self.merge.write_snapshot(&mut w);
@@ -1325,7 +1323,7 @@ impl Runtime {
             .map_err(|e| RuntimeError::Checkpoint(format!("writing checkpoint: {e}")))?;
         self.inst.checkpoints.inc();
         self.inst.checkpoint_bytes.add(total_bytes);
-        self.inst.checkpoint_ns.observe(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        self.inst.checkpoint_ns.observe(elapsed_ns(start));
         self.obs.trace.emit(
             self.watermark,
             None,
@@ -1338,16 +1336,17 @@ impl Runtime {
 
     /// Validates the source index and applies the one-shot replay guard:
     /// returns `true` when this chunk is a recognized replay of the last
-    /// pre-checkpoint chunk and must be skipped. Empty chunks neither
-    /// consult nor disarm the guard.
+    /// pre-checkpoint chunk and must be skipped. Empty chunks (`None`)
+    /// neither consult nor disarm the guard, and the chunk is hashed only
+    /// while the guard is still armed.
     fn skip_replayed_chunk(
         &mut self,
         source: usize,
-        digest: Option<u64>,
+        chunk: Option<&LastChunk>,
     ) -> Result<bool, RuntimeError> {
         Self::check_source(source, self.sources)?;
-        let Some(d) = digest else { return Ok(false) };
-        Ok(self.replay_guard[source].take() == Some(d))
+        let Some(chunk) = chunk else { return Ok(false) };
+        Ok(self.replay_guard[source].take().is_some_and(|expected| chunk.digest() == expected))
     }
 
     /// Drains in-flight batches, flushes every engine, stops the workers,
@@ -1381,7 +1380,7 @@ impl Runtime {
         for (shard, handle) in self.handles.drain(..).enumerate() {
             handle.join().map_err(|_| RuntimeError::WorkerLost(shard))?;
         }
-        let matches = self.merge.drain_ready();
+        let matches = self.emit_ready(Instant::now());
         debug_assert_eq!(self.merge.pending(), 0, "all matches final after shutdown");
         let query_metrics: Vec<EngineMetrics> =
             self.queries.iter_mut().map(|s| std::mem::take(&mut s.metrics)).collect();
@@ -1470,14 +1469,30 @@ impl Runtime {
         }
     }
 
-    /// Drains finality-released matches from the merger, publishing the
-    /// merge-plane gauges (and a trace event when matches emit) on the
-    /// way out — every public path that surfaces matches funnels here.
-    fn emit_ready(&mut self) -> Vec<RuntimeMatch> {
-        let out = self.merge.drain_ready();
+    /// One pass of the merge stage: folds every reply that has arrived into
+    /// the merger (non-blocking) and emits what became final.
+    fn merge_ready(&mut self) -> Result<Vec<RuntimeMatch>, RuntimeError> {
+        let start = Instant::now();
+        self.drain_replies()?;
+        Ok(self.emit_ready(start))
+    }
+
+    /// Publishes the merge-plane gauges (`zstream_merge_pending`,
+    /// `zstream_merge_frontier_lag`).
+    fn publish_merge(&self) {
         self.inst.merge_pending.set(self.merge.pending() as u64);
         let lag = self.merge.frontier().map_or(0, |f| self.watermark.saturating_sub(f));
         self.inst.merge_frontier_lag.set(lag);
+    }
+
+    /// Drains finality-released matches from the merger, publishing the
+    /// merge-plane gauges, the pass's `zstream_merge_ns` observation
+    /// (measured from `since`) and a trace event when matches emit — every
+    /// public path that surfaces matches funnels here.
+    fn emit_ready(&mut self, since: Instant) -> Vec<RuntimeMatch> {
+        let out = self.merge.drain_ready();
+        self.publish_merge();
+        self.inst.merge_ns.observe(elapsed_ns(since));
         if !out.is_empty() {
             self.obs.trace.emit(
                 self.watermark,
@@ -1798,16 +1813,14 @@ impl Runtime {
     /// watermark frontier.
     fn handle_reply(&mut self, reply: ShardReply) {
         match reply {
-            ShardReply::Output { shard, watermark, matches } => {
+            ShardReply::Output { shard, watermark, mut matches } => {
                 self.inst.queue_depth[shard].sub(1);
-                for m in matches {
-                    // Matches of a query dropped after this batch was
-                    // dispatched (channel-FIFO race) must not surface —
-                    // the drop purged its buffered matches already.
-                    if self.queries.get(m.query.0).is_some_and(QueryState::is_live) {
-                        self.merge.offer(m);
-                    }
-                }
+                // Matches of a query dropped after this batch was
+                // dispatched (channel-FIFO race) must not surface — the
+                // drop purged its buffered matches already.
+                let queries = &self.queries;
+                matches.retain(|m| queries.get(m.query.0).is_some_and(QueryState::is_live));
+                self.merge.offer(shard, matches);
                 self.merge.advance(shard, watermark);
             }
             ShardReply::Done { shard, metrics } => {
@@ -1858,6 +1871,27 @@ impl Drop for Runtime {
     }
 }
 
+/// What the runtime keeps of a source's last non-empty ingest chunk, for
+/// the replay-guard digest a checkpoint records.
+#[derive(Debug)]
+enum LastChunk {
+    /// The digest itself: restored from a checkpoint and not yet
+    /// overwritten, or computed eagerly by the record path.
+    Digest(u64),
+    /// The chunk, hashed only if a checkpoint is taken before the next
+    /// ingest replaces it. Pins the caller's batch storage until then.
+    Batch(EventBatch),
+}
+
+impl LastChunk {
+    fn digest(&self) -> u64 {
+        match self {
+            LastChunk::Digest(d) => *d,
+            LastChunk::Batch(batch) => chunk_digest(batch.len(), batch.iter()),
+        }
+    }
+}
+
 /// Folds one u64 into an FNV-1a hash, byte by byte.
 fn fnv_mix(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
@@ -1881,4 +1915,27 @@ fn chunk_digest(len: usize, events: impl Iterator<Item = EventRef>) -> u64 {
         }
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zstream_events::stock;
+
+    /// The replay-guard digest is an on-disk contract: a checkpoint written
+    /// by one build must arm the guard of the next. The constant is what the
+    /// commit before the digest became lazy produced for these rows.
+    #[test]
+    fn chunk_digest_is_pinned() {
+        let rows = [
+            stock(1, 10, "IBM", 101.5, 300),
+            stock(2, 11, "Sun", 7.25, 40),
+            stock(2, 12, "Oracle", 55.0, 5),
+        ];
+        let batch = EventBatch::from_events(&rows).unwrap();
+        const PINNED: u64 = 0xb328_0739_ac58_70fd;
+        assert_eq!(chunk_digest(batch.len(), batch.iter()), PINNED);
+        assert_eq!(LastChunk::Batch(batch).digest(), PINNED, "retained chunks hash the same");
+        assert_eq!(chunk_digest(rows.len(), rows.iter().cloned()), PINNED, "record path agrees");
+    }
 }

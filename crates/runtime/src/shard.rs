@@ -40,6 +40,7 @@ use zstream_events::{
 };
 use zstream_obs::{Histogram, Obs};
 
+use crate::instruments::elapsed_ns;
 use crate::merge::RuntimeMatch;
 use crate::registry::{QueryDef, QueryId, QueryState, Route};
 
@@ -97,8 +98,9 @@ pub(crate) enum ShardMsg {
 
 /// Shard-to-control replies.
 pub(crate) enum ShardReply {
-    /// Matches produced by one batch (or the final flush), plus the
-    /// watermark the shard has now fully processed.
+    /// Matches produced by one batch (or the final flush) in
+    /// `(end_ts, seq)` order, plus the watermark the shard has now fully
+    /// processed.
     Output { shard: usize, watermark: Ts, matches: Vec<RuntimeMatch> },
     /// Terminal reply: per-query metrics, in registration order. Sent on
     /// shutdown — or prematurely after a worker-side failure, in which case
@@ -344,11 +346,14 @@ fn send_done(shard: usize, engines: &[Option<ShardEngine>], tx: &Sender<ShardRep
 }
 
 /// Shared evaluation plumbing for every traffic arm of the shard loop: run
-/// `eval` under `catch_unwind` (timed into the shard's service-time
-/// histogram), tag its per-query records into sequenced
-/// [`RuntimeMatch`]es, and reply with one batched [`ShardReply::Output`].
-/// Returns `false` when the thread must exit (engine panic — a premature
-/// `Done` was sent — or a disconnected reply channel).
+/// `eval` under `catch_unwind`, tag its per-query records into sequenced
+/// [`RuntimeMatch`]es — numbered in emission order, then stable-sorted by
+/// end timestamp, so the reply is one `(end_ts, seq)`-ordered run the
+/// merger appends without looking inside — and reply with one batched
+/// [`ShardReply::Output`]. Everything up to, but not including, the reply
+/// send is timed into the shard's service-time histogram. Returns `false`
+/// when the thread must exit (engine panic — a premature `Done` was sent —
+/// or a disconnected reply channel).
 fn eval_and_reply(
     shard: usize,
     seq: &mut u64,
@@ -359,20 +364,28 @@ fn eval_and_reply(
     eval: impl FnOnce(&mut Vec<Option<ShardEngine>>) -> Vec<(usize, Vec<Record>)>,
 ) -> bool {
     let start = std::time::Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| eval(engines)));
-    service_ns.observe(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    let Ok(per_q) = result else {
-        send_done(shard, engines, tx);
-        return false;
-    };
-    let mut matches = Vec::new();
-    for (q, records) in per_q {
-        for record in records {
-            matches.push(RuntimeMatch { query: QueryId(q), shard, seq: *seq, record });
-            *seq += 1;
+    let run = catch_unwind(AssertUnwindSafe(|| eval(engines))).map(|per_q| {
+        let mut run = Vec::with_capacity(per_q.iter().map(|(_, records)| records.len()).sum());
+        for (q, records) in per_q {
+            for record in records {
+                run.push(RuntimeMatch { query: QueryId(q), shard, seq: *seq, record });
+                *seq += 1;
+            }
+        }
+        // Stable, so equal end timestamps keep emission (`seq`) order. One
+        // query's engine emits in end-timestamp order already, and the sort
+        // is then a single verifying pass.
+        run.sort_by_key(|m| m.record.end_ts());
+        run
+    });
+    service_ns.observe(elapsed_ns(start));
+    match run {
+        Ok(matches) => tx.send(ShardReply::Output { shard, watermark, matches }).is_ok(),
+        Err(_) => {
+            send_done(shard, engines, tx);
+            false
         }
     }
-    tx.send(ShardReply::Output { shard, watermark, matches }).is_ok()
 }
 
 /// The shard thread body. Exits when told to shut down, when either channel

@@ -5,7 +5,8 @@
 //! the **same** `Obs` hub, then scrapes mid-stream from a sidecar thread —
 //! no quiescing, no coordination with ingest. Prints the folded counters,
 //! the latency percentiles derived from the log-bucketed histograms, the
-//! tail of the batch-level trace ring, and the planner decision log with
+//! merge-stage and shard time accounts, the tail of the batch-level trace
+//! ring, and the planner decision log with
 //! estimate-vs-actual statistics per replan.
 //!
 //! Set `OBS_JSON=/path/out.json` to also write the final JSON export —
@@ -194,6 +195,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     max
                 );
             }
+        }
+    }
+
+    // Per-stage time accounts, read from the metrics an operator scrapes:
+    // the control thread's merge stage next to the shards' service time.
+    println!("\n== stage time accounts ==");
+    for (stage, name) in [
+        ("merge (fold replies + emit)", "zstream_merge_ns"),
+        ("shard service (all shards)", "zstream_shard_service_ns"),
+    ] {
+        if let Some(h) = snap.histogram_total(name) {
+            println!(
+                "  {:<28} {:<26} n={:<6} total={:.2} ms",
+                stage,
+                name,
+                h.count,
+                h.sum as f64 / 1e6
+            );
         }
     }
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use common::{compile_stock, rebatch};
-use zstream::events::{EventBatch, EventRef};
+use zstream::events::{EventBatch, EventRef, Schema};
 use zstream::obs::{MetricValue, Obs};
 use zstream::runtime::{Partitioning, Runtime, RuntimeBuilder};
 use zstream::workload::{StockConfig, StockGenerator};
@@ -244,4 +244,51 @@ fn builder_accepts_a_shared_hub() {
     }
     runtime.shutdown().unwrap();
     assert_eq!(hub.snapshot().counter_total("zstream_ingest_events_total"), 64);
+}
+
+/// The merge-plane gauges follow the merger through every path that
+/// changes it — including the two that do not return matches to an ingest
+/// caller. A checkpoint folds in-flight output into the merger, and
+/// shutdown drains it; a scrape afterwards must not still show the last
+/// mid-stream values.
+#[test]
+fn merge_gauges_follow_checkpoint_and_read_zero_after_shutdown() {
+    let batches = rebatch(&stream(31, 600), &[16]);
+    let hub = Arc::new(Obs::new());
+    // One broadcast query on two workers, heartbeats effectively off: the
+    // idle shard never echoes a watermark, so the frontier stays at 0 and
+    // every match is held until shutdown.
+    let mut b = Runtime::builder()
+        .workers(2)
+        .batch_size(16)
+        .heartbeat_interval(usize::MAX)
+        .obs(Arc::clone(&hub));
+    b.register(compile_stock(SEQ, 16), Partitioning::Broadcast);
+    let mut runtime = b.build().unwrap();
+    for batch in &batches {
+        assert!(runtime.ingest_columns(batch).unwrap().is_empty(), "frontier must not move");
+    }
+    // Replies arrive asynchronously; an empty ingest is a pure merge pass.
+    let empty = EventBatch::builder(Schema::stocks(), 0).finish();
+    while runtime.pending_matches() == 0 {
+        runtime.ingest_columns(&empty).unwrap();
+        std::thread::yield_now();
+    }
+    let mid = hub.snapshot();
+    assert!(mid.gauge_value("zstream_merge_pending").unwrap() > 0);
+    assert!(mid.gauge_value("zstream_merge_frontier_lag").unwrap() > 0);
+
+    runtime.checkpoint(&mut Vec::new()).unwrap();
+    assert_eq!(
+        hub.snapshot().gauge_value("zstream_merge_pending"),
+        Some(runtime.pending_matches() as u64),
+        "checkpoint folded output into the merger without publishing it"
+    );
+
+    let report = runtime.shutdown().unwrap();
+    assert!(!report.matches.is_empty());
+    let after = hub.snapshot();
+    assert_eq!(after.gauge_value("zstream_merge_pending"), Some(0));
+    assert_eq!(after.gauge_value("zstream_merge_frontier_lag"), Some(0));
+    assert!(after.histogram_total("zstream_merge_ns").unwrap().count > batches.len() as u64);
 }
