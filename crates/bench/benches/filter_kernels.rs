@@ -1,7 +1,9 @@
 //! **Filter-kernel microbenchmarks** — per-row costs of the columnar intake
 //! primitives from `zstream_events::kernel`: the word-packed bitmap AND, the
-//! `StrEq` column kernel against the scalar row loop it replaced, and the
-//! dictionary probe (`u8`-code scan) against the plain `Sym` scan.
+//! `StrEq` column kernel against the scalar row loop it replaced, the
+//! dictionary probe (`u8`-code scan) against the plain `Sym` scan, and the
+//! compare-to-constant kernels (`price > 3.5`, `volume > 2`) against the
+//! `cmp_value` row loop that defines their semantics.
 //!
 //! Rows/second here bounds the intake stage's admission throughput: one
 //! `StrEq` evaluation per distinct routed class runs over every batch.
@@ -10,7 +12,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use zstream_bench::*;
-use zstream_events::kernel::{filter_str_eq, Bitmap};
+use zstream_events::kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};
 use zstream_events::{DictMode, EventBatch, Schema, Sym, Value};
 
 /// Median of per-rep throughputs (rows/sec) with the set-bit count of the
@@ -102,20 +104,51 @@ fn main() {
     assert_eq!(kernel.matches, scalar.matches, "kernel and scalar loop must agree");
     assert_eq!(kernel.matches, probe.matches, "dictionary probe must agree");
 
+    // Compare-to-constant: the float and int kernels (native comparison,
+    // one vectorisable loop per 64-row word) against the scalar reference
+    // they must agree with row for row.
+    let (price_lit, volume_lit) = (Value::Float(3.5), Value::Int(2));
+    let cmp_f64 = measure_rows(n, reps, || {
+        filter_cmp(black_box(plain.column(2)), CmpOp::Gt, &price_lit, &mut out);
+        black_box(out.count())
+    });
+    let cmp_i64 = measure_rows(n, reps, || {
+        filter_cmp(black_box(plain.column(3)), CmpOp::Gt, &volume_lit, &mut out);
+        black_box(out.count())
+    });
+    let scalar_hits = |field: usize, lit: &Value| {
+        let col = black_box(plain.column(field));
+        (0..n).filter(|&row| cmp_value(CmpOp::Gt, &col.value(row), lit)).count()
+    };
+    let cmp_scalar = measure_rows(n, reps, || black_box(scalar_hits(2, &price_lit)));
+    assert_eq!(cmp_f64.matches, cmp_scalar.matches, "float kernel and cmp_value must agree");
+    assert_eq!(
+        cmp_i64.matches,
+        scalar_hits(3, &volume_lit) as u64,
+        "int kernel and cmp_value must agree"
+    );
+
     let cols: Vec<String> = ["rows/s"].iter().map(|s| s.to_string()).collect();
     row_header(&format!("{n} rows ->"), &cols);
     row("bitmap_and", &[and.throughput]);
     row("str_eq_kernel", &[kernel.throughput]);
     row("str_eq_scalar", &[scalar.throughput]);
     row("dict_probe", &[probe.throughput]);
+    row("cmp_f64_kernel", &[cmp_f64.throughput]);
+    row("cmp_i64_kernel", &[cmp_i64.throughput]);
+    row("cmp_scalar", &[cmp_scalar.throughput]);
     println!(
-        "\nkernel vs scalar: {:.1}x | dict vs plain kernel: {:.1}x",
+        "\nkernel vs scalar: {:.1}x | dict vs plain kernel: {:.1}x | cmp kernel vs cmp_value: {:.1}x",
         kernel.throughput / scalar.throughput,
-        probe.throughput / kernel.throughput
+        probe.throughput / kernel.throughput,
+        cmp_f64.throughput / cmp_scalar.throughput
     );
 
     record_json("filter_kernels", "bitmap_and", &and);
     record_json("filter_kernels", "str_eq_kernel", &kernel);
     record_json("filter_kernels", "str_eq_scalar", &scalar);
     record_json("filter_kernels", "dict_probe", &probe);
+    record_json("filter_kernels", "cmp_f64_kernel", &cmp_f64);
+    record_json("filter_kernels", "cmp_i64_kernel", &cmp_i64);
+    record_json("filter_kernels", "cmp_scalar", &cmp_scalar);
 }

@@ -13,17 +13,17 @@
 //! 4. assemble events bottom-up, materializing intermediate results in node
 //!    buffers and emitting complete composites at the root.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use zstream_events::kernel::Bitmap;
 use zstream_events::{
-    EventBatch, EventRef, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotResult, SnapshotWriter, Sym, Ts,
+    EventBatch, EventRef, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
+    SnapshotWriter, Sym, Ts,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 
-use crate::intake::{IntakePred, IntakeScratch, OneClassBinding, SharedPredIndex};
+use crate::intake::{
+    CompiledIntake, IntakeScratch, OneClassBinding, SharedPredIndex, Subscription,
+};
 use crate::metrics::EngineMetrics;
 use crate::obs::EngineObs;
 use crate::physical::plan::PhysicalPlan;
@@ -36,32 +36,25 @@ pub struct Engine {
     // zlint::allow(snapshot, "restore_snapshot receives the analyzed query from the caller; the checkpoint carries only round state")
     aq: Arc<AnalyzedQuery>,
     plan: PhysicalPlan,
-    /// Per-class intake predicates: analyzed single-class predicates plus
-    /// any route-by-field equality added by the builder.
+    /// Per-class intake predicates — analyzed single-class predicates plus
+    /// any route-by-field equality added by the builder — as expressions
+    /// and compiled for column-wise evaluation.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
-    intake: Vec<Vec<TypedExpr>>,
-    /// The same predicates compiled for column-wise evaluation.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    intake_compiled: Vec<Vec<IntakePred>>,
-    /// Distinct column-kernel predicates across all classes: each is
-    /// evaluated **once per batch** into a bitmap, no matter how many
-    /// classes share it.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    uniq_preds: Vec<IntakePred>,
-    /// Per class, per predicate: index into `uniq_preds` for column-kernel
-    /// predicates, `None` for row-wise (`General`) ones.
-    // zlint::allow(snapshot, "derived: recompiled from `intake` on construction and restore")
-    col_pred_of: Vec<Vec<Option<usize>>>,
+    intake: Arc<CompiledIntake>,
     /// Reusable bitmap scratch (see [`IntakeScratch`] for the invariant).
     // zlint::allow(snapshot, "scratch space: rebuilt empty, repopulated per batch")
     scratch: IntakeScratch,
-    /// Subscription into a [`SharedPredIndex`]: for each entry of
-    /// `uniq_preds`, the shared bitmap slot to read when the caller passes
-    /// an index to [`Engine::push_columns_shared`] /
-    /// [`Engine::push_rows_shared`]. `None` (the default) keeps predicate
-    /// evaluation engine-local.
+    /// Class-mask ids in the caller's [`SharedPredIndex`], set by
+    /// [`Engine::subscribe`]; read when the caller passes that index to
+    /// [`Engine::push_columns_shared`] / [`Engine::push_rows_shared`].
     // zlint::allow(snapshot, "wiring re-stamped by the caller after restore, not checkpoint state")
-    shared_slots: Option<Arc<Vec<u32>>>,
+    subscription: Option<Arc<Subscription>>,
+    /// The engine's own single-subscriber index, for kernel intake when the
+    /// caller passes none. Built on first use: engines that always run
+    /// behind a shared index, or only ever see sparse selections, never
+    /// pay for one.
+    // zlint::allow(snapshot, "derived: rebuilt from `intake` on first unshared kernel batch")
+    local: Option<Box<(SharedPredIndex, Subscription)>>,
     // zlint::allow(snapshot, "configuration re-stamped by the caller after restore, not checkpoint state")
     intake_mode: IntakeMode,
     /// Per-class interned schema name (intake schema matching is an integer
@@ -91,45 +84,27 @@ impl Engine {
         intake: Vec<Vec<TypedExpr>>,
         batch_size: usize,
     ) -> Engine {
+        Engine::with_intake(aq, plan, CompiledIntake::compile(intake), batch_size)
+    }
+
+    /// [`Engine::new`] over already-compiled intake predicates (a
+    /// partitioned engine compiles once for all of its per-key engines).
+    pub(crate) fn with_intake(
+        aq: Arc<AnalyzedQuery>,
+        plan: PhysicalPlan,
+        intake: Arc<CompiledIntake>,
+        batch_size: usize,
+    ) -> Engine {
         assert!(batch_size >= 1);
         let n = aq.num_classes();
-        let intake_compiled: Vec<Vec<IntakePred>> =
-            intake.iter().map(|preds| preds.iter().map(IntakePred::compile).collect()).collect();
-        // Dedup column-kernel predicates across classes: classes routed by
-        // the same field share one bitmap evaluation per batch.
-        let mut uniq_preds: Vec<IntakePred> = Vec::new();
-        let mut seen: HashMap<(u8, usize, HashableValue), usize> = HashMap::new();
-        let col_pred_of: Vec<Vec<Option<usize>>> = intake_compiled
-            .iter()
-            .map(|preds| {
-                preds
-                    .iter()
-                    .map(|p| {
-                        p.kernel_key().map(|key| {
-                            *seen.entry(key).or_insert_with(|| {
-                                uniq_preds.push(p.clone());
-                                uniq_preds.len() - 1
-                            })
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let scratch = IntakeScratch {
-            pred: vec![Bitmap::new(); uniq_preds.len()],
-            pred_done: vec![false; uniq_preds.len()],
-            ..IntakeScratch::default()
-        };
         let class_schema = aq.classes.iter().map(|c| c.schema.name_sym()).collect();
         Engine {
             aq,
             plan,
             intake,
-            intake_compiled,
-            uniq_preds,
-            col_pred_of,
-            scratch,
-            shared_slots: None,
+            scratch: IntakeScratch::default(),
+            subscription: None,
+            local: None,
             intake_mode: IntakeMode::default(),
             class_schema,
             pending: Vec::with_capacity(batch_size),
@@ -189,20 +164,21 @@ impl Engine {
         self.intake_mode
     }
 
-    /// Subscribes this engine to a [`SharedPredIndex`]: `slots` must be the
-    /// subscription returned by [`SharedPredIndex::register`] for this
-    /// engine's intake predicates (one shared slot per distinct
-    /// column-kernel predicate, in the engine's dedup order). From then on,
-    /// the shared-aware push variants evaluate distinct predicates at most
-    /// once per batch *across every subscribed engine* instead of once per
-    /// engine.
-    pub fn set_shared_slots(&mut self, slots: Arc<Vec<u32>>) {
-        debug_assert_eq!(
-            slots.len(),
-            self.uniq_preds.len(),
-            "subscription arity must match the engine's distinct kernel predicates"
-        );
-        self.shared_slots = Some(slots);
+    /// Subscribes this engine to a [`SharedPredIndex`]: its column-kernel
+    /// conjuncts and class conjunctions are interned there (from the
+    /// predicates this engine already compiled), and from then on the
+    /// shared-aware push variants, given that same index, evaluate each
+    /// distinct predicate and conjunction at most once per batch *across
+    /// every subscribed engine* instead of once per engine.
+    pub fn subscribe(&mut self, index: &mut SharedPredIndex) {
+        self.subscription = Some(Arc::new(index.subscribe(&self.intake)));
+    }
+
+    /// Stamps a subscription another engine over the same compiled intake
+    /// obtained (per-key engines share their partitioned engine's).
+    pub(crate) fn set_subscription(&mut self, subscription: Arc<Subscription>) {
+        debug_assert_eq!(subscription.masks.len(), self.aq.num_classes());
+        self.subscription = Some(subscription);
     }
 
     /// Latest event timestamp seen.
@@ -248,12 +224,13 @@ impl Engine {
         self.push_columns_shared(batch, None)
     }
 
-    /// [`Engine::push_columns`] with an optional [`SharedPredIndex`]:
-    /// column predicates whose shared bitmap is already valid for this
-    /// batch are reused instead of re-evaluated, and ones this engine
+    /// [`Engine::push_columns`] with the [`SharedPredIndex`] this engine
+    /// subscribed to ([`Engine::subscribe`]): class masks already valid for
+    /// this batch are reused instead of re-evaluated, and ones this engine
     /// evaluates become valid for later subscribers. Match output is
     /// byte-identical to the unshared path — only the evaluation count
-    /// changes.
+    /// changes. `None` (or an engine that never subscribed) evaluates
+    /// through the engine's own index.
     pub fn push_columns_shared(
         &mut self,
         batch: &EventBatch,
@@ -295,6 +272,53 @@ impl Engine {
         self.round()
     }
 
+    /// The O(1) stand-in for [`Engine::push_columns_shared`] on a batch this
+    /// engine cannot admit a row of. Asks `index` (which this engine must
+    /// have subscribed to) for the class mask of every class whose schema
+    /// the batch carries; if all are empty, and no event pushed one at a
+    /// time is still buffered, settles the batch exactly as the full path
+    /// would for zero admissions (`events_in`, per-class `offered`,
+    /// watermark, and one idle round — every round leaves the trigger
+    /// buffers consumed, so with nothing admitted there is nothing to
+    /// assemble) and returns `true`. Otherwise changes nothing and returns `false`: the
+    /// caller pushes the batch as usual, and the masks evaluated here are
+    /// already valid for it.
+    ///
+    /// A class with no column-kernel conjunct has the all-rows mask, so a
+    /// query carrying one is never skipped on a batch of its schema.
+    pub fn skip_unadmitted(&mut self, batch: &EventBatch, index: &mut SharedPredIndex) -> bool {
+        let Some(subscription) = &self.subscription else { return false };
+        if batch.is_empty() || !self.pending.is_empty() {
+            return false;
+        }
+        let schema = batch.schema().name_sym();
+        let mut rows_evaluated = 0u64;
+        let admits = self.class_schema.iter().zip(&subscription.masks).any(|(class, mask)| {
+            *class == schema && {
+                let (_, count, evaluated) = index.class_mask(*mask, batch);
+                rows_evaluated += evaluated;
+                count != 0
+            }
+        });
+        if rows_evaluated != 0 {
+            if let Some(obs) = &self.obs {
+                obs.kernel_rows_evaluated.add(rows_evaluated);
+            }
+        }
+        if admits {
+            return false;
+        }
+        let n = batch.len();
+        self.accept_rows(batch, 0, n - 1, n);
+        for (class, offered) in self.class_schema.iter().zip(&mut self.offered) {
+            if *class == schema {
+                *offered += n as u64;
+            }
+        }
+        self.metrics.idle_rounds += 1;
+        true
+    }
+
     /// Flushes any buffered events and forces a final assembly round.
     pub fn flush(&mut self) -> Vec<Record> {
         let batch = std::mem::take(&mut self.pending);
@@ -329,27 +353,15 @@ impl Engine {
         if n_input == 0 {
             return;
         }
-        let ts_col = batch.ts_column();
         let (first, last) = match input {
             None => (0usize, n - 1),
             Some(rows) => (rows[0] as usize, rows[rows.len() - 1] as usize),
         };
-        // Hard check, not a debug assert: arrival-order (unsorted) batches
-        // are an ordinary product of the events API now and must never feed
-        // an engine directly — they silently corrupt window semantics. The
-        // flag is O(1); a reorder stage upstream is the supported path.
-        assert!(
-            batch.is_sorted() && ts_col[first] >= self.watermark,
-            "engine input must be time-ordered: place a reorder stage \
-             (events::ColumnarReorder / RuntimeBuilder::slack) in front of \
-             disordered streams"
-        );
         debug_assert!(
             input.is_none_or(|rows| rows.windows(2).all(|w| w[0] < w[1])),
             "selection must ascend"
         );
-        self.metrics.events_in += n_input as u64;
-        self.watermark = self.watermark.max(ts_col[last]);
+        self.accept_rows(batch, first, last, n_input);
         let dense = match self.intake_mode {
             // Kernels pay O(batch) per evaluated column; worth it when the
             // selection covers at least a quarter of the batch.
@@ -364,85 +376,114 @@ impl Engine {
         }
     }
 
-    /// Kernel intake: bitmap evaluation per distinct predicate, AND per
-    /// class, union popcount for `events_admitted`, set-bit materialization.
-    /// Produces exactly the per-event path's admissions in the same
-    /// class-then-row order.
+    /// The per-batch checks and counters every columnar intake path shares:
+    /// `n_input` rows of `batch`, the first and last at rows `first` and
+    /// `last`, are about to be offered.
+    fn accept_rows(&mut self, batch: &EventBatch, first: usize, last: usize, n_input: usize) {
+        let ts_col = batch.ts_column();
+        // Hard check, not a debug assert: arrival-order (unsorted) batches
+        // are an ordinary product of the events API now and must never feed
+        // an engine directly — they silently corrupt window semantics. The
+        // flag is O(1); a reorder stage upstream is the supported path.
+        assert!(
+            batch.is_sorted() && ts_col[first] >= self.watermark,
+            "engine input must be time-ordered: place a reorder stage \
+             (events::ColumnarReorder / RuntimeBuilder::slack) in front of \
+             disordered streams"
+        );
+        self.metrics.events_in += n_input as u64;
+        self.watermark = self.watermark.max(ts_col[last]);
+    }
+
+    /// Kernel intake: one class mask per class from the predicate index
+    /// (the caller's when this engine subscribed to it, else the engine's
+    /// own), narrowed by the input selection and the class's row-wise
+    /// conjuncts where there are any; union popcount for `events_admitted`,
+    /// set-bit materialization. Produces exactly the per-event path's
+    /// admissions in the same class-then-row order.
     fn route_columns_kernel(
         &mut self,
         batch: &EventBatch,
         input: Option<&[u32]>,
-        mut shared: Option<&mut SharedPredIndex>,
+        shared: Option<&mut SharedPredIndex>,
     ) {
         let n = batch.len();
         let n_input = input.map_or(n, <[u32]>::len);
         let batch_schema = batch.schema().name_sym();
         let (mut rows_evaluated, mut fallback_rows) = (0u64, 0u64);
-        // Disjoint field borrows: predicates + scratch stay borrowed across
-        // the loop while `plan`/counters are touched independently.
+        // Disjoint field borrows: index, mask ids, predicates and scratch
+        // stay borrowed across the loop while `plan`/counters are touched
+        // independently.
+        let intake = &*self.intake;
+        let (index, masks) = match (shared, &self.subscription) {
+            (Some(index), Some(subscription)) => (index, &subscription.masks),
+            _ => {
+                let local = self.local.get_or_insert_with(|| {
+                    let mut index = SharedPredIndex::new();
+                    let subscription = index.subscribe(intake);
+                    Box::new((index, subscription))
+                });
+                local.0.begin_batch();
+                (&mut local.0, &local.1.masks)
+            }
+        };
         let scratch = &mut self.scratch;
-        let intake_compiled = &self.intake_compiled;
-        let uniq_preds = &self.uniq_preds;
-        let col_pred_of = &self.col_pred_of;
-        let shared_slots = self.shared_slots.as_deref();
-        scratch.pred_done.iter_mut().for_each(|d| *d = false);
-        scratch.union.reset(n, false);
-        for c in 0..self.aq.num_classes() {
+        // Classes that admitted rows so far, and the rows of the first.
+        let (mut admitting, mut admitted_delta) = (0usize, 0u64);
+        for (c, &mask) in masks.iter().enumerate() {
             if self.class_schema[c] != batch_schema {
                 continue;
             }
             self.offered[c] += n_input as u64;
-            match input {
-                None => scratch.acc.reset(n, true),
-                Some(rows) => {
-                    scratch.acc.reset(n, false);
-                    scratch.acc.set_rows(rows);
-                }
+            let (mask, mask_count, evaluated) = index.class_mask(mask, batch);
+            rows_evaluated += evaluated;
+            if mask_count == 0 {
+                continue;
             }
-            for (pi, pred) in intake_compiled[c].iter().enumerate() {
-                if !scratch.acc.any() {
-                    break;
-                }
-                match col_pred_of[c][pi] {
-                    // With a shared index, the bitmap may already be valid
-                    // from *another* engine's evaluation of an identical
-                    // predicate this batch; whoever evaluates pays the
-                    // rows-evaluated accounting once.
-                    Some(u) => match (shared.as_deref_mut(), shared_slots) {
-                        (Some(index), Some(slots)) => {
-                            let (bitmap, evaluated) =
-                                index.bitmap_for(slots[u], &uniq_preds[u], batch);
-                            if evaluated {
-                                rows_evaluated += n as u64;
-                            }
-                            scratch.acc.and(bitmap);
-                        }
-                        _ => {
-                            if !scratch.pred_done[u] {
-                                uniq_preds[u].eval_column(batch, &mut scratch.pred[u]);
-                                scratch.pred_done[u] = true;
-                                rows_evaluated += n as u64;
-                            }
-                            scratch.acc.and(&scratch.pred[u]);
-                        }
-                    },
-                    None => {
-                        // General predicates stay row-wise, over surviving
-                        // rows only.
-                        fallback_rows += scratch.acc.count() as u64;
-                        scratch.acc.retain(|row| pred.passes(batch, row, c));
+            // The class admits its mask as is, unless the input is a
+            // selection or a conjunct has no kernel: then `acc` narrows it.
+            let preds = &intake.preds[c];
+            let (bits, count) = if input.is_some() || !preds.iter().all(|p| p.is_kernel()) {
+                match input {
+                    None => scratch.acc.copy_from(mask),
+                    Some(rows) => {
+                        scratch.acc.reset(n, false);
+                        scratch.acc.set_rows(rows);
+                        scratch.acc.and(mask);
                     }
                 }
+                // General predicates stay row-wise, over surviving rows only.
+                for pred in preds.iter().filter(|p| !p.is_kernel()) {
+                    let surviving = scratch.acc.count() as u64;
+                    if surviving == 0 {
+                        break;
+                    }
+                    fallback_rows += surviving;
+                    scratch.acc.retain(|row| pred.passes(batch, row, c));
+                }
+                (&scratch.acc, scratch.acc.count())
+            } else {
+                (mask, mask_count)
+            };
+            if count == 0 {
+                continue;
             }
-            let admitted = scratch.acc.count() as u64;
-            self.admitted[c] += admitted;
-            scratch.union.or(&scratch.acc);
+            self.admitted[c] += count as u64;
+            // `events_admitted` counts rows admitted into at least one
+            // class: one class's count, or the popcount of the union.
+            if admitting == 0 {
+                scratch.union.copy_from(bits);
+                admitted_delta = count as u64;
+            } else {
+                scratch.union.or(bits);
+                admitted_delta = scratch.union.count() as u64;
+            }
+            admitting += 1;
             let leaf = self.plan.leaf_of_class[c];
-            for row in scratch.acc.ones() {
+            for row in bits.ones() {
                 self.plan.nodes[leaf].buf.push(Record::primitive(batch.event(row)));
             }
         }
-        let admitted_delta = scratch.union.count() as u64;
         self.metrics.events_admitted += admitted_delta;
         if let Some(obs) = &self.obs {
             obs.admitted.add(admitted_delta);
@@ -467,7 +508,7 @@ impl Engine {
             }
             self.offered[c] += n_input as u64;
             let mut sel: Option<Vec<u32>> = None;
-            for pred in &self.intake_compiled[c] {
+            for pred in &self.intake.preds[c] {
                 match (&mut sel, input) {
                     (Some(rows), _) => rows.retain(|r| pred.passes(batch, *r as usize, c)),
                     (None, None) => {
@@ -559,7 +600,7 @@ impl Engine {
             }
             self.offered[c] += 1;
             let binding = OneClassBinding { class: c, event };
-            if self.intake[c]
+            if self.intake.exprs[c]
                 .iter()
                 .all(|p| matches!(p.eval(&binding), Ok(zstream_events::Value::Bool(true))))
             {
@@ -593,6 +634,12 @@ impl Engine {
         let out = self.plan.assemble(eat);
         self.metrics.matches_out += out.len() as u64;
         self.metrics.sample_memory(self.plan.total_bytes());
+        // What lets a batch with no admissions be settled as an idle round
+        // without looking (`skip_unadmitted`): nothing is left to trigger on.
+        debug_assert!(
+            self.earliest_trigger_end().is_none(),
+            "an assembly round consumes every trigger instance"
+        );
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             obs.record_round(self.watermark, ns, out.len() as u64);

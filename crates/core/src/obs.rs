@@ -5,7 +5,9 @@
 //! per worker thread — each registration owns private atomic cells, so
 //! engines on different shards never contend — and cloning an `EngineObs`
 //! *shares* its cells, which is exactly what [`crate::PartitionedEngine`]
-//! wants: all per-key engines inside one shard fold into the same cells.
+//! wants: all per-key engines inside one shard fold into the same cells
+//! (they get the counters and histogram, not the trace ring — the
+//! partitioned engine traces once per batch on their behalf).
 //!
 //! An engine without an `EngineObs` attached (the default) records
 //! nothing and pays nothing: every hook is behind an `Option` check.
@@ -64,6 +66,13 @@ impl EngineObs {
             query: query.to_string(),
             shard,
         }
+    }
+
+    /// The same counter and histogram cells without the trace ring — what a
+    /// partitioned engine hands its per-key engines, so that tracing stays
+    /// per batch rather than per key.
+    pub(crate) fn without_trace(&self) -> EngineObs {
+        EngineObs { trace: None, ..self.clone() }
     }
 
     /// Records one completed assembly round: duration, matches, and a

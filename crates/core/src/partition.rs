@@ -18,14 +18,15 @@ use std::sync::Arc;
 
 use zstream_events::{
     EventBatch, EventRef, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotResult, SnapshotWriter,
+    SnapshotResult, SnapshotWriter, Ts,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
+use zstream_obs::TraceKind;
 
 use crate::builder::CompiledQuery;
 use crate::engine::Engine;
 use crate::error::CoreError;
-use crate::intake::SharedPredIndex;
+use crate::intake::{CompiledIntake, SharedPredIndex, Subscription};
 use crate::metrics::EngineMetrics;
 use crate::physical::plan::PlanConfig;
 
@@ -91,8 +92,9 @@ pub struct PartitionedEngine {
     compiled: CompiledQuery,
     // zlint::allow(snapshot, "restore_snapshot receives the plan config from the caller; not checkpoint state")
     plan_config: PlanConfig,
+    /// Compiled once here and shared with every per-key engine.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
-    intake: Vec<Vec<TypedExpr>>,
+    intake: Arc<CompiledIntake>,
     // zlint::allow(snapshot, "restore_snapshot receives the batch size from the caller; not checkpoint state")
     batch_size: usize,
     /// Field index of the partition attribute per class schema — all class
@@ -106,13 +108,14 @@ pub struct PartitionedEngine {
     // zlint::allow(snapshot, "configuration re-stamped via set_intake_mode after restore, not checkpoint state")
     intake_mode: crate::engine::IntakeMode,
     /// Shared-index subscription stamped onto every partition engine
-    /// (existing and future); see [`Engine::set_shared_slots`].
-    // zlint::allow(snapshot, "wiring re-stamped via set_shared_slots after restore, not checkpoint state")
-    shared_slots: Option<Arc<Vec<u32>>>,
+    /// (existing and future); see [`PartitionedEngine::subscribe`].
+    // zlint::allow(snapshot, "wiring re-stamped via subscribe after restore, not checkpoint state")
+    subscription: Option<Arc<Subscription>>,
     events_in: u64,
     dropped: u64,
-    /// Instrument template cloned into each partition engine (cells are
-    /// shared across partitions; see [`PartitionedEngine::set_obs`]).
+    /// Instruments: the counters and histogram are cloned into each
+    /// partition engine (cells are shared across partitions), the trace
+    /// ring stays here (see [`PartitionedEngine::set_obs`]).
     // zlint::allow(snapshot, "instruments are process-local handles, re-attached via set_obs after restore")
     obs: Option<crate::obs::EngineObs>,
 }
@@ -137,12 +140,12 @@ impl PartitionedEngine {
         Ok(PartitionedEngine {
             compiled,
             plan_config,
-            intake,
+            intake: CompiledIntake::compile(intake),
             batch_size,
             field,
             partitions: HashMap::new(),
             intake_mode: crate::engine::IntakeMode::default(),
-            shared_slots: None,
+            subscription: None,
             events_in: 0,
             dropped: 0,
             obs: None,
@@ -169,15 +172,15 @@ impl PartitionedEngine {
     }
 
     /// Subscribes every partition engine (existing and future) to a
-    /// [`SharedPredIndex`]; `slots` must come from registering this query's
-    /// intake predicates (see [`Engine::set_shared_slots`]). Shared bitmaps
-    /// then also memoize *across partition keys* within one batch, not just
-    /// across queries.
-    pub fn set_shared_slots(&mut self, slots: Arc<Vec<u32>>) {
+    /// [`SharedPredIndex`] (see [`Engine::subscribe`]) — one subscription
+    /// for the query, whatever its key count. Class masks then also memoize
+    /// *across partition keys* within one batch, not just across queries.
+    pub fn subscribe(&mut self, index: &mut SharedPredIndex) {
+        let subscription = Arc::new(index.subscribe(&self.intake));
         for engine in self.partitions.values_mut() {
-            engine.set_shared_slots(slots.clone());
+            engine.set_subscription(subscription.clone());
         }
-        self.shared_slots = Some(slots);
+        self.subscription = Some(subscription);
     }
 
     /// Pushes one event into its partition; returns completed matches.
@@ -222,13 +225,45 @@ impl PartitionedEngine {
                 }
             }
         }
-        let mut out = Vec::new();
+        let Some(last) = events.last() else { return Vec::new() };
+        self.push_groups(last.ts(), order, groups, |engine, group| engine.push_batch(&group))
+    }
+
+    /// Shared tail of every batch intake path: hands each key's group (keys
+    /// in first-seen `order`) to that key's engine, forcing a round there,
+    /// and returns all matches ordered by end timestamp — stable, so ties
+    /// keep key order. One `assembly_round` trace event covers the whole
+    /// call when any key assembled; per-key engines have no ring.
+    fn push_groups<G>(
+        &mut self,
+        last_ts: Ts,
+        order: Vec<HashableValue>,
+        mut groups: HashMap<HashableValue, G>,
+        mut push: impl FnMut(&mut Engine, G) -> Vec<Record>,
+    ) -> Vec<Record> {
+        let trace = self.obs.as_ref().and_then(|obs| obs.trace.clone());
+        let start = trace.as_ref().map(|_| std::time::Instant::now());
+        let (mut out, mut rounds) = (Vec::new(), 0u64);
         for key in order {
-            let group = groups.remove(&key).expect("grouped above");
-            out.extend(self.partition_mut(key).push_batch(&group));
+            let group = groups.remove(&key).expect("every key in `order` has a group");
+            let engine = self.partition_mut(key);
+            let before = engine.metrics().assembly_rounds;
+            out.extend(push(engine, group));
+            rounds += engine.metrics().assembly_rounds - before;
         }
-        // Stable: ties keep first-seen-key partition order.
         out.sort_by_key(Record::end_ts);
+        if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
+            if rounds > 0 {
+                let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                trace.emit(
+                    last_ts,
+                    obs.shard,
+                    Some(&obs.query),
+                    TraceKind::AssemblyRound,
+                    format!("rounds={rounds} matches={} ns={ns}", out.len()),
+                );
+            }
+        }
         out
     }
 
@@ -299,7 +334,9 @@ impl PartitionedEngine {
         let col = batch.column(field_idx);
         let mut order: Vec<HashableValue> = Vec::new();
         let mut groups: HashMap<HashableValue, Vec<u32>> = HashMap::new();
+        let mut last_row = None;
         for row in rows {
+            last_row = Some(row);
             let key = col.value(row as usize).hash_key();
             match groups.get_mut(&key) {
                 Some(group) => group.push(row),
@@ -309,17 +346,12 @@ impl PartitionedEngine {
                 }
             }
         }
-        let mut out = Vec::new();
-        for key in order {
-            let group = groups.remove(&key).expect("grouped above");
-            out.extend(self.partition_mut(key).push_rows_shared(
-                batch,
-                &group,
-                shared.as_deref_mut(),
-            ));
-        }
-        out.sort_by_key(Record::end_ts);
-        out
+        let Some(last_ts) = last_row.map(|row| batch.ts_column()[row as usize]) else {
+            return Vec::new();
+        };
+        self.push_groups(last_ts, order, groups, |engine, group| {
+            engine.push_rows_shared(batch, &group, shared.as_deref_mut())
+        })
     }
 
     /// The engine owning `key`, created from the compiled template on first
@@ -330,14 +362,18 @@ impl PartitionedEngine {
                 .compiled
                 .physical_plan(self.plan_config.clone())
                 .expect("template plan was validated at construction");
-            let mut engine =
-                Engine::new(self.compiled.aq.clone(), plan, self.intake.clone(), self.batch_size);
+            let mut engine = Engine::with_intake(
+                self.compiled.aq.clone(),
+                plan,
+                self.intake.clone(),
+                self.batch_size,
+            );
             engine.set_intake_mode(self.intake_mode);
-            if let Some(slots) = &self.shared_slots {
-                engine.set_shared_slots(slots.clone());
+            if let Some(subscription) = &self.subscription {
+                engine.set_subscription(subscription.clone());
             }
             if let Some(obs) = &self.obs {
-                engine.set_obs(obs.clone());
+                engine.set_obs(obs.without_trace());
             }
             self.partitions.insert(key, engine);
         }
@@ -372,12 +408,17 @@ impl PartitionedEngine {
     }
 
     /// Attaches observability instruments. Every existing and future
-    /// partition engine records into clones of the same handles — the
-    /// cells are shared, so per-query totals fold across partition keys
-    /// without extra registry entries.
+    /// partition engine records into clones of the same counter and
+    /// histogram handles — the cells are shared, so per-query totals fold
+    /// across partition keys without extra registry entries. The trace ring
+    /// is *not* handed down: a batch touching K keys would emit K
+    /// `assembly_round` events, so this engine emits one per batch push
+    /// instead (`rounds=… matches=… ns=…`, `ns` covering the per-key
+    /// intake and rounds of that push). The per-event [`Self::push`] is not
+    /// traced.
     pub fn set_obs(&mut self, obs: crate::obs::EngineObs) {
         for e in self.partitions.values_mut() {
-            e.set_obs(obs.clone());
+            e.set_obs(obs.without_trace());
         }
         self.obs = Some(obs);
     }
@@ -414,7 +455,7 @@ impl PartitionedEngine {
             let engine = Engine::restore_snapshot(
                 pe.compiled.aq.clone(),
                 plan,
-                pe.intake.clone(),
+                pe.intake.exprs.clone(),
                 pe.batch_size,
                 r,
             )?;

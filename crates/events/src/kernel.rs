@@ -317,20 +317,59 @@ pub fn cmp_value(op: CmpOp, v: &Value, lit: &Value) -> bool {
 }
 
 /// Packs `f(row)` over a slice into `out`, one 64-row word at a time.
+///
+/// The loop is compiled twice on x86-64: for the build's baseline target
+/// (SSE2, which has no 64-bit integer compare and no per-lane shifts, so
+/// integer predicates stay scalar there) and for AVX2, chosen per call by
+/// what the CPU reports. Same source, same result, several times the rows
+/// per second when `f` is a plain comparison.
 #[inline]
 fn pack<T>(xs: &[T], out: &mut Bitmap, f: impl Fn(&T) -> bool) {
-    out.reset(xs.len(), false);
-    for (w, chunk) in out.words_mut().iter_mut().zip(xs.chunks(64)) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn pack_avx2<T>(xs: &[T], out: &mut Bitmap, f: impl Fn(&T) -> bool) {
+            pack_words(xs, out, f);
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `pack_avx2` is safe code whose only requirement is
+            // that the CPU executes AVX2 instructions, which the runtime
+            // detection on the line above has just established.
+            return unsafe { pack_avx2(xs, out, f) };
+        }
+    }
+    pack_words(xs, out, f);
+}
+
+/// The body of [`pack`], inlined into each of its compilations. Full words
+/// run a fixed 64-iteration loop (the shape the compiler vectorises); the
+/// tail word takes what is left.
+#[inline(always)]
+fn pack_words<T>(xs: &[T], out: &mut Bitmap, f: impl Fn(&T) -> bool) {
+    #[inline(always)]
+    fn word<T>(chunk: &[T], f: &impl Fn(&T) -> bool) -> u64 {
         let mut bits = 0u64;
         for (j, x) in chunk.iter().enumerate() {
             bits |= u64::from(f(x)) << j;
         }
-        *w = bits;
+        bits
+    }
+    out.reset(xs.len(), false);
+    let mut full = xs.chunks_exact(64);
+    let mut words = out.words_mut().iter_mut();
+    // `full` leads the zip: when it runs out, the tail word is still unread.
+    for (chunk, w) in full.by_ref().zip(words.by_ref()) {
+        *w = word(chunk, &f);
+    }
+    if let Some(w) = words.next() {
+        *w = word(full.remainder(), &f);
     }
 }
 
 /// Dispatches `op` once, then packs a monomorphic ordering loop — the
-/// operator decision stays out of the per-row path.
+/// operator decision stays out of the per-row path. This is the **exact
+/// path**: one three-way [`Ordering`] per row, for the literal shapes the
+/// native comparison operators would get wrong (see [`filter_cmp`]).
 #[inline]
 fn pack_ord<T>(xs: &[T], op: CmpOp, out: &mut Bitmap, ord: impl Fn(&T) -> Ordering) {
     match op {
@@ -342,6 +381,32 @@ fn pack_ord<T>(xs: &[T], op: CmpOp, out: &mut Bitmap, ord: impl Fn(&T) -> Orderi
         CmpOp::Ge => pack(xs, out, |x| ord(x) != Ordering::Less),
     }
 }
+
+/// The **fast path**: packs `x op b` with the machine's own comparison, no
+/// [`Ordering`] per row, so each 64-row word is a branch-free loop the
+/// compiler vectorises. Exact for integers, and for floats whenever `b` is
+/// not NaN: `==`/`!=`/`<`/`<=` are false (`!=`: true) on a NaN row, which
+/// is what one NaN class *above* every number means for them, and `Gt`/`Ge`
+/// are written as negations so the NaN row lands above `b` there too.
+/// `0.0 == -0.0` natively, as in [`cmp_f64`].
+#[inline]
+// The negated forms are the point: `x > b` is false for a NaN row.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn pack_native<T: Copy + PartialOrd>(xs: &[T], op: CmpOp, b: T, out: &mut Bitmap) {
+    match op {
+        CmpOp::Eq => pack(xs, out, |&x| x == b),
+        CmpOp::Ne => pack(xs, out, |&x| x != b),
+        CmpOp::Lt => pack(xs, out, |&x| x < b),
+        CmpOp::Le => pack(xs, out, |&x| x <= b),
+        CmpOp::Gt => pack(xs, out, |&x| !(x <= b)),
+        CmpOp::Ge => pack(xs, out, |&x| !(x < b)),
+    }
+}
+
+/// 2^53: below this magnitude every integer is exactly one `f64` and every
+/// integral `f64` exactly one `i64`, so an int/float literal can cross to
+/// the column's own type without changing any comparison.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
 
 /// Evaluates a predicate over every distinct symbol of a dictionary column
 /// (≤ 256 of them), then broadcasts the per-code verdicts: by run scan when
@@ -371,23 +436,39 @@ fn filter_dict(d: &DictStr, out: &mut Bitmap, keep_sym: impl Fn(Sym) -> bool) {
 
 /// Chunked `column op literal` into `out` (which is resized to the column
 /// length). Row `i` is set iff `cmp_value(op, column[i], lit)`.
+///
+/// Numeric column × numeric literal takes the native-comparison loop
+/// whenever the literal can be expressed in the column's own type without
+/// loss — int × int, float × non-NaN float, float × int with
+/// `|lit| < 2^53`, int × integral float with `|lit| < 2^53` — and the
+/// three-way loop over the exact scalar comparators otherwise (NaN literal,
+/// `|lit| >= 2^53` across types, fractional literal against an int column).
 pub fn filter_cmp(col: &Column, op: CmpOp, lit: &Value, out: &mut Bitmap) {
     match (col, lit) {
-        (Column::Int(xs), Value::Int(b)) => {
-            let b = *b;
-            pack_ord(xs, op, out, |x| x.cmp(&b));
-        }
+        (Column::Int(xs), Value::Int(b)) => pack_native(xs, op, *b, out),
         (Column::Int(xs), Value::Float(b)) => {
             let b = *b;
-            pack_ord(xs, op, out, |&x| cmp_i64_f64(x, b));
+            if b.abs() < TWO_53 && b.fract() == 0.0 {
+                pack_native(xs, op, b as i64, out);
+            } else {
+                pack_ord(xs, op, out, |&x| cmp_i64_f64(x, b));
+            }
         }
         (Column::Float(xs), Value::Float(b)) => {
             let b = *b;
-            pack_ord(xs, op, out, |&x| cmp_f64(x, b));
+            if b.is_nan() {
+                pack_ord(xs, op, out, |&x| cmp_f64(x, b));
+            } else {
+                pack_native(xs, op, b, out);
+            }
         }
         (Column::Float(xs), Value::Int(b)) => {
             let b = *b;
-            pack_ord(xs, op, out, |&x| cmp_i64_f64(b, x).reverse());
+            if b.unsigned_abs() < 1 << 53 {
+                pack_native(xs, op, b as f64, out);
+            } else {
+                pack_ord(xs, op, out, |&x| cmp_i64_f64(b, x).reverse());
+            }
         }
         (Column::Str(xs), Value::Str(b)) => match op {
             // Interned: equality is id equality, no string resolve.
@@ -439,6 +520,25 @@ mod tests {
 
     fn bits(b: &Bitmap) -> Vec<usize> {
         b.ones().collect()
+    }
+
+    #[test]
+    fn both_compilations_of_pack_agree() {
+        // `pack` may dispatch to its AVX2 compilation; `pack_words` is the
+        // baseline one. Word boundaries, tails and the empty slice.
+        for n in [0usize, 1, 63, 64, 65, 128, 130, 1000] {
+            let xs: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+            let ys: Vec<i64> = (0..n).map(|i| ((i * 5) % 11) as i64 - 5).collect();
+            let (mut a, mut b) = (Bitmap::new(), Bitmap::new());
+            pack(&xs, &mut a, |&x| x > 0.5);
+            pack_words(&xs, &mut b, |&x| x > 0.5);
+            assert_eq!(bits(&a), bits(&b), "f64, {n} rows");
+            assert_eq!(bits(&a), (0..n).filter(|&i| xs[i] > 0.5).collect::<Vec<_>>());
+            pack(&ys, &mut a, |&y| y <= -2);
+            pack_words(&ys, &mut b, |&y| y <= -2);
+            assert_eq!(bits(&a), bits(&b), "i64, {n} rows");
+            assert_eq!(bits(&a), (0..n).filter(|&i| ys[i] <= -2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

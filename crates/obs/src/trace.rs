@@ -2,8 +2,11 @@
 //!
 //! The ring records one [`TraceEvent`] per *batch-level* pipeline step
 //! (ingest call, reorder release, shard dispatch, assembly round, merge
-//! emit, checkpoint quiesce) — never per event row — so the mutex inside
-//! is taken a few times per batch, not millions of times per second.
+//! emit, checkpoint quiesce) — never per event row, and never per
+//! partition key: a hash-routed query reports the assembly rounds of all
+//! its per-key engines as one event per batch — so the mutex inside is
+//! taken a few times per batch per query, not millions of times per
+//! second.
 //! When full, the oldest events are evicted and counted in `dropped`, so
 //! a snapshot always says how much history it is missing.
 

@@ -9,7 +9,7 @@
 //!
 //! Two time accounts are defined here because the bench harness and the
 //! operator read them as shares of wall time. `zstream_shard_service_ns`
-//! ([`shard_service_ns`], recorded by the shard thread) covers everything a
+//! ([`ShardInstruments`], recorded by the shard thread) covers everything a
 //! shard does for one traffic message — evaluation, wrapping records into
 //! sequenced matches, sorting the reply — up to, but not including, the
 //! reply-channel send. `zstream_merge_ns` covers the control thread's merge
@@ -31,10 +31,31 @@ pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Registers `zstream_shard_service_ns{shard}`, the handle a shard thread
-/// takes with it (see the module docs for what it times).
-pub(crate) fn shard_service_ns(hub: &Obs, shard: usize) -> Histogram {
-    hub.metrics.histogram("zstream_shard_service_ns", labels(&[("shard", &shard.to_string())]))
+/// The instrument handles a shard thread takes with it, all labelled
+/// `{shard}`.
+#[derive(Debug)]
+pub(crate) struct ShardInstruments {
+    /// `zstream_shard_service_ns` (see the module docs for what it times).
+    pub service_ns: Histogram,
+    /// `zstream_intake_engines_skipped_total` — engine-batches the shard
+    /// settled without entering the engine, because the shared predicate
+    /// index showed every class mask of the query empty for the batch.
+    pub engines_skipped: Counter,
+    /// `zstream_intake_class_masks` — distinct class conjunctions interned
+    /// in the shard's shared predicate index (0 with shared intake off).
+    pub class_masks: Gauge,
+}
+
+impl ShardInstruments {
+    /// Registers shard `shard`'s instruments in `hub`.
+    pub fn register(hub: &Obs, shard: usize) -> ShardInstruments {
+        let l = labels(&[("shard", &shard.to_string())]);
+        ShardInstruments {
+            service_ns: hub.metrics.histogram("zstream_shard_service_ns", l.clone()),
+            engines_skipped: hub.metrics.counter("zstream_intake_engines_skipped_total", l.clone()),
+            class_masks: hub.metrics.gauge("zstream_intake_class_masks", l, GaugeFold::Sum),
+        }
+    }
 }
 
 /// Pipeline-level instrument handles, owned by the runtime's control

@@ -32,12 +32,15 @@
 //!   [`RuntimeReport`] — and lifecycle state (tombstones, pause flags,
 //!   routes) survives checkpoint/restore.
 //! * **Shared predicate index** — overlapping intake conjuncts across
-//!   registered queries are interned per shard
-//!   ([`zstream_core::SharedPredIndex`]): each distinct column predicate
-//!   evaluates once per batch into a bitmap that fans out to every
-//!   subscriber's selection vector, so intake cost stays flat as the query
-//!   count grows ([`RuntimeBuilder::shared_intake`] toggles it; match
-//!   output is byte-identical either way).
+//!   registered queries, and the per-class conjunctions of them, are
+//!   interned per shard ([`zstream_core::SharedPredIndex`]): each distinct
+//!   column predicate and each distinct conjunction evaluates at most once
+//!   per batch, every subscriber reads `(mask, count)`, and a home-shard
+//!   query whose every class mask is empty for a batch is settled by a
+//!   counter bump without its engine being entered — intake cost follows
+//!   distinct predicates plus queries that admit a row, not registered
+//!   queries ([`RuntimeBuilder::shared_intake`] toggles it; match output
+//!   and metrics are identical either way).
 //! * **Columnar ingest** — [`Runtime::ingest_columns`] routes a whole
 //!   [`zstream_events::EventBatch`] with one scan of each hash query's key
 //!   column ([`zstream_events::split_batch_rows`], memoized symbol

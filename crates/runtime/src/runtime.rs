@@ -18,7 +18,7 @@ use crate::checkpoint::{
     TAG_END, TAG_MERGE, TAG_REORDER, TAG_RUNTIME, TAG_SHARDS, VERSION,
 };
 use crate::error::RuntimeError;
-use crate::instruments::{elapsed_ns, shard_service_ns, RtInstruments};
+use crate::instruments::{elapsed_ns, RtInstruments, ShardInstruments};
 use crate::merge::{OrderedMerge, RuntimeMatch};
 use crate::registry::{
     next_live_home, resolve_route, resolve_routes, Partitioning, QueryId, QueryState, Route,
@@ -196,12 +196,14 @@ impl RuntimeBuilder {
 
     /// Whether worker shards share one intake-predicate index across the
     /// whole registry (default: on). With sharing, each *distinct* column
-    /// predicate — keyed by event class and conjunct identity, independent
-    /// of which query compiled it — is evaluated once per columnar batch
-    /// into a bitmap that every subscribing query's intake reuses, so a
-    /// registry of N overlapping queries costs ~distinct-predicates scans
-    /// instead of N. Matching is byte-identical either way; `off` exists
-    /// as the per-query-scan baseline for benchmarks and bisection.
+    /// predicate — keyed by conjunct identity, independent of which query
+    /// compiled it — and each distinct per-class conjunction of them is
+    /// evaluated at most once per columnar batch, so a registry of N
+    /// overlapping queries costs ~distinct-predicates scans instead of N,
+    /// and a home-shard query that cannot admit a row of a batch is
+    /// accounted for without its engine being entered. Matching and
+    /// per-query metrics are identical either way; `off` exists as the
+    /// per-query-scan baseline for benchmarks and bisection.
     pub fn shared_intake(mut self, on: bool) -> Self {
         self.shared_intake = on;
         self
@@ -274,13 +276,13 @@ impl RuntimeBuilder {
         let mut handles = Vec::with_capacity(self.workers);
         for shard in 0..self.workers {
             let (engines, shared) = build_engines(&queries, shard, &obs, self.shared_intake)?;
-            let service_ns = shard_service_ns(&obs, shard);
+            let shard_inst = ShardInstruments::register(&obs, shard);
             let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
             let reply_tx = reply_tx.clone();
             let hub = Arc::clone(&obs);
             let handle = std::thread::Builder::new()
                 .name(format!("zstream-shard-{shard}"))
-                .spawn(move || run_shard(shard, engines, shared, rx, reply_tx, 0, service_ns, hub))
+                .spawn(move || run_shard(shard, engines, shared, rx, reply_tx, 0, shard_inst, hub))
                 .map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?;
             senders.push(tx);
             handles.push(handle);
@@ -502,7 +504,7 @@ impl RuntimeBuilder {
             let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
             // Registered for departed shards too, so the instrument
             // family has one entry per configured shard either way.
-            let service_ns = shard_service_ns(&obs, shard);
+            let shard_inst = ShardInstruments::register(&obs, shard);
             let handle = if alive {
                 let seq = r.u64()?;
                 let blob = r.blob()?;
@@ -513,7 +515,7 @@ impl RuntimeBuilder {
                 std::thread::Builder::new()
                     .name(format!("zstream-shard-{shard}"))
                     .spawn(move || {
-                        run_shard(shard, engines, shared, rx, reply_tx, seq, service_ns, hub)
+                        run_shard(shard, engines, shared, rx, reply_tx, seq, shard_inst, hub)
                     })
                     .map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?
             } else {

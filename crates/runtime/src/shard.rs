@@ -13,7 +13,9 @@
 //! The finality invariant the merger relies on: a traffic message forces an
 //! evaluation round in every engine that received events, so once the shard
 //! echoes watermark `w`, every match it later produces ends at or after
-//! `w`. Idle shards receive no per-chunk messages; the router sends them
+//! `w`. (A home-shard engine the shared predicate index shows cannot admit
+//! a row of the batch is not entered at all — [`Engine::skip_unadmitted`]
+//! books the idle round it would have run, which produces nothing.) Idle shards receive no per-chunk messages; the router sends them
 //! periodic [`ShardMsg::Heartbeat`]s instead, which they echo without
 //! evaluating (sound: a shard that received no events since its last round
 //! can only produce future matches from future events, whose timestamps are
@@ -38,9 +40,9 @@ use zstream_events::{
     EventBatch, EventRef, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
     SnapshotWriter, Ts,
 };
-use zstream_obs::{Histogram, Obs};
+use zstream_obs::Obs;
 
-use crate::instruments::elapsed_ns;
+use crate::instruments::{elapsed_ns, ShardInstruments};
 use crate::merge::RuntimeMatch;
 use crate::registry::{QueryDef, QueryId, QueryState, Route};
 
@@ -157,14 +159,12 @@ impl ShardEngine {
         }
     }
 
-    /// Subscribes this engine's intake predicates to the shard's shared
-    /// index: registers them (allocating or reusing bitmap slots) and
-    /// stamps the resulting subscription onto the engine.
-    fn subscribe(&mut self, def: &QueryDef, shared: &mut SharedPredIndex) {
-        let slots = Arc::new(shared.register(&def.parts.intake));
+    /// Subscribes this engine to the shard's shared predicate index, from
+    /// the predicates the engine compiled at construction.
+    fn subscribe(&mut self, shared: &mut SharedPredIndex) {
         match self {
-            ShardEngine::Partitioned(e) => e.set_shared_slots(slots),
-            ShardEngine::Flat(e) => e.set_shared_slots(slots),
+            ShardEngine::Partitioned(e) => e.subscribe(shared),
+            ShardEngine::Flat(e) => e.subscribe(shared),
         }
     }
 
@@ -218,7 +218,7 @@ fn instantiate(
     };
     if let Some(engine) = &mut engine {
         if let Some(shared) = shared {
-            engine.subscribe(def, shared);
+            engine.subscribe(shared);
         }
         attach_slot_obs(engine, slot, shard, hub);
     }
@@ -316,9 +316,9 @@ pub(crate) fn restore_engines(
                 }
             },
         };
-        if let (Some(engine), Some(def)) = (&mut engine, state.def.as_deref()) {
+        if let Some(engine) = &mut engine {
             if let Some(shared) = shared.as_mut() {
-                engine.subscribe(def, shared);
+                engine.subscribe(shared);
             }
             // Fresh instruments, not restored state: observability
             // deliberately starts from zero after a restore (see the
@@ -359,7 +359,7 @@ fn eval_and_reply(
     seq: &mut u64,
     engines: &mut Vec<Option<ShardEngine>>,
     tx: &Sender<ShardReply>,
-    service_ns: &Histogram,
+    inst: &ShardInstruments,
     watermark: Ts,
     eval: impl FnOnce(&mut Vec<Option<ShardEngine>>) -> Vec<(usize, Vec<Record>)>,
 ) -> bool {
@@ -378,7 +378,7 @@ fn eval_and_reply(
         run.sort_by_key(|m| m.record.end_ts());
         run
     });
-    service_ns.observe(elapsed_ns(start));
+    inst.service_ns.observe(elapsed_ns(start));
     match run {
         Ok(matches) => tx.send(ShardReply::Output { shard, watermark, matches }).is_ok(),
         Err(_) => {
@@ -402,31 +402,49 @@ pub(crate) fn run_shard(
     rx: Receiver<ShardMsg>,
     tx: Sender<ShardReply>,
     initial_seq: u64,
-    service_ns: Histogram,
+    inst: ShardInstruments,
     hub: Arc<Obs>,
 ) {
     let mut seq = initial_seq;
-    let svc = &service_ns;
+    let svc = &inst;
+    let publish_masks = |shared: &Option<SharedPredIndex>| {
+        inst.class_masks.set(shared.as_ref().map_or(0, |s| s.num_masks() as u64));
+    };
+    publish_masks(&shared);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Columns { watermark, batch, per_query } => {
                 let shared = &mut shared;
                 let ok =
                     eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, watermark, |engines| {
-                        // One shared-bitmap generation per batch: the first
-                        // subscriber of each distinct predicate evaluates
-                        // it, every later subscriber reuses the bitmap.
+                        // One generation of the shared index per batch: the
+                        // first subscriber to need a class mask evaluates
+                        // it, every later subscriber reuses it.
                         if let Some(shared) = shared.as_mut() {
                             shared.begin_batch();
                         }
                         let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
+                        let mut skipped = 0u64;
                         for (q, sel) in per_query.iter().enumerate() {
                             let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
                                 continue;
                             };
                             let records = match sel {
                                 RowSel::Skip => continue,
-                                RowSel::All => engine.push_columns(&batch, shared.as_mut()),
+                                RowSel::All => {
+                                    // A home-shard engine none of whose
+                                    // class masks has a row in this batch
+                                    // is settled in O(1), not entered.
+                                    if let (ShardEngine::Flat(flat), Some(shared)) =
+                                        (&mut *engine, shared.as_mut())
+                                    {
+                                        if flat.skip_unadmitted(&batch, shared) {
+                                            skipped += 1;
+                                            continue;
+                                        }
+                                    }
+                                    engine.push_columns(&batch, shared.as_mut())
+                                }
                                 RowSel::Rows(rows) if rows.is_empty() => continue,
                                 RowSel::Rows(rows) => {
                                     engine.push_rows(&batch, rows, shared.as_mut())
@@ -434,6 +452,7 @@ pub(crate) fn run_shard(
                             };
                             per_q.push((q, records));
                         }
+                        inst.engines_skipped.add(skipped);
                         per_q
                     });
                 if !ok {
@@ -481,6 +500,7 @@ pub(crate) fn run_shard(
                         if let Some(e) = engines.get_mut(slot) {
                             *e = engine;
                         }
+                        publish_masks(&shared);
                     }
                     Err(_) => {
                         send_done(shard, &engines, &tx);
@@ -490,8 +510,8 @@ pub(crate) fn run_shard(
             }
             ShardMsg::DropQuery { slot } => {
                 // The shared index deliberately keeps the dropped query's
-                // bitmap slots: other subscribers may share them, and
-                // unshared ones are lazy — never evaluated again.
+                // slots and class masks: other subscribers may share them,
+                // and unshared ones are lazy — never evaluated again.
                 if let Some(engine) = engines.get_mut(slot).and_then(Option::take) {
                     let metrics = engine.metrics();
                     if tx.send(ShardReply::Retired { shard, slot, metrics }).is_err() {

@@ -4,10 +4,11 @@
 //! full instrument catalog lights up) and an adaptive engine, pointed at
 //! the **same** `Obs` hub, then scrapes mid-stream from a sidecar thread —
 //! no quiescing, no coordination with ingest. Prints the folded counters,
-//! the latency percentiles derived from the log-bucketed histograms, the
-//! merge-stage and shard time accounts, the tail of the batch-level trace
-//! ring, and the planner decision log with
-//! estimate-vs-actual statistics per replan.
+//! what shared intake saved the multi-query registry (class conjunctions
+//! interned, engine-batches skipped, kernel rows per query), the latency
+//! percentiles derived from the log-bucketed histograms, the merge-stage
+//! and shard time accounts, the tail of the batch-level trace ring, and
+//! the planner decision log with estimate-vs-actual statistics per replan.
 //!
 //! Set `OBS_JSON=/path/out.json` to also write the final JSON export —
 //! CI's `metrics-schema` step does exactly that and validates the key set
@@ -34,6 +35,10 @@ const RUNTIME_QUERY: &str = "PATTERN A; B; C \
                              WHERE A.name = B.name AND B.name = C.name \
                              WITHIN 60 RETURN A, C";
 const ADAPTIVE_QUERY: &str = "PATTERN IBM; Sun; Oracle WITHIN 100";
+/// Standing alarms beside the main query: price bands no row falls into
+/// (`> hi AND < lo` with `hi > lo`), each registered twice. They always
+/// watch and never fire — what the shared index lets a shard skip.
+const ALARM_BANDS: [(u32, u32); 4] = [(60, 40), (70, 30), (80, 20), (90, 10)];
 
 fn phase_stream(rates: [(&str, f64); 3], len: usize, seed: u64, ts_base: u64) -> Vec<EventRef> {
     StockGenerator::generate(StockConfig::with_rates(&rates, len, seed))
@@ -68,6 +73,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EngineBuilder::parse(RUNTIME_QUERY)?.compile()?,
         Partitioning::Auto("name".into()),
     );
+    for (hi, lo) in ALARM_BANDS.iter().chain(&ALARM_BANDS) {
+        let src = format!(
+            "PATTERN A; B WHERE A.price > {hi} AND A.price < {lo} \
+             AND B.price > {hi} AND B.price < {lo} WITHIN 10"
+        );
+        builder.register(EngineBuilder::parse(&src)?.compile()?, Partitioning::Broadcast);
+    }
     let mut runtime = builder.build()?;
 
     // A sidecar scraper, as a metrics endpoint would run: snapshots the
@@ -179,6 +191,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total("zstream_kernel_rows_evaluated_total")
     );
     println!("  row-path fallback rows            {}", total("zstream_kernel_fallback_rows_total"));
+
+    // What sharing saved, from the scrape alone: the alarms' class
+    // conjunctions intern to one mask per band however often a band is
+    // registered; a home shard settles an alarm whose masks are empty for
+    // a batch without entering its engine; and a kernel evaluation is
+    // charged to the first query that needed it, so a query riding on
+    // another's evaluation shows zero rows of its own.
+    println!("\n== multi-query intake (what sharing saved) ==");
+    println!("  queries live                      {}", total("zstream_queries_live"));
+    println!("  class conjunctions (all shards)   {}", total("zstream_intake_class_masks"));
+    println!(
+        "  engine-batches skipped            {}",
+        total("zstream_intake_engines_skipped_total")
+    );
+    for s in snap.metrics.iter().filter(|s| s.name == "zstream_kernel_rows_evaluated_total") {
+        if let MetricValue::Counter(v) = s.value {
+            println!("  kernel rows evaluated {:<14} {v}", fmt_labels(&s.labels));
+        }
+    }
 
     println!("\n== latency histograms (derived percentiles) ==");
     for s in &snap.metrics {

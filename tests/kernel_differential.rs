@@ -239,3 +239,109 @@ fn weblog_kernel_matches_row_oracle_across_paths_and_workers() {
         assert_eq!(kernel, sorted_oracle, "sharded kernel vs record path at {workers} workers");
     }
 }
+
+// --- Compare kernels vs the scalar reference, row for row ---
+
+use zstream::events::kernel::{cmp_value, filter_cmp, Bitmap, CmpOp};
+
+const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+const TWO_53: i64 = 1 << 53;
+
+/// Float rows and literals: both NaN signs, both zeros, both infinities,
+/// fractions, and the `2^53` / `2^63` neighbourhoods where an int literal
+/// or an int row stops being exactly one `f64`.
+const CMP_FLOATS: &[f64] = &[
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    -1.0,
+    3.5,
+    -0.5,
+    f64::MIN_POSITIVE,
+    9_007_199_254_740_991.0,      // 2^53 - 1
+    9_007_199_254_740_992.0,      // 2^53
+    9_007_199_254_740_994.0,      // 2^53 + 2: the next float
+    -9_007_199_254_740_992.0,     // -2^53
+    9_223_372_036_854_775_808.0,  // 2^63 > i64::MAX
+    -9_223_372_036_854_775_808.0, // -2^63 = i64::MIN
+    1e300,
+];
+
+const CMP_INTS: &[i64] = &[
+    i64::MIN,
+    i64::MIN + 1,
+    -TWO_53 - 1,
+    -TWO_53,
+    -1,
+    0,
+    1,
+    3,
+    4,
+    TWO_53 - 1,
+    TWO_53,
+    TWO_53 + 1,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+/// One stock batch whose `price` (float) and `volume` (int) columns carry
+/// the generated edge values.
+fn edge_columns(rows: &[(usize, usize)]) -> EventBatch {
+    let mut b = EventBatch::builder(Schema::stocks(), rows.len());
+    for (i, (f, n)) in rows.iter().enumerate() {
+        let row = [
+            Value::Int(i as i64),
+            Value::str("IBM"),
+            Value::Float(CMP_FLOATS[*f]),
+            Value::Int(CMP_INTS[*n]),
+        ];
+        b.push_row(i as u64, &row).unwrap();
+    }
+    b.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48 })]
+
+    /// `filter_cmp` is `cmp_value` per row: all six operators, float and
+    /// int columns, against every float and int literal of the edge
+    /// domains. The literal domain reaches both kernel paths — the native
+    /// comparison loop (float × non-NaN float, int × int, either × an
+    /// in-range literal of the other type) and the exact `Ordering` loop
+    /// (NaN, `|lit| >= 2^53` across types, a fraction against ints) — and
+    /// the row counts cross 64-row words with and without a tail.
+    #[test]
+    fn filter_cmp_matches_cmp_value_row_for_row(
+        rows in prop::collection::vec((0usize..CMP_FLOATS.len(), 0usize..CMP_INTS.len()), 0..200),
+    ) {
+        let batch = edge_columns(&rows);
+        let lits: Vec<Value> = CMP_FLOATS
+            .iter()
+            .map(|f| Value::Float(*f))
+            .chain(CMP_INTS.iter().map(|n| Value::Int(*n)))
+            .collect();
+        let mut out = Bitmap::new();
+        for field in [2usize, 3] {
+            let col = batch.column(field);
+            for lit in &lits {
+                for op in OPS {
+                    filter_cmp(col, op, lit, &mut out);
+                    prop_assert_eq!(out.len(), rows.len());
+                    prop_assert!(out.check_invariants());
+                    for row in 0..rows.len() {
+                        prop_assert_eq!(
+                            out.get(row),
+                            cmp_value(op, &col.value(row), lit),
+                            "{:?} {} vs {} (field {}, row {})", op, col.value(row), lit, field, row
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -666,3 +666,221 @@ fn weblog_multi_query_differential() {
         assert_eq!(&by_slot[q], &oracle, "weblog query {q} diverged");
     }
 }
+
+// --- Idle-query skip: shared intake must stay unobservable ---
+
+/// Overlapping Broadcast queries, most of which never admit a row (prices
+/// are 0..6, volumes 1..4), so on the shared path their home shard settles
+/// them without entering the engine. q0/q1 admit and match and share
+/// conjuncts; q2/q3 carry the same empty bands in a different conjunct
+/// order (one class mask); q4 can never admit; q5 has a row-wise
+/// (`General`) conjunct beside kernel ones on an admitting class; q6 has
+/// one beside a kernel conjunct no row passes (still skippable); q7's B
+/// has no kernel conjunct at all (never skippable); q8 is hash-routed.
+const SKIP_POOL: &[(&str, bool)] = &[
+    ("PATTERN A; B WHERE A.price > 2 AND B.price > 3 WITHIN 9", false),
+    ("PATTERN A; B WHERE A.price > 2 AND A.volume > 1 AND B.price > 3 WITHIN 6", false),
+    (
+        "PATTERN A; B WHERE A.price > 4 AND A.price < 2 AND B.volume > 2 AND B.volume < 1 \
+         WITHIN 8",
+        false,
+    ),
+    (
+        "PATTERN A; B WHERE A.price < 2 AND A.price > 4 AND B.volume < 1 AND B.volume > 2 \
+         WITHIN 8",
+        false,
+    ),
+    ("PATTERN A; B WHERE A.price > 7 AND B.price > 7 WITHIN 8", false),
+    ("PATTERN A; B WHERE A.price * 2.0 > 5.0 AND A.volume > 1 AND B.price > 3 WITHIN 7", false),
+    ("PATTERN A; B WHERE A.price * 2.0 > 1.0 AND A.price > 7 AND B.price > 7 WITHIN 7", false),
+    ("PATTERN A; B WHERE A.price > 7 WITHIN 5", false),
+    ("PATTERN A; B WHERE A.name = B.name AND A.price > 2 WITHIN 8", true),
+];
+/// Never admits, so its (timing-dependent) pre-drop matches are none.
+const SKIP_DROPPED: usize = 4;
+const SKIP_PAUSED: usize = 3;
+
+fn skip_pool() -> Vec<(CompiledParts, Partitioning)> {
+    SKIP_POOL
+        .iter()
+        .map(|(src, hashed)| {
+            let partitioning =
+                if *hashed { Partitioning::Field("name".into()) } else { Partitioning::Broadcast };
+            (compile(src, 8), partitioning)
+        })
+        .collect()
+}
+
+fn skip_builder(workers: usize, shared: bool) -> (zstream::runtime::RuntimeBuilder, Vec<QueryId>) {
+    let mut builder =
+        Runtime::builder().workers(workers).batch_size(8).channel_capacity(2).shared_intake(shared);
+    let ids = skip_pool().into_iter().map(|(parts, p)| builder.register(parts, p)).collect();
+    (builder, ids)
+}
+
+/// One delivered match: slot, shard, `seq`, RETURN-formatted record.
+type Delivered = (usize, usize, u64, String);
+
+fn delivered(matches: &[RuntimeMatch], templates: &[Engine]) -> Vec<Delivered> {
+    matches
+        .iter()
+        .map(|m| {
+            let q = m.query.index();
+            (q, m.shard, m.seq, templates[q].format_match(&m.record))
+        })
+        .collect()
+}
+
+fn engines_skipped(runtime: &Runtime) -> u64 {
+    runtime.observe().counter_total("zstream_intake_engines_skipped_total")
+}
+
+/// Drives the skip pool over `chunks` with a pause window on one idle
+/// query and a drop of another; returns everything observable: the match
+/// stream in emission order, the final report, and how many engine-batches
+/// the shards skipped.
+fn run_skip_pool(
+    workers: usize,
+    shared: bool,
+    chunks: &[EventBatch],
+    pause: (usize, usize),
+    drop_at: usize,
+) -> (Vec<Delivered>, RuntimeReport, u64) {
+    let templates: Vec<Engine> = skip_pool().iter().map(|(p, _)| p.engine().unwrap()).collect();
+    let (builder, ids) = skip_builder(workers, shared);
+    let mut runtime = builder.build().unwrap();
+    let mut matches: Vec<RuntimeMatch> = Vec::new();
+    for (b, batch) in chunks.iter().enumerate() {
+        if b == pause.1 && b != pause.0 {
+            runtime.resume(ids[SKIP_PAUSED]).unwrap();
+        }
+        if b == pause.0 && b != pause.1 {
+            runtime.pause(ids[SKIP_PAUSED]).unwrap();
+        }
+        if b == drop_at {
+            runtime.drop_query(ids[SKIP_DROPPED]).unwrap();
+        }
+        matches.extend(runtime.ingest_columns(batch).unwrap());
+    }
+    // Quiesce, so the counter covers every dispatched batch.
+    runtime.checkpoint(&mut Vec::new()).unwrap();
+    let skipped = engines_skipped(&runtime);
+    let report = runtime.shutdown().unwrap();
+    matches.extend(report.matches.iter().cloned());
+    (delivered(&matches, &templates), report, skipped)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12 })]
+
+    /// Skipping is an evaluation-count optimization: per query, the match
+    /// stream (order and `seq` included), every `EngineMetrics` field of
+    /// the report and the router's drop counts are identical with the
+    /// shared index on and off, at 1–4 workers, with one idle query paused
+    /// for a window and another dropped mid-stream.
+    #[test]
+    fn skipped_engines_are_unobservable(
+        events in stream_strategy(120, NAMES),
+        workers in 1usize..=4,
+        chunk in 4usize..12,
+        pause_at in 0usize..8,
+        resume_delta in 0usize..5,
+        drop_at in 0usize..12,
+    ) {
+        let chunks = rebatch(&events, &[chunk]);
+        let pause = (pause_at, pause_at + resume_delta);
+        let (shared_matches, shared_report, skipped) =
+            run_skip_pool(workers, true, &chunks, pause, drop_at);
+        let (scan_matches, scan_report, scan_skipped) =
+            run_skip_pool(workers, false, &chunks, pause, drop_at);
+        prop_assert_eq!(shared_matches, scan_matches);
+        prop_assert_eq!(&shared_report.query_metrics, &scan_report.query_metrics);
+        prop_assert_eq!(&shared_report.dropped, &scan_report.dropped);
+        // Every batch delivered to a never-admitting flat engine is a skip:
+        // at least q2, q6 and (until dropped) q4 on every chunk.
+        prop_assert!(skipped >= 2 * chunks.len() as u64, "only {} skips", skipped);
+        prop_assert_eq!(scan_skipped, 0);
+        // A skipped batch was counted: every event arrived, and every
+        // chunk (plus the shutdown flush) was an idle round.
+        for q in [2usize, 6] {
+            prop_assert_eq!(shared_report.query_metrics[q].events_in, events.len() as u64);
+            prop_assert_eq!(shared_report.query_metrics[q].idle_rounds, chunks.len() as u64 + 1);
+        }
+    }
+}
+
+/// Checkpoint → crash → restore → replay, with the checkpoint taken in the
+/// middle of a run of batches that every flat engine skips: the skipped
+/// batches' accounting is in the file (byte for byte what the unshared
+/// path writes), and the replayed run is indistinguishable from the
+/// uninterrupted one.
+#[test]
+fn checkpoint_inside_a_run_of_skipped_batches_recovers_exactly() {
+    // Blocks of 32 events alternate between mixed prices and a flat 1.0
+    // that passes no `price >` conjunct of the pool: chunks 4..8 and
+    // 12..16 (of 8 rows each) admit nothing anywhere.
+    let events: Vec<EventRef> = (0..160usize)
+        .map(|i| {
+            let price = if (i / 32) % 2 == 0 { (i % 6) as f64 } else { 1.0 };
+            zstream::events::stock(i as u64 + 1, i as i64, NAMES[i % 4], price, 1 + (i % 3) as i64)
+        })
+        .collect();
+    let chunks = rebatch(&events, &[8]);
+    let (ckpt_at, crash_at) = (6, 8);
+    let templates: Vec<Engine> = skip_pool().iter().map(|(p, _)| p.engine().unwrap()).collect();
+
+    for workers in [1usize, 3] {
+        let (oracle, oracle_report, _) =
+            run_skip_pool(workers, true, &chunks, (usize::MAX, usize::MAX), usize::MAX);
+        assert!(oracle.iter().any(|m| m.0 == 0), "q0 never matched — weak test");
+
+        let checkpoint_at = |shared: bool| -> (Vec<RuntimeMatch>, Vec<u8>, Runtime) {
+            let mut runtime = skip_builder(workers, shared).0.build().unwrap();
+            let mut matches = Vec::new();
+            for batch in &chunks[..ckpt_at] {
+                matches.extend(runtime.ingest_columns(batch).unwrap());
+            }
+            // Which final matches an `ingest_columns` call already handed
+            // back is a matter of reply timing, and the rest sit in the
+            // file. Quiesce and drain first, so the file holds exactly the
+            // non-final ones and its bytes are a function of the input.
+            runtime.checkpoint(&mut Vec::new()).unwrap();
+            matches.extend(runtime.poll().unwrap());
+            let mut file = Vec::new();
+            runtime.checkpoint(&mut file).unwrap();
+            (matches, file, runtime)
+        };
+        let (mut matches, file, mut runtime) = checkpoint_at(true);
+        let before = engines_skipped(&runtime);
+        for batch in &chunks[ckpt_at..crash_at] {
+            let _ = runtime.ingest_columns(batch).unwrap(); // lost with the crash
+        }
+        runtime.checkpoint(&mut Vec::new()).unwrap();
+        // Of the 8 flat queries, a quiet chunk skips all but q5 (its A mask
+        // is `volume > 1` alone: the row-wise conjunct is not in it) and q7
+        // (its B has no kernel conjunct).
+        assert_eq!(engines_skipped(&runtime) - before, 6 * 2, "chunks 6 and 7 are quiet");
+        drop(runtime); // crash
+
+        let (_, scan_file, scan_runtime) = checkpoint_at(false);
+        drop(scan_runtime);
+        let first_diff = file.iter().zip(&scan_file).position(|(a, b)| a != b);
+        assert!(
+            file == scan_file,
+            "the skip left a trace in the checkpoint ({workers} workers): lengths {} / {}, \
+             first difference at byte {first_diff:?}",
+            file.len(),
+            scan_file.len()
+        );
+
+        let mut restored = skip_builder(workers, true).0.restore(&mut file.as_slice()).unwrap();
+        for batch in &chunks[ckpt_at..] {
+            matches.extend(restored.ingest_columns(batch).unwrap());
+        }
+        let report = restored.shutdown().unwrap();
+        matches.extend(report.matches.iter().cloned());
+        assert_eq!(delivered(&matches, &templates), oracle, "{workers} workers");
+        assert_eq!(report.query_metrics, oracle_report.query_metrics, "{workers} workers");
+        assert_eq!(report.dropped, oracle_report.dropped);
+    }
+}

@@ -292,3 +292,56 @@ fn merge_gauges_follow_checkpoint_and_read_zero_after_shutdown() {
     assert_eq!(after.gauge_value("zstream_merge_frontier_lag"), Some(0));
     assert!(after.histogram_total("zstream_merge_ns").unwrap().count > batches.len() as u64);
 }
+
+/// The trace ring takes a few events per batch, never one per partition
+/// key: a hash-routed query's per-key engines share its counters but not
+/// the ring, and the partitioned engine reports its rounds once per push.
+/// (The per-key version emitted one `assembly_round` event — a `format!`,
+/// two `String`s and the ring's mutex — for each of the 64 keys.)
+#[test]
+fn assembly_round_trace_events_are_per_batch_not_per_key() {
+    let workers = 2;
+    let hub = Arc::new(Obs::new());
+    let parts = common::compile("PATTERN A; B WHERE A.name = B.name WITHIN 1000", 16);
+    let mut b = Runtime::builder().workers(workers).batch_size(16).obs(Arc::clone(&hub));
+    b.register(parts.clone(), Partitioning::Field("name".into()));
+    b.register(parts, Partitioning::Field("name".into()));
+    let mut runtime = b.build().unwrap();
+
+    // Two rows per key per batch: every key assembles on every batch.
+    let names: Vec<String> = (0..64).map(|i| format!("K{i:02}")).collect();
+    let batch = |base: u64| {
+        let events: Vec<EventRef> = (0..128u64)
+            .map(|i| zstream::events::stock(base + i, i as i64, &names[i as usize % 64], 1.0, 1))
+            .collect();
+        rebatch(&events, &[128]).remove(0)
+    };
+    let assembly_rounds = |query: &str| {
+        let snap = hub.snapshot();
+        assert_eq!(snap.trace_dropped, 0, "the ring must not have overflowed yet");
+        snap.trace
+            .iter()
+            .filter(|t| t.kind.as_str() == "assembly_round" && t.query.as_deref() == Some(query))
+            .count()
+    };
+    runtime.ingest_columns(&batch(1)).unwrap();
+    runtime.checkpoint(&mut Vec::new()).unwrap(); // quiesce: the shards are done
+    let before = [assembly_rounds("q0"), assembly_rounds("q1")];
+
+    let matched_before = hub.snapshot().counter_total("zstream_query_matched_total");
+    runtime.ingest_columns(&batch(1000)).unwrap();
+    runtime.checkpoint(&mut Vec::new()).unwrap();
+    for (q, before) in ["q0", "q1"].into_iter().zip(before) {
+        let added = assembly_rounds(q) - before;
+        assert!(
+            (1..=workers).contains(&added),
+            "one 64-key batch added {added} assembly_round events for {q}: \
+             at most one per shard that received rows"
+        );
+    }
+    // The per-key engines still feed the shared counters and histogram.
+    let snap = hub.snapshot();
+    assert!(snap.counter_total("zstream_query_matched_total") > matched_before);
+    assert!(snap.histogram_total("zstream_engine_round_ns").unwrap().count >= 2 * 2 * 64);
+    runtime.shutdown().unwrap();
+}
