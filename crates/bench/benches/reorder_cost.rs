@@ -44,8 +44,7 @@ fn measure(slack: Option<Ts>, batches: &[EventBatch], reps: usize) -> (f64, u64,
     let total = total_events(batches);
     let mut samples: Vec<(f64, u64, u64, u64)> = (0..reps.max(1))
         .map(|_| {
-            let mut builder =
-                Runtime::builder().workers(WORKERS).batch_size(CHUNK).channel_capacity(4);
+            let mut builder = Runtime::builder().workers(WORKERS).channel_capacity(4);
             if let Some(s) = slack {
                 builder = builder.slack(s);
             }

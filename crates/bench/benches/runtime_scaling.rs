@@ -1,26 +1,24 @@
 //! **Scale-out** — throughput of the sharded runtime at 1/2/4/8 worker
-//! shards, columnar ingest (`ingest_columns`) vs the record path
-//! (`ingest`), vs the single-threaded engines, on a partitionable stock
-//! query (every class connected by `name` equalities, 64-name alphabet so
-//! keys spread across shards).
+//! shards (`ingest_columns`) vs the single-threaded engines, on a
+//! partitionable stock query (every class connected by `name` equalities,
+//! 64-name alphabet so keys spread across shards).
 //!
-//! Expected shape on a multi-core host: near-linear scaling of the columnar
-//! path while shards ≤ cores — routing is one key-column scan and the
-//! fan-out ships `Arc`'d batches plus selection vectors, so the only serial
-//! work is that scan and the ordered merge. The record path pays per-event
-//! handle routing and per-chunk clones; comparing the two series is the
-//! point of this bench. On a single core the sharded configurations pay
+//! Expected shape on a multi-core host: near-linear scaling while shards ≤
+//! cores — routing is one key-column scan and the fan-out ships `Arc`'d
+//! batches plus selection vectors, so the only serial work is that scan and
+//! the ordered merge. On a single core the sharded configurations pay
 //! thread overhead for no parallel gain; the host-core count in the summary
 //! line makes either outcome interpretable.
 //!
 //! Every series must produce the **same match count**; the asserts below
-//! fail the CI `bench-trajectory` job if the paths ever disagree.
+//! fail the CI `bench-trajectory` job if sharding ever changes the match
+//! set.
 
 use std::time::Instant;
 
 use zstream_bench::*;
 use zstream_core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
-use zstream_events::{EventBatch, EventRef};
+use zstream_events::EventBatch;
 use zstream_runtime::{Partitioning, Runtime};
 use zstream_workload::{StockConfig, StockGenerator};
 
@@ -39,24 +37,9 @@ fn total_events(batches: &[EventBatch]) -> usize {
     batches.iter().map(EventBatch::len).sum()
 }
 
-/// Single-threaded plain engine over the **record** path: per-event handles
-/// through `push_batch` — the baseline the sharded columnar path is
-/// measured against.
-fn measure_engine_record(events: &[EventRef], reps: usize) -> (f64, u64) {
-    median_run(reps, || {
-        let mut engine = compile().engine().expect("engine builds");
-        let t0 = Instant::now();
-        let mut matches = 0u64;
-        for chunk in events.chunks(CHUNK) {
-            matches += engine.push_batch(chunk).len() as u64;
-        }
-        matches += engine.flush().len() as u64;
-        (events.len() as f64 / t0.elapsed().as_secs_f64(), matches)
-    })
-}
-
 /// Single-threaded plain engine (equality predicates evaluated in-plan),
-/// consuming the columnar batches directly.
+/// consuming the columnar batches directly — the baseline the sharded
+/// runtime is measured against.
 fn measure_engine(batches: &[EventBatch], reps: usize) -> (f64, u64) {
     let total = total_events(batches);
     median_run(reps, || {
@@ -87,28 +70,8 @@ fn measure_partitioned(batches: &[EventBatch], reps: usize) -> (f64, u64) {
     })
 }
 
-/// The sharded runtime at `workers` shards over the **record** ingest path.
-fn measure_runtime_record(
-    workers: usize,
-    events: &[EventRef],
-    reps: usize,
-) -> (f64, u64, Option<LatencySummary>) {
-    median_lat_run(reps, || {
-        let mut builder = Runtime::builder().workers(workers).batch_size(CHUNK).channel_capacity(4);
-        builder.register(compile(), Partitioning::Field("name".into()));
-        let mut runtime = builder.build().expect("runtime builds");
-        let hub = runtime.obs_handle();
-        let t0 = Instant::now();
-        let mut matches = runtime.ingest(events).expect("ingest").len() as u64;
-        matches += runtime.shutdown().expect("shutdown").matches.len() as u64;
-        let tput = events.len() as f64 / t0.elapsed().as_secs_f64();
-        (tput, matches, service_latency(&hub))
-    })
-}
-
-/// The sharded runtime at `workers` shards over the **columnar** ingest
-/// path: one key-column scan per chunk, `Arc`'d batches plus selection
-/// vectors over the channels.
+/// The sharded runtime at `workers` shards: one key-column scan per chunk,
+/// `Arc`'d batches plus selection vectors over the channels.
 fn measure_runtime_columns(
     workers: usize,
     batches: &[EventBatch],
@@ -116,7 +79,7 @@ fn measure_runtime_columns(
 ) -> (f64, u64, Option<LatencySummary>) {
     let total = total_events(batches);
     median_lat_run(reps, || {
-        let mut builder = Runtime::builder().workers(workers).batch_size(CHUNK).channel_capacity(4);
+        let mut builder = Runtime::builder().workers(workers).channel_capacity(4);
         builder.register(compile(), Partitioning::Field("name".into()));
         let mut runtime = builder.build().expect("runtime builds");
         let hub = runtime.obs_handle();
@@ -160,10 +123,9 @@ fn main() {
     let rates: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), 1.0)).collect();
     let batches =
         StockGenerator::generate_batches(StockConfig::with_rates(&rates, len, 4242), CHUNK);
-    let events: Vec<_> = batches.iter().flat_map(|b| b.iter()).collect();
 
     header(
-        "Scale-out: sharded runtime (columnar vs record ingest) vs single-threaded engines",
+        "Scale-out: sharded runtime vs single-threaded engines",
         "PATTERN A; B; C WHERE A.name = B.name = C.name WITHIN 60, 64 names, uniform rates",
     );
     let shard_counts = [1usize, 2, 4, 8];
@@ -172,69 +134,49 @@ fn main() {
         record_json("runtime_scaling", series, &m);
     };
 
-    let (record_tput, record_matches) = measure_engine_record(&events, reps);
     let (engine_tput, engine_matches) = measure_engine(&batches, reps);
     let (part_tput, part_matches) = measure_partitioned(&batches, reps);
-    assert_eq!(record_matches, engine_matches, "columnar engine changed the match set");
     assert_eq!(engine_matches, part_matches, "partitioned engine changed the match set");
-    record("single-record", record_tput, record_matches, None);
     record("single", engine_tput, engine_matches, None);
     record("part-1thr", part_tput, part_matches, None);
 
     let mut col_tputs = Vec::new();
-    let mut rec_tputs = Vec::new();
     for &workers in &shard_counts {
-        let (rec, rec_matches, rec_lat) = measure_runtime_record(workers, &events, reps);
-        assert_eq!(
-            engine_matches, rec_matches,
-            "{workers}-shard record ingest changed the match set"
-        );
-        record(&format!("{workers}-shards-record"), rec, rec_matches, rec_lat);
-        rec_tputs.push(rec);
-
         let (col, col_matches, col_lat) = measure_runtime_columns(workers, &batches, reps);
-        assert_eq!(
-            engine_matches, col_matches,
-            "{workers}-shard columnar ingest changed the match set \
-             (record and columnar paths disagree)"
-        );
+        assert_eq!(engine_matches, col_matches, "{workers}-shard runtime changed the match set");
         record(&format!("{workers}-shards-col"), col, col_matches, col_lat);
         col_tputs.push(col);
     }
 
-    let cols: Vec<String> = ["single-rec", "single-col", "part-1thr"]
+    let cols: Vec<String> = ["single", "part-1thr"]
         .into_iter()
         .map(str::to_string)
-        .chain(shard_counts.iter().map(|w| format!("{w}sh-rec")))
         .chain(shard_counts.iter().map(|w| format!("{w}sh-col")))
         .collect();
     row_header("configuration ->", &cols);
-    let mut tputs = vec![record_tput, engine_tput, part_tput];
-    tputs.extend(&rec_tputs);
+    let mut tputs = vec![engine_tput, part_tput];
     tputs.extend(&col_tputs);
     row("events/s", &tputs);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "\nmatches: {engine_matches} (identical across all configurations) | \
-         4-shard-col/single-record: {:.2}x | 4-shard-col/4-shard-record: {:.2}x | \
-         4-shard-col/1-shard-col: {:.2}x | host cores: {cores}",
-        col_tputs[2] / record_tput,
-        col_tputs[2] / rec_tputs[2],
+         4-shard/single: {:.2}x | 4-shard/1-shard: {:.2}x | host cores: {cores}",
+        col_tputs[2] / engine_tput,
         col_tputs[2] / col_tputs[0],
     );
     // Where parallelism physically exists, sharding should be a speedup
-    // again — the regression this bench guards against is 4-shard columnar
-    // ingest running *slower* than one thread. On a < 4-core host the check
-    // is meaningless (total work, not routing, binds), so it only fires with
+    // again — the regression this bench guards against is 4-shard ingest
+    // running *slower* than one thread. On a < 4-core host the check is
+    // meaningless (total work, not routing, binds), so it only fires with
     // cores >= 4: a loud warning by default, a hard failure when
     // ZSTREAM_BENCH_ENFORCE_SCALING=1 is set (opt-in until a multi-core
     // baseline is recorded, so an unvalidated threshold cannot flake CI).
-    if cores >= 4 && col_tputs[2] <= 1.25 * record_tput {
+    if cores >= 4 && col_tputs[2] <= 1.25 * engine_tput {
         let msg = format!(
-            "WARNING: 4-shard columnar ingest ({:.0} ev/s) is not a clear speedup over the \
-             single-threaded record path ({:.0} ev/s) on a {cores}-core host — the \
+            "WARNING: 4-shard ingest ({:.0} ev/s) is not a clear speedup over the \
+             single-threaded engine ({:.0} ev/s) on a {cores}-core host — the \
              sharded-slower-than-single regression may be back",
-            col_tputs[2], record_tput,
+            col_tputs[2], engine_tput,
         );
         if std::env::var_os("ZSTREAM_BENCH_ENFORCE_SCALING").is_some() {
             panic!("{msg}");

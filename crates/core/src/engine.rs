@@ -46,7 +46,7 @@ pub struct Engine {
     scratch: IntakeScratch,
     /// Class-mask ids in the caller's [`SharedPredIndex`], set by
     /// [`Engine::subscribe`]; read when the caller passes that index to
-    /// [`Engine::push_columns_shared`] / [`Engine::push_rows_shared`].
+    /// [`Engine::push_rows`].
     // zlint::allow(snapshot, "wiring re-stamped by the caller after restore, not checkpoint state")
     subscription: Option<Arc<Subscription>>,
     /// The engine's own single-subscriber index, for kernel intake when the
@@ -166,8 +166,8 @@ impl Engine {
 
     /// Subscribes this engine to a [`SharedPredIndex`]: its column-kernel
     /// conjuncts and class conjunctions are interned there (from the
-    /// predicates this engine already compiled), and from then on the
-    /// shared-aware push variants, given that same index, evaluate each
+    /// predicates this engine already compiled), and from then on
+    /// [`Engine::push_rows`], given that same index, evaluates each
     /// distinct predicate and conjunction at most once per batch *across
     /// every subscribed engine* instead of once per engine.
     pub fn subscribe(&mut self, index: &mut SharedPredIndex) {
@@ -219,61 +219,53 @@ impl Engine {
     /// evaluate column-wise over the batch, and only the surviving rows
     /// materialize leaf records; admitted/offered accounting, watermark and
     /// round semantics are identical to [`Engine::push_batch`] over the same
-    /// rows.
+    /// rows. Predicates evaluate through the engine's own index.
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        self.push_columns_shared(batch, None)
+        self.push_intake(batch, None, None)
     }
 
-    /// [`Engine::push_columns`] with the [`SharedPredIndex`] this engine
-    /// subscribed to ([`Engine::subscribe`]): class masks already valid for
-    /// this batch are reused instead of re-evaluated, and ones this engine
-    /// evaluates become valid for later subscribers. Match output is
-    /// byte-identical to the unshared path — only the evaluation count
-    /// changes. `None` (or an engine that never subscribed) evaluates
-    /// through the engine's own index.
-    pub fn push_columns_shared(
+    /// The shard form of [`Engine::push_columns`]: routes the given
+    /// (ascending) `rows` of the batch — every row for `None` — and runs one
+    /// round. The batch is shared storage, never copied, and the handles
+    /// materialized for surviving rows point into it (identities
+    /// preserved); semantics are identical to `push_columns` over a batch of
+    /// exactly the selected rows.
+    ///
+    /// `index` is the [`SharedPredIndex`] this engine subscribed to
+    /// ([`Engine::subscribe`]): class masks already valid for this batch are
+    /// reused instead of re-evaluated, and ones this engine evaluates become
+    /// valid for later subscribers. Match output is byte-identical to
+    /// `push_columns` — only the evaluation count changes. An engine that
+    /// never subscribed evaluates through its own index, and sparse
+    /// selections fall back to row-at-a-time narrowing without touching
+    /// either.
+    pub fn push_rows(
         &mut self,
         batch: &EventBatch,
-        shared: Option<&mut SharedPredIndex>,
+        rows: Option<&[u32]>,
+        index: &mut SharedPredIndex,
+    ) -> Vec<Record> {
+        self.push_intake(batch, rows, Some(index))
+    }
+
+    /// Both columnar entries: drain events pushed one at a time, route the
+    /// selection, run one round.
+    pub(crate) fn push_intake(
+        &mut self,
+        batch: &EventBatch,
+        rows: Option<&[u32]>,
+        index: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
         let pending = std::mem::take(&mut self.pending);
         for e in &pending {
             self.route(e);
         }
-        self.route_columns(batch, None, shared);
+        self.route_columns(batch, rows, index);
         self.round()
     }
 
-    /// Selection-vector variant of [`Engine::push_columns`]: routes only the
-    /// given (ascending) `rows` of the shared batch and runs one round.
-    /// This is the shard/partition form of vectorized intake — the batch is
-    /// shared storage, never copied, and the handles materialized for
-    /// surviving rows point into it (identities preserved). Semantics are
-    /// identical to `push_columns` over a batch of exactly the selected
-    /// rows.
-    pub fn push_rows(&mut self, batch: &EventBatch, rows: &[u32]) -> Vec<Record> {
-        self.push_rows_shared(batch, rows, None)
-    }
-
-    /// [`Engine::push_rows`] with an optional [`SharedPredIndex`] (see
-    /// [`Engine::push_columns_shared`]). Sparse selections fall back to
-    /// row-at-a-time narrowing and never touch the index.
-    pub fn push_rows_shared(
-        &mut self,
-        batch: &EventBatch,
-        rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        let pending = std::mem::take(&mut self.pending);
-        for e in &pending {
-            self.route(e);
-        }
-        self.route_columns(batch, Some(rows), shared);
-        self.round()
-    }
-
-    /// The O(1) stand-in for [`Engine::push_columns_shared`] on a batch this
-    /// engine cannot admit a row of. Asks `index` (which this engine must
+    /// The O(1) stand-in for [`Engine::push_rows`] over every row of a batch
+    /// this engine cannot admit a row of. Asks `index` (which this engine must
     /// have subscribed to) for the class mask of every class whose schema
     /// the batch carries; if all are empty, and no event pushed one at a
     /// time is still buffered, settles the batch exactly as the full path

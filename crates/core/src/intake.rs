@@ -1,16 +1,16 @@
 //! Compiled intake predicates and the cross-query shared predicate index.
 //!
 //! The §4.1 push-down compiles each single-class intake predicate into a
-//! column-kernel form ([`IntakePred`]) that evaluates over a whole batch
+//! column-kernel form (`IntakePred`) that evaluates over a whole batch
 //! column into a bitmap, once per query (`CompiledIntake`).
 //!
 //! [`SharedPredIndex`] is the one place those bitmaps are computed. It owns
 //! the compiled predicate of every distinct conjunct (a **slot**, keyed by
-//! [`IntakePred::kernel_key`]) and interns every class's *conjunction* —
+//! `IntakePred::kernel_key`) and interns every class's *conjunction* —
 //! its set of slots — to a **class mask**. A mask is evaluated at most once
 //! per batch: the AND of its slot bitmaps, stopping at the first empty
 //! intermediate, plus its popcount. Subscribers (engines) hold one mask id
-//! per pattern class ([`Subscription`]) and consume `(mask, count)`; they
+//! per pattern class (a `Subscription`) and consume `(mask, count)`; they
 //! never see a slot. A service hosting thousands of standing queries shares
 //! one index per evaluation thread, so a batch costs *distinct predicates +
 //! distinct conjunctions*, and a query none of whose masks has a set bit is

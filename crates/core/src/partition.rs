@@ -273,63 +273,58 @@ impl PartitionedEngine {
     /// cheap handles. Output ordering and round-forcing semantics are
     /// identical to `push_batch` over the same rows.
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        self.push_columns_shared(batch, None)
+        self.push_intake(batch, None, None)
     }
 
-    /// [`PartitionedEngine::push_columns`] with an optional
-    /// [`SharedPredIndex`] (see [`Engine::push_columns_shared`]).
-    pub fn push_columns_shared(
+    /// The shard form of [`PartitionedEngine::push_columns`]: `rows` are
+    /// ascending indices into `batch` (the subset this engine owns after
+    /// shard routing; `None` for every row), and only those rows are keyed,
+    /// grouped and evaluated — the batch itself is shared storage and is
+    /// never copied. Every partition engine evaluates through `index`, the
+    /// [`SharedPredIndex`] this engine subscribed to (see
+    /// [`Engine::push_rows`]). Semantics are identical to `push_columns` over
+    /// a batch containing exactly the selected rows.
+    pub fn push_rows(
         &mut self,
         batch: &EventBatch,
-        shared: Option<&mut SharedPredIndex>,
+        rows: Option<&[u32]>,
+        index: &mut SharedPredIndex,
     ) -> Vec<Record> {
-        let n = batch.len();
+        self.push_intake(batch, rows, Some(index))
+    }
+
+    /// Both columnar entries: count the selection offered, resolve the
+    /// partition field once, and key the rows.
+    fn push_intake(
+        &mut self,
+        batch: &EventBatch,
+        rows: Option<&[u32]>,
+        index: Option<&mut SharedPredIndex>,
+    ) -> Vec<Record> {
+        let n = rows.map_or(batch.len(), <[u32]>::len);
         self.events_in += n as u64;
         let Ok(field_idx) = batch.schema().field_index(&self.field) else {
             self.dropped += n as u64;
             return Vec::new();
         };
-        self.push_selected(batch, field_idx, 0..n as u32, shared)
+        match rows {
+            None => self.push_selected(batch, field_idx, 0..n as u32, index),
+            Some(rows) => self.push_selected(batch, field_idx, rows.iter().copied(), index),
+        }
     }
 
-    /// Selection-vector variant of [`PartitionedEngine::push_columns`]: the
-    /// shard form of columnar intake. `rows` are ascending indices into
-    /// `batch` (the subset this engine owns after shard routing); only those
-    /// rows are keyed, grouped and evaluated — the batch itself is shared
-    /// storage and is never copied. Semantics are identical to
-    /// `push_columns` over a batch containing exactly the selected rows.
-    pub fn push_rows(&mut self, batch: &EventBatch, rows: &[u32]) -> Vec<Record> {
-        self.push_rows_shared(batch, rows, None)
-    }
-
-    /// [`PartitionedEngine::push_rows`] with an optional
-    /// [`SharedPredIndex`] (see [`Engine::push_rows_shared`]).
-    pub fn push_rows_shared(
-        &mut self,
-        batch: &EventBatch,
-        rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        self.events_in += rows.len() as u64;
-        let Ok(field_idx) = batch.schema().field_index(&self.field) else {
-            self.dropped += rows.len() as u64;
-            return Vec::new();
-        };
-        self.push_selected(batch, field_idx, rows.iter().copied(), shared)
-    }
-
-    /// Shared tail of the columnar intake paths: group the given rows by
-    /// partition key (first-seen key order, intra-key stream order), hand
-    /// each partition its row selection (forcing a round per receiving
-    /// partition), and emit in end-timestamp order. Groups hold 4-byte row
-    /// indices, not event handles — the batch stays shared storage all the
-    /// way into each partition's [`Engine::push_rows`].
+    /// Groups the given rows by partition key (first-seen key order,
+    /// intra-key stream order), hands each partition its row selection
+    /// (forcing a round per receiving partition), and emits in
+    /// end-timestamp order. Groups hold 4-byte row indices, not event
+    /// handles — the batch stays shared storage all the way into each
+    /// partition's [`Engine::push_rows`].
     fn push_selected(
         &mut self,
         batch: &EventBatch,
         field_idx: usize,
         rows: impl Iterator<Item = u32>,
-        mut shared: Option<&mut SharedPredIndex>,
+        mut index: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
         let col = batch.column(field_idx);
         let mut order: Vec<HashableValue> = Vec::new();
@@ -350,7 +345,7 @@ impl PartitionedEngine {
             return Vec::new();
         };
         self.push_groups(last_ts, order, groups, |engine, group| {
-            engine.push_rows_shared(batch, &group, shared.as_deref_mut())
+            engine.push_intake(batch, Some(&group), index.as_deref_mut())
         })
     }
 
@@ -643,7 +638,10 @@ mod tests {
         let mut by_rows =
             PartitionedEngine::new(c.clone(), PlanConfig::default(), intake.clone(), 4, "name")
                 .unwrap();
-        let mut a = by_rows.push_rows(&batch, &rows);
+        let mut index = SharedPredIndex::new();
+        by_rows.subscribe(&mut index);
+        index.begin_batch();
+        let mut a = by_rows.push_rows(&batch, Some(&rows), &mut index);
         a.extend(by_rows.flush());
 
         let sub = batch.select(&rows);
@@ -676,7 +674,10 @@ mod tests {
                 .unwrap();
         }
         let weblog = wb.finish();
-        assert!(pe.push_rows(&weblog, &[0, 1]).is_empty());
+        let mut index = SharedPredIndex::new();
+        pe.subscribe(&mut index);
+        index.begin_batch();
+        assert!(pe.push_rows(&weblog, Some(&[0, 1]), &mut index).is_empty());
         assert_eq!(pe.num_partitions(), 0);
         assert_eq!(pe.metrics().events_in, 2, "dropped rows still count as offered");
     }

@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use crate::soa::EventBatch;
 use crate::sym::Sym;
 use crate::value::HashableValue;
-use crate::EventRef;
 
 /// The shard owning `key` among `num_shards` shards.
 ///
@@ -30,21 +29,11 @@ pub fn shard_of(key: &HashableValue, num_shards: usize) -> usize {
     (key.digest() % num_shards as u64) as usize
 }
 
-/// Result of [`split_by_field`] / [`split_batch_by_field`]: per-shard
-/// sub-batches plus the count of events that lacked the routing field.
-#[derive(Debug)]
-pub struct ShardSplit {
-    /// One time-ordered sub-batch per shard (same index as the shard id).
-    pub shards: Vec<Vec<EventRef>>,
-    /// Events whose schema has no `field` attribute; they route nowhere.
-    pub dropped: u64,
-}
-
 /// Result of [`split_batch_rows`]: per-shard **selection vectors** (row
 /// indices into the routed batch, ascending) plus the count of rows that
-/// lacked the routing field. This is the zero-copy form of [`ShardSplit`]:
-/// shipping `(Arc<BatchData>, selection)` to a shard costs one refcount bump
-/// and one index vector — no event handles, no column gathers.
+/// lacked the routing field. Shipping `(Arc<BatchData>, selection)` to a
+/// shard costs one refcount bump and one index vector — no event handles,
+/// no column gathers.
 #[derive(Debug)]
 pub struct RowSplit {
     /// One ascending row-index vector per shard (same index as the shard id).
@@ -53,47 +42,11 @@ pub struct RowSplit {
     pub dropped: u64,
 }
 
-/// Splits a time-ordered batch into `num_shards` per-shard sub-batches by
-/// hash of each event's `field` value. Within a shard, events keep their
-/// stream order (and therefore stay time-ordered); events missing the field
-/// are counted in [`ShardSplit::dropped`].
-pub fn split_by_field(events: &[EventRef], field: &str, num_shards: usize) -> ShardSplit {
-    assert!(num_shards >= 1, "at least one shard required");
-    let mut shards: Vec<Vec<EventRef>> = vec![Vec::new(); num_shards];
-    let mut dropped = 0u64;
-    // Consecutive events usually share one schema; memoize the field lookup
-    // and symbol digests so the loop stays on integers.
-    let mut last_schema: Option<(*const crate::Schema, Option<usize>)> = None;
-    let mut sym_digests: HashMap<Sym, u64> = HashMap::new();
-    for event in events {
-        let schema_ptr = std::sync::Arc::as_ptr(event.schema());
-        let field_idx = match last_schema {
-            Some((ptr, idx)) if ptr == schema_ptr => idx,
-            _ => {
-                let idx = event.schema().field_index(field).ok();
-                last_schema = Some((schema_ptr, idx));
-                idx
-            }
-        };
-        let Some(idx) = field_idx else {
-            dropped += 1;
-            continue;
-        };
-        let key = event.value(idx).hash_key();
-        let digest = match key {
-            HashableValue::Str(s) => *sym_digests.entry(s).or_insert_with(|| key.digest()),
-            other => other.digest(),
-        };
-        shards[(digest % num_shards as u64) as usize].push(event.clone());
-    }
-    ShardSplit { shards, dropped }
-}
-
 /// Columnar routing that stops at **row indices**: scans the key column once
 /// (field index resolved once per batch, string keys routed via memoized
-/// symbol digests) and returns per-shard selection vectors. Rows route
-/// identically to [`split_by_field`] over the same events; within a shard,
-/// indices are ascending, so the selected sub-stream stays time-ordered.
+/// symbol digests) and returns per-shard selection vectors: each row goes
+/// to the [`shard_of`] its key. Within a shard, indices are ascending, so
+/// the selected sub-stream stays time-ordered.
 pub fn split_batch_rows(batch: &EventBatch, field: &str, num_shards: usize) -> RowSplit {
     assert!(num_shards >= 1, "at least one shard required");
     let mut shards: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
@@ -130,28 +83,32 @@ pub fn split_batch_rows(batch: &EventBatch, field: &str, num_shards: usize) -> R
     RowSplit { shards, dropped: 0 }
 }
 
-/// Columnar variant of [`split_by_field`]: routes a whole [`EventBatch`] by
-/// scanning the key column once and handing out row handles. Rows route
-/// identically to the per-event path. Implemented over [`split_batch_rows`];
-/// prefer that function when the consumer can work from selection vectors —
-/// materializing handles here costs one `Arc` bump per routed row.
-pub fn split_batch_by_field(batch: &EventBatch, field: &str, num_shards: usize) -> ShardSplit {
-    let rows = split_batch_rows(batch, field, num_shards);
-    ShardSplit {
-        shards: rows
-            .shards
-            .into_iter()
-            .map(|sel| sel.into_iter().map(|row| batch.event(row as usize)).collect())
-            .collect(),
-        dropped: rows.dropped,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::stock;
     use crate::value::Value;
+    use crate::EventRef;
+
+    /// Per-shard sub-batches plus the count of events without the field.
+    struct ShardSplit {
+        shards: Vec<Vec<EventRef>>,
+        dropped: u64,
+    }
+
+    /// The per-event reference [`split_batch_rows`] is tested against: each
+    /// event goes to the [`shard_of`] its `field` value, in stream order;
+    /// events without the field count as dropped.
+    fn split_by_field(events: &[EventRef], field: &str, num_shards: usize) -> ShardSplit {
+        let mut split = ShardSplit { shards: vec![Vec::new(); num_shards], dropped: 0 };
+        for event in events {
+            match event.value_by_name(field) {
+                Ok(v) => split.shards[shard_of(&v.hash_key(), num_shards)].push(event.clone()),
+                Err(_) => split.dropped += 1,
+            }
+        }
+        split
+    }
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {
@@ -180,11 +137,12 @@ mod tests {
         let names = ["IBM", "Sun", "Oracle", "HP"];
         let events: Vec<EventRef> =
             (0..40u64).map(|i| stock(i, i as i64, names[i as usize % 4], 1.0, 1)).collect();
-        let split = split_by_field(&events, "name", 3);
+        let batch = EventBatch::from_events(&events).unwrap();
+        let split = split_batch_rows(&batch, "name", 3);
         assert_eq!(split.dropped, 0);
         assert_eq!(split.shards.iter().map(Vec::len).sum::<usize>(), events.len());
-        for sub in &split.shards {
-            assert!(sub.windows(2).all(|w| w[0].ts() <= w[1].ts()), "sub-stream time-ordered");
+        for rows in &split.shards {
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "sub-stream in stream order");
         }
         // All events of one name land on one shard.
         for name in names {
@@ -192,8 +150,9 @@ mod tests {
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|(_, sub)| {
-                    sub.iter().any(|e| e.value_by_name("name").unwrap().as_str().unwrap() == name)
+                .filter(|(_, rows)| {
+                    let name_of = |r: &u32| batch.event(*r as usize).value_by_name("name").unwrap();
+                    rows.iter().any(|r| name_of(r).as_str().unwrap() == name)
                 })
                 .map(|(i, _)| i)
                 .collect();
@@ -201,33 +160,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_split_matches_per_event_split() {
-        let names = ["IBM", "Sun", "Oracle", "HP", "Dell"];
-        let events: Vec<EventRef> =
-            (0..50u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
-        let batch = EventBatch::from_events(&events).unwrap();
+    /// Rows and events route alike, whatever the key column's layout.
+    fn assert_row_split_agrees(events: &[EventRef], field: &str) {
+        let batch = EventBatch::from_events(events).unwrap();
         for n in [1usize, 2, 3, 7] {
-            let a = split_by_field(&events, "name", n);
-            let b = split_batch_by_field(&batch, "name", n);
-            assert_eq!(a.dropped, b.dropped);
-            for (x, y) in a.shards.iter().zip(&b.shards) {
-                let xs: Vec<String> = x.iter().map(|e| e.to_string()).collect();
-                let ys: Vec<String> = y.iter().map(|e| e.to_string()).collect();
-                assert_eq!(xs, ys, "batch and per-event routing must agree at {n} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn row_split_agrees_with_event_split_and_stays_ordered() {
-        let names = ["IBM", "Sun", "Oracle", "HP", "Dell"];
-        let events: Vec<EventRef> =
-            (0..50u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
-        let batch = EventBatch::from_events(&events).unwrap();
-        for n in [1usize, 2, 3, 7] {
-            let by_event = split_batch_by_field(&batch, "name", n);
-            let by_row = split_batch_rows(&batch, "name", n);
+            let by_event = split_by_field(events, field, n);
+            let by_row = split_batch_rows(&batch, field, n);
             assert_eq!(by_event.dropped, by_row.dropped);
             for (evs, rows) in by_event.shards.iter().zip(&by_row.shards) {
                 assert!(rows.windows(2).all(|w| w[0] < w[1]), "selection must ascend");
@@ -240,6 +178,23 @@ mod tests {
     }
 
     #[test]
+    fn batch_split_matches_per_event_split() {
+        // An int key column: neither symbol fast path applies.
+        let events: Vec<EventRef> =
+            (0..50u64).map(|i| stock(i, i as i64, "IBM", 1.0, (i % 6) as i64)).collect();
+        assert_row_split_agrees(&events, "volume");
+    }
+
+    #[test]
+    fn row_split_agrees_with_event_split_and_stays_ordered() {
+        let names = ["IBM", "Sun", "Oracle", "HP", "Dell"];
+        let events: Vec<EventRef> =
+            (0..50u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
+        assert!(EventBatch::from_events(&events).unwrap().column(1).as_syms().is_some());
+        assert_row_split_agrees(&events, "name");
+    }
+
+    #[test]
     fn dict_encoded_batches_route_identically() {
         // 128 rows of 5 names: finish() dictionary-encodes the key column,
         // and the code-table fast path must agree with per-event routing.
@@ -248,16 +203,7 @@ mod tests {
             (0..128u64).map(|i| stock(i, i as i64, names[i as usize % 5], 1.0, 1)).collect();
         let batch = EventBatch::from_events(&events).unwrap();
         assert!(batch.column(1).as_dict().is_some(), "name column should dictionary-encode");
-        for n in [1usize, 2, 3, 7] {
-            let by_event = split_by_field(&events, "name", n);
-            let by_row = split_batch_rows(&batch, "name", n);
-            for (evs, rows) in by_event.shards.iter().zip(&by_row.shards) {
-                let gathered: Vec<String> =
-                    rows.iter().map(|r| batch.event(*r as usize).to_string()).collect();
-                let direct: Vec<String> = evs.iter().map(|e| e.to_string()).collect();
-                assert_eq!(gathered, direct, "dict and event routing must agree at {n} shards");
-            }
-        }
+        assert_row_split_agrees(&events, "name");
     }
 
     #[test]
@@ -265,15 +211,6 @@ mod tests {
         let events: Vec<EventRef> = (0..5u64).map(|i| stock(i, 0, "IBM", 1.0, 1)).collect();
         let batch = EventBatch::from_events(&events).unwrap();
         let split = split_batch_rows(&batch, "no_such_field", 2);
-        assert_eq!(split.dropped, 5);
-        assert!(split.shards.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn batch_split_without_field_drops_all() {
-        let events: Vec<EventRef> = (0..5u64).map(|i| stock(i, 0, "IBM", 1.0, 1)).collect();
-        let batch = EventBatch::from_events(&events).unwrap();
-        let split = split_batch_by_field(&batch, "no_such_field", 2);
         assert_eq!(split.dropped, 5);
         assert!(split.shards.iter().all(Vec::is_empty));
     }

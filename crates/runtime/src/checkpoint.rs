@@ -12,8 +12,9 @@
 //! payload      one zstream_events::Snapshot stream:
 //!   checkpoint sequence  u64
 //!   CONFIG   fingerprint of the producing configuration (validated on
-//!            restore: workers, batch size, heartbeat interval, slack,
-//!            sources, lateness policy), the home-shard rotation counter,
+//!            restore: workers, heartbeat interval, slack, sources,
+//!            lateness policy; one reserved word, see [`RESERVED_WORD`]),
+//!            the home-shard rotation counter,
 //!            and the **live registry**: one entry per registry slot —
 //!            tombstones included — carrying the live slots' pause flag,
 //!            resolved route, and query shape
@@ -137,11 +138,18 @@ impl fmt::Display for CheckpointId {
     }
 }
 
+/// The fingerprint word that held the runtime batch size, which chopped
+/// the since-removed per-event ingest path into chunks. Written as this
+/// fixed value — the old default, so a build that still checks the word
+/// restores files written here under its default — and ignored on read, so
+/// files that carry any other value (the golden fixture's 16) still
+/// restore, without a version bump.
+pub(crate) const RESERVED_WORD: u64 = 512;
+
 /// The scalar half of the configuration fingerprint (the per-query half
 /// comes from the resolved [`QueryDef`]s).
 pub(crate) struct Fingerprint {
     pub workers: usize,
-    pub batch_size: usize,
     pub heartbeat_interval: usize,
     pub slack: Option<Ts>,
     pub sources: usize,
@@ -158,11 +166,10 @@ fn lateness_tag(p: LatenessPolicy) -> u8 {
 
 /// Serializes the configuration fingerprint and the live registry.
 /// Everything that shapes what a shard's state *means* is covered — worker
-/// count (key → shard mapping), batch size (chunking determinism), the
-/// home-shard rotation counter, and per slot the live/pause flags, routing,
-/// class count and window — while knobs that only affect scheduling
-/// (channel capacity) or performance (shared intake) are deliberately free
-/// to differ across restore.
+/// count (key → shard mapping), the home-shard rotation counter, and per
+/// slot the live/pause flags, routing, class count and window — while the
+/// knob that only affects scheduling (channel capacity) is deliberately
+/// free to differ across restore.
 pub(crate) fn write_fingerprint(
     w: &mut SnapshotWriter,
     fp: &Fingerprint,
@@ -170,7 +177,7 @@ pub(crate) fn write_fingerprint(
     queries: &[QueryState],
 ) {
     w.u64(fp.workers as u64);
-    w.u64(fp.batch_size as u64);
+    w.u64(RESERVED_WORD);
     w.u64(fp.heartbeat_interval as u64);
     w.opt_u64(fp.slack);
     w.u64(fp.sources as u64);
@@ -242,7 +249,7 @@ pub(crate) fn check_fingerprint(
         }
     }
     expect("workers", r.u64()?, fp.workers as u64)?;
-    expect("batch_size", r.u64()?, fp.batch_size as u64)?;
+    r.u64()?; // RESERVED_WORD: any value restores
     expect("heartbeat_interval", r.u64()?, fp.heartbeat_interval as u64)?;
     expect("slack", r.opt_u64()?, fp.slack)?;
     expect("sources", r.u64()?, fp.sources as u64)?;
@@ -314,6 +321,22 @@ pub(crate) fn check_fingerprint(
         )));
     }
     Ok((homes, out))
+}
+
+/// Reads a sequence length and checks it against the restoring
+/// configuration's: a mismatch means the stream itself is inconsistent.
+pub(crate) fn expect_len(
+    r: &mut SnapshotReader<'_>,
+    what: &str,
+    expected: usize,
+) -> SnapshotResult<()> {
+    let n = r.len()?;
+    if n != expected {
+        return Err(SnapshotError::Corrupt(format!(
+            "checkpoint has {n} {what}, expected {expected}"
+        )));
+    }
+    Ok(())
 }
 
 /// Reads and checks one section tag.

@@ -39,17 +39,17 @@
 //!   query whose every class mask is empty for a batch is settled by a
 //!   counter bump without its engine being entered — intake cost follows
 //!   distinct predicates plus queries that admit a row, not registered
-//!   queries ([`RuntimeBuilder::shared_intake`] toggles it; match output
-//!   and metrics are identical either way).
-//! * **Columnar ingest** — [`Runtime::ingest_columns`] routes a whole
+//!   queries (match output and metrics are those of each query's engine
+//!   running alone).
+//! * **One way in** — [`Runtime::ingest_columns`] routes a whole
 //!   [`zstream_events::EventBatch`] with one scan of each hash query's key
 //!   column ([`zstream_events::split_batch_rows`], memoized symbol
 //!   digests), then ships the batch to each owning shard as an `Arc` bump
 //!   plus a row-selection vector — zero copies, no per-event handles on the
 //!   router. Shards evaluate through
 //!   [`zstream_core::PartitionedEngine::push_rows`] /
-//!   [`zstream_core::Engine::push_columns`]. The record path
-//!   ([`Runtime::ingest`]) remains for callers holding event slices.
+//!   [`zstream_core::Engine::push_rows`]. Callers holding event slices
+//!   convert them once with [`zstream_events::repack_events`].
 //! * **Routing** — for a query whose equality predicates connect all
 //!   classes on a field ([`zstream_core::can_partition_by`]), each event
 //!   goes to `hash(key) mod N` ([`zstream_events::shard_of`]); the shard
@@ -96,7 +96,7 @@
 //! use zstream_runtime::{Partitioning, Runtime};
 //! use zstream_events::{stock, EventBatch};
 //!
-//! let mut builder = Runtime::builder().workers(2).batch_size(64);
+//! let mut builder = Runtime::builder().workers(2);
 //! let q = builder.register(
 //!     EngineBuilder::parse("PATTERN A; B WHERE A.name = B.name WITHIN 100")
 //!         .unwrap()

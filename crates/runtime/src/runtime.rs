@@ -8,14 +8,14 @@ use std::time::Instant;
 
 use zstream_core::{CompiledParts, EngineMetrics};
 use zstream_events::{
-    repack_events, split_batch_rows, split_by_field, BatchRelease, ColumnarReorder, EventBatch,
-    EventRef, Record, ReorderOutcome, Snapshot, SnapshotReader, SnapshotWriter, Ts,
+    repack_events, split_batch_rows, BatchRelease, ColumnarReorder, EventBatch, EventRef, Record,
+    Snapshot, SnapshotReader, SnapshotResult, SnapshotWriter, Ts,
 };
 use zstream_obs::{Obs, ObsSnapshot, TraceKind};
 
 use crate::checkpoint::{
-    check_fingerprint, expect_tag, write_fingerprint, CheckpointId, Fingerprint, MAGIC, TAG_CONFIG,
-    TAG_END, TAG_MERGE, TAG_REORDER, TAG_RUNTIME, TAG_SHARDS, VERSION,
+    check_fingerprint, expect_len, expect_tag, write_fingerprint, CheckpointId, Fingerprint, MAGIC,
+    TAG_CONFIG, TAG_END, TAG_MERGE, TAG_REORDER, TAG_RUNTIME, TAG_SHARDS, VERSION,
 };
 use crate::error::RuntimeError;
 use crate::instruments::{elapsed_ns, RtInstruments, ShardInstruments};
@@ -23,7 +23,7 @@ use crate::merge::{OrderedMerge, RuntimeMatch};
 use crate::registry::{
     next_live_home, resolve_route, resolve_routes, Partitioning, QueryId, QueryState, Route,
 };
-use crate::shard::{build_engines, restore_engines, run_shard, RowSel, ShardMsg, ShardReply};
+use crate::shard::{run_shard, shard_engines, RowSel, ShardMsg, ShardReply};
 
 /// What to do with an event that arrives beyond the reorder slack window
 /// (§4.1: it can no longer be placed in time order).
@@ -56,7 +56,7 @@ pub enum LatenessPolicy {
 /// use zstream_core::EngineBuilder;
 /// use zstream_runtime::{Partitioning, Runtime};
 ///
-/// let mut builder = Runtime::builder().workers(4).batch_size(256);
+/// let mut builder = Runtime::builder().workers(4);
 /// let q = builder.register(
 ///     EngineBuilder::parse("PATTERN A; B WHERE A.name = B.name WITHIN 10")
 ///         .unwrap()
@@ -70,13 +70,11 @@ pub enum LatenessPolicy {
 #[derive(Debug)]
 pub struct RuntimeBuilder {
     workers: usize,
-    batch_size: usize,
     channel_capacity: usize,
     heartbeat_interval: usize,
     slack: Option<Ts>,
     lateness: LatenessPolicy,
     sources: usize,
-    shared_intake: bool,
     defs: Vec<(CompiledParts, Partitioning)>,
     obs: Option<Arc<Obs>>,
 }
@@ -85,13 +83,11 @@ impl Default for RuntimeBuilder {
     fn default() -> Self {
         RuntimeBuilder {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            batch_size: 512,
             channel_capacity: 4,
             heartbeat_interval: 8,
             slack: None,
             lateness: LatenessPolicy::Drop,
             sources: 1,
-            shared_intake: true,
             defs: Vec::new(),
             obs: None,
         }
@@ -99,9 +95,9 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Starts from the defaults: one worker per available core, batch size
-    /// 512, four batches of channel slack per shard, a watermark heartbeat
-    /// to idle shards every 8 chunks.
+    /// Starts from the defaults: one worker per available core, four
+    /// batches of channel slack per shard, a watermark heartbeat to idle
+    /// shards every 8 chunks.
     pub fn new() -> RuntimeBuilder {
         RuntimeBuilder::default()
     }
@@ -112,18 +108,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Events per routed batch: each call to [`Runtime::ingest`] is chopped
-    /// into chunks of this size. Larger batches amortize messaging; smaller
-    /// batches lower match latency (≥ 1). [`Runtime::ingest_columns`] is not
-    /// re-chunked — the caller's batch is the unit of work.
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.batch_size = n;
-        self
-    }
-
     /// Bounded capacity, in batches, of each shard's input channel (≥ 1).
     /// This is the backpressure knob: once a shard falls this many batches
-    /// behind, [`Runtime::ingest`] blocks instead of buffering further.
+    /// behind, [`Runtime::ingest_columns`] blocks instead of buffering
+    /// further.
     pub fn channel_capacity(mut self, n: usize) -> Self {
         self.channel_capacity = n;
         self
@@ -144,10 +132,10 @@ impl RuntimeBuilder {
     /// Enables the §4.1 reordering stage in front of ingest, tolerating
     /// out-of-order arrival up to `slack` time units.
     ///
-    /// With slack set, [`Runtime::ingest`] / [`Runtime::ingest_columns`]
-    /// accept events in **arrival order** (batches may be unsorted): events
-    /// are held back in a bounded buffer, released to the shards in time
-    /// order once they fall behind the release frontier
+    /// With slack set, [`Runtime::ingest_columns`] accepts events in
+    /// **arrival order** (batches may be unsorted): events are held back in
+    /// a bounded buffer, released to the shards in time order once they
+    /// fall behind the release frontier
     /// `min(per-source high-water) − slack`, and events arriving more than
     /// `slack` behind their source's high-water mark are *late* — counted
     /// and handled per [`RuntimeBuilder::lateness`]. `slack = 0` means
@@ -171,12 +159,11 @@ impl RuntimeBuilder {
     }
 
     /// Number of independent ingest sources (default 1). Each source `s`
-    /// feeds [`Runtime::ingest_from`] / [`Runtime::ingest_columns_from`]
-    /// and gets its **own** reorder watermark: an event is judged late only
-    /// against its own source's high-water mark, while release waits for
-    /// every source — so several individually ordered streams merge exactly
-    /// no matter the skew between them. Requires [`RuntimeBuilder::slack`]
-    /// when > 1.
+    /// feeds [`Runtime::ingest_columns_from`] and gets its **own** reorder
+    /// watermark: an event is judged late only against its own source's
+    /// high-water mark, while release waits for every source — so several
+    /// individually ordered streams merge exactly no matter the skew
+    /// between them. Requires [`RuntimeBuilder::slack`] when > 1.
     pub fn sources(mut self, n: usize) -> Self {
         self.sources = n;
         self
@@ -191,21 +178,6 @@ impl RuntimeBuilder {
     /// the hot-path cost is relaxed atomic ops on thread-private cells.
     pub fn obs(mut self, hub: Arc<Obs>) -> Self {
         self.obs = Some(hub);
-        self
-    }
-
-    /// Whether worker shards share one intake-predicate index across the
-    /// whole registry (default: on). With sharing, each *distinct* column
-    /// predicate — keyed by conjunct identity, independent of which query
-    /// compiled it — and each distinct per-class conjunction of them is
-    /// evaluated at most once per columnar batch, so a registry of N
-    /// overlapping queries costs ~distinct-predicates scans instead of N,
-    /// and a home-shard query that cannot admit a row of a batch is
-    /// accounted for without its engine being entered. Matching and
-    /// per-query metrics are identical either way; `off` exists as the
-    /// per-query-scan baseline for benchmarks and bisection.
-    pub fn shared_intake(mut self, on: bool) -> Self {
-        self.shared_intake = on;
         self
     }
 
@@ -227,9 +199,9 @@ impl RuntimeBuilder {
         if self.workers == 0 {
             return Err(RuntimeError::InvalidConfig("workers must be >= 1".into()));
         }
-        if self.batch_size == 0 || self.channel_capacity == 0 || self.heartbeat_interval == 0 {
+        if self.channel_capacity == 0 || self.heartbeat_interval == 0 {
             return Err(RuntimeError::InvalidConfig(
-                "batch_size, channel_capacity and heartbeat_interval must be >= 1".into(),
+                "channel_capacity and heartbeat_interval must be >= 1".into(),
             ));
         }
         if self.defs.is_empty() {
@@ -256,12 +228,11 @@ impl RuntimeBuilder {
     }
 
     /// Validates the configuration, resolves every query's routing, spawns
-    /// the worker shards, and returns the running [`Runtime`].
-    pub fn build(self) -> Result<Runtime, RuntimeError> {
+    /// the worker shards, and returns the running [`Runtime`] — a restore
+    /// from the empty state.
+    pub fn build(mut self) -> Result<Runtime, RuntimeError> {
         self.validate()?;
-        let obs = self.obs.clone().unwrap_or_default();
-        let inst = RtInstruments::register(&obs, self.sources, self.workers);
-        let (defs, homes) = resolve_routes(self.defs, self.workers)?;
+        let (defs, homes) = resolve_routes(std::mem::take(&mut self.defs), self.workers)?;
         // One template engine per query stays on the control thread; it
         // never sees events and exists to interpret records (signatures,
         // RETURN formatting) without reaching into worker state.
@@ -270,59 +241,27 @@ impl RuntimeBuilder {
             let template = def.parts.engine()?;
             queries.push(QueryState::live(def, template));
         }
-
-        let (reply_tx, replies) = channel::<ShardReply>();
-        let mut senders = Vec::with_capacity(self.workers);
-        let mut handles = Vec::with_capacity(self.workers);
-        for shard in 0..self.workers {
-            let (engines, shared) = build_engines(&queries, shard, &obs, self.shared_intake)?;
-            let shard_inst = ShardInstruments::register(&obs, shard);
-            let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
-            let reply_tx = reply_tx.clone();
-            let hub = Arc::clone(&obs);
-            let handle = std::thread::Builder::new()
-                .name(format!("zstream-shard-{shard}"))
-                .spawn(move || run_shard(shard, engines, shared, rx, reply_tx, 0, shard_inst, hub))
-                .map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?;
-            senders.push(tx);
-            handles.push(handle);
-        }
-        let merge = OrderedMerge::new(self.workers);
-        let reorder = self.slack.map(|s| ColumnarReorder::with_sources(s, self.sources));
-        let runtime = Runtime {
-            senders,
-            replies,
-            handles,
-            obs,
-            inst,
+        let state = Resume {
+            checkpoint_seq: 0,
             queries,
             homes,
-            shared_intake: self.shared_intake,
-            merge,
-            batch_size: self.batch_size,
-            heartbeat_interval: self.heartbeat_interval,
-            chunks_since_heartbeat: 0,
-            shard_sent: vec![0; self.workers],
             watermark: 0,
-            reorder,
-            slack: self.slack,
-            sources: self.sources,
-            lateness: self.lateness,
+            shard_sent: vec![0; self.workers],
+            chunks_since_heartbeat: 0,
             dead_letters: Vec::new(),
-            checkpoint_seq: 0,
-            last_chunk: (0..self.sources).map(|_| None).collect(),
             replay_guard: vec![None; self.sources],
-            snapshot_stash: Vec::new(),
+            merge: OrderedMerge::new(self.workers),
+            reorder: self.slack.map(|s| ColumnarReorder::with_sources(s, self.sources)),
+            shards: vec![Some((0, None)); self.workers],
         };
-        runtime.publish_queries_live();
-        Ok(runtime)
+        self.start(state)
     }
 
     /// Rebuilds a runtime from a checkpoint written by
     /// [`Runtime::checkpoint`], instead of starting empty.
     ///
     /// The builder must describe **the same logical deployment** that wrote
-    /// the checkpoint: same worker count, batch size, heartbeat interval,
+    /// the checkpoint: same worker count, heartbeat interval,
     /// slack/sources/lateness, and the checkpoint's **live** queries
     /// registered in slot order with compatible partitioning — queries
     /// added by [`Runtime::create`] included, queries removed by
@@ -332,8 +271,7 @@ impl RuntimeBuilder {
     /// a [`RuntimeError::CheckpointDrift`] naming the first difference
     /// (fix the configuration), while an undecodable file is a
     /// [`RuntimeError::Checkpoint`] (the file is damaged). A different
-    /// `channel_capacity` or [`RuntimeBuilder::shared_intake`] setting is
-    /// allowed: they shape backpressure and evaluation cost, not state.
+    /// `channel_capacity` is allowed: it shapes backpressure, not state.
     /// Shards that had left the pool (worker failure) before the
     /// checkpoint are restored as already-departed: their matches are
     /// final, events routed to them count as dropped.
@@ -345,7 +283,7 @@ impl RuntimeBuilder {
     /// replays its unacknowledged tail does not double-count a chunk whose
     /// effects the checkpoint already captured. Any other first ingest
     /// disarms the guard for that source.
-    pub fn restore<R: std::io::Read>(self, input: &mut R) -> Result<Runtime, RuntimeError> {
+    pub fn restore<R: std::io::Read>(mut self, input: &mut R) -> Result<Runtime, RuntimeError> {
         let mut data = Vec::new();
         input
             .read_to_end(&mut data)
@@ -364,15 +302,9 @@ impl RuntimeBuilder {
             )));
         }
         self.validate()?;
-        // Fresh hub and instruments: observability is deliberately not
-        // checkpoint state, so a restored runtime's counters start from
-        // zero (see the checkpoint module docs for why).
-        let obs = self.obs.clone().unwrap_or_default();
-        let inst = RtInstruments::register(&obs, self.sources, self.workers);
         let workers = self.workers;
         let fp = Fingerprint {
             workers,
-            batch_size: self.batch_size,
             heartbeat_interval: self.heartbeat_interval,
             slack: self.slack,
             sources: self.sources,
@@ -386,7 +318,7 @@ impl RuntimeBuilder {
         // checkpoint's live slots; routes come from the checkpoint and
         // tombstones are re-created, so every pre-checkpoint QueryId keeps
         // its meaning (see the checkpoint module docs).
-        let (homes, slots) = check_fingerprint(&mut r, &fp, self.defs)?;
+        let (homes, slots) = check_fingerprint(&mut r, &fp, std::mem::take(&mut self.defs))?;
         let mut queries = Vec::with_capacity(slots.len());
         for slot in slots {
             queries.push(match slot {
@@ -402,54 +334,23 @@ impl RuntimeBuilder {
 
         expect_tag(&mut r, TAG_RUNTIME, "RUNTIME")?;
         let watermark = r.u64()?;
-        let n = r.len()?;
-        if n != workers {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {n} shard watermarks, expected {workers}"
-            )));
-        }
-        let mut shard_sent = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            shard_sent.push(r.u64()?);
-        }
-        let n = r.len()?;
-        if n != queries.len() {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {n} dropped counters, expected {}",
-                queries.len()
-            )));
-        }
+        expect_len(&mut r, "shard watermarks", workers)?;
+        let shard_sent = (0..workers).map(|_| r.u64()).collect::<SnapshotResult<Vec<_>>>()?;
+        expect_len(&mut r, "dropped counters", queries.len())?;
         for state in queries.iter_mut() {
             state.dropped = r.u64()?;
         }
         let chunks_since_heartbeat = usize::try_from(r.u64()?)
             .map_err(|_| RuntimeError::Checkpoint("heartbeat phase exceeds usize".into()))?;
-        let n = r.len()?;
-        if n != queries.len() {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {n} metric sets, expected {}",
-                queries.len()
-            )));
-        }
+        expect_len(&mut r, "metric sets", queries.len())?;
         for state in queries.iter_mut() {
             state.metrics = EngineMetrics::restore_snapshot(&mut r)?;
         }
         let n = r.len()?;
-        let mut dead_letters = Vec::with_capacity(n);
-        for _ in 0..n {
-            dead_letters.push(r.event()?);
-        }
-        let n = r.len()?;
-        if n != self.sources {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {n} source digests, expected {}",
-                self.sources
-            )));
-        }
-        let mut replay_guard = Vec::with_capacity(self.sources);
-        for _ in 0..self.sources {
-            replay_guard.push(r.opt_u64()?);
-        }
+        let dead_letters = (0..n).map(|_| r.event()).collect::<SnapshotResult<Vec<_>>>()?;
+        expect_len(&mut r, "source digests", self.sources)?;
+        let replay_guard =
+            (0..self.sources).map(|_| r.opt_u64()).collect::<SnapshotResult<Vec<_>>>()?;
 
         expect_tag(&mut r, TAG_MERGE, "MERGE")?;
         let merge = OrderedMerge::restore_snapshot(&mut r, |q| {
@@ -485,15 +386,8 @@ impl RuntimeBuilder {
         }
 
         expect_tag(&mut r, TAG_SHARDS, "SHARDS")?;
-        let n = r.len()?;
-        if n != workers {
-            return Err(RuntimeError::Checkpoint(format!(
-                "checkpoint has {n} shard entries, expected {workers}"
-            )));
-        }
-        let (reply_tx, replies) = channel::<ShardReply>();
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
+        expect_len(&mut r, "shard entries", workers)?;
+        let mut shards = Vec::with_capacity(workers);
         for shard in 0..workers {
             let alive = r.bool()?;
             if alive == merge.is_finished(shard) {
@@ -501,35 +395,7 @@ impl RuntimeBuilder {
                     "shard {shard}: alive flag contradicts the merger's frontier state"
                 )));
             }
-            let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
-            // Registered for departed shards too, so the instrument
-            // family has one entry per configured shard either way.
-            let shard_inst = ShardInstruments::register(&obs, shard);
-            let handle = if alive {
-                let seq = r.u64()?;
-                let blob = r.blob()?;
-                let (engines, shared) =
-                    restore_engines(&queries, shard, blob, &obs, self.shared_intake)?;
-                let reply_tx = reply_tx.clone();
-                let hub = Arc::clone(&obs);
-                std::thread::Builder::new()
-                    .name(format!("zstream-shard-{shard}"))
-                    .spawn(move || {
-                        run_shard(shard, engines, shared, rx, reply_tx, seq, shard_inst, hub)
-                    })
-                    .map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?
-            } else {
-                // The shard had left the pool before the checkpoint. Restore
-                // it as already-departed: the thread exits immediately, so
-                // any (guarded-against) send fails exactly like a send to a
-                // failed worker, and handle indices stay shard-aligned.
-                std::thread::Builder::new()
-                    .name(format!("zstream-shard-{shard}-departed"))
-                    .spawn(move || drop(rx))
-                    .map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?
-            };
-            senders.push(tx);
-            handles.push(handle);
+            shards.push(if alive { Some((r.u64()?, Some(r.blob()?))) } else { None });
         }
         expect_tag(&mut r, TAG_END, "END")?;
         if !r.is_exhausted() {
@@ -538,29 +404,92 @@ impl RuntimeBuilder {
                 r.remaining()
             )));
         }
+        self.start(Resume {
+            checkpoint_seq,
+            queries,
+            homes,
+            watermark,
+            shard_sent,
+            chunks_since_heartbeat,
+            dead_letters,
+            replay_guard,
+            merge,
+            reorder,
+            shards,
+        })
+    }
+
+    /// The one constructor behind [`build`] and [`restore`]: instantiates
+    /// every live shard's engines (fresh, or from its checkpoint blob),
+    /// spawns the shard threads, and assembles the [`Runtime`] around
+    /// `state`. The hub's instruments start from zero either way:
+    /// observability is deliberately not checkpoint state (see the
+    /// checkpoint module docs).
+    ///
+    /// [`build`]: RuntimeBuilder::build
+    /// [`restore`]: RuntimeBuilder::restore
+    fn start(self, state: Resume<'_>) -> Result<Runtime, RuntimeError> {
+        let obs = self.obs.unwrap_or_default();
+        let inst = RtInstruments::register(&obs, self.sources, self.workers);
+        // Every shard's engines before any thread: a damaged blob fails the
+        // call with nothing spawned.
+        let mut shards = Vec::with_capacity(self.workers);
+        for (shard, resume) in state.shards.into_iter().enumerate() {
+            shards.push(match resume {
+                Some((seq, blob)) => Some((seq, shard_engines(&state.queries, shard, blob, &obs)?)),
+                None => None,
+            });
+        }
+        let (reply_tx, replies) = channel::<ShardReply>();
+        let mut senders = Vec::with_capacity(self.workers);
+        let mut handles = Vec::with_capacity(self.workers);
+        for (shard, engines) in shards.into_iter().enumerate() {
+            let (tx, rx) = sync_channel::<ShardMsg>(self.channel_capacity);
+            // Registered for departed shards too, so the instrument family
+            // has one entry per configured shard either way.
+            let shard_inst = ShardInstruments::register(&obs, shard);
+            let thread = std::thread::Builder::new();
+            let spawned = match engines {
+                Some((seq, (engines, index))) => {
+                    let (reply_tx, hub) = (reply_tx.clone(), Arc::clone(&obs));
+                    thread.name(format!("zstream-shard-{shard}")).spawn(move || {
+                        run_shard(shard, engines, index, rx, reply_tx, seq, shard_inst, hub)
+                    })
+                }
+                // The shard had left the pool before the checkpoint. Restore
+                // it as already-departed: the thread exits immediately, so
+                // any (guarded-against) send fails exactly like a send to a
+                // failed worker, and handle indices stay shard-aligned.
+                None => {
+                    thread.name(format!("zstream-shard-{shard}-departed")).spawn(move || drop(rx))
+                }
+            };
+            senders.push(tx);
+            handles.push(
+                spawned.map_err(|e| RuntimeError::InvalidConfig(format!("spawn failed: {e}")))?,
+            );
+        }
         let runtime = Runtime {
             senders,
             replies,
             handles,
             obs,
             inst,
-            queries,
-            homes,
-            shared_intake: self.shared_intake,
-            merge,
-            batch_size: self.batch_size,
+            queries: state.queries,
+            homes: state.homes,
+            merge: state.merge,
             heartbeat_interval: self.heartbeat_interval,
-            chunks_since_heartbeat,
-            shard_sent,
-            watermark,
-            reorder,
+            chunks_since_heartbeat: state.chunks_since_heartbeat,
+            shard_sent: state.shard_sent,
+            watermark: state.watermark,
+            reorder: state.reorder,
             slack: self.slack,
             sources: self.sources,
             lateness: self.lateness,
-            dead_letters,
-            checkpoint_seq,
-            last_chunk: replay_guard.iter().map(|d| d.map(LastChunk::Digest)).collect(),
-            replay_guard,
+            dead_letters: state.dead_letters,
+            checkpoint_seq: state.checkpoint_seq,
+            last_chunk: state.replay_guard.iter().map(|d| d.map(LastChunk::Digest)).collect(),
+            replay_guard: state.replay_guard,
             snapshot_stash: Vec::new(),
         };
         runtime.publish_queries_live();
@@ -572,8 +501,8 @@ impl RuntimeBuilder {
 #[derive(Debug)]
 pub struct RuntimeReport {
     /// Matches that were still buffered at shutdown, in merge order
-    /// (matches already returned by [`Runtime::ingest`] / [`Runtime::poll`]
-    /// are not repeated).
+    /// (matches already returned by [`Runtime::ingest_columns`] /
+    /// [`Runtime::poll`] are not repeated).
     pub matches: Vec<RuntimeMatch>,
     /// Per-query metrics, aggregated across shards with
     /// [`EngineMetrics::merge`], indexed by registry slot
@@ -614,13 +543,11 @@ pub struct RuntimeReport {
 ///
 /// See the [crate documentation](crate) for the architecture. Lifecycle:
 /// [`RuntimeBuilder::register`] queries, [`RuntimeBuilder::build`], feed
-/// time-ordered events — columnar batches through [`ingest_columns`] (the
-/// fast path: one routing scan, zero-copy fan-out) or event slices through
-/// [`ingest`] — collecting finalized matches as they become safe to emit,
-/// and [`shutdown`] to drain in-flight batches, stop the workers, and
-/// collect the remaining matches plus aggregated metrics.
+/// time-ordered columnar batches through [`ingest_columns`] (one routing
+/// scan, zero-copy fan-out), collecting finalized matches as they become
+/// safe to emit, and [`shutdown`] to drain in-flight batches, stop the
+/// workers, and collect the remaining matches plus aggregated metrics.
 ///
-/// [`ingest`]: Runtime::ingest
 /// [`ingest_columns`]: Runtime::ingest_columns
 /// [`shutdown`]: Runtime::shutdown
 #[derive(Debug)]
@@ -646,12 +573,7 @@ pub struct Runtime {
     /// dynamically created single-shard queries keep spreading round-robin
     /// (checkpointed: restore resumes the rotation).
     homes: usize,
-    /// Whether shards share one intake-predicate index across the registry
-    /// ([`RuntimeBuilder::shared_intake`]); consulted when wiring engines
-    /// for restored and created queries.
-    shared_intake: bool,
     merge: OrderedMerge,
-    batch_size: usize,
     heartbeat_interval: usize,
     /// Chunks dispatched since the last idle-shard heartbeat round.
     chunks_since_heartbeat: usize,
@@ -737,12 +659,6 @@ impl Runtime {
         self.queries.len()
     }
 
-    /// Whether the worker shards evaluate intake predicates through the
-    /// shared predicate index ([`RuntimeBuilder::shared_intake`]).
-    pub fn shared_intake(&self) -> bool {
-        self.shared_intake
-    }
-
     /// The resolved routing of a live query.
     ///
     /// # Panics
@@ -823,9 +739,8 @@ impl Runtime {
     /// event. The new engines are instantiated on each live shard via the
     /// same channel-FIFO quiesce the checkpoint uses: the query sees
     /// exactly the events ingested after this call, and its intake
-    /// predicates join the shard's shared predicate index
-    /// ([`RuntimeBuilder::shared_intake`]) so overlapping predicates are
-    /// still evaluated once per batch.
+    /// predicates join each shard's shared predicate index so overlapping
+    /// predicates are still evaluated once per batch.
     pub fn create(
         &mut self,
         parts: CompiledParts,
@@ -921,24 +836,23 @@ impl Runtime {
 
     /// Routes one time-ordered **columnar** batch to the worker shards and
     /// returns every match that became final, in deterministic
-    /// `(end_ts, shard, seq)` order.
+    /// `(end_ts, shard, seq)` order. This is the runtime's one way in:
+    /// callers holding event slices convert them once with
+    /// [`zstream_events::repack_events`].
     ///
-    /// This is the scale-out fast path: each hash-routed query's key column
-    /// is scanned once (memoized symbol digests), shards receive the shared
-    /// batch by `Arc` plus a per-query selection vector (no event handles,
-    /// no copies), and only shards owning rows get a message — idle shards
-    /// learn the watermark from periodic heartbeats
-    /// ([`RuntimeBuilder::heartbeat_interval`]) instead of per-chunk
-    /// broadcasts. The caller's batch is the unit of work (one evaluation
-    /// round per shard); it is not re-chunked to
-    /// [`RuntimeBuilder::batch_size`].
+    /// Each hash-routed query's key column is scanned once (memoized symbol
+    /// digests), shards receive the shared batch by `Arc` plus a per-query
+    /// selection vector (no event handles, no copies), and only shards
+    /// owning rows get a message — idle shards learn the watermark from
+    /// periodic heartbeats ([`RuntimeBuilder::heartbeat_interval`]) instead
+    /// of per-chunk broadcasts. The caller's batch is the unit of work (one
+    /// evaluation round per shard).
     ///
     /// Blocks when a shard's input channel is full — that is the
     /// backpressure contract, not an error. Without a reorder stage
     /// ([`RuntimeBuilder::slack`]), batches must arrive in global time
     /// order across calls; with one, rows may arrive in any order within
-    /// the slack window. Either way this produces exactly the match set of
-    /// [`Runtime::ingest`] over the same rows.
+    /// the slack window.
     ///
     /// The runtime keeps a handle to the source's most recent non-empty
     /// batch (for the replay-guard digest a [`Runtime::checkpoint`] records
@@ -1026,120 +940,6 @@ impl Runtime {
         self.watermark = self.watermark.max(frontier);
         self.publish_reorder();
         self.merge_ready()
-    }
-
-    /// Routes a slice of events to the worker shards (in chunks of the
-    /// configured batch size) and returns every match that became final,
-    /// in deterministic `(end_ts, shard, seq)` order.
-    ///
-    /// Prefer [`Runtime::ingest_columns`] when events already live in
-    /// columnar batches — this record path re-routes event handles one by
-    /// one. Blocks when a shard's input channel is full — that is the
-    /// backpressure contract, not an error. Without a reorder stage
-    /// ([`RuntimeBuilder::slack`]), events must arrive in global time
-    /// order across calls; with one, arrival order may be disordered
-    /// within the slack window.
-    pub fn ingest(&mut self, events: &[EventRef]) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        self.ingest_from(0, events)
-    }
-
-    /// [`Runtime::ingest`] for one of several registered ingest sources —
-    /// the record-path twin of [`Runtime::ingest_columns_from`].
-    pub fn ingest_from(
-        &mut self,
-        source: usize,
-        events: &[EventRef],
-    ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let chunk = (!events.is_empty())
-            .then(|| LastChunk::Digest(chunk_digest(events.len(), events.iter().cloned())));
-        if self.skip_replayed_chunk(source, chunk.as_ref())? {
-            return Ok(self.emit_ready(Instant::now()));
-        }
-        let out = self.ingest_inner(source, events);
-        if out.is_ok() && chunk.is_some() {
-            self.last_chunk[source] = chunk;
-        }
-        out
-    }
-
-    fn ingest_inner(
-        &mut self,
-        source: usize,
-        events: &[EventRef],
-    ) -> Result<Vec<RuntimeMatch>, RuntimeError> {
-        let (released, late, frontier) = match self.reorder.as_mut() {
-            None => {
-                Self::check_source(source, 1)?;
-                // Hard check mirroring the columnar path: disordered slices
-                // must never reach the engines without a reorder stage.
-                let mut last = self.watermark;
-                for event in events {
-                    if event.ts() < last {
-                        return Err(RuntimeError::InvalidConfig(
-                            "out-of-order ingest requires the reorder stage: \
-                             set RuntimeBuilder::slack(..)"
-                                .into(),
-                        ));
-                    }
-                    last = event.ts();
-                }
-                self.record_ingest(source, events.len());
-                let mut ready = Vec::new();
-                for chunk in events.chunks(self.batch_size) {
-                    self.dispatch(chunk)?;
-                    ready.append(&mut self.merge_ready()?);
-                }
-                return Ok(ready);
-            }
-            Some(reorder) => {
-                Self::check_source(source, reorder.num_sources())?;
-                if self.lateness == LatenessPolicy::Strict {
-                    if let Some((_, ts, acceptable)) =
-                        reorder.first_late_in(source, events.iter().map(|e| e.ts()))
-                    {
-                        return Err(RuntimeError::TooLate { source, ts, acceptable });
-                    }
-                }
-                let mut released = Vec::new();
-                let mut late = Vec::new();
-                for event in events {
-                    let outcome = reorder.offer_from(source, event.clone(), &mut released);
-                    if outcome == ReorderOutcome::TooLate {
-                        late.push(event.clone());
-                    }
-                }
-                (released, late, reorder.frontier())
-            }
-        };
-        self.record_ingest(source, events.len());
-        if !late.is_empty() {
-            self.inst.reorder_late[source].add(late.len() as u64);
-        }
-        if let Some(newest) = released.last() {
-            // Batch-level instruments, mirroring the columnar path: total
-            // released rows, plus one lag observation for the newest row.
-            self.inst.reorder_released_rows.add(released.len() as u64);
-            self.inst.release_lag.observe(frontier.saturating_sub(newest.ts()));
-            self.obs.trace.emit(
-                frontier,
-                None,
-                None,
-                TraceKind::ReorderRelease,
-                format!("rows={}", released.len()),
-            );
-        }
-        if self.lateness == LatenessPolicy::DeadLetter {
-            self.retain_dead_letters(&late);
-        }
-        let mut ready = Vec::new();
-        for chunk in released.chunks(self.batch_size) {
-            self.dispatch(chunk)?;
-            ready.append(&mut self.merge_ready()?);
-        }
-        self.watermark = self.watermark.max(frontier);
-        self.publish_reorder();
-        ready.append(&mut self.merge_ready()?);
-        Ok(ready)
     }
 
     /// Collects any matches that have become final since the last call,
@@ -1261,7 +1061,6 @@ impl Runtime {
         w.u8(TAG_CONFIG);
         let fp = Fingerprint {
             workers,
-            batch_size: self.batch_size,
             heartbeat_interval: self.heartbeat_interval,
             slack: self.slack,
             sources: self.sources,
@@ -1606,17 +1405,15 @@ impl Runtime {
         for (state, d) in self.queries.iter_mut().zip(&drops) {
             state.dropped += d;
         }
+        let rows_of = |sel: &RowSel| match sel {
+            RowSel::Skip => 0,
+            RowSel::All => batch.len() as u64,
+            RowSel::Rows(rows) => rows.len() as u64,
+        };
         let mut sent = vec![false; workers];
         for (shard, payload) in per_shard.into_iter().enumerate() {
             let Some(per_query) = payload else { continue };
-            let sel_rows: u64 = per_query
-                .iter()
-                .map(|sel| match sel {
-                    RowSel::Skip => 0,
-                    RowSel::All => batch.len() as u64,
-                    RowSel::Rows(rows) => rows.len() as u64,
-                })
-                .sum();
+            let sel_rows: u64 = per_query.iter().map(rows_of).sum();
             let msg =
                 ShardMsg::Columns { watermark: self.watermark, batch: batch.clone(), per_query };
             match self.send_to_shard(shard, msg)? {
@@ -1634,86 +1431,8 @@ impl Runtime {
                 // The shard left the pool mid-chunk: account its rows as
                 // dropped, from the returned (undelivered) message.
                 Some(ShardMsg::Columns { per_query, .. }) => {
-                    for (q, sel) in per_query.iter().enumerate() {
-                        self.queries[q].dropped += match sel {
-                            RowSel::Skip => 0,
-                            RowSel::All => batch.len() as u64,
-                            RowSel::Rows(rows) => rows.len() as u64,
-                        };
-                    }
-                }
-                Some(_) => unreachable!("send_to_shard returns the message it was given"),
-            }
-        }
-        self.heartbeat_idle(&sent)
-    }
-
-    /// Routes one record-path chunk: per shard, per query, the events it
-    /// owns. Only shards owning events receive a message; idle shards are
-    /// covered by periodic heartbeats.
-    fn dispatch(&mut self, chunk: &[EventRef]) -> Result<(), RuntimeError> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let workers = self.senders.len();
-        let nq = self.queries.len();
-        for event in chunk {
-            debug_assert!(event.ts() >= self.watermark, "ingest must be time-ordered");
-            self.watermark = self.watermark.max(event.ts());
-        }
-        let mut per_shard: Vec<Option<Vec<Vec<EventRef>>>> = Vec::new();
-        per_shard.resize_with(workers, || None);
-        let merge = &self.merge;
-        for (q, state) in self.queries.iter_mut().enumerate() {
-            let Some(def) = state.def.as_deref() else { continue };
-            if state.paused {
-                continue;
-            }
-            match &def.route {
-                Route::Hash(field) => {
-                    let split = split_by_field(chunk, field, workers);
-                    state.dropped += split.dropped;
-                    for (shard, events) in split.shards.into_iter().enumerate() {
-                        if events.is_empty() {
-                            continue;
-                        }
-                        if merge.is_finished(shard) {
-                            state.dropped += events.len() as u64;
-                            continue;
-                        }
-                        per_shard[shard].get_or_insert_with(|| vec![Vec::new(); nq])[q] = events;
-                    }
-                }
-                Route::Single(home) => {
-                    if merge.is_finished(*home) {
-                        state.dropped += chunk.len() as u64;
-                    } else {
-                        per_shard[*home].get_or_insert_with(|| vec![Vec::new(); nq])[q] =
-                            chunk.to_vec();
-                    }
-                }
-            }
-        }
-        let mut sent = vec![false; workers];
-        for (shard, payload) in per_shard.into_iter().enumerate() {
-            let Some(per_query) = payload else { continue };
-            let sel_rows: u64 = per_query.iter().map(|events| events.len() as u64).sum();
-            let msg = ShardMsg::Batch { watermark: self.watermark, per_query };
-            match self.send_to_shard(shard, msg)? {
-                None => {
-                    self.shard_sent[shard] = self.watermark;
-                    sent[shard] = true;
-                    self.obs.trace.emit(
-                        self.watermark,
-                        Some(shard as u32),
-                        None,
-                        TraceKind::ShardDispatch,
-                        format!("rows={sel_rows}"),
-                    );
-                }
-                Some(ShardMsg::Batch { per_query, .. }) => {
-                    for (q, events) in per_query.iter().enumerate() {
-                        self.queries[q].dropped += events.len() as u64;
+                    for (state, sel) in self.queries.iter_mut().zip(&per_query) {
+                        state.dropped += rows_of(sel);
                     }
                 }
                 Some(_) => unreachable!("send_to_shard returns the message it was given"),
@@ -1765,10 +1484,7 @@ impl Runtime {
         // queue-depth gauge pairs this increment with the decrement in
         // `handle_reply`. Snapshot markers answer on another reply arm and
         // are not traffic.
-        let traffic = matches!(
-            msg,
-            ShardMsg::Columns { .. } | ShardMsg::Batch { .. } | ShardMsg::Heartbeat { .. }
-        );
+        let traffic = matches!(msg, ShardMsg::Columns { .. } | ShardMsg::Heartbeat { .. });
         let msg = match self.senders[shard].send(msg) {
             Ok(()) => {
                 if traffic {
@@ -1873,12 +1589,32 @@ impl Drop for Runtime {
     }
 }
 
+/// The state a runtime starts from: empty for [`RuntimeBuilder::build`],
+/// decoded from a checkpoint by [`RuntimeBuilder::restore`].
+struct Resume<'a> {
+    checkpoint_seq: u64,
+    queries: Vec<QueryState>,
+    homes: usize,
+    watermark: Ts,
+    shard_sent: Vec<Ts>,
+    chunks_since_heartbeat: usize,
+    dead_letters: Vec<EventRef>,
+    replay_guard: Vec<Option<u64>>,
+    merge: OrderedMerge,
+    reorder: Option<ColumnarReorder>,
+    shards: Vec<ShardStart<'a>>,
+}
+
+/// How one shard starts: `None` if it had left the pool, else its emission
+/// `seq` and its engine blob (`None`: fresh engines).
+type ShardStart<'a> = Option<(u64, Option<&'a [u8]>)>;
+
 /// What the runtime keeps of a source's last non-empty ingest chunk, for
 /// the replay-guard digest a checkpoint records.
 #[derive(Debug)]
 enum LastChunk {
     /// The digest itself: restored from a checkpoint and not yet
-    /// overwritten, or computed eagerly by the record path.
+    /// overwritten.
     Digest(u64),
     /// The chunk, hashed only if a checkpoint is taken before the next
     /// ingest replaces it. Pins the caller's batch storage until then.
@@ -1889,7 +1625,7 @@ impl LastChunk {
     fn digest(&self) -> u64 {
         match self {
             LastChunk::Digest(d) => *d,
-            LastChunk::Batch(batch) => chunk_digest(batch.len(), batch.iter()),
+            LastChunk::Batch(batch) => chunk_digest(batch),
         }
     }
 }
@@ -1907,10 +1643,10 @@ fn fnv_mix(h: &mut u64, v: u64) {
 /// digest. Stable across processes — symbol ids never enter, string values
 /// fold via content digests — which is what lets a restored runtime
 /// recognize a replayed chunk it never saw in this process.
-fn chunk_digest(len: usize, events: impl Iterator<Item = EventRef>) -> u64 {
+fn chunk_digest(batch: &EventBatch) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_mix(&mut h, len as u64);
-    for e in events {
+    fnv_mix(&mut h, batch.len() as u64);
+    for e in batch.iter() {
         fnv_mix(&mut h, e.ts());
         for i in 0..e.schema().fields().len() {
             fnv_mix(&mut h, e.value(i).hash_key().digest());
@@ -1936,8 +1672,7 @@ mod tests {
         ];
         let batch = EventBatch::from_events(&rows).unwrap();
         const PINNED: u64 = 0xb328_0739_ac58_70fd;
-        assert_eq!(chunk_digest(batch.len(), batch.iter()), PINNED);
+        assert_eq!(chunk_digest(&batch), PINNED);
         assert_eq!(LastChunk::Batch(batch).digest(), PINNED, "retained chunks hash the same");
-        assert_eq!(chunk_digest(rows.len(), rows.iter().cloned()), PINNED, "record path agrees");
     }
 }

@@ -2,24 +2,25 @@
 //!
 //! Each shard is one OS thread owning one engine per registered query —
 //! a [`PartitionedEngine`] over the shard's key subset for hash-routed
-//! queries, a plain [`Engine`] on the query's home shard otherwise. Shards
-//! receive columnar [`ShardMsg::Columns`] messages (a shared `Arc`'d batch
-//! plus per-query row selections — the zero-copy fan-out) or record-path
-//! [`ShardMsg::Batch`] messages over a **bounded** channel (the backpressure
-//! point: a slow shard blocks the router instead of buffering unboundedly),
-//! evaluate, and reply with matches plus the batch watermark on the shared
-//! reply channel.
+//! queries, a plain [`Engine`] on the query's home shard otherwise — and one
+//! [`SharedPredIndex`] every engine subscribes to. Shards receive columnar
+//! [`ShardMsg::Columns`] messages (a shared `Arc`'d batch plus per-query row
+//! selections — the zero-copy fan-out) over a **bounded** channel (the
+//! backpressure point: a slow shard blocks the router instead of buffering
+//! unboundedly), evaluate, and reply with matches plus the batch watermark
+//! on the shared reply channel.
 //!
 //! The finality invariant the merger relies on: a traffic message forces an
 //! evaluation round in every engine that received events, so once the shard
 //! echoes watermark `w`, every match it later produces ends at or after
-//! `w`. (A home-shard engine the shared predicate index shows cannot admit
-//! a row of the batch is not entered at all — [`Engine::skip_unadmitted`]
-//! books the idle round it would have run, which produces nothing.) Idle shards receive no per-chunk messages; the router sends them
-//! periodic [`ShardMsg::Heartbeat`]s instead, which they echo without
-//! evaluating (sound: a shard that received no events since its last round
-//! can only produce future matches from future events, whose timestamps are
-//! at or past the heartbeat watermark).
+//! `w`. (A home-shard engine the predicate index shows cannot admit a row of
+//! the batch is not entered at all — [`Engine::skip_unadmitted`] books the
+//! idle round it would have run, which produces nothing.) Idle shards
+//! receive no per-chunk messages; the router sends them periodic
+//! [`ShardMsg::Heartbeat`]s instead, which they echo without evaluating
+//! (sound: a shard that received no events since its last round can only
+//! produce future matches from future events, whose timestamps are at or
+//! past the heartbeat watermark).
 //!
 //! A panicking engine does not wedge the pool: evaluation runs under
 //! `catch_unwind`, and on panic the shard reports a final
@@ -37,11 +38,11 @@ use zstream_core::{
     CoreError, Engine, EngineMetrics, EngineObs, PartitionedEngine, SharedPredIndex,
 };
 use zstream_events::{
-    EventBatch, EventRef, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
-    SnapshotWriter, Ts,
+    EventBatch, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter, Ts,
 };
 use zstream_obs::Obs;
 
+use crate::error::RuntimeError;
 use crate::instruments::{elapsed_ns, ShardInstruments};
 use crate::merge::RuntimeMatch;
 use crate::registry::{QueryDef, QueryId, QueryState, Route};
@@ -65,9 +66,6 @@ pub(crate) enum ShardMsg {
     /// shard, never a copy) plus, per registered query, the selection of
     /// rows this shard owns.
     Columns { watermark: Ts, batch: EventBatch, per_query: Vec<RowSel> },
-    /// One routed record-path batch: per registered query, the events this
-    /// shard owns.
-    Batch { watermark: Ts, per_query: Vec<Vec<EventRef>> },
     /// Watermark-only message for idle shards: echo it so the merge
     /// frontier advances; no evaluation.
     Heartbeat { watermark: Ts },
@@ -129,42 +127,15 @@ pub(crate) enum ShardEngine {
 }
 
 impl ShardEngine {
-    fn push_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        match self {
-            ShardEngine::Partitioned(e) => e.push_batch(events),
-            ShardEngine::Flat(e) => e.push_batch(events),
-        }
-    }
-
-    fn push_columns(
+    fn push(
         &mut self,
         batch: &EventBatch,
-        shared: Option<&mut SharedPredIndex>,
+        rows: Option<&[u32]>,
+        index: &mut SharedPredIndex,
     ) -> Vec<Record> {
         match self {
-            ShardEngine::Partitioned(e) => e.push_columns_shared(batch, shared),
-            ShardEngine::Flat(e) => e.push_columns_shared(batch, shared),
-        }
-    }
-
-    fn push_rows(
-        &mut self,
-        batch: &EventBatch,
-        rows: &[u32],
-        shared: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
-        match self {
-            ShardEngine::Partitioned(e) => e.push_rows_shared(batch, rows, shared),
-            ShardEngine::Flat(e) => e.push_rows_shared(batch, rows, shared),
-        }
-    }
-
-    /// Subscribes this engine to the shard's shared predicate index, from
-    /// the predicates the engine compiled at construction.
-    fn subscribe(&mut self, shared: &mut SharedPredIndex) {
-        match self {
-            ShardEngine::Partitioned(e) => e.subscribe(shared),
-            ShardEngine::Flat(e) => e.subscribe(shared),
+            ShardEngine::Partitioned(e) => e.push_rows(batch, rows, index),
+            ShardEngine::Flat(e) => e.push_rows(batch, rows, index),
         }
     }
 
@@ -183,31 +154,10 @@ impl ShardEngine {
     }
 }
 
-/// Registers one slot's per-query engine instruments in `hub` (cells
-/// private to the shard thread) and attaches them. The query label is the
-/// stable slot id (`q0`, `q1`, …) — the same label every scrape and the
-/// decision log use; ids are never recycled, so a label always means one
-/// query over the hub's whole lifetime.
-fn attach_slot_obs(engine: &mut ShardEngine, slot: usize, shard: usize, hub: &Obs) {
-    let obs =
-        EngineObs::register(hub, &format!("q{slot}"), Some(shard as u32), Some(hub.trace.clone()));
-    match engine {
-        ShardEngine::Partitioned(e) => e.set_obs(obs),
-        ShardEngine::Flat(e) => e.set_obs(obs),
-    }
-}
-
-/// Instantiates one query's engine on this shard — `None` for single-shard
-/// queries homed elsewhere — subscribed to the shared predicate index (when
-/// enabled) and wired to the hub's per-query instruments.
-fn instantiate(
-    def: &QueryDef,
-    slot: usize,
-    shard: usize,
-    shared: Option<&mut SharedPredIndex>,
-    hub: &Obs,
-) -> Result<Option<ShardEngine>, CoreError> {
-    let mut engine = match &def.route {
+/// A fresh engine for `def` on this shard — `None` for a single-shard query
+/// homed elsewhere.
+fn new_engine(def: &QueryDef, shard: usize) -> Result<Option<ShardEngine>, CoreError> {
+    Ok(match &def.route {
         Route::Hash(field) => {
             Some(ShardEngine::Partitioned(Box::new(def.parts.partitioned_engine(field)?)))
         }
@@ -215,35 +165,112 @@ fn instantiate(
             Some(ShardEngine::Flat(Box::new(def.parts.engine()?)))
         }
         Route::Single(_) => None,
-    };
-    if let Some(engine) = &mut engine {
-        if let Some(shared) = shared {
-            engine.subscribe(shared);
-        }
-        attach_slot_obs(engine, slot, shard, hub);
-    }
-    Ok(engine)
+    })
 }
 
-/// Instantiates this shard's engines: one per live registry slot that can
+/// Reads slot `slot`'s engine from a [`snapshot_engines`] blob, checking it
+/// against the routing the restoring configuration resolved: an engine kind
+/// that disagrees with the route (different queries, a different worker
+/// count reassigning home shards) is rejected as corrupt.
+fn restore_engine(
+    r: &mut SnapshotReader<'_>,
+    def: Option<&QueryDef>,
+    slot: usize,
+    shard: usize,
+) -> SnapshotResult<Option<ShardEngine>> {
+    Ok(match (def, r.u8()?) {
+        // A tombstoned slot serializes as "not hosted" on every shard.
+        (None, 0) => None,
+        (None, tag) => {
+            return Err(SnapshotError::Corrupt(format!(
+                "shard {shard} query {slot}: engine kind {tag} on a dropped query"
+            )));
+        }
+        (Some(def), tag) => match (&def.route, tag) {
+            (Route::Hash(field), 2) => Some(ShardEngine::Partitioned(Box::new(
+                def.parts.restore_partitioned_engine(field, r)?,
+            ))),
+            (Route::Single(home), 1) if *home == shard => {
+                Some(ShardEngine::Flat(Box::new(def.parts.restore_engine(r)?)))
+            }
+            (Route::Single(home), 0) if *home != shard => None,
+            (route, tag) => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "shard {shard} query {slot}: engine kind {tag} does not match route {route:?}"
+                )));
+            }
+        },
+    })
+}
+
+/// Subscribes a shard engine to the shard's predicate index (from the
+/// predicates the engine compiled at construction) and attaches fresh
+/// per-query instruments, registered in `hub` (cells private to the shard
+/// thread) under the stable slot label (`q0`, `q1`, …) every scrape and the
+/// decision log use. Observability deliberately starts from zero after a
+/// restore (see the checkpoint module docs).
+fn wire(
+    mut engine: ShardEngine,
+    slot: usize,
+    shard: usize,
+    index: &mut SharedPredIndex,
+    hub: &Obs,
+) -> ShardEngine {
+    let obs =
+        EngineObs::register(hub, &format!("q{slot}"), Some(shard as u32), Some(hub.trace.clone()));
+    match &mut engine {
+        ShardEngine::Partitioned(e) => {
+            e.subscribe(index);
+            e.set_obs(obs);
+        }
+        ShardEngine::Flat(e) => {
+            e.subscribe(index);
+            e.set_obs(obs);
+        }
+    }
+    engine
+}
+
+/// Instantiates this shard's engines — one per live registry slot that can
 /// route events here (`None` for tombstones and for single-shard queries
-/// homed elsewhere), plus the shard's shared predicate index when
-/// `shared_intake` is on, with every engine's subscription registered.
-pub(crate) fn build_engines(
+/// homed elsewhere) — fresh, or from `blob` when the shard is restored, and
+/// the shard's predicate index with every engine subscribed to it.
+pub(crate) fn shard_engines(
     queries: &[QueryState],
     shard: usize,
+    blob: Option<&[u8]>,
     hub: &Obs,
-    shared_intake: bool,
-) -> Result<(Vec<Option<ShardEngine>>, Option<SharedPredIndex>), CoreError> {
-    let mut shared = shared_intake.then(SharedPredIndex::new);
+) -> Result<(Vec<Option<ShardEngine>>, SharedPredIndex), RuntimeError> {
+    let mut blob = blob.map(SnapshotReader::new);
+    if let Some(r) = &mut blob {
+        let n = r.len()?;
+        if n != queries.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "shard {shard} blob has {n} engines, registry has {}",
+                queries.len()
+            ))
+            .into());
+        }
+    }
+    let mut index = SharedPredIndex::new();
     let mut engines = Vec::with_capacity(queries.len());
     for (slot, state) in queries.iter().enumerate() {
-        engines.push(match &state.def {
-            Some(def) => instantiate(def, slot, shard, shared.as_mut(), hub)?,
-            None => None,
-        });
+        let def = state.def.as_deref();
+        let engine = match (&mut blob, def) {
+            (Some(r), def) => restore_engine(r, def, slot, shard)?,
+            (None, Some(def)) => new_engine(def, shard)?,
+            (None, None) => None,
+        };
+        engines.push(engine.map(|e| wire(e, slot, shard, &mut index, hub)));
     }
-    Ok((engines, shared))
+    if let Some(r) = blob.filter(|r| !r.is_exhausted()) {
+        return Err(SnapshotError::Corrupt(format!(
+            "shard {shard} blob has {} trailing bytes",
+            r.remaining()
+        ))
+        .into());
+    }
+    Ok((engines, index))
 }
 
 /// Serializes a shard's engine states into one self-contained blob: per
@@ -268,72 +295,6 @@ fn snapshot_engines(engines: &[Option<ShardEngine>]) -> Vec<u8> {
         }
     }
     w.into_bytes()
-}
-
-/// Rebuilds a shard's engines from a [`snapshot_engines`] blob, checking
-/// each against the routing the restoring configuration resolved: a blob
-/// whose engine kinds disagree with the routes (different queries, a
-/// different worker count reassigning home shards) is rejected as corrupt.
-pub(crate) fn restore_engines(
-    queries: &[QueryState],
-    shard: usize,
-    bytes: &[u8],
-    hub: &Obs,
-    shared_intake: bool,
-) -> SnapshotResult<(Vec<Option<ShardEngine>>, Option<SharedPredIndex>)> {
-    let mut r = SnapshotReader::new(bytes);
-    let n = r.len()?;
-    if n != queries.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "shard {shard} blob has {n} engines, registry has {}",
-            queries.len()
-        )));
-    }
-    let mut shared = shared_intake.then(SharedPredIndex::new);
-    let mut engines = Vec::with_capacity(n);
-    for (q, state) in queries.iter().enumerate() {
-        let tag = r.u8()?;
-        let mut engine = match (state.def.as_deref(), tag) {
-            // A tombstoned slot serializes as "not hosted" on every shard.
-            (None, 0) => None,
-            (None, tag) => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {shard} query {q}: engine kind {tag} on a dropped query"
-                )));
-            }
-            (Some(def), tag) => match (&def.route, tag) {
-                (Route::Hash(field), 2) => Some(ShardEngine::Partitioned(Box::new(
-                    def.parts.restore_partitioned_engine(field, &mut r)?,
-                ))),
-                (Route::Single(home), 1) if *home == shard => {
-                    Some(ShardEngine::Flat(Box::new(def.parts.restore_engine(&mut r)?)))
-                }
-                (Route::Single(home), 0) if *home != shard => None,
-                (route, tag) => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "shard {shard} query {q}: engine kind {tag} does not match route {route:?}"
-                    )));
-                }
-            },
-        };
-        if let Some(engine) = &mut engine {
-            if let Some(shared) = shared.as_mut() {
-                engine.subscribe(shared);
-            }
-            // Fresh instruments, not restored state: observability
-            // deliberately starts from zero after a restore (see the
-            // checkpoint module docs).
-            attach_slot_obs(engine, q, shard, hub);
-        }
-        engines.push(engine);
-    }
-    if !r.is_exhausted() {
-        return Err(SnapshotError::Corrupt(format!(
-            "shard {shard} blob has {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    Ok((engines, shared))
 }
 
 /// Reports the shard's terminal [`ShardReply::Done`] with per-query
@@ -398,7 +359,7 @@ fn eval_and_reply(
 pub(crate) fn run_shard(
     shard: usize,
     mut engines: Vec<Option<ShardEngine>>,
-    mut shared: Option<SharedPredIndex>,
+    mut index: SharedPredIndex,
     rx: Receiver<ShardMsg>,
     tx: Sender<ShardReply>,
     initial_seq: u64,
@@ -407,71 +368,43 @@ pub(crate) fn run_shard(
 ) {
     let mut seq = initial_seq;
     let svc = &inst;
-    let publish_masks = |shared: &Option<SharedPredIndex>| {
-        inst.class_masks.set(shared.as_ref().map_or(0, |s| s.num_masks() as u64));
-    };
-    publish_masks(&shared);
+    inst.class_masks.set(index.num_masks() as u64);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Columns { watermark, batch, per_query } => {
-                let shared = &mut shared;
+                let index = &mut index;
                 let ok =
                     eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, watermark, |engines| {
-                        // One generation of the shared index per batch: the
-                        // first subscriber to need a class mask evaluates
-                        // it, every later subscriber reuses it.
-                        if let Some(shared) = shared.as_mut() {
-                            shared.begin_batch();
-                        }
+                        // One generation of the index per batch: the first
+                        // subscriber to need a class mask evaluates it,
+                        // every later subscriber reuses it.
+                        index.begin_batch();
                         let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
                         let mut skipped = 0u64;
                         for (q, sel) in per_query.iter().enumerate() {
                             let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
                                 continue;
                             };
-                            let records = match sel {
+                            let rows = match sel {
                                 RowSel::Skip => continue,
                                 RowSel::All => {
                                     // A home-shard engine none of whose
                                     // class masks has a row in this batch
                                     // is settled in O(1), not entered.
-                                    if let (ShardEngine::Flat(flat), Some(shared)) =
-                                        (&mut *engine, shared.as_mut())
-                                    {
-                                        if flat.skip_unadmitted(&batch, shared) {
+                                    if let ShardEngine::Flat(flat) = &mut *engine {
+                                        if flat.skip_unadmitted(&batch, index) {
                                             skipped += 1;
                                             continue;
                                         }
                                     }
-                                    engine.push_columns(&batch, shared.as_mut())
+                                    None
                                 }
                                 RowSel::Rows(rows) if rows.is_empty() => continue,
-                                RowSel::Rows(rows) => {
-                                    engine.push_rows(&batch, rows, shared.as_mut())
-                                }
+                                RowSel::Rows(rows) => Some(rows.as_slice()),
                             };
-                            per_q.push((q, records));
+                            per_q.push((q, engine.push(&batch, rows, index)));
                         }
                         inst.engines_skipped.add(skipped);
-                        per_q
-                    });
-                if !ok {
-                    return;
-                }
-            }
-            ShardMsg::Batch { watermark, per_query } => {
-                let ok =
-                    eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, watermark, |engines| {
-                        let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
-                        for (q, events) in per_query.iter().enumerate() {
-                            if events.is_empty() {
-                                continue;
-                            }
-                            let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
-                                continue;
-                            };
-                            per_q.push((q, engine.push_batch(events)));
-                        }
                         per_q
                     });
                 if !ok {
@@ -495,12 +428,12 @@ pub(crate) fn run_shard(
                 // panic: this shard leaves the pool rather than silently
                 // running without the query (the control thread validated
                 // the compiled parts, so this is a can't-happen guard).
-                match instantiate(&def, slot, shard, shared.as_mut(), &hub) {
+                match new_engine(&def, shard) {
                     Ok(engine) => {
                         if let Some(e) = engines.get_mut(slot) {
-                            *e = engine;
+                            *e = engine.map(|e| wire(e, slot, shard, &mut index, &hub));
                         }
-                        publish_masks(&shared);
+                        inst.class_masks.set(index.num_masks() as u64);
                     }
                     Err(_) => {
                         send_done(shard, &engines, &tx);
@@ -509,9 +442,9 @@ pub(crate) fn run_shard(
                 }
             }
             ShardMsg::DropQuery { slot } => {
-                // The shared index deliberately keeps the dropped query's
-                // slots and class masks: other subscribers may share them,
-                // and unshared ones are lazy — never evaluated again.
+                // The index deliberately keeps the dropped query's slots and
+                // class masks: other subscribers may share them, and
+                // unshared ones are lazy — never evaluated again.
                 if let Some(engine) = engines.get_mut(slot).and_then(Option::take) {
                     let metrics = engine.metrics();
                     if tx.send(ShardReply::Retired { shard, slot, metrics }).is_err() {

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  WHERE A.name = B.name AND B.name = C.name AND C.price > A.price \
                  WITHIN 60 RETURN A, C";
     let builder = || -> Result<RuntimeBuilder, Box<dyn std::error::Error>> {
-        let mut b = Runtime::builder().workers(4).batch_size(256).channel_capacity(4);
+        let mut b = Runtime::builder().workers(4).channel_capacity(4);
         b.register(EngineBuilder::parse(query)?.compile()?, Partitioning::Auto("name".into()));
         Ok(b)
     };

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let triple = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name \
                   AND A.price > 90 WITHIN 40 RETURN A, C";
 
-    let mut builder = Runtime::builder().workers(2).batch_size(256).channel_capacity(4);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(4);
     let q_spike = builder
         .register(EngineBuilder::parse(spike)?.compile()?, Partitioning::Auto("name".into()));
     let q_surge = builder

@@ -63,12 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hub = Arc::new(Obs::new());
 
     // --- the sharded runtime, reporting into the hub -------------------
-    let mut builder = Runtime::builder()
-        .workers(4)
-        .batch_size(256)
-        .slack(8)
-        .lateness(LatenessPolicy::Drop)
-        .obs(Arc::clone(&hub));
+    let mut builder =
+        Runtime::builder().workers(4).slack(8).lateness(LatenessPolicy::Drop).obs(Arc::clone(&hub));
     builder.register(
         EngineBuilder::parse(RUNTIME_QUERY)?.compile()?,
         Partitioning::Auto("name".into()),

@@ -37,11 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Slack 48 covers the bounded delays; only the stragglers are late.
     // DeadLetter keeps them around instead of silently dropping them.
-    let mut builder = Runtime::builder()
-        .workers(4)
-        .batch_size(256)
-        .slack(48)
-        .lateness(LatenessPolicy::DeadLetter);
+    let mut builder = Runtime::builder().workers(4).slack(48).lateness(LatenessPolicy::DeadLetter);
     let q = builder
         .register(EngineBuilder::parse(query)?.compile()?, Partitioning::Auto("name".into()));
     let mut runtime = builder.build()?;

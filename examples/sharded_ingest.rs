@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cannot be partitioned and runs on a single home shard instead.
     let spread = "PATTERN IBM; Sun WHERE IBM.price > 2 * Sun.price WITHIN 20 RETURN IBM, Sun";
 
-    let mut builder = Runtime::builder().workers(4).batch_size(256).channel_capacity(4);
+    let mut builder = Runtime::builder().workers(4).channel_capacity(4);
     let q_momentum = builder
         .register(EngineBuilder::parse(momentum)?.compile()?, Partitioning::Auto("name".into()));
     let q_spread = builder.register(

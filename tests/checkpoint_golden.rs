@@ -44,7 +44,7 @@ fn parts() -> CompiledParts {
 }
 
 fn builder(parts: &CompiledParts) -> RuntimeBuilder {
-    let mut b = Runtime::builder().workers(WORKERS).batch_size(16).channel_capacity(2);
+    let mut b = Runtime::builder().workers(WORKERS).channel_capacity(2);
     b.register(parts.clone(), Partitioning::Auto("name".into()));
     b
 }

@@ -16,9 +16,8 @@
 //! The concatenation of pre-checkpoint matches and the restored runtime's
 //! matches must be byte-identical (formatted through the RETURN clause,
 //! compared under the canonical sorted order) to an uninterrupted run over
-//! the same chunks — on stock and weblog workloads, the record and
-//! columnar ingest paths, 1–8 workers, in-order and disordered-within-slack
-//! streams. Re-ingesting the last pre-checkpoint chunk after restore
+//! the same chunks — on stock and weblog workloads, 1–8 workers, in-order
+//! and disordered-within-slack streams. Re-ingesting the last pre-checkpoint chunk after restore
 //! (at-least-once delivery from an input log) must not duplicate matches,
 //! and a checkpoint of a *restored* runtime must round-trip the same way.
 //!
@@ -27,7 +26,7 @@
 
 mod common;
 
-use common::{compile, lines_columns, rebatch, stream_strategy};
+use common::{batch_of, compile, lines_columns, rebatch, stream_strategy};
 use proptest::prelude::*;
 
 use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
@@ -49,7 +48,7 @@ fn builder(
     slack: Option<Ts>,
     lateness: LatenessPolicy,
 ) -> RuntimeBuilder {
-    let mut b = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
+    let mut b = Runtime::builder().workers(workers).channel_capacity(2);
     if let Some(s) = slack {
         b = b.slack(s).lateness(lateness);
     }
@@ -57,8 +56,7 @@ fn builder(
     b
 }
 
-/// Drives the crash/restore protocol over the columnar ingest path and
-/// returns the durable match lines (sorted) plus the final shutdown report.
+/// Drives the crash/restore protocol and returns the durable match lines (sorted) plus the final shutdown report.
 ///
 /// * `ckpt_at` — checkpoint after this many chunks.
 /// * `crash_at` — keep ingesting up to this chunk boundary before the
@@ -118,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// The core differential: crash + restore + tail replay is invisible in
-    /// the merged match stream, columnar path, in-order and disordered
+    /// the merged match stream, in-order and disordered
     /// streams, 1–8 workers, arbitrary checkpoint and crash boundaries —
     /// with and without idempotent re-delivery of the last chunk.
     #[test]
@@ -157,57 +155,6 @@ proptest! {
         prop_assert_eq!(report.metrics.events_in, oracle_report.metrics.events_in);
         prop_assert_eq!(report.metrics.matches_out, oracle_report.metrics.matches_out);
         prop_assert_eq!(report.late_events, 0, "disorder stays within slack");
-    }
-
-    /// Same differential over the record ingest path.
-    #[test]
-    fn crash_recovery_is_invisible_record(
-        events in stream_strategy(24, NAMES),
-        workers in 1usize..5,
-        chunk in 1usize..9,
-        ckpt_sel in 0usize..64,
-        idempotent: bool,
-    ) {
-        let parts = compile(PARTITIONABLE, 4);
-        let partitioning = Partitioning::Auto("name".into());
-        let template = parts.engine().unwrap();
-        let chunks: Vec<&[EventRef]> = events.chunks(chunk).collect();
-        let ckpt_at = ckpt_sel % (chunks.len() + 1);
-
-        let (expected, _) = common::lines_record(
-            &parts, partitioning.clone(), workers, None, LatenessPolicy::Drop, &events,
-        );
-
-        let mut lines: Vec<String> = Vec::new();
-        let mut runtime =
-            builder(&parts, &partitioning, workers, None, LatenessPolicy::Drop).build().unwrap();
-        for c in &chunks[..ckpt_at] {
-            for m in runtime.ingest(c).unwrap() {
-                lines.push(template.format_match(&m.record));
-            }
-        }
-        let mut file = Vec::new();
-        runtime.checkpoint(&mut file).unwrap();
-        for c in &chunks[ckpt_at..] {
-            let _ = runtime.ingest(c).unwrap(); // lost with the crash
-        }
-        drop(runtime);
-
-        let mut runtime = builder(&parts, &partitioning, workers, None, LatenessPolicy::Drop)
-            .restore(&mut file.as_slice())
-            .unwrap();
-        let replay_from = if idempotent { ckpt_at.saturating_sub(1) } else { ckpt_at };
-        for c in &chunks[replay_from..] {
-            for m in runtime.ingest(c).unwrap() {
-                lines.push(template.format_match(&m.record));
-            }
-        }
-        let report = runtime.shutdown().unwrap();
-        for m in &report.matches {
-            lines.push(template.format_match(&m.record));
-        }
-        lines.sort();
-        prop_assert_eq!(&lines, &expected, "recovered record-path stream differs");
     }
 
     /// Checkpointing a *restored* runtime round-trips: crash twice, restore
@@ -377,13 +324,15 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
     // A reorder stage with generous slack, so the one-shot check below can
     // legally deliver an old chunk a third time.
     let slack = Some(100);
-    let chunk1: Vec<EventRef> = (0..6).map(|i| stock(i + 1, i as i64, "IBM", 1.0, 1)).collect();
-    let chunk2: Vec<EventRef> = (0..6).map(|i| stock(i + 7, 6 + i as i64, "IBM", 2.0, 1)).collect();
+    let chunk1 =
+        batch_of(&(0..6).map(|i| stock(i + 1, i as i64, "IBM", 1.0, 1)).collect::<Vec<_>>());
+    let chunk2 =
+        batch_of(&(0..6).map(|i| stock(i + 7, 6 + i as i64, "IBM", 2.0, 1)).collect::<Vec<_>>());
 
     let count = |skip_replay: bool| -> usize {
         let mut runtime =
             builder(&parts, &partitioning, 2, slack, LatenessPolicy::Drop).build().unwrap();
-        let mut n = runtime.ingest(&chunk1).unwrap().len();
+        let mut n = runtime.ingest_columns(&chunk1).unwrap().len();
         let mut file = Vec::new();
         runtime.checkpoint(&mut file).unwrap();
         drop(runtime);
@@ -391,9 +340,9 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
             .restore(&mut file.as_slice())
             .unwrap();
         if skip_replay {
-            n += runtime.ingest(&chunk1).unwrap().len(); // duplicate delivery
+            n += runtime.ingest_columns(&chunk1).unwrap().len(); // duplicate delivery
         }
-        n += runtime.ingest(&chunk2).unwrap().len();
+        n += runtime.ingest_columns(&chunk2).unwrap().len();
         let report = runtime.shutdown().unwrap();
         n + report.matches.len()
     };
@@ -407,7 +356,7 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
     let redeliver = |times: usize| -> usize {
         let mut runtime =
             builder(&parts, &partitioning, 2, slack, LatenessPolicy::Drop).build().unwrap();
-        let mut n = runtime.ingest(&chunk1).unwrap().len();
+        let mut n = runtime.ingest_columns(&chunk1).unwrap().len();
         let mut file = Vec::new();
         runtime.checkpoint(&mut file).unwrap();
         drop(runtime);
@@ -415,7 +364,7 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
             .restore(&mut file.as_slice())
             .unwrap();
         for _ in 0..times {
-            n += runtime.ingest(&chunk1).unwrap().len();
+            n += runtime.ingest_columns(&chunk1).unwrap().len();
         }
         let report = runtime.shutdown().unwrap();
         n + report.matches.len()
@@ -430,15 +379,17 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
 }
 
 /// Restore validates the configuration fingerprint: any drift in workers,
-/// batch size, slack, or the registered queries is a loud error naming the
-/// mismatch, not silent corruption.
+/// heartbeat interval, slack, or the registered queries is a loud error
+/// naming the mismatch, not silent corruption.
 #[test]
 fn restore_rejects_configuration_drift() {
     let parts = compile(PARTITIONABLE, 4);
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
-    runtime.ingest(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)]).unwrap();
+    runtime
+        .ingest_columns(&batch_of(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)]))
+        .unwrap();
     let mut file = Vec::new();
     runtime.checkpoint(&mut file).unwrap();
     runtime.shutdown().unwrap();
@@ -455,10 +406,10 @@ fn restore_rejects_configuration_drift() {
     };
     // Different worker count (key → shard mapping changes).
     expect_mismatch(builder(&parts, &partitioning, 3, None, LatenessPolicy::Drop), "workers");
-    // Different runtime batch size (chunking determinism changes).
-    let mut smaller = Runtime::builder().workers(2).batch_size(8).channel_capacity(2);
-    smaller.register(parts.clone(), partitioning.clone());
-    expect_mismatch(smaller, "batch size");
+    // Different heartbeat interval (the heartbeat phase is checkpointed).
+    let mut slower = Runtime::builder().workers(2).channel_capacity(2).heartbeat_interval(3);
+    slower.register(parts.clone(), partitioning.clone());
+    expect_mismatch(slower, "heartbeat interval");
     // A reorder stage the checkpoint does not have.
     expect_mismatch(builder(&parts, &partitioning, 2, Some(4), LatenessPolicy::Drop), "slack");
     // A different query (window differs).
@@ -481,7 +432,9 @@ fn restore_rejects_garbage_and_truncation() {
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
-    runtime.ingest(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 2.0, 1)]).unwrap();
+    runtime
+        .ingest_columns(&batch_of(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 2.0, 1)]))
+        .unwrap();
     let mut file = Vec::new();
     runtime.checkpoint(&mut file).unwrap();
     runtime.shutdown().unwrap();
@@ -530,11 +483,11 @@ fn dead_letters_survive_checkpoint_and_shutdown_surfaces_undrained() {
         builder(&parts, &partitioning, 2, Some(1), LatenessPolicy::DeadLetter).build().unwrap();
     // ts 10 advances the high water; 4 and 2 are beyond slack 1.
     runtime
-        .ingest(&[
+        .ingest_columns(&batch_of(&[
             stock(10, 0, "IBM", 1.0, 1),
             stock(4, 1, "IBM", 2.0, 1),
             stock(2, 2, "IBM", 3.0, 1),
-        ])
+        ]))
         .unwrap();
     assert_eq!(runtime.late_events(), 2);
     let mut file = Vec::new();
@@ -551,7 +504,7 @@ fn dead_letters_survive_checkpoint_and_shutdown_surfaces_undrained() {
     assert_eq!(late, vec![4, 2], "dead letters must cross the boundary in arrival order");
     assert!(restored.take_late_events().is_empty(), "draining is destructive");
     // New stragglers, never drained: shutdown surfaces them in the report.
-    restored.ingest(&[stock(3, 3, "IBM", 4.0, 1)]).unwrap();
+    restored.ingest_columns(&batch_of(&[stock(3, 3, "IBM", 4.0, 1)])).unwrap();
     let report = restored.shutdown().unwrap();
     let undrained: Vec<Ts> = report.dead_letters.iter().map(EventRef::ts).collect();
     assert_eq!(undrained, vec![3], "undrained dead letters surface in the report");
@@ -567,7 +520,9 @@ fn take_late_events_is_empty_without_slack() {
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
     assert!(runtime.take_late_events().is_empty(), "empty before any ingest");
-    runtime.ingest(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)]).unwrap();
+    runtime
+        .ingest_columns(&batch_of(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)]))
+        .unwrap();
     assert!(runtime.take_late_events().is_empty(), "ordered ingest parks nothing");
     assert_eq!(runtime.late_events(), 0);
     let report = runtime.shutdown().unwrap();
@@ -583,11 +538,8 @@ fn departed_worker_stays_departed_across_restore() {
     let workers = 4;
     let parts = compile(PARTITIONABLE, 8);
     let partitioning = Partitioning::Field("name".into());
-    let mut builder0 = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder0 =
+        Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder0.register(parts.clone(), partitioning.clone());
     let mut runtime = builder0.build().unwrap();
     runtime.inject_worker_failure(1).unwrap();
@@ -597,20 +549,21 @@ fn departed_worker_stays_departed_across_restore() {
         assert!(t0.elapsed() < std::time::Duration::from_secs(10), "departure never observed");
         std::thread::yield_now();
     }
-    runtime.ingest(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 2.0, 1)]).unwrap();
+    runtime
+        .ingest_columns(&batch_of(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 2.0, 1)]))
+        .unwrap();
     let mut file = Vec::new();
     runtime.checkpoint(&mut file).unwrap();
     drop(runtime);
 
-    let mut builder1 = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder1 =
+        Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder1.register(parts.clone(), partitioning.clone());
     let mut restored = builder1.restore(&mut file.as_slice()).unwrap();
     assert_eq!(restored.live_workers(), workers - 1, "departed shard must stay departed");
-    restored.ingest(&[stock(3, 2, "IBM", 3.0, 1), stock(4, 3, "Sun", 4.0, 1)]).unwrap();
+    restored
+        .ingest_columns(&batch_of(&[stock(3, 2, "IBM", 3.0, 1), stock(4, 3, "Sun", 4.0, 1)]))
+        .unwrap();
     let report = restored.shutdown().unwrap();
     assert_eq!(report.workers, workers);
 }

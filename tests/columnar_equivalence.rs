@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{compile_stock, lines_record, oracle_sigs, rebatch, Signature};
+use common::{compile_stock, lines_columns, oracle_sigs, rebatch, Signature};
 use proptest::prelude::*;
 
 use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
@@ -55,15 +55,15 @@ fn runtime_lines(
     parts: &CompiledParts,
     field: &str,
     workers: usize,
-    events: &[EventRef],
+    batches: &[EventBatch],
 ) -> Vec<String> {
-    let (lines, _) = lines_record(
+    let (lines, _) = lines_columns(
         parts,
         Partitioning::Auto(field.into()),
         workers,
         None,
         LatenessPolicy::Drop,
-        events,
+        batches,
     );
     lines
 }
@@ -210,7 +210,7 @@ fn stock_workload_byte_identical_across_paths_and_shard_counts() {
     assert_eq!(col_lines, rec_lines, "columnar vs record path");
 
     for workers in 1..=4 {
-        let lines = runtime_lines(&parts, "name", workers, &events);
+        let lines = runtime_lines(&parts, "name", workers, &batches);
         assert_eq!(lines, rec_lines, "runtime at {workers} shards");
     }
 }
@@ -238,7 +238,7 @@ fn weblog_workload_byte_identical_across_paths_and_shard_counts() {
     assert_eq!(col_lines, rec_lines, "columnar vs record path");
 
     for workers in 1..=4 {
-        let lines = runtime_lines(&parts, "ip", workers, &events);
+        let lines = runtime_lines(&parts, "ip", workers, &batches);
         assert_eq!(lines, rec_lines, "runtime at {workers} shards");
     }
 }

@@ -39,6 +39,12 @@ pub fn rebatch(events: &[EventRef], sizes: &[usize]) -> Vec<EventBatch> {
     out
 }
 
+/// One columnar batch of `events` (one schema; arrival order is kept, so
+/// the batch may be unsorted).
+pub fn batch_of(events: &[EventRef]) -> EventBatch {
+    EventBatch::from_events(events).expect("uniform schema")
+}
+
 /// Compiles a stock-schema query with the default plan config and no
 /// route-by-name intake (classes match any event; predicates connect them).
 pub fn compile(src: &str, batch: usize) -> CompiledParts {
@@ -102,17 +108,17 @@ pub fn sorted_counterpart(arrival: &[EventRef]) -> Vec<EventRef> {
     sorted
 }
 
-/// A runtime builder with the standard test knobs (small batches, tight
-/// channels) and an optional reorder stage.
+/// A runtime builder with the standard test knobs (tight channels) and an
+/// optional reorder stage.
 pub fn builder_with(workers: usize, slack: Option<Ts>, lateness: LatenessPolicy) -> RuntimeBuilder {
-    let mut b = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
+    let mut b = Runtime::builder().workers(workers).channel_capacity(2);
     if let Some(s) = slack {
         b = b.slack(s).lateness(lateness);
     }
     b
 }
 
-/// Sorted formatted lines + shutdown report, columnar ingest path.
+/// Sorted formatted lines + shutdown report of one runtime over `batches`.
 pub fn lines_columns(
     parts: &CompiledParts,
     partitioning: Partitioning,
@@ -129,27 +135,6 @@ pub fn lines_columns(
     for batch in batches {
         matches.extend(runtime.ingest_columns(batch).unwrap());
     }
-    let report = runtime.shutdown().unwrap();
-    matches.extend(report.matches.iter().cloned());
-    let mut lines: Vec<String> = matches.iter().map(|m| template.format_match(&m.record)).collect();
-    lines.sort();
-    (lines, report)
-}
-
-/// Sorted formatted lines + shutdown report, record ingest path.
-pub fn lines_record(
-    parts: &CompiledParts,
-    partitioning: Partitioning,
-    workers: usize,
-    slack: Option<Ts>,
-    lateness: LatenessPolicy,
-    events: &[EventRef],
-) -> (Vec<String>, RuntimeReport) {
-    let template = parts.engine().unwrap();
-    let mut builder = builder_with(workers, slack, lateness);
-    builder.register(parts.clone(), partitioning);
-    let mut runtime = builder.build().unwrap();
-    let mut matches = runtime.ingest(events).unwrap();
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches.iter().cloned());
     let mut lines: Vec<String> = matches.iter().map(|m| template.format_match(&m.record)).collect();
@@ -185,25 +170,23 @@ pub fn engine_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
     lines
 }
 
-/// Runs the sharded runtime end to end over the record ingest path and
+/// Runs the sharded runtime (one [`EventBatch`] per ingest call) and
 /// returns every match in delivery order, after asserting merge-order
 /// delivery and consistent accounting.
 pub fn runtime_matches(
     parts: CompiledParts,
     partitioning: Partitioning,
     workers: usize,
-    chunk: usize,
-    events: &[EventRef],
+    batches: &[EventBatch],
 ) -> Vec<RuntimeMatch> {
-    let mut builder = Runtime::builder().workers(workers).batch_size(chunk).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
     let q = builder.register(parts, partitioning);
     let mut runtime = builder.build().unwrap();
     let mut matches: Vec<RuntimeMatch> = Vec::new();
-    // Ingest in two slices so slice boundaries also fall mid-stream.
-    let split = events.len() / 2;
-    matches.extend(runtime.ingest(&events[..split]).unwrap());
+    for batch in batches {
+        matches.extend(runtime.ingest_columns(batch).unwrap());
+    }
     matches.extend(runtime.poll().unwrap());
-    matches.extend(runtime.ingest(&events[split..]).unwrap());
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
     assert!(
@@ -220,76 +203,22 @@ pub fn runtime_matches(
     matches
 }
 
-/// Runs the sharded runtime over the **columnar** ingest path (one
-/// [`EventBatch`] per call) and returns every match in delivery order,
-/// after asserting merge-order delivery and consistent accounting.
-pub fn runtime_matches_columns(
-    parts: CompiledParts,
-    partitioning: Partitioning,
-    workers: usize,
-    batches: &[EventBatch],
-) -> Vec<RuntimeMatch> {
-    let mut builder = Runtime::builder().workers(workers).batch_size(64).channel_capacity(2);
-    let q = builder.register(parts, partitioning);
-    let mut runtime = builder.build().unwrap();
-    let mut matches: Vec<RuntimeMatch> = Vec::new();
-    for batch in batches {
-        matches.extend(runtime.ingest_columns(batch).unwrap());
-    }
-    matches.extend(runtime.poll().unwrap());
-    let report = runtime.shutdown().unwrap();
-    matches.extend(report.matches);
-    assert!(
-        matches.windows(2).all(|w| w[0].key() <= w[1].key()),
-        "columnar runtime output not in (end_ts, shard, seq) order"
-    );
-    assert!(matches.iter().all(|m| m.query == q));
-    assert_eq!(report.workers, workers);
-    assert_eq!(
-        report.metrics.matches_out,
-        matches.len() as u64,
-        "aggregated metrics disagree with delivered match count"
-    );
-    matches
-}
-
-/// Sorted, deduplicated signatures of record-ingest runtime matches,
-/// asserting exactly-once emission on the way.
+/// Sorted, deduplicated signatures of runtime matches, asserting
+/// exactly-once emission on the way. Signatures are event identities, so
+/// compare them with an oracle over the handles of `batches` themselves.
 pub fn runtime_sigs(
     parts: CompiledParts,
     partitioning: Partitioning,
     workers: usize,
-    chunk: usize,
-    events: &[EventRef],
+    batches: &[EventBatch],
 ) -> Vec<Signature> {
-    // A template engine from the same compiled parts interprets records
-    // identically to the runtime's shard engines (same plan layout).
     let template = parts.engine().unwrap();
-    let matches = runtime_matches(parts, partitioning, workers, chunk, events);
+    let matches = runtime_matches(parts, partitioning, workers, batches);
     let mut sigs: Vec<Signature> =
         matches.iter().map(|m| template.record_signature(&m.record)).collect();
     let n = sigs.len();
     sigs.sort();
     sigs.dedup();
     assert_eq!(n, sigs.len(), "runtime emitted duplicate matches");
-    sigs
-}
-
-/// Sorted, deduplicated signatures of columnar-ingest runtime matches,
-/// asserting exactly-once emission on the way.
-pub fn runtime_sigs_columns(
-    parts: CompiledParts,
-    partitioning: Partitioning,
-    workers: usize,
-    batches: &[EventBatch],
-) -> Vec<Signature> {
-    let template = parts.engine().unwrap();
-    let matches = runtime_matches_columns(parts, partitioning, workers, batches);
-    let mut sigs: Vec<Signature> =
-        matches.iter().map(|m| template.record_signature(&m.record)).collect();
-    let n = sigs.len();
-    sigs.sort();
-    sigs.dedup();
-    assert_eq!(n, sigs.len(), "columnar runtime emitted duplicate matches");
     sigs
 }

@@ -14,7 +14,9 @@ mod common;
 use common::{compile, compile_stock, rebatch};
 use proptest::prelude::*;
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, IntakeMode, PlanConfig};
+use zstream::core::{
+    CompiledParts, EngineBuilder, EngineConfig, IntakeMode, PlanConfig, SharedPredIndex,
+};
 use zstream::events::{split_batch_rows, DictMode, EventBatch, EventRef, Schema, Value};
 use zstream::lang::SchemaMap;
 use zstream::workload::{WeblogConfig, WeblogGenerator};
@@ -50,10 +52,11 @@ fn record_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
 }
 
 /// Shard fan-out: `split_batch_rows` selection vectors into `workers`
-/// independent engines via [`Engine::push_rows`], all forced to `mode`.
-/// Sparse selections are exactly where `Auto` would bail to the row path,
-/// so forcing `Kernel` here exercises the kernels on sub-batch selections.
-/// Output is sorted (cross-shard order is not defined).
+/// independent engines via [`Engine::push_rows`], each subscribed to its
+/// own shard's predicate index, all forced to `mode`. Sparse selections
+/// are exactly where `Auto` would bail to the row path, so forcing `Kernel`
+/// here exercises the kernels on sub-batch selections. Output is sorted
+/// (cross-shard order is not defined).
 ///
 /// [`Engine::push_rows`]: zstream::core::Engine::push_rows
 fn sharded_lines(
@@ -63,11 +66,12 @@ fn sharded_lines(
     workers: usize,
     mode: IntakeMode,
 ) -> Vec<String> {
-    let mut engines: Vec<_> = (0..workers)
+    let mut shards: Vec<_> = (0..workers)
         .map(|_| {
-            let mut e = parts.engine().unwrap();
+            let (mut e, mut index) = (parts.engine().unwrap(), SharedPredIndex::new());
             e.set_intake_mode(mode);
-            e
+            e.subscribe(&mut index);
+            (e, index)
         })
         .collect();
     let mut records = Vec::new();
@@ -75,11 +79,13 @@ fn sharded_lines(
         let split = split_batch_rows(batch, field, workers);
         for (shard, rows) in split.shards.iter().enumerate() {
             if !rows.is_empty() {
-                records.extend(engines[shard].push_rows(batch, rows));
+                let (engine, index) = &mut shards[shard];
+                index.begin_batch();
+                records.extend(engine.push_rows(batch, Some(rows), index));
             }
         }
     }
-    for engine in &mut engines {
+    for (engine, _) in &mut shards {
         records.extend(engine.flush());
     }
     let template = parts.engine().unwrap();

@@ -38,12 +38,8 @@ fn representative_snapshot() -> ObsSnapshot {
     let hub = Arc::new(Obs::new());
 
     let parts = compile_stock("PATTERN IBM; Sun; Oracle WITHIN 50 RETURN IBM, Sun, Oracle", 16);
-    let mut b = Runtime::builder()
-        .workers(2)
-        .batch_size(16)
-        .slack(4)
-        .lateness(LatenessPolicy::Drop)
-        .obs(Arc::clone(&hub));
+    let mut b =
+        Runtime::builder().workers(2).slack(4).lateness(LatenessPolicy::Drop).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = b.build().unwrap();
     let events = StockGenerator::generate(StockConfig::with_rates(

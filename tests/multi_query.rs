@@ -13,8 +13,12 @@ mod common;
 use common::{compile, rebatch, stream_strategy};
 use proptest::prelude::*;
 
-use zstream::core::{CompiledParts, Engine, EngineBuilder, EngineConfig, PlanConfig};
-use zstream::events::{EventBatch, EventRef, Schema};
+use std::collections::BTreeMap;
+
+use zstream::core::{
+    can_partition_by, CompiledParts, Engine, EngineBuilder, EngineConfig, EngineMetrics, PlanConfig,
+};
+use zstream::events::{EventBatch, EventRef, Record, Schema, Snapshot, SnapshotWriter, Ts};
 use zstream::lang::SchemaMap;
 use zstream::runtime::{
     Partitioning, QueryId, Route, Runtime, RuntimeError, RuntimeMatch, RuntimeReport,
@@ -44,21 +48,15 @@ fn solo_lines(
     parts: &CompiledParts,
     partitioning: &Partitioning,
     workers: usize,
-    columnar: bool,
     chunks: &[EventBatch],
 ) -> Vec<String> {
     let template = parts.engine().unwrap();
-    let mut builder = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
     builder.register(parts.clone(), partitioning.clone());
     let mut runtime = builder.build().unwrap();
     let mut matches: Vec<RuntimeMatch> = Vec::new();
     for chunk in chunks {
-        if columnar {
-            matches.extend(runtime.ingest_columns(chunk).unwrap());
-        } else {
-            let events: Vec<EventRef> = chunk.iter().collect();
-            matches.extend(runtime.ingest(&events).unwrap());
-        }
+        matches.extend(runtime.ingest_columns(chunk).unwrap());
     }
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
@@ -111,7 +109,6 @@ proptest! {
     fn shared_runtime_is_byte_identical_to_independent_runtimes(
         events in stream_strategy(90, NAMES),
         workers in 1usize..=8,
-        columnar in any::<bool>(),
         chunk in 4usize..10,
         pause_q in 0usize..4,
         pause_at in 0usize..6,
@@ -129,7 +126,7 @@ proptest! {
         let drop_at = drop_at % (n + 1);
 
         let mut builder =
-            Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
+            Runtime::builder().workers(workers).channel_capacity(2);
         let ids: Vec<QueryId> =
             pool.iter().map(|(p, r)| builder.register(p.clone(), r.clone())).collect();
         let mut runtime = builder.build().unwrap();
@@ -160,12 +157,7 @@ proptest! {
                     delivered[q].push(batch.clone());
                 }
             }
-            if columnar {
-                matches.extend(runtime.ingest_columns(batch).unwrap());
-            } else {
-                let chunk_events: Vec<EventRef> = batch.iter().collect();
-                matches.extend(runtime.ingest(&chunk_events).unwrap());
-            }
+            matches.extend(runtime.ingest_columns(batch).unwrap());
         }
         if drop_at == n && live[drop_q] {
             runtime.drop_query(ids[drop_q]).unwrap();
@@ -178,7 +170,7 @@ proptest! {
 
         let by_slot = lines_by_slot(&matches, &templates, pool.len());
         for (q, (parts, partitioning)) in pool.iter().enumerate() {
-            let oracle = solo_lines(parts, partitioning, workers, columnar, &delivered[q]);
+            let oracle = solo_lines(parts, partitioning, workers, &delivered[q]);
             if live[q] {
                 prop_assert_eq!(
                     &by_slot[q],
@@ -223,7 +215,7 @@ fn drop_q0_leaves_q1_matches_metrics_and_route_untouched() {
     let chunks = rebatch(&events, &[16]);
     let (first, second) = chunks.split_at(chunks.len() / 2);
 
-    let mut builder = Runtime::builder().workers(workers).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
     // Both fall back to single home shards: q0 → shard 0, q1 → shard 1.
     let q0 = builder.register(q0_parts.clone(), Partitioning::Broadcast);
     let q1 = builder.register(q1_parts.clone(), Partitioning::Broadcast);
@@ -261,7 +253,7 @@ fn drop_q0_leaves_q1_matches_metrics_and_route_untouched() {
     q1_lines.sort();
 
     // q1's stream is byte-identical to running alone over everything.
-    let oracle = solo_lines(&q1_parts, &Partitioning::Broadcast, workers, true, &chunks);
+    let oracle = solo_lines(&q1_parts, &Partitioning::Broadcast, workers, &chunks);
     assert!(!oracle.is_empty(), "workload produced no q1 matches — weak test");
     assert_eq!(q1_lines, oracle, "q1's match stream changed when q0 was dropped");
 
@@ -283,11 +275,7 @@ fn create_after_worker_failure_routes_around_retired_shards() {
     let hash_parts = compile(POOL[2], 8);
     let solo_parts = compile(POOL[3], 8);
 
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder.register(hash_parts, Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
     runtime.inject_worker_failure(dead).unwrap();
@@ -331,7 +319,7 @@ fn create_after_worker_failure_routes_around_retired_shards() {
             .map(|m| template.format_match(&m.record))
             .collect();
         lines.sort();
-        let oracle = solo_lines(&solo_parts, &Partitioning::Broadcast, workers, true, &chunks);
+        let oracle = solo_lines(&solo_parts, &Partitioning::Broadcast, workers, &chunks);
         assert!(!oracle.is_empty(), "workload produced no matches — weak test");
         assert_eq!(lines, oracle, "created query {q:?} diverged");
         assert_eq!(report.dropped[q.index()], 0, "no events may silently drop for {q:?}");
@@ -358,7 +346,7 @@ fn create_mid_stream_sees_only_later_events() {
     let chunks = rebatch(&events, &[16]);
     let (before, after) = chunks.split_at(chunks.len() / 2);
 
-    let mut builder = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
     let template = parts.engine().unwrap();
@@ -377,7 +365,7 @@ fn create_mid_stream_sees_only_later_events() {
         lines.push(template.format_match(&m.record));
     }
     lines.sort();
-    let oracle = solo_lines(&parts, &Partitioning::Auto("name".into()), 2, true, after);
+    let oracle = solo_lines(&parts, &Partitioning::Auto("name".into()), 2, after);
     assert!(!oracle.is_empty(), "workload produced no post-create matches — weak test");
     assert_eq!(lines, oracle, "created query must see exactly the post-create stream");
 }
@@ -404,7 +392,7 @@ fn lifecycle_survives_checkpoint_and_restore() {
     let chunks = rebatch(&events, &[16]);
     let (pre, post) = chunks.split_at(chunks.len() / 2);
 
-    let mut builder = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2);
     let q0 = builder.register(q0_parts.clone(), Partitioning::Auto("name".into()));
     let q1 = builder.register(q1_parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -429,7 +417,7 @@ fn lifecycle_survives_checkpoint_and_restore() {
 
     // Restore registers the **live** queries positionally (slot 1 then
     // slot 2); the tombstone in slot 0 is restored from the file.
-    let mut rb = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut rb = Runtime::builder().workers(2).channel_capacity(2);
     rb.register(q1_parts.clone(), Partitioning::Auto("name".into()));
     rb.register(q2_parts.clone(), Partitioning::Auto("name".into()));
     let mut restored = rb.restore(&mut file.as_slice()).unwrap();
@@ -454,16 +442,16 @@ fn lifecycle_survives_checkpoint_and_restore() {
     // over everything. q1 missed nothing either (the pause window held no
     // chunks). q0's durable matches are a prefix-run subset.
     let all: Vec<EventBatch> = chunks.clone();
-    let q2_oracle = solo_lines(&q2_parts, &Partitioning::Auto("name".into()), 2, true, &all);
+    let q2_oracle = solo_lines(&q2_parts, &Partitioning::Auto("name".into()), 2, &all);
     assert!(!q2_oracle.is_empty(), "no q2 matches — weak test");
     assert_eq!(durable[q2.index()], q2_oracle, "q2 diverged across checkpoint/restore");
-    let q1_oracle = solo_lines(&q1_parts, &Partitioning::Auto("name".into()), 2, true, &all);
+    let q1_oracle = solo_lines(&q1_parts, &Partitioning::Auto("name".into()), 2, &all);
     assert_eq!(durable[q1.index()], q1_oracle, "q1 diverged across pause + restore");
-    let q0_oracle = solo_lines(&q0_parts, &Partitioning::Auto("name".into()), 2, true, pre);
+    let q0_oracle = solo_lines(&q0_parts, &Partitioning::Auto("name".into()), 2, pre);
     assert!(is_multisubset(&durable[q0.index()], &q0_oracle));
 
     // Ids keep advancing after restore: the next create gets slot 3.
-    let mut rb2 = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut rb2 = Runtime::builder().workers(2).channel_capacity(2);
     rb2.register(q1_parts.clone(), Partitioning::Auto("name".into()));
     rb2.register(q2_parts, Partitioning::Auto("name".into()));
     let mut restored2 = rb2.restore(&mut file.as_slice()).unwrap();
@@ -480,7 +468,7 @@ fn lifecycle_survives_checkpoint_and_restore() {
 fn restore_distinguishes_drift_from_corruption() {
     let q0_parts = compile(POOL[0], 8);
     let q1_parts = compile(POOL[2], 8);
-    let mut builder = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2);
     let q0 = builder.register(q0_parts.clone(), Partitioning::Auto("name".into()));
     builder.register(q1_parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -502,7 +490,7 @@ fn restore_distinguishes_drift_from_corruption() {
     // Registering fewer queries than the checkpoint holds live is drift
     // against the pre-drop file (the post-drop file holds only one).
     {
-        let mut rb = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+        let mut rb = Runtime::builder().workers(2).channel_capacity(2);
         rb.register(q1_parts.clone(), Partitioning::Auto("name".into()));
         match rb.restore(&mut file_both.as_slice()) {
             Err(RuntimeError::CheckpointDrift(_)) => {}
@@ -523,7 +511,7 @@ fn restore_distinguishes_drift_from_corruption() {
         ("incompatible partitioning", vec![(q1_parts.clone(), Partitioning::Broadcast)]),
     ];
     for (what, defs) in drift_cases {
-        let mut rb = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+        let mut rb = Runtime::builder().workers(2).channel_capacity(2);
         for (p, r) in defs {
             rb.register(p, r);
         }
@@ -541,7 +529,7 @@ fn restore_distinguishes_drift_from_corruption() {
 
     // Corruption: truncation and garbage are `Checkpoint`, never drift.
     let corrupt_restore = |bytes: &[u8]| {
-        let mut rb = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+        let mut rb = Runtime::builder().workers(2).channel_capacity(2);
         rb.register(q1_parts.clone(), Partitioning::Auto("name".into()));
         rb.restore(&mut &bytes[..])
     };
@@ -556,7 +544,7 @@ fn restore_distinguishes_drift_from_corruption() {
     assert!(matches!(corrupt_restore(&garbage), Err(RuntimeError::Checkpoint(_))));
 
     // The matching configuration restores, tombstone intact.
-    let mut rb = Runtime::builder().workers(2).batch_size(16).channel_capacity(2);
+    let mut rb = Runtime::builder().workers(2).channel_capacity(2);
     rb.register(q1_parts.clone(), Partitioning::Auto("name".into()));
     let restored = rb.restore(&mut file.as_slice()).unwrap();
     assert!(!restored.is_live(q0));
@@ -564,13 +552,106 @@ fn restore_distinguishes_drift_from_corruption() {
     restored.shutdown().unwrap();
 }
 
-/// Turning the shared predicate index off must not change a single byte of
-/// any query's match stream — sharing is an evaluation-count optimization,
-/// not a semantic one.
+// --- The shared index against each query's own engine ---
+
+/// The partition field of a query that runs hash-routed, `None` for one
+/// that runs on a home shard.
+fn keyed<'a>(parts: &CompiledParts, partitioning: &'a Partitioning) -> Option<&'a str> {
+    match partitioning {
+        Partitioning::Auto(f) | Partitioning::Field(f) if can_partition_by(parts.analyzed(), f) => {
+            Some(f)
+        }
+        _ => None,
+    }
+}
+
+/// A query's reference run: its own single-threaded engine —
+/// `push_columns` per delivered chunk, on the engine's private predicate
+/// index and with no skip — flushed unless the query was dropped. Returns
+/// the RETURN-formatted matches, stably sorted by end timestamp (the order
+/// one shard delivers them in; sorted by line for a hash-routed query,
+/// whose equal-timestamp ties the merge orders by shard), and the metrics.
+fn reference_run(
+    parts: &CompiledParts,
+    partitioning: &Partitioning,
+    chunks: &[EventBatch],
+    flush: bool,
+) -> (Vec<String>, EngineMetrics) {
+    let template = parts.engine().unwrap();
+    let field = keyed(parts, partitioning);
+    let (records, metrics) = match field {
+        Some(field) => {
+            let mut engine = parts.partitioned_engine(field).unwrap();
+            let mut out: Vec<Record> = chunks.iter().flat_map(|c| engine.push_columns(c)).collect();
+            if flush {
+                out.extend(engine.flush());
+            }
+            (out, engine.metrics())
+        }
+        None => {
+            let mut engine = parts.engine().unwrap();
+            let mut out: Vec<Record> = chunks.iter().flat_map(|c| engine.push_columns(c)).collect();
+            if flush {
+                out.extend(engine.flush());
+            }
+            (out, engine.metrics())
+        }
+    };
+    let mut lines: Vec<(Ts, String)> =
+        records.iter().map(|r| (r.end_ts(), template.format_match(r))).collect();
+    match field {
+        Some(_) => lines.sort_by(|(_, a), (_, b)| a.cmp(b)),
+        None => lines.sort_by_key(|(end, _)| *end),
+    }
+    (lines.into_iter().map(|(_, line)| line).collect(), metrics)
+}
+
+/// Asserts that a shared runtime is unobservable per query: each query's
+/// match stream and every `EngineMetrics` field of the report equal its
+/// [`reference_run`] over `delivered[q]` (flushed iff `flushed[q]`), and
+/// every shard's sequence numbers are `0..n` with each query's strictly
+/// increasing in delivery order.
+fn assert_matches_reference(
+    pool: &[(CompiledParts, Partitioning)],
+    delivered: &[Vec<EventBatch>],
+    flushed: &[bool],
+    matches: &[RuntimeMatch],
+    report: &RuntimeReport,
+) {
+    let mut seqs: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    let mut last: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for m in matches {
+        seqs.entry(m.shard).or_default().push(m.seq);
+        if let Some(prev) = last.insert((m.shard, m.query.index()), m.seq) {
+            assert!(prev < m.seq, "shard {} emitted {:?} out of seq order", m.shard, m.query);
+        }
+    }
+    for (shard, mut seqs) in seqs {
+        seqs.sort_unstable();
+        assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "shard {shard} seqs: {seqs:?}");
+    }
+    for (q, (parts, partitioning)) in pool.iter().enumerate() {
+        let template = parts.engine().unwrap();
+        let mut got: Vec<String> = matches
+            .iter()
+            .filter(|m| m.query.index() == q)
+            .map(|m| template.format_match(&m.record))
+            .collect();
+        if keyed(parts, partitioning).is_some() {
+            got.sort();
+        }
+        let (want, metrics) = reference_run(parts, partitioning, &delivered[q], flushed[q]);
+        assert_eq!(got, want, "query {q}: match stream");
+        assert_eq!(report.query_metrics[q], metrics, "query {q}: metrics");
+    }
+}
+
+/// The shared predicate index must not change a single byte: sharing is an
+/// evaluation-count optimization, not a semantic one, so every query's
+/// match stream and metrics are its own engine's on a private index.
 #[test]
 fn shared_index_off_is_byte_identical() {
     let pool = pool_parts();
-    let templates: Vec<Engine> = pool.iter().map(|(p, _)| p.engine().unwrap()).collect();
     let events: Vec<EventRef> = (0..200)
         .map(|i| {
             zstream::events::stock(
@@ -584,26 +665,20 @@ fn shared_index_off_is_byte_identical() {
         .collect();
     let chunks = rebatch(&events, &[32]);
 
-    let run = |shared: bool| -> Vec<Vec<String>> {
-        let mut builder =
-            Runtime::builder().workers(2).batch_size(16).channel_capacity(2).shared_intake(shared);
-        for (p, r) in &pool {
-            builder.register(p.clone(), r.clone());
-        }
-        let mut runtime = builder.build().unwrap();
-        assert_eq!(runtime.shared_intake(), shared);
-        let mut matches: Vec<RuntimeMatch> = Vec::new();
-        for batch in &chunks {
-            matches.extend(runtime.ingest_columns(batch).unwrap());
-        }
-        let report = runtime.shutdown().unwrap();
-        matches.extend(report.matches);
-        lines_by_slot(&matches, &templates, pool.len())
-    };
-    let with = run(true);
-    let without = run(false);
-    assert!(with.iter().any(|l| !l.is_empty()), "no matches at all — weak test");
-    assert_eq!(with, without, "shared index changed a match stream");
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2);
+    for (p, r) in &pool {
+        builder.register(p.clone(), r.clone());
+    }
+    let mut runtime = builder.build().unwrap();
+    let mut matches: Vec<RuntimeMatch> = Vec::new();
+    for batch in &chunks {
+        matches.extend(runtime.ingest_columns(batch).unwrap());
+    }
+    let report = runtime.shutdown().unwrap();
+    matches.extend(report.matches.iter().cloned());
+    assert!(!matches.is_empty(), "no matches at all — weak test");
+    let delivered = vec![chunks; pool.len()];
+    assert_matches_reference(&pool, &delivered, &vec![true; pool.len()], &matches, &report);
 }
 
 /// The weblog workload through the shared runtime: three overlapping
@@ -637,7 +712,7 @@ fn weblog_multi_query_differential() {
     let pause_at = chunks.len() / 3;
     let resume_at = 2 * chunks.len() / 3;
 
-    let mut builder = Runtime::builder().workers(workers).batch_size(64).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
     let ids: Vec<QueryId> =
         pool.iter().map(|(p, r)| builder.register(p.clone(), r.clone())).collect();
     let mut runtime = builder.build().unwrap();
@@ -661,22 +736,22 @@ fn weblog_multi_query_differential() {
     matches.extend(report.matches);
     let by_slot = lines_by_slot(&matches, &templates, pool.len());
     for (q, (parts, partitioning)) in pool.iter().enumerate() {
-        let oracle = solo_lines(parts, partitioning, workers, true, &delivered[q]);
+        let oracle = solo_lines(parts, partitioning, workers, &delivered[q]);
         assert!(!oracle.is_empty(), "weblog query {q} produced no matches — weak test");
         assert_eq!(&by_slot[q], &oracle, "weblog query {q} diverged");
     }
 }
 
-// --- Idle-query skip: shared intake must stay unobservable ---
+// --- Idle-query skip: settling a batch without the engine is unobservable ---
 
 /// Overlapping Broadcast queries, most of which never admit a row (prices
-/// are 0..6, volumes 1..4), so on the shared path their home shard settles
-/// them without entering the engine. q0/q1 admit and match and share
-/// conjuncts; q2/q3 carry the same empty bands in a different conjunct
-/// order (one class mask); q4 can never admit; q5 has a row-wise
-/// (`General`) conjunct beside kernel ones on an admitting class; q6 has
-/// one beside a kernel conjunct no row passes (still skippable); q7's B
-/// has no kernel conjunct at all (never skippable); q8 is hash-routed.
+/// are 0..6, volumes 1..4), so their home shard settles them without
+/// entering the engine. q0/q1 admit and match and share conjuncts; q2/q3
+/// carry the same empty bands in a different conjunct order (one class
+/// mask); q4 can never admit; q5 has a row-wise (`General`) conjunct beside
+/// kernel ones on an admitting class; q6 has one beside a kernel conjunct
+/// no row passes (still skippable); q7's B has no kernel conjunct at all
+/// (never skippable); q8 is hash-routed.
 const SKIP_POOL: &[(&str, bool)] = &[
     ("PATTERN A; B WHERE A.price > 2 AND B.price > 3 WITHIN 9", false),
     ("PATTERN A; B WHERE A.price > 2 AND A.volume > 1 AND B.price > 3 WITHIN 6", false),
@@ -699,6 +774,9 @@ const SKIP_POOL: &[(&str, bool)] = &[
 /// Never admits, so its (timing-dependent) pre-drop matches are none.
 const SKIP_DROPPED: usize = 4;
 const SKIP_PAUSED: usize = 3;
+/// The flat queries that never admit a row: every batch they are delivered
+/// is skipped.
+const NEVER_ADMIT: [usize; 4] = [2, 3, 4, 6];
 
 fn skip_pool() -> Vec<(CompiledParts, Partitioning)> {
     SKIP_POOL
@@ -711,9 +789,8 @@ fn skip_pool() -> Vec<(CompiledParts, Partitioning)> {
         .collect()
 }
 
-fn skip_builder(workers: usize, shared: bool) -> (zstream::runtime::RuntimeBuilder, Vec<QueryId>) {
-    let mut builder =
-        Runtime::builder().workers(workers).batch_size(8).channel_capacity(2).shared_intake(shared);
+fn skip_builder(workers: usize) -> (zstream::runtime::RuntimeBuilder, Vec<QueryId>) {
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
     let ids = skip_pool().into_iter().map(|(parts, p)| builder.register(parts, p)).collect();
     (builder, ids)
 }
@@ -735,21 +812,21 @@ fn engines_skipped(runtime: &Runtime) -> u64 {
     runtime.observe().counter_total("zstream_intake_engines_skipped_total")
 }
 
-/// Drives the skip pool over `chunks` with a pause window on one idle
-/// query and a drop of another; returns everything observable: the match
-/// stream in emission order, the final report, and how many engine-batches
-/// the shards skipped.
+/// Drives the skip pool over `chunks`, pausing one idle query for the
+/// chunks in `pause.0..pause.1` and dropping another before chunk
+/// `drop_at`; returns everything observable — the match stream in emission
+/// order, the final report, how many engine-batches the shards skipped —
+/// plus, per query, the chunks it was delivered.
 fn run_skip_pool(
     workers: usize,
-    shared: bool,
     chunks: &[EventBatch],
     pause: (usize, usize),
     drop_at: usize,
-) -> (Vec<Delivered>, RuntimeReport, u64) {
-    let templates: Vec<Engine> = skip_pool().iter().map(|(p, _)| p.engine().unwrap()).collect();
-    let (builder, ids) = skip_builder(workers, shared);
+) -> (Vec<RuntimeMatch>, RuntimeReport, u64, Vec<Vec<EventBatch>>) {
+    let (builder, ids) = skip_builder(workers);
     let mut runtime = builder.build().unwrap();
     let mut matches: Vec<RuntimeMatch> = Vec::new();
+    let mut fed = vec![Vec::new(); ids.len()];
     for (b, batch) in chunks.iter().enumerate() {
         if b == pause.1 && b != pause.0 {
             runtime.resume(ids[SKIP_PAUSED]).unwrap();
@@ -760,6 +837,13 @@ fn run_skip_pool(
         if b == drop_at {
             runtime.drop_query(ids[SKIP_DROPPED]).unwrap();
         }
+        for (q, fed) in fed.iter_mut().enumerate() {
+            let paused = q == SKIP_PAUSED && (pause.0..pause.1).contains(&b);
+            let dropped = q == SKIP_DROPPED && b >= drop_at;
+            if !paused && !dropped {
+                fed.push(batch.clone());
+            }
+        }
         matches.extend(runtime.ingest_columns(batch).unwrap());
     }
     // Quiesce, so the counter covers every dispatched batch.
@@ -767,17 +851,18 @@ fn run_skip_pool(
     let skipped = engines_skipped(&runtime);
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches.iter().cloned());
-    (delivered(&matches, &templates), report, skipped)
+    (matches, report, skipped, fed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Skipping is an evaluation-count optimization: per query, the match
-    /// stream (order and `seq` included), every `EngineMetrics` field of
-    /// the report and the router's drop counts are identical with the
-    /// shared index on and off, at 1–4 workers, with one idle query paused
-    /// for a window and another dropped mid-stream.
+    /// stream and every `EngineMetrics` field of the report equal the
+    /// query's own engine over the chunks it was delivered (which has no
+    /// skip), every shard's `seq`s are intact, and nothing is dropped — at
+    /// 1–4 workers, with one idle query paused for a window and another
+    /// dropped mid-stream.
     #[test]
     fn skipped_engines_are_unobservable(
         events in stream_strategy(120, NAMES),
@@ -789,31 +874,29 @@ proptest! {
     ) {
         let chunks = rebatch(&events, &[chunk]);
         let pause = (pause_at, pause_at + resume_delta);
-        let (shared_matches, shared_report, skipped) =
-            run_skip_pool(workers, true, &chunks, pause, drop_at);
-        let (scan_matches, scan_report, scan_skipped) =
-            run_skip_pool(workers, false, &chunks, pause, drop_at);
-        prop_assert_eq!(shared_matches, scan_matches);
-        prop_assert_eq!(&shared_report.query_metrics, &scan_report.query_metrics);
-        prop_assert_eq!(&shared_report.dropped, &scan_report.dropped);
+        let (matches, report, skipped, fed) = run_skip_pool(workers, &chunks, pause, drop_at);
+        let flushed: Vec<bool> =
+            (0..SKIP_POOL.len()).map(|q| q != SKIP_DROPPED || drop_at >= chunks.len()).collect();
+        assert_matches_reference(&skip_pool(), &fed, &flushed, &matches, &report);
+        prop_assert!(report.dropped.iter().all(|d| *d == 0));
         // Every batch delivered to a never-admitting flat engine is a skip:
         // at least q2, q6 and (until dropped) q4 on every chunk.
         prop_assert!(skipped >= 2 * chunks.len() as u64, "only {} skips", skipped);
-        prop_assert_eq!(scan_skipped, 0);
         // A skipped batch was counted: every event arrived, and every
         // chunk (plus the shutdown flush) was an idle round.
         for q in [2usize, 6] {
-            prop_assert_eq!(shared_report.query_metrics[q].events_in, events.len() as u64);
-            prop_assert_eq!(shared_report.query_metrics[q].idle_rounds, chunks.len() as u64 + 1);
+            prop_assert_eq!(report.query_metrics[q].events_in, events.len() as u64);
+            prop_assert_eq!(report.query_metrics[q].idle_rounds, chunks.len() as u64 + 1);
         }
     }
 }
 
 /// Checkpoint → crash → restore → replay, with the checkpoint taken in the
 /// middle of a run of batches that every flat engine skips: the skipped
-/// batches' accounting is in the file (byte for byte what the unshared
-/// path writes), and the replayed run is indistinguishable from the
-/// uninterrupted one.
+/// batches' accounting is in the file — each never-admitting engine's state
+/// is there byte for byte as its own engine, never skipped, writes it — and
+/// the replayed run is indistinguishable from the uninterrupted one, which
+/// is its queries' own engines.
 #[test]
 fn checkpoint_inside_a_run_of_skipped_batches_recovers_exactly() {
     // Blocks of 32 events alternate between mixed prices and a flat 1.0
@@ -827,30 +910,23 @@ fn checkpoint_inside_a_run_of_skipped_batches_recovers_exactly() {
         .collect();
     let chunks = rebatch(&events, &[8]);
     let (ckpt_at, crash_at) = (6, 8);
-    let templates: Vec<Engine> = skip_pool().iter().map(|(p, _)| p.engine().unwrap()).collect();
+    let pool = skip_pool();
+    let templates: Vec<Engine> = pool.iter().map(|(p, _)| p.engine().unwrap()).collect();
 
     for workers in [1usize, 3] {
-        let (oracle, oracle_report, _) =
-            run_skip_pool(workers, true, &chunks, (usize::MAX, usize::MAX), usize::MAX);
+        let (matches, oracle_report, _, fed) =
+            run_skip_pool(workers, &chunks, (usize::MAX, usize::MAX), usize::MAX);
+        assert_matches_reference(&pool, &fed, &vec![true; pool.len()], &matches, &oracle_report);
+        let oracle = delivered(&matches, &templates);
         assert!(oracle.iter().any(|m| m.0 == 0), "q0 never matched — weak test");
 
-        let checkpoint_at = |shared: bool| -> (Vec<RuntimeMatch>, Vec<u8>, Runtime) {
-            let mut runtime = skip_builder(workers, shared).0.build().unwrap();
-            let mut matches = Vec::new();
-            for batch in &chunks[..ckpt_at] {
-                matches.extend(runtime.ingest_columns(batch).unwrap());
-            }
-            // Which final matches an `ingest_columns` call already handed
-            // back is a matter of reply timing, and the rest sit in the
-            // file. Quiesce and drain first, so the file holds exactly the
-            // non-final ones and its bytes are a function of the input.
-            runtime.checkpoint(&mut Vec::new()).unwrap();
-            matches.extend(runtime.poll().unwrap());
-            let mut file = Vec::new();
-            runtime.checkpoint(&mut file).unwrap();
-            (matches, file, runtime)
-        };
-        let (mut matches, file, mut runtime) = checkpoint_at(true);
+        let mut runtime = skip_builder(workers).0.build().unwrap();
+        let mut matches = Vec::new();
+        for batch in &chunks[..ckpt_at] {
+            matches.extend(runtime.ingest_columns(batch).unwrap());
+        }
+        let mut file = Vec::new();
+        runtime.checkpoint(&mut file).unwrap();
         let before = engines_skipped(&runtime);
         for batch in &chunks[ckpt_at..crash_at] {
             let _ = runtime.ingest_columns(batch).unwrap(); // lost with the crash
@@ -862,18 +938,21 @@ fn checkpoint_inside_a_run_of_skipped_batches_recovers_exactly() {
         assert_eq!(engines_skipped(&runtime) - before, 6 * 2, "chunks 6 and 7 are quiet");
         drop(runtime); // crash
 
-        let (_, scan_file, scan_runtime) = checkpoint_at(false);
-        drop(scan_runtime);
-        let first_diff = file.iter().zip(&scan_file).position(|(a, b)| a != b);
-        assert!(
-            file == scan_file,
-            "the skip left a trace in the checkpoint ({workers} workers): lengths {} / {}, \
-             first difference at byte {first_diff:?}",
-            file.len(),
-            scan_file.len()
-        );
+        for q in NEVER_ADMIT {
+            let mut engine = pool[q].0.engine().unwrap();
+            for batch in &chunks[..ckpt_at] {
+                assert!(engine.push_columns(batch).is_empty());
+            }
+            let mut w = SnapshotWriter::new();
+            engine.write_snapshot(&mut w);
+            let state = w.into_bytes();
+            assert!(
+                file.windows(state.len()).any(|bytes| bytes == state),
+                "the skip left a trace in query {q}'s checkpointed state ({workers} workers)"
+            );
+        }
 
-        let mut restored = skip_builder(workers, true).0.restore(&mut file.as_slice()).unwrap();
+        let mut restored = skip_builder(workers).0.restore(&mut file.as_slice()).unwrap();
         for batch in &chunks[ckpt_at..] {
             matches.extend(restored.ingest_columns(batch).unwrap());
         }

@@ -31,7 +31,7 @@ fn stream(seed: u64, len: usize) -> Vec<EventRef> {
 
 fn builder(workers: usize) -> RuntimeBuilder {
     let parts = compile_stock(SEQ, 16);
-    let mut b = Runtime::builder().workers(workers).batch_size(16);
+    let mut b = Runtime::builder().workers(workers);
     b.register(parts, Partitioning::Auto("name".into()));
     b
 }
@@ -215,7 +215,7 @@ fn trace_ring_stays_bounded() {
     let batches = rebatch(&stream(42, 4000), &[4]);
     let hub = Arc::new(Obs::new());
     let parts = compile_stock(SEQ, 16);
-    let mut b = Runtime::builder().workers(2).batch_size(16).obs(Arc::clone(&hub));
+    let mut b = Runtime::builder().workers(2).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = b.build().unwrap();
     for batch in &batches {
@@ -234,7 +234,7 @@ fn trace_ring_stays_bounded() {
 fn builder_accepts_a_shared_hub() {
     let hub = Arc::new(Obs::new());
     let parts = compile_stock(SEQ, 16);
-    let mut b = Runtime::builder().workers(1).batch_size(16).obs(Arc::clone(&hub));
+    let mut b = Runtime::builder().workers(1).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = b.build().unwrap();
     assert!(Arc::ptr_eq(&hub, &runtime.obs_handle()));
@@ -258,11 +258,7 @@ fn merge_gauges_follow_checkpoint_and_read_zero_after_shutdown() {
     // One broadcast query on two workers, heartbeats effectively off: the
     // idle shard never echoes a watermark, so the frontier stays at 0 and
     // every match is held until shutdown.
-    let mut b = Runtime::builder()
-        .workers(2)
-        .batch_size(16)
-        .heartbeat_interval(usize::MAX)
-        .obs(Arc::clone(&hub));
+    let mut b = Runtime::builder().workers(2).heartbeat_interval(usize::MAX).obs(Arc::clone(&hub));
     b.register(compile_stock(SEQ, 16), Partitioning::Broadcast);
     let mut runtime = b.build().unwrap();
     for batch in &batches {
@@ -303,7 +299,7 @@ fn assembly_round_trace_events_are_per_batch_not_per_key() {
     let workers = 2;
     let hub = Arc::new(Obs::new());
     let parts = common::compile("PATTERN A; B WHERE A.name = B.name WITHIN 1000", 16);
-    let mut b = Runtime::builder().workers(workers).batch_size(16).obs(Arc::clone(&hub));
+    let mut b = Runtime::builder().workers(workers).obs(Arc::clone(&hub));
     b.register(parts.clone(), Partitioning::Field("name".into()));
     b.register(parts, Partitioning::Field("name".into()));
     let mut runtime = b.build().unwrap();

@@ -5,9 +5,8 @@
 //! slack, ingesting the **disordered** stream through a reorder-staged
 //! runtime must produce byte-identical match output (formatted through the
 //! RETURN clause, compared under the canonical sorted order) to ingesting
-//! its **sorted counterpart** through a plain runtime — across the record
-//! and columnar ingest paths and 1–8 workers, on stock and weblog
-//! workloads. With disorder beyond the slack, the match stream must equal
+//! its **sorted counterpart** through a plain runtime — across batch
+//! boundaries and 1–8 workers, on stock and weblog workloads. With disorder beyond the slack, the match stream must equal
 //! the sorted stream minus exactly the late events, and `late_events` must
 //! count exactly that excess — never corrupting or reordering emitted
 //! matches.
@@ -21,7 +20,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{compile, lines_columns, lines_record, rebatch, sorted_counterpart, stream_strategy};
+use common::{batch_of, compile, lines_columns, rebatch, sorted_counterpart, stream_strategy};
 use proptest::prelude::*;
 
 use zstream::core::{EngineBuilder, EngineConfig, PlanConfig};
@@ -56,8 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
     /// Disorder bounded by the slack: byte-identical output to the sorted
-    /// counterpart, zero late events — columnar and record paths, 1–8
-    /// workers.
+    /// counterpart, zero late events, 1–8 workers.
     #[test]
     fn disorder_within_slack_is_byte_identical(
         events in stream_strategy(26, NAMES),
@@ -80,15 +78,8 @@ proptest! {
             &parts, Partitioning::Auto("name".into()), workers, Some(max_delay),
             LatenessPolicy::Drop, &arrival_batches,
         );
-        prop_assert_eq!(&got_col, &expected, "columnar disordered vs sorted");
+        prop_assert_eq!(&got_col, &expected, "disordered vs sorted");
         prop_assert_eq!(report_col.late_events, 0);
-
-        let (got_rec, report_rec) = lines_record(
-            &parts, Partitioning::Auto("name".into()), workers, Some(max_delay),
-            LatenessPolicy::Drop, &arrival,
-        );
-        prop_assert_eq!(&got_rec, &expected, "record disordered vs sorted");
-        prop_assert_eq!(report_rec.late_events, 0);
     }
 
     /// Disorder beyond the slack: the match stream equals the sorted
@@ -121,13 +112,6 @@ proptest! {
         prop_assert_eq!(&got, &expected, "matches must equal the sorted survivors'");
         prop_assert_eq!(report.late_events, late.len() as u64, "late count must be exact");
         prop_assert_eq!(report.metrics.late_events, late.len() as u64);
-
-        let (got_rec, report_rec) = lines_record(
-            &parts, Partitioning::Auto("name".into()), workers, Some(slack),
-            LatenessPolicy::Drop, &arrival,
-        );
-        prop_assert_eq!(&got_rec, &expected);
-        prop_assert_eq!(report_rec.late_events, late.len() as u64);
     }
 
     /// Several individually ordered sources with arbitrary inter-source
@@ -154,7 +138,7 @@ proptest! {
             if i % 2 == 0 { s0.extend_from_slice(chunk) } else { s1.extend_from_slice(chunk) }
         }
         let mut builder = Runtime::builder()
-            .workers(workers).batch_size(16).channel_capacity(2)
+            .workers(workers).channel_capacity(2)
             .slack(0).sources(2);
         builder.register(parts.clone(), Partitioning::Auto("name".into()));
         let mut runtime = builder.build().unwrap();
@@ -267,17 +251,6 @@ fn weblog_workload_disordered_ingest_is_byte_identical() {
     );
     assert_eq!(got, expected);
     assert_eq!(report.late_events, 0);
-
-    // Record path over the same arrival order.
-    let (got_rec, _) = lines_record(
-        &parts,
-        Partitioning::Field("ip".into()),
-        4,
-        Some(1800),
-        LatenessPolicy::Drop,
-        &arrival,
-    );
-    assert_eq!(got_rec, expected);
 }
 
 // --- Lateness policies ---
@@ -298,7 +271,7 @@ fn straggler_batch() -> EventBatch {
 #[test]
 fn drop_policy_counts_and_discards() {
     let parts = compile(PAIR, 4);
-    let mut builder = Runtime::builder().workers(2).batch_size(8).slack(1);
+    let mut builder = Runtime::builder().workers(2).slack(1);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
     let mut matches = runtime.ingest_columns(&straggler_batch()).unwrap();
@@ -320,14 +293,13 @@ fn drop_policy_counts_and_discards() {
 #[test]
 fn dead_letter_policy_returns_late_events_in_arrival_order() {
     let parts = compile(PAIR, 4);
-    let mut builder =
-        Runtime::builder().workers(2).batch_size(8).slack(1).lateness(LatenessPolicy::DeadLetter);
+    let mut builder = Runtime::builder().workers(2).slack(1).lateness(LatenessPolicy::DeadLetter);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
     runtime.ingest_columns(&straggler_batch()).unwrap();
-    // A second late arrival through the record path accumulates behind the
-    // first two.
-    runtime.ingest(&[stock(3, 5, "IBM", 6.0, 1)]).unwrap();
+    // A second late arrival in a later call accumulates behind the first
+    // two.
+    runtime.ingest_columns(&batch_of(&[stock(3, 5, "IBM", 6.0, 1)])).unwrap();
     assert_eq!(runtime.late_events(), 3);
     let late = runtime.take_late_events();
     let ts: Vec<Ts> = late.iter().map(|e| e.ts()).collect();
@@ -335,7 +307,7 @@ fn dead_letter_policy_returns_late_events_in_arrival_order() {
     assert!(runtime.take_late_events().is_empty(), "draining is destructive");
     // A straggler the caller never drains is not destroyed: shutdown
     // surfaces it in the report.
-    runtime.ingest(&[stock(5, 6, "IBM", 8.0, 1)]).unwrap();
+    runtime.ingest_columns(&batch_of(&[stock(5, 6, "IBM", 8.0, 1)])).unwrap();
     let report = runtime.shutdown().unwrap();
     assert_eq!(report.late_events, 4, "dead-lettered events still count as late");
     let undrained: Vec<Ts> = report.dead_letters.iter().map(|e| e.ts()).collect();
@@ -346,8 +318,7 @@ fn dead_letter_policy_returns_late_events_in_arrival_order() {
 fn strict_policy_errors_without_poisoning_the_runtime() {
     let parts = compile(PAIR, 4);
     let template = parts.engine().unwrap();
-    let mut builder =
-        Runtime::builder().workers(2).batch_size(8).slack(2).lateness(LatenessPolicy::Strict);
+    let mut builder = Runtime::builder().workers(2).slack(2).lateness(LatenessPolicy::Strict);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -366,9 +337,9 @@ fn strict_policy_errors_without_poisoning_the_runtime() {
         }
         other => panic!("expected TooLate, got {other:?}"),
     }
-    // Same contract on the record path.
+    // Same contract for a call whose only row is late.
     assert!(matches!(
-        runtime.ingest(&[stock(1, 9, "IBM", 9.0, 1)]),
+        runtime.ingest_columns(&batch_of(&[stock(1, 9, "IBM", 9.0, 1)])),
         Err(RuntimeError::TooLate { source: 0, ts: 1, .. })
     ));
     // Not poisoned: subsequent ingest works and the rejected calls were
@@ -392,7 +363,7 @@ fn strict_policy_errors_without_poisoning_the_runtime() {
 #[test]
 fn reorder_less_runtime_rejects_disordered_input() {
     let parts = compile(PAIR, 4);
-    let mut builder = Runtime::builder().workers(1).batch_size(8);
+    let mut builder = Runtime::builder().workers(1);
     builder.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -400,20 +371,14 @@ fn reorder_less_runtime_rejects_disordered_input() {
         rebatch(&[stock(5, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)], &[2]).remove(0);
     assert!(!unsorted.is_sorted());
     assert!(matches!(runtime.ingest_columns(&unsorted), Err(RuntimeError::InvalidConfig(_))));
-    assert!(matches!(
-        runtime.ingest(&[stock(5, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)]),
-        Err(RuntimeError::InvalidConfig(_))
-    ));
-    // Cross-call regressions are rejected too, on both paths.
-    runtime.ingest(&[stock(10, 2, "IBM", 3.0, 1)]).unwrap();
-    assert!(matches!(
-        runtime.ingest(&[stock(7, 3, "IBM", 4.0, 1)]),
-        Err(RuntimeError::InvalidConfig(_))
-    ));
-    let behind = rebatch(&[stock(8, 4, "IBM", 5.0, 1)], &[1]).remove(0);
+    // Cross-call regressions are rejected too.
+    runtime.ingest_columns(&batch_of(&[stock(10, 2, "IBM", 3.0, 1)])).unwrap();
+    let behind = batch_of(&[stock(8, 4, "IBM", 5.0, 1)]);
     assert!(matches!(runtime.ingest_columns(&behind), Err(RuntimeError::InvalidConfig(_))));
     // The runtime stays usable for ordered traffic.
-    runtime.ingest(&[stock(10, 5, "IBM", 6.0, 1), stock(12, 6, "IBM", 7.0, 1)]).unwrap();
+    runtime
+        .ingest_columns(&batch_of(&[stock(10, 5, "IBM", 6.0, 1), stock(12, 6, "IBM", 7.0, 1)]))
+        .unwrap();
     runtime.shutdown().unwrap();
 }
 
@@ -454,7 +419,8 @@ fn misconfigured_reorder_knobs_are_rejected() {
     let mut runtime = b.build().unwrap();
     let batch = rebatch(&[stock(1, 0, "IBM", 1.0, 1)], &[1]).remove(0);
     assert!(matches!(runtime.ingest_columns_from(2, &batch), Err(RuntimeError::InvalidConfig(_))));
-    assert!(matches!(runtime.ingest_from(5, &[]), Err(RuntimeError::InvalidConfig(_))));
+    let empty = EventBatch::builder(Schema::stocks(), 0).finish();
+    assert!(matches!(runtime.ingest_columns_from(5, &empty), Err(RuntimeError::InvalidConfig(_))));
     runtime.ingest_columns_from(1, &batch).unwrap();
     runtime.shutdown().unwrap();
 }
@@ -479,12 +445,8 @@ fn dead_shard_does_not_stall_disordered_finality() {
     let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 12 RETURN A, B, C";
     let parts = compile(src, 8);
     let template = parts.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1)
-        .slack(slack);
+    let mut builder =
+        Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1).slack(slack);
     builder.register(parts.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 

@@ -2,26 +2,20 @@
 //! multi-threaded runtime's match set must equal the brute-force oracle's
 //! and the single-threaded engine's, regardless of worker count, batch
 //! size, and where batch boundaries fall — and its output must come out in
-//! the documented deterministic order `(end_ts, shard, seq)`. The columnar
-//! ingest path ([`Runtime::ingest_columns`]) is driven against the record
-//! path ([`Runtime::ingest`]) and the oracle under the same matrix,
-//! asserting byte-identical merged match streams.
-//!
-//! [`Runtime::ingest`]: zstream::runtime::Runtime::ingest
-//! [`Runtime::ingest_columns`]: zstream::runtime::Runtime::ingest_columns
+//! the documented deterministic order `(end_ts, shard, seq)`.
 
 mod common;
 
 use common::{
-    compile, engine_lines, engine_sigs, oracle_sigs, rebatch, runtime_matches,
-    runtime_matches_columns, runtime_sigs, runtime_sigs_columns, stream_strategy, Signature,
+    compile, engine_lines, engine_sigs, lines_columns, oracle_sigs, rebatch, runtime_matches,
+    runtime_sigs, stream_strategy, Signature,
 };
 use proptest::prelude::*;
 
 use zstream::core::{EngineBuilder, EngineConfig, PlanConfig};
 use zstream::events::{EventBatch, EventRef, Schema};
 use zstream::lang::SchemaMap;
-use zstream::runtime::{Partitioning, Route, Runtime};
+use zstream::runtime::{LatenessPolicy, Partitioning, Route, Runtime};
 use zstream::workload::{StockConfig, StockGenerator, WeblogConfig, WeblogGenerator};
 
 /// Classes named A/B/C match any stock event (no route-by-name intake), so
@@ -36,23 +30,22 @@ const NAMES: &[&str] = &["IBM", "Sun", "Oracle", "HP"];
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20 })]
 
+    /// Hash-routed: 1–8 workers, mixed batch sizes.
     #[test]
     fn sharded_runtime_matches_oracle_and_engine(
         events in stream_strategy(26, NAMES),
-        workers in 1usize..4,
-        chunk in 1usize..9,
+        workers in 1usize..9,
+        sizes in prop::collection::vec(1usize..9, 1..4),
         engine_batch in 1usize..6,
     ) {
         let parts = compile(PARTITIONABLE, engine_batch);
+        // Rebatch first; every path consumes handles into the same storage
+        // so signatures (event identities) are comparable across paths.
+        let batches = rebatch(&events, &sizes);
+        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
         let expected = oracle_sigs(PARTITIONABLE, None, &events);
         prop_assert_eq!(&engine_sigs(&parts, &events), &expected);
-        let got = runtime_sigs(
-            parts,
-            Partitioning::Auto("name".into()),
-            workers,
-            chunk,
-            &events,
-        );
+        let got = runtime_sigs(parts, Partitioning::Auto("name".into()), workers, &batches);
         prop_assert_eq!(&got, &expected);
     }
 
@@ -63,53 +56,20 @@ proptest! {
         chunk in 1usize..9,
     ) {
         let parts = compile(BROADCAST, 4);
+        let batches = rebatch(&events, &[chunk]);
+        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
         let expected = oracle_sigs(BROADCAST, None, &events);
         prop_assert_eq!(&engine_sigs(&parts, &events), &expected);
         let got = runtime_sigs(
             parts,
             Partitioning::Auto("name".into()), // no equalities -> home shard
             workers,
-            chunk,
-            &events,
+            &batches,
         );
         prop_assert_eq!(&got, &expected);
     }
 
-    /// The columnar ingest path against the record path and the oracle:
-    /// same match set, for 1–8 workers, mixed columnar batch sizes, and
-    /// record chunk sizes that fall on different boundaries.
-    #[test]
-    fn columnar_ingest_matches_record_ingest_and_oracle(
-        events in stream_strategy(26, NAMES),
-        workers in 1usize..9,
-        sizes in prop::collection::vec(1usize..9, 1..4),
-        chunk in 1usize..9,
-        engine_batch in 1usize..6,
-    ) {
-        let parts = compile(PARTITIONABLE, engine_batch);
-        // Rebatch first; every path consumes handles into the same storage
-        // so signatures (event identities) are comparable across paths.
-        let batches = rebatch(&events, &sizes);
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-        let expected = oracle_sigs(PARTITIONABLE, None, &events);
-        let record = runtime_sigs(
-            parts.clone(),
-            Partitioning::Auto("name".into()),
-            workers,
-            chunk,
-            &events,
-        );
-        prop_assert_eq!(&record, &expected);
-        let columnar = runtime_sigs_columns(
-            parts,
-            Partitioning::Auto("name".into()),
-            workers,
-            &batches,
-        );
-        prop_assert_eq!(&columnar, &expected);
-    }
-
-    /// Broadcast (home-shard) queries ride the columnar path too: the home
+    /// Broadcast (home-shard) queries over mixed batch sizes: the home
     /// shard receives the whole batch as an `All` selection.
     #[test]
     fn columnar_broadcast_fallback_matches_oracle(
@@ -121,7 +81,7 @@ proptest! {
         let batches = rebatch(&events, &sizes);
         let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
         let expected = oracle_sigs(BROADCAST, None, &events);
-        let got = runtime_sigs_columns(
+        let got = runtime_sigs(
             parts,
             Partitioning::Auto("name".into()), // no equalities -> home shard
             workers,
@@ -138,19 +98,18 @@ fn worker_count_never_changes_the_match_set() {
         400,
         7,
     ));
-    let baseline =
-        runtime_sigs(compile(PARTITIONABLE, 8), Partitioning::Auto("name".into()), 1, 16, &events);
+    let parts = compile(PARTITIONABLE, 8);
+    // Formatted lines, not signatures: each rebatching is fresh storage.
+    let lines = |workers: usize, chunk: usize| {
+        let auto = Partitioning::Auto("name".into());
+        let batches = rebatch(&events, &[chunk]);
+        lines_columns(&parts, auto, workers, None, LatenessPolicy::Drop, &batches).0
+    };
+    let baseline = lines(1, 16);
     assert!(!baseline.is_empty());
     for workers in [2, 3, 4, 8] {
         for chunk in [1, 7, 64] {
-            let got = runtime_sigs(
-                compile(PARTITIONABLE, 8),
-                Partitioning::Auto("name".into()),
-                workers,
-                chunk,
-                &events,
-            );
-            assert_eq!(got, baseline, "workers={workers} chunk={chunk}");
+            assert_eq!(lines(workers, chunk), baseline, "workers={workers} chunk={chunk}");
         }
     }
 }
@@ -167,6 +126,7 @@ fn stock_workload_output_is_byte_identical_to_engine() {
         600,
         21,
     ));
+    let batches = rebatch(&events, &[32]);
     let parts = compile(src, 16);
     // Both outputs are deterministic; equal end-ts ties may order
     // differently between one engine and N shards, so compare under the
@@ -177,7 +137,7 @@ fn stock_workload_output_is_byte_identical_to_engine() {
     for workers in [2, 4] {
         let template = parts.engine().unwrap();
         let matches =
-            runtime_matches(parts.clone(), Partitioning::Auto("name".into()), workers, 32, &events);
+            runtime_matches(parts.clone(), Partitioning::Auto("name".into()), workers, &batches);
         let mut runtime_lines: Vec<String> =
             matches.iter().map(|m| template.format_match(&m.record)).collect();
         runtime_lines.sort();
@@ -204,88 +164,13 @@ fn weblog_workload_output_is_byte_identical_to_engine() {
     let expected = engine_lines(&parts, &events);
 
     let template = parts.engine().unwrap();
-    let matches = runtime_matches(parts, Partitioning::Field("ip".into()), 4, 128, &events);
+    let batches = rebatch(&events, &[128]);
+    let matches = runtime_matches(parts, Partitioning::Field("ip".into()), 4, &batches);
     let mut runtime_lines: Vec<String> =
         matches.iter().map(|m| template.format_match(&m.record)).collect();
     runtime_lines.sort();
     assert!(!runtime_lines.is_empty());
     assert_eq!(runtime_lines, expected);
-}
-
-/// Acceptance: on the stock workload, the columnar ingest path's merged
-/// match stream is byte-identical (formatted through the RETURN clause) to
-/// the record ingest path's and the single-threaded engine's, across
-/// worker counts.
-#[test]
-fn stock_columnar_ingest_is_byte_identical_to_record_ingest() {
-    let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name \
-               WITHIN 30 RETURN A, B, C";
-    let batches = StockGenerator::generate_batches(
-        StockConfig::with_rates(
-            &[("IBM", 1.0), ("Sun", 1.0), ("Oracle", 1.0), ("HP", 1.0), ("Dell", 1.0)],
-            600,
-            21,
-        ),
-        64,
-    );
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-    let parts = compile(src, 16);
-    let expected = engine_lines(&parts, &events);
-    assert!(!expected.is_empty());
-
-    for workers in [1, 2, 4, 8] {
-        let template = parts.engine().unwrap();
-        let record_matches =
-            runtime_matches(parts.clone(), Partitioning::Auto("name".into()), workers, 32, &events);
-        let columnar_matches = runtime_matches_columns(
-            parts.clone(),
-            Partitioning::Auto("name".into()),
-            workers,
-            &batches,
-        );
-        let mut record_lines: Vec<String> =
-            record_matches.iter().map(|m| template.format_match(&m.record)).collect();
-        let mut columnar_lines: Vec<String> =
-            columnar_matches.iter().map(|m| template.format_match(&m.record)).collect();
-        record_lines.sort();
-        columnar_lines.sort();
-        assert_eq!(columnar_lines, record_lines, "columnar vs record at {workers} workers");
-        assert_eq!(columnar_lines, expected, "columnar vs engine at {workers} workers");
-    }
-}
-
-/// Acceptance: same byte-identity on the web-log workload (Query 8 shape),
-/// columnar vs record ingest vs single-threaded engine.
-#[test]
-fn weblog_columnar_ingest_is_byte_identical_to_record_ingest() {
-    let src = "PATTERN Publication; Project; Course \
-               WHERE Publication.ip = Project.ip AND Project.ip = Course.ip \
-               WITHIN 10 hours RETURN Publication, Project, Course";
-    let (batches, _) = WeblogGenerator::generate_batches(&WeblogConfig::scaled(20_000, 11), 128);
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-    let parts = EngineBuilder::parse(src)
-        .unwrap()
-        .schemas(SchemaMap::uniform(Schema::weblog()))
-        .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
-        .compile()
-        .unwrap();
-    let expected = engine_lines(&parts, &events);
-    assert!(!expected.is_empty());
-
-    let template = parts.engine().unwrap();
-    let record_matches =
-        runtime_matches(parts.clone(), Partitioning::Field("ip".into()), 4, 128, &events);
-    let columnar_matches =
-        runtime_matches_columns(parts, Partitioning::Field("ip".into()), 4, &batches);
-    let mut record_lines: Vec<String> =
-        record_matches.iter().map(|m| template.format_match(&m.record)).collect();
-    let mut columnar_lines: Vec<String> =
-        columnar_matches.iter().map(|m| template.format_match(&m.record)).collect();
-    record_lines.sort();
-    columnar_lines.sort();
-    assert_eq!(columnar_lines, record_lines, "columnar vs record ingest");
-    assert_eq!(columnar_lines, expected, "columnar ingest vs engine");
 }
 
 /// Two queries hash-routed on the **same field** share one key-column scan
@@ -305,13 +190,13 @@ fn multi_query_same_field_shares_columnar_routing() {
     let triple_parts = compile(PARTITIONABLE, 8);
     let pair_parts = compile(PAIR, 8);
     let solo_triple =
-        runtime_sigs_columns(triple_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
+        runtime_sigs(triple_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
     let solo_pair =
-        runtime_sigs_columns(pair_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
+        runtime_sigs(pair_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
 
     let triple_template = triple_parts.engine().unwrap();
     let pair_template = pair_parts.engine().unwrap();
-    let mut builder = Runtime::builder().workers(3).batch_size(16);
+    let mut builder = Runtime::builder().workers(3);
     let q_triple = builder.register(triple_parts, Partitioning::Auto("name".into()));
     let q_pair = builder.register(pair_parts, Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -346,27 +231,33 @@ fn multi_query_same_field_shares_columnar_routing() {
 /// one ingest path each produce exactly what they produce when run alone.
 #[test]
 fn multi_query_registry_isolates_results() {
-    let events = StockGenerator::generate(StockConfig::with_rates(
-        &[("IBM", 1.0), ("Sun", 1.0), ("Oracle", 1.0), ("HP", 1.0)],
-        300,
-        3,
-    ));
+    let batches = StockGenerator::generate_batches(
+        StockConfig::with_rates(
+            &[("IBM", 1.0), ("Sun", 1.0), ("Oracle", 1.0), ("HP", 1.0)],
+            300,
+            3,
+        ),
+        16,
+    );
     let part_parts = compile(PARTITIONABLE, 8);
     let bcast_parts = compile(BROADCAST, 8);
     let solo_part =
-        runtime_sigs(part_parts.clone(), Partitioning::Auto("name".into()), 3, 16, &events);
-    let solo_bcast = runtime_sigs(bcast_parts.clone(), Partitioning::Broadcast, 3, 16, &events);
+        runtime_sigs(part_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
+    let solo_bcast = runtime_sigs(bcast_parts.clone(), Partitioning::Broadcast, 3, &batches);
 
     let part_template = part_parts.engine().unwrap();
     let bcast_template = bcast_parts.engine().unwrap();
-    let mut builder = Runtime::builder().workers(3).batch_size(16);
+    let mut builder = Runtime::builder().workers(3);
     let q_part = builder.register(part_parts, Partitioning::Auto("name".into()));
     let q_bcast = builder.register(bcast_parts, Partitioning::Broadcast);
     let mut runtime = builder.build().unwrap();
     assert_eq!(runtime.route(q_part), &Route::Hash("name".into()));
     assert!(matches!(runtime.route(q_bcast), Route::Single(_)));
 
-    let mut matches = runtime.ingest(&events).unwrap();
+    let mut matches = Vec::new();
+    for batch in &batches {
+        matches.extend(runtime.ingest_columns(batch).unwrap());
+    }
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
 

@@ -10,10 +10,14 @@
 //! broadcast, so matches become final before shutdown even when only one
 //! shard sees traffic.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::rebatch;
+
 use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
-use zstream::events::{shard_of, stock, EventRef, Value};
+use zstream::events::{shard_of, stock, EventBatch, EventRef, Value};
 use zstream::runtime::{Partitioning, Runtime};
 
 const QUERY: &str =
@@ -38,6 +42,19 @@ fn engine_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
     let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
     lines.sort();
     lines
+}
+
+/// Ingests `events` in batches of `chunk` rows, collecting the matches.
+fn ingest_chunked(
+    runtime: &mut Runtime,
+    events: &[EventRef],
+    chunk: usize,
+) -> Vec<zstream::runtime::RuntimeMatch> {
+    let mut matches = Vec::new();
+    for batch in rebatch(events, &[chunk]) {
+        matches.extend(runtime.ingest_columns(&batch).unwrap());
+    }
+    matches
 }
 
 /// Spin until the runtime observes the shard's premature `Done`, returning
@@ -72,11 +89,7 @@ fn failed_worker_leaves_pool_without_wedging_the_watermark() {
 
     let p = parts(8);
     let template = p.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     let q = builder.register(p.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -85,7 +98,7 @@ fn failed_worker_leaves_pool_without_wedging_the_watermark() {
     let mut matches = wait_for_departure(&mut runtime, workers - 1);
     runtime.inject_worker_failure(dead).unwrap();
 
-    matches.extend(runtime.ingest(&events).unwrap());
+    matches.extend(ingest_chunked(&mut runtime, &events, 16));
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
 
@@ -121,18 +134,14 @@ fn failure_after_traffic_keeps_earlier_matches_and_metrics() {
 
     let p = parts(8);
     let template = p.engine().unwrap();
-    let mut builder = Runtime::builder()
-        .workers(workers)
-        .batch_size(16)
-        .channel_capacity(2)
-        .heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder.register(p.clone(), Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
-    let mut matches = runtime.ingest(first).unwrap();
+    let mut matches = ingest_chunked(&mut runtime, first, 16);
     runtime.inject_worker_failure(dead).unwrap();
     matches.extend(wait_for_departure(&mut runtime, workers - 1));
-    matches.extend(runtime.ingest(second).unwrap());
+    matches.extend(ingest_chunked(&mut runtime, second, 16));
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
 
@@ -168,18 +177,18 @@ fn failure_after_traffic_keeps_earlier_matches_and_metrics() {
 fn losing_every_worker_degrades_gracefully() {
     let p = parts(8);
     let template = p.engine().unwrap();
-    let mut builder = Runtime::builder().workers(1).batch_size(16).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(1).channel_capacity(2);
     let q = builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
     let events: Vec<EventRef> =
         (0..50).map(|i| stock(i as u64 + 1, i as i64, "IBM", 1.0, 1)).collect();
 
-    let mut matches = runtime.ingest(&events[..25]).unwrap();
+    let mut matches = ingest_chunked(&mut runtime, &events[..25], 16);
     runtime.inject_worker_failure(0).unwrap();
     matches.extend(wait_for_departure(&mut runtime, 0));
 
     // The pool is empty: everything drops, nothing errors.
-    matches.extend(runtime.ingest(&events[25..]).unwrap());
+    matches.extend(ingest_chunked(&mut runtime, &events[25..], 16));
     matches.extend(runtime.poll().unwrap());
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches);
@@ -196,11 +205,10 @@ fn losing_every_worker_degrades_gracefully() {
 /// shard's watermark — matches may not wait for more ingest or shutdown.
 #[test]
 fn poll_heartbeats_idle_shards_to_finalize_matches() {
-    use zstream::events::EventBatch;
     let p = parts(4);
     // Default heartbeat_interval (8) — one chunk never triggers the
     // ingest-driven heartbeat.
-    let mut builder = Runtime::builder().workers(2).batch_size(64).channel_capacity(2);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2);
     builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
@@ -222,15 +230,14 @@ fn poll_heartbeats_idle_shards_to_finalize_matches() {
 #[test]
 fn heartbeats_let_matches_finalize_before_shutdown() {
     let p = parts(4);
-    let mut builder =
-        Runtime::builder().workers(2).batch_size(4).channel_capacity(2).heartbeat_interval(1);
+    let mut builder = Runtime::builder().workers(2).channel_capacity(2).heartbeat_interval(1);
     builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
 
     // One key: the other shard never sees traffic.
     let events: Vec<EventRef> =
         (0..40).map(|i| stock(i as u64 + 1, i as i64, "IBM", 1.0, 1)).collect();
-    let mut got = runtime.ingest(&events).unwrap();
+    let mut got = ingest_chunked(&mut runtime, &events, 4);
     let t0 = Instant::now();
     while got.is_empty() && t0.elapsed() < Duration::from_secs(10) {
         got.extend(runtime.poll().unwrap());
