@@ -26,6 +26,7 @@ fn main() {
     let mut rates: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), 1.0)).collect();
     rates.push(("Google", 1.0));
     let events = StockGenerator::generate(StockConfig::with_rates(&rates, len, 77));
+    let batches = pack(&events, BATCH);
     row_header("hash ->", &["on".to_string(), "off".to_string()]);
     // T1/T2/T3 are aliases over the whole stream (no name routing), so the
     // engines are built directly instead of through `TreeRun`.
@@ -45,11 +46,11 @@ fn main() {
         .unwrap();
         let plan = compiled.physical_plan(PlanConfig { use_hash, ..Default::default() }).unwrap();
         let intake = build_intake(&compiled.aq, None).unwrap();
-        let mut engine = Engine::new(compiled.aq.clone(), plan, intake, 512);
+        let mut engine = Engine::new(compiled.aq.clone(), plan, &intake);
         let t0 = Instant::now();
         let mut matches = 0u64;
-        for chunk in events.chunks(512) {
-            matches += engine.push_batch(chunk).len() as u64;
+        for batch in &batches {
+            matches += engine.push_columns(batch).len() as u64;
         }
         matches += engine.flush().len() as u64;
         let metrics = engine.metrics();
@@ -76,9 +77,10 @@ fn main() {
     with.plan = PlanConfig { eat_pruning: true, ..Default::default() };
     let mut without = TreeRun::shaped(seq, PlanShape::left_deep(3));
     without.plan = PlanConfig { eat_pruning: false, ..Default::default() };
-    let a = measure_tree(&with, &events, reps);
+    let batches = pack(&events, BATCH);
+    let a = measure_tree(&with, &batches, reps);
     // The unpruned run is deliberately slow (quadratic buffers): one rep.
-    let b = measure_tree(&without, &events, 1);
+    let b = measure_tree(&without, &batches, 1);
     assert_eq!(a.matches, b.matches);
     row("throughput", &[a.throughput, b.throughput]);
     row("peak MB", &[a.peak_mb, b.peak_mb]);
@@ -92,15 +94,14 @@ fn main() {
         "Ablation C: batch size of the batch-iterator model (§4.3)",
         "PATTERN IBM; Sun; Oracle WITHIN 200, uniform rates",
     );
-    let batches = [1usize, 8, 64, 512, 4096];
-    let cols: Vec<String> = batches.iter().map(|b| b.to_string()).collect();
+    let sizes = [1usize, 8, 64, 512, 4096];
+    let cols: Vec<String> = sizes.iter().map(|b| b.to_string()).collect();
     row_header("batch size ->", &cols);
     let mut series = Vec::new();
     let mut matches = None;
-    for b in batches {
-        let mut r = TreeRun::shaped(seq, PlanShape::left_deep(3));
-        r.batch = b;
-        let m = measure_tree(&r, &events, reps);
+    for b in sizes {
+        let m =
+            measure_tree(&TreeRun::shaped(seq, PlanShape::left_deep(3)), &pack(&events, b), reps);
         match matches {
             None => matches = Some(m.matches),
             Some(e) => assert_eq!(e, m.matches, "batch size must not change results"),

@@ -27,7 +27,7 @@ fn main() {
     // NFA baseline consumes the same rows as flat handles.
     let batches = StockGenerator::generate_batches(
         StockConfig::uniform(&["IBM", "Sun", "Oracle"], len, 808),
-        512, // = TreeRun::shaped's batch size: one batch per engine round
+        BATCH,
     );
     let events: Vec<_> = batches.iter().flat_map(|b| b.iter()).collect();
 
@@ -37,13 +37,8 @@ fn main() {
         let f = price_factor_for_selectivity(s);
         let query =
             format!("PATTERN IBM; Sun; Oracle WHERE IBM.price > {f} * Sun.price WITHIN 200");
-        let ld =
-            measure_tree_columns(&TreeRun::shaped(&query, PlanShape::left_deep(3)), &batches, reps);
-        let rd = measure_tree_columns(
-            &TreeRun::shaped(&query, PlanShape::right_deep(3)),
-            &batches,
-            reps,
-        );
+        let ld = measure_tree(&TreeRun::shaped(&query, PlanShape::left_deep(3)), &batches, reps);
+        let rd = measure_tree(&TreeRun::shaped(&query, PlanShape::right_deep(3)), &batches, reps);
         let nfa = measure_nfa(&query, Routing::StockByName, &events, reps);
         assert_eq!(ld.matches, rd.matches, "plans must agree on matches");
         assert_eq!(ld.matches, nfa.matches, "NFA must agree on matches");

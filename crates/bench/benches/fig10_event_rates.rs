@@ -44,8 +44,9 @@ fn main() {
             len,
             900 + i as u64,
         ));
-        let ld = measure_tree(&TreeRun::shaped(QUERY, PlanShape::left_deep(3)), &events, reps);
-        let rd = measure_tree(&TreeRun::shaped(QUERY, PlanShape::right_deep(3)), &events, reps);
+        let batches = pack(&events, BATCH);
+        let ld = measure_tree(&TreeRun::shaped(QUERY, PlanShape::left_deep(3)), &batches, reps);
+        let rd = measure_tree(&TreeRun::shaped(QUERY, PlanShape::right_deep(3)), &batches, reps);
         let nfa = measure_nfa(QUERY, Routing::StockByName, &events, reps);
         assert_eq!(ld.matches, rd.matches);
         assert_eq!(ld.matches, nfa.matches);

@@ -74,11 +74,12 @@ fn main() {
         .map(|(i, (_, rates, ss, gs))| regime_stream(*rates, *ss, *gs, len, 1200 + i as u64))
         .collect();
 
+    let packed: Vec<_> = streams.iter().map(|events| pack(events, BATCH)).collect();
     let mut expected_matches: Vec<Option<u64>> = vec![None; streams.len()];
     for (label, shape) in plans() {
         let mut series = Vec::new();
-        for (ri, events) in streams.iter().enumerate() {
-            let m = measure_tree(&TreeRun::shaped(QUERY6, shape.clone()), events, reps);
+        for (ri, batches) in packed.iter().enumerate() {
+            let m = measure_tree(&TreeRun::shaped(QUERY6, shape.clone()), batches, reps);
             match expected_matches[ri] {
                 None => expected_matches[ri] = Some(m.matches),
                 Some(e) => assert_eq!(e, m.matches, "{label} disagrees in regime {ri}"),

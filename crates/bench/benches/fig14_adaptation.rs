@@ -8,7 +8,7 @@ use zstream_bench::*;
 use zstream_core::{
     build_intake, AdaptiveConfig, AdaptiveEngine, CompiledQuery, Engine, PlanConfig, PlanShape,
 };
-use zstream_events::{Event, EventRef, Schema};
+use zstream_events::{Event, EventBatch, Schema};
 use zstream_lang::{Query, SchemaMap};
 use zstream_workload::{StockConfig, StockGenerator};
 
@@ -16,8 +16,17 @@ const QUERY6: &str = "PATTERN IBM; Sun; Oracle; Google \
      WHERE Oracle.price > 25 * Sun.price AND Oracle.price > 25 * Google.price \
      WITHIN 100";
 
-fn phase(rates: [f64; 4], ss: f64, gs: f64, len: usize, seed: u64, ts_base: u64) -> Vec<EventRef> {
-    StockGenerator::generate(
+/// One regime's stream, shifted to start at `ts_base` and packed into
+/// batches of [`BATCH`] rows.
+fn phase(
+    rates: [f64; 4],
+    ss: f64,
+    gs: f64,
+    len: usize,
+    seed: u64,
+    ts_base: u64,
+) -> Vec<EventBatch> {
+    let events: Vec<_> = StockGenerator::generate(
         StockConfig::with_rates(
             &[("IBM", rates[0]), ("Sun", rates[1]), ("Oracle", rates[2]), ("Google", rates[3])],
             len,
@@ -36,7 +45,8 @@ fn phase(rates: [f64; 4], ss: f64, gs: f64, len: usize, seed: u64, ts_base: u64)
             .build_ref()
             .unwrap()
     })
-    .collect()
+    .collect();
+    pack(&events, BATCH)
 }
 
 fn main() {
@@ -45,7 +55,7 @@ fn main() {
         "Figure 14: adaptive planner vs static plans on the concatenated stream",
         "Three phases: rate 1:100:100:100, then sel1=1/50, then sel2=1/50 (Query 6)",
     );
-    let segments: Vec<Vec<EventRef>> = vec![
+    let segments: Vec<Vec<EventBatch>> = vec![
         phase([1.0, 100.0, 100.0, 100.0], 1e-4, 1e-4, len, 41, 0),
         phase([1.0, 1.0, 1.0, 1.0], 1.0, 1e-4, len, 42, len as u64),
         phase([1.0, 1.0, 1.0, 1.0], 1e-4, 1.0, len, 43, 2 * len as u64),
@@ -65,11 +75,7 @@ fn main() {
     ] {
         let mut engine = TreeRun::shaped(QUERY6, shape).build_engine();
         let series = measure_segmented(&segments, |seg| {
-            let mut n = 0u64;
-            for chunk in seg.chunks(512) {
-                n += engine.push_batch(chunk).len() as u64;
-            }
-            n
+            seg.iter().map(|batch| engine.push_columns(batch).len() as u64).sum()
         });
         row(label, &series);
     }
@@ -80,11 +86,7 @@ fn main() {
         let intake = build_intake(&aq, Some("name")).unwrap();
         let mut nfa = zstream_nfa::NfaEngine::new(aq, intake).unwrap();
         let series = measure_segmented(&segments, |seg| {
-            let mut n = 0u64;
-            for e in seg {
-                n += nfa.push(e.clone()).len() as u64;
-            }
-            n
+            seg.iter().flat_map(EventBatch::iter).map(|e| nfa.push(e).len() as u64).sum()
         });
         row("NFA", &series);
     }
@@ -96,8 +98,7 @@ fn main() {
         let engine = Engine::new(
             compiled.aq.clone(),
             compiled.physical_plan(PlanConfig::default()).unwrap(),
-            intake,
-            512,
+            &intake,
         );
         let mut adaptive = AdaptiveEngine::new(
             engine,
@@ -106,11 +107,7 @@ fn main() {
             AdaptiveConfig { check_interval: 8, ..Default::default() },
         );
         let series = measure_segmented(&segments, |seg| {
-            let mut n = 0u64;
-            for chunk in seg.chunks(512) {
-                n += adaptive.push_batch(chunk).len() as u64;
-            }
-            n
+            seg.iter().map(|batch| adaptive.push_columns(batch).len() as u64).sum()
         });
         row("adaptive", &series);
         let m = adaptive.engine().metrics();

@@ -32,8 +32,9 @@ fn main() {
         nseq_run.neg = NegStrategy::PushdownPreferred;
         let mut top_run = TreeRun::shaped(QUERY7, PlanShape::left_deep(2));
         top_run.neg = NegStrategy::TopFilter;
-        let nseq = measure_tree(&nseq_run, &events, reps);
-        let top = measure_tree(&top_run, &events, reps);
+        let batches = pack(&events, BATCH);
+        let nseq = measure_tree(&nseq_run, &batches, reps);
+        let top = measure_tree(&top_run, &batches, reps);
         assert_eq!(nseq.matches, top.matches, "strategies must agree at 1:{k}:1");
         nseq_series.push(nseq.throughput);
         top_series.push(top.throughput);

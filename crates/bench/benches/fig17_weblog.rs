@@ -22,10 +22,8 @@ fn main() {
     header("Figure 17: throughput on the web access log (Query 8)", QUERY8);
     // Columnar batches feed the tree engines' vectorized intake; the NFA
     // baseline consumes the same rows as flat handles.
-    let (batches, stats) = WeblogGenerator::generate_batches(
-        &WeblogConfig::scaled(total, 2009),
-        512, // = TreeRun::shaped's batch size: one batch per engine round
-    );
+    let (batches, stats) =
+        WeblogGenerator::generate_batches(&WeblogConfig::scaled(total, 2009), BATCH);
     let events: Vec<_> = batches.iter().flat_map(|b| b.iter()).collect();
     println!(
         "workload: {} records | publication {} | project {} | course {}\n",
@@ -35,12 +33,12 @@ fn main() {
 
     let mut run = TreeRun::shaped(QUERY8, PlanShape::left_deep(3));
     run.routing = Routing::WeblogByCategory;
-    let ld = measure_tree_columns(&run, &batches, reps);
+    let ld = measure_tree(&run, &batches, reps);
     row("left-deep", &[ld.throughput, ld.matches as f64]);
 
     let mut run = TreeRun::shaped(QUERY8, PlanShape::right_deep(3));
     run.routing = Routing::WeblogByCategory;
-    let rd = measure_tree_columns(&run, &batches, reps);
+    let rd = measure_tree(&run, &batches, reps);
     row("right-deep", &[rd.throughput, rd.matches as f64]);
 
     let nfa = measure_nfa(QUERY8, Routing::WeblogByCategory, &events, reps);

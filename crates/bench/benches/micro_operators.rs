@@ -1,58 +1,49 @@
 //! **Operator microbenchmarks** (criterion) — per-event costs of the hot
-//! paths: intake routing (record-at-a-time vs columnar), a full SEQ
-//! assembly round, the hash probe path, the NSEQ backward scan, and the
-//! buffer prune sweep.
+//! paths: columnar intake plus a full SEQ assembly round, the hash probe
+//! path, the NSEQ backward scan, and the buffer prune sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use zstream_core::physical::Buffer;
-use zstream_core::{EngineBuilder, EngineConfig, PlanConfig, PlanShape};
-use zstream_events::{stock, EventRef, Record, Slot};
+use zstream_core::{Engine, EngineBuilder, EngineConfig, PlanConfig, PlanShape};
+use zstream_events::{stock, EventBatch, Record, Slot};
 use zstream_workload::{StockConfig, StockGenerator};
 
-fn stream(len: usize, seed: u64) -> Vec<EventRef> {
-    StockGenerator::generate(StockConfig::uniform(&["IBM", "Sun", "Oracle"], len, seed))
+/// Rows per pushed batch (one engine round each).
+const BATCH: usize = 256;
+
+fn stream(len: usize, seed: u64) -> Vec<EventBatch> {
+    StockGenerator::generate_batches(
+        StockConfig::uniform(&["IBM", "Sun", "Oracle"], len, seed),
+        BATCH,
+    )
+}
+
+/// Rows across `batches`.
+fn rows(batches: &[EventBatch]) -> u64 {
+    batches.iter().map(|b| b.len() as u64).sum()
+}
+
+/// Pushes every batch through `engine`; returns the match count.
+fn push_all(mut engine: Engine, batches: &[EventBatch]) -> usize {
+    batches.iter().map(|batch| engine.push_columns(black_box(batch)).len()).sum()
 }
 
 fn bench_seq_round(c: &mut Criterion) {
-    let events = stream(4096, 10);
-    let batches = StockGenerator::generate_batches(
-        StockConfig::uniform(&["IBM", "Sun", "Oracle"], 4096, 10),
-        256,
-    );
+    let batches = stream(4096, 10);
     let mut group = c.benchmark_group("seq_pipeline");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(events.len() as u64));
+    group.throughput(Throughput::Elements(rows(&batches)));
     let build = || {
         EngineBuilder::parse("PATTERN IBM; Sun; Oracle WITHIN 100")
             .unwrap()
             .stock_routing()
             .shape(PlanShape::left_deep(3))
-            .config(EngineConfig { batch_size: 256, ..Default::default() })
             .build()
             .unwrap()
     };
-    group.bench_function("scan_join", |b| {
-        b.iter(|| {
-            let mut engine = build();
-            let mut n = 0usize;
-            for chunk in events.chunks(256) {
-                n += engine.push_batch(black_box(chunk)).len();
-            }
-            n
-        })
-    });
-    group.bench_function("scan_join_columnar", |b| {
-        b.iter(|| {
-            let mut engine = build();
-            let mut n = 0usize;
-            for batch in &batches {
-                n += engine.push_columns(black_box(batch)).len();
-            }
-            n
-        })
-    });
+    group.bench_function("scan_join_columnar", |b| b.iter(|| push_all(build(), &batches)));
     group.finish();
 }
 
@@ -97,27 +88,24 @@ fn bench_hash_vs_scan(c: &mut Criterion) {
     // Aliases over 16 names: equality predicate with selectivity 1/16.
     let names: Vec<String> = (0..16).map(|i| format!("S{i}")).collect();
     let rates: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), 1.0)).collect();
-    let events = StockGenerator::generate(StockConfig::with_rates(&rates, 4096, 11));
+    let batches =
+        StockGenerator::generate_batches(StockConfig::with_rates(&rates, 4096, 11), BATCH);
     let src = "PATTERN T1; T2 WHERE T1.name = T2.name WITHIN 64";
     let mut group = c.benchmark_group("equality_join");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(events.len() as u64));
+    group.throughput(Throughput::Elements(rows(&batches)));
     for (label, use_hash) in [("hash", true), ("scan", false)] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mut engine = EngineBuilder::parse(src)
+                let engine = EngineBuilder::parse(src)
                     .unwrap()
                     .config(EngineConfig {
-                        batch_size: 256,
                         plan: PlanConfig { use_hash, ..Default::default() },
+                        ..Default::default()
                     })
                     .build()
                     .unwrap();
-                let mut n = 0usize;
-                for chunk in events.chunks(256) {
-                    n += engine.push_batch(black_box(chunk)).len();
-                }
-                n
+                push_all(engine, &batches)
             })
         });
     }
@@ -125,23 +113,18 @@ fn bench_hash_vs_scan(c: &mut Criterion) {
 }
 
 fn bench_nseq(c: &mut Criterion) {
-    let events = stream(4096, 12);
+    let batches = stream(4096, 12);
     let mut group = c.benchmark_group("negation");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(events.len() as u64));
+    group.throughput(Throughput::Elements(rows(&batches)));
     group.bench_function("nseq_pushdown", |b| {
         b.iter(|| {
-            let mut engine = EngineBuilder::parse("PATTERN IBM; !Sun; Oracle WITHIN 100")
+            let engine = EngineBuilder::parse("PATTERN IBM; !Sun; Oracle WITHIN 100")
                 .unwrap()
                 .stock_routing()
-                .config(EngineConfig { batch_size: 256, ..Default::default() })
                 .build()
                 .unwrap();
-            let mut n = 0usize;
-            for chunk in events.chunks(256) {
-                n += engine.push_batch(black_box(chunk)).len();
-            }
-            n
+            push_all(engine, &batches)
         })
     });
     group.finish();

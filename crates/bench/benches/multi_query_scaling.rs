@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use zstream_bench::*;
-use zstream_core::{CompiledParts, Engine, EngineBuilder, EngineConfig, PlanConfig};
+use zstream_core::{CompiledParts, Engine, EngineBuilder};
 use zstream_events::EventBatch;
 use zstream_runtime::{Partitioning, Runtime};
 use zstream_workload::{StockConfig, StockGenerator};
@@ -61,11 +61,7 @@ fn pool_sources() -> Vec<String> {
 }
 
 fn compile(src: &str) -> CompiledParts {
-    EngineBuilder::parse(src)
-        .expect("bench query parses")
-        .config(EngineConfig { batch_size: 256, plan: PlanConfig::default() })
-        .compile()
-        .expect("bench query compiles")
+    EngineBuilder::parse(src).expect("bench query parses").compile().expect("bench query compiles")
 }
 
 /// Median of `reps` timed runs of `run`, each returning `(events/s, matches)`.

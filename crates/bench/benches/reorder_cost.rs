@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use zstream_bench::*;
-use zstream_core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
+use zstream_core::{CompiledParts, EngineBuilder};
 use zstream_events::{EventBatch, Ts};
 use zstream_runtime::{Partitioning, Runtime};
 use zstream_workload::{DisorderSpec, StockConfig, StockGenerator};
@@ -29,7 +29,6 @@ const WORKERS: usize = 2;
 fn compile() -> CompiledParts {
     EngineBuilder::parse(QUERY)
         .expect("bench query parses")
-        .config(EngineConfig { batch_size: 256, plan: PlanConfig::default() })
         .compile()
         .expect("bench query compiles")
 }

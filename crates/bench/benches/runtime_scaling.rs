@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use zstream_bench::*;
-use zstream_core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
+use zstream_core::{CompiledParts, EngineBuilder};
 use zstream_events::EventBatch;
 use zstream_runtime::{Partitioning, Runtime};
 use zstream_workload::{StockConfig, StockGenerator};
@@ -28,7 +28,6 @@ const CHUNK: usize = 1024;
 fn compile() -> CompiledParts {
     EngineBuilder::parse(QUERY)
         .expect("bench query parses")
-        .config(EngineConfig { batch_size: 256, plan: PlanConfig::default() })
         .compile()
         .expect("bench query compiles")
 }

@@ -56,7 +56,10 @@ fn main() {
     for (label, shape) in plans {
         let series: Vec<f64> = streams
             .iter()
-            .map(|events| measure_tree(&TreeRun::shaped(QUERY6, shape.clone()), events, 1).peak_mb)
+            .map(|events| {
+                measure_tree(&TreeRun::shaped(QUERY6, shape.clone()), &pack(events, BATCH), 1)
+                    .peak_mb
+            })
             .collect();
         print!("{label:>24} |");
         for v in series {

@@ -16,17 +16,18 @@ fn main() {
         "Table 5: peak memory (MB) for Query 8 on the web access log",
         "Logical buffer accounting",
     );
-    let (events, _) = WeblogGenerator::generate(&WeblogConfig::scaled(total, 2009));
+    let (batches, _) = WeblogGenerator::generate_batches(&WeblogConfig::scaled(total, 2009), BATCH);
+    let events: Vec<_> = batches.iter().flat_map(|b| b.iter()).collect();
     row_header("plan ->", &["peak MB".to_string()]);
 
     let mut run = TreeRun::shaped(QUERY8, PlanShape::left_deep(3));
     run.routing = Routing::WeblogByCategory;
-    let ld = measure_tree(&run, &events, 1);
+    let ld = measure_tree(&run, &batches, 1);
     println!("{:>24} | {:>12.3}", "left-deep", ld.peak_mb);
 
     let mut run = TreeRun::shaped(QUERY8, PlanShape::right_deep(3));
     run.routing = Routing::WeblogByCategory;
-    let rd = measure_tree(&run, &events, 1);
+    let rd = measure_tree(&run, &batches, 1);
     println!("{:>24} | {:>12.3}", "right-deep", rd.peak_mb);
 
     let nfa = measure_nfa(QUERY8, Routing::WeblogByCategory, &events, 1);

@@ -9,9 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use zstream_core::{
-    build_intake, CompiledQuery, Engine, EngineConfig, NegStrategy, PlanConfig, PlanShape,
-};
+use zstream_core::{build_intake, CompiledQuery, Engine, NegStrategy, PlanConfig, PlanShape};
 use zstream_events::{EventBatch, EventRef, Schema};
 use zstream_lang::{Query, SchemaMap};
 use zstream_nfa::NfaEngine;
@@ -103,8 +101,6 @@ pub struct TreeRun<'a> {
     pub shape: Option<PlanShape>,
     /// Negation strategy.
     pub neg: NegStrategy,
-    /// Batch size.
-    pub batch: usize,
     /// Plan toggles.
     pub plan: PlanConfig,
 }
@@ -117,7 +113,6 @@ impl<'a> TreeRun<'a> {
             routing: Routing::StockByName,
             shape: Some(shape),
             neg: NegStrategy::PushdownPreferred,
-            batch: 512,
             plan: PlanConfig::default(),
         }
     }
@@ -133,40 +128,23 @@ impl<'a> TreeRun<'a> {
         };
         let plan = compiled.physical_plan(self.plan.clone()).expect("plan builds");
         let intake = build_intake(&compiled.aq, Some(self.routing.field())).expect("intake builds");
-        Engine::new(compiled.aq.clone(), plan, intake, self.batch)
+        Engine::new(compiled.aq.clone(), plan, &intake)
     }
 }
 
-/// Runs one tree configuration `reps` times over `events`; median by
-/// throughput.
-pub fn measure_tree(run: &TreeRun<'_>, events: &[EventRef], reps: usize) -> Measurement {
-    let samples: Vec<Measurement> = (0..reps.max(1))
-        .map(|_| {
-            let mut engine = run.build_engine();
-            let t0 = Instant::now();
-            let mut matches = 0u64;
-            for chunk in events.chunks(run.batch) {
-                matches += engine.push_batch(chunk).len() as u64;
-            }
-            matches += engine.flush().len() as u64;
-            let dt = t0.elapsed();
-            let metrics = engine.metrics();
-            Measurement {
-                throughput: events.len() as f64 / dt.as_secs_f64(),
-                matches,
-                peak_mb: metrics.peak_mb(),
-                peak_bytes: metrics.peak_bytes,
-                latency: None,
-            }
-        })
-        .collect();
-    median(samples)
+/// Rows per pushed batch in the figure benches: each batch is one engine
+/// round (§4.3).
+pub const BATCH: usize = 512;
+
+/// Packs a stream into columnar batches of `size` rows (the last may be
+/// shorter), outside any timed region.
+pub fn pack(events: &[EventRef], size: usize) -> Vec<EventBatch> {
+    events.chunks(size).map(|chunk| EventBatch::from_events(chunk).expect("one schema")).collect()
 }
 
 /// Runs one tree configuration `reps` times over pre-built columnar batches
-/// (the vectorized-intake path); median by throughput. Batches should be
-/// sized to the run's batch size — each batch is one engine round.
-pub fn measure_tree_columns(run: &TreeRun<'_>, batches: &[EventBatch], reps: usize) -> Measurement {
+/// (each batch one engine round); median by throughput.
+pub fn measure_tree(run: &TreeRun<'_>, batches: &[EventBatch], reps: usize) -> Measurement {
     let total: usize = batches.iter().map(EventBatch::len).sum();
     let samples: Vec<Measurement> = (0..reps.max(1))
         .map(|_| {
@@ -270,17 +248,18 @@ fn median(mut samples: Vec<Measurement>) -> Measurement {
 }
 
 /// Measures per-phase throughput of an engine over concatenated segments
-/// (Figure 14): returns one throughput per segment.
-pub fn measure_segmented<F: FnMut(&[EventRef]) -> u64>(
-    segments: &[Vec<EventRef>],
+/// of batches (Figure 14): returns one throughput (rows/s) per segment.
+pub fn measure_segmented<F: FnMut(&[EventBatch]) -> u64>(
+    segments: &[Vec<EventBatch>],
     mut push_all: F,
 ) -> Vec<f64> {
     segments
         .iter()
         .map(|seg| {
+            let rows: usize = seg.iter().map(EventBatch::len).sum();
             let t0 = Instant::now();
             let _ = push_all(seg);
-            seg.len() as f64 / t0.elapsed().as_secs_f64()
+            rows as f64 / t0.elapsed().as_secs_f64()
         })
         .collect()
 }
@@ -321,9 +300,4 @@ pub fn bench_len(default: usize) -> usize {
 /// Shared repetition count; override with `ZSTREAM_BENCH_REPS`.
 pub fn bench_reps(default: usize) -> usize {
     std::env::var("ZSTREAM_BENCH_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-/// Default engine config used by figure benches.
-pub fn default_config() -> EngineConfig {
-    EngineConfig::default()
 }

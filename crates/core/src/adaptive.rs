@@ -141,28 +141,12 @@ impl AdaptiveEngine {
         &self.current_stats
     }
 
-    /// Pushes a batch, running the adaptation check on round boundaries.
-    pub fn push_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        let out = self.engine.push_batch(events);
-        self.after_round();
-        out
-    }
-
-    /// Pushes a **columnar** batch through the vectorized intake
-    /// ([`Engine::push_columns`]), running the same round-boundary
-    /// adaptation check as [`AdaptiveEngine::push_batch`]. Adaptive queries
-    /// therefore ride the columnar data plane: statistics sampling, drift
-    /// detection and plan switching are identical across both paths.
+    /// Pushes a columnar batch through the engine's intake
+    /// ([`Engine::push_columns`]) — one engine round — and, every
+    /// `check_interval` rounds, re-measures and maybe switches plans (§5.3
+    /// switches happen only on round boundaries).
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
         let out = self.engine.push_columns(batch);
-        self.after_round();
-        out
-    }
-
-    /// Round-boundary bookkeeping shared by the intake paths: every push is
-    /// one engine round; every `check_interval` rounds, re-measure and maybe
-    /// switch plans (§5.3 switches happen only on round boundaries).
-    fn after_round(&mut self) {
         self.rounds_since_check += 1;
         if self.rounds_since_check >= self.config.check_interval {
             self.rounds_since_check = 0;
@@ -170,9 +154,10 @@ impl AdaptiveEngine {
             // break query processing; skip the check instead.
             let _ = self.maybe_adapt();
         }
+        out
     }
 
-    /// Flushes buffered events.
+    /// Ends the stream ([`Engine::flush`]).
     pub fn flush(&mut self) -> Vec<Record> {
         self.engine.flush()
     }

@@ -18,7 +18,9 @@ use crate::physical::plan::{PhysicalPlan, PlanConfig};
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Events per batch for the batch-iterator model (§4.3).
+    /// Unused: nothing reads it. Engines take whole caller-formed batches,
+    /// so a round's size is the size of the batch pushed (§4.3). The field
+    /// remains only so struct literals that name it keep compiling.
     pub batch_size: usize,
     /// Physical plan toggles (hashing, EAT pruning).
     pub plan: PlanConfig,
@@ -176,7 +178,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets engine configuration (batch size, hashing, pruning).
+    /// Sets engine configuration (hashing, pruning).
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -213,7 +215,7 @@ pub struct CompiledParts {
     /// Per-class intake predicates (single-class predicates plus any
     /// route-by-field equality).
     pub intake: Vec<Vec<TypedExpr>>,
-    /// Batch size and physical plan toggles.
+    /// Physical plan toggles (`config.plan`; `config.batch_size` is unread).
     pub config: EngineConfig,
 }
 
@@ -226,20 +228,14 @@ impl CompiledParts {
     /// Instantiates a fresh single-threaded engine.
     pub fn engine(&self) -> Result<Engine, CoreError> {
         let plan = self.compiled.physical_plan(self.config.plan.clone())?;
-        Ok(Engine::new(self.compiled.aq.clone(), plan, self.intake.clone(), self.config.batch_size))
+        Ok(Engine::new(self.compiled.aq.clone(), plan, &self.intake))
     }
 
     /// Instantiates a fresh [`PartitionedEngine`] keyed on `field`. Fails
     /// when partitioning on `field` is unsound for this query (see
     /// [`crate::partition::can_partition_by`]).
     pub fn partitioned_engine(&self, field: &str) -> Result<PartitionedEngine, CoreError> {
-        PartitionedEngine::new(
-            self.compiled.clone(),
-            self.config.plan.clone(),
-            self.intake.clone(),
-            self.config.batch_size,
-            field,
-        )
+        PartitionedEngine::new(self.compiled.clone(), self.config.plan.clone(), &self.intake, field)
     }
 
     /// Instantiates an engine restored from a snapshot stream, the
@@ -255,8 +251,7 @@ impl CompiledParts {
         Engine::restore_snapshot(
             self.compiled.aq.clone(),
             plan,
-            self.intake.clone(),
-            self.config.batch_size,
+            crate::intake::CompiledIntake::compile(&self.intake),
             r,
         )
     }
@@ -271,8 +266,7 @@ impl CompiledParts {
         PartitionedEngine::restore_snapshot(
             self.compiled.clone(),
             self.config.plan.clone(),
-            self.intake.clone(),
-            self.config.batch_size,
+            &self.intake,
             field,
             r,
         )
@@ -303,21 +297,32 @@ pub fn build_intake(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zstream_events::stock;
+    use zstream_events::{stock, EventBatch, EventRef, Record};
+
+    /// Pushes `events` in columnar batches of `size` rows, then flushes;
+    /// returns every match in emission order.
+    fn run(engine: &mut Engine, events: &[EventRef], size: usize) -> Vec<Record> {
+        let mut out = Vec::new();
+        for chunk in events.chunks(size) {
+            out.extend(engine.push_columns(&EventBatch::from_events(chunk).unwrap()));
+        }
+        out.extend(engine.flush());
+        out
+    }
+
+    fn routed(src: &str) -> Engine {
+        EngineBuilder::parse(src).unwrap().stock_routing().build().unwrap()
+    }
 
     #[test]
     fn quickstart_sequence_end_to_end() {
-        let mut engine = EngineBuilder::parse("PATTERN IBM; Sun; Oracle WITHIN 200")
-            .unwrap()
-            .stock_routing()
-            .config(EngineConfig { batch_size: 1, ..Default::default() })
-            .build()
-            .unwrap();
-        let mut matches = Vec::new();
-        for (i, name) in ["IBM", "Sun", "Oracle", "IBM", "Oracle"].iter().enumerate() {
-            let out = engine.push(stock(i as u64 + 1, i as i64, name, 10.0, 1));
-            matches.extend(out);
-        }
+        let mut engine = routed("PATTERN IBM; Sun; Oracle WITHIN 200");
+        let events: Vec<EventRef> = ["IBM", "Sun", "Oracle", "IBM", "Oracle"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| stock(i as u64 + 1, i as i64, name, 10.0, 1))
+            .collect();
+        let matches = run(&mut engine, &events, 1);
         // IBM@1;Sun@2;Oracle@3 and IBM@1;Sun@2;Oracle@5.
         assert_eq!(matches.len(), 2);
         assert_eq!(engine.metrics().matches_out, 2);
@@ -326,71 +331,72 @@ mod tests {
 
     #[test]
     fn where_predicates_filter_matches() {
-        let mut engine =
-            EngineBuilder::parse("PATTERN IBM; Sun WHERE IBM.price > Sun.price WITHIN 100")
-                .unwrap()
-                .stock_routing()
-                .config(EngineConfig { batch_size: 1, ..Default::default() })
-                .build()
-                .unwrap();
-        let mut matches = Vec::new();
-        matches.extend(engine.push(stock(1, 0, "IBM", 50.0, 1)));
-        matches.extend(engine.push(stock(2, 1, "Sun", 80.0, 1))); // fails pred
-        matches.extend(engine.push(stock(3, 2, "Sun", 20.0, 1))); // passes
+        let mut engine = routed("PATTERN IBM; Sun WHERE IBM.price > Sun.price WITHIN 100");
+        let events = [
+            stock(1, 0, "IBM", 50.0, 1),
+            stock(2, 1, "Sun", 80.0, 1), // fails pred
+            stock(3, 2, "Sun", 20.0, 1), // passes
+        ];
+        let matches = run(&mut engine, &events, 1);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].end_ts(), 3);
     }
 
     #[test]
     fn window_bounds_matches() {
-        let mut engine = EngineBuilder::parse("PATTERN IBM; Sun WITHIN 10")
-            .unwrap()
-            .stock_routing()
-            .config(EngineConfig { batch_size: 1, ..Default::default() })
-            .build()
-            .unwrap();
-        let mut matches = Vec::new();
-        matches.extend(engine.push(stock(1, 0, "IBM", 1.0, 1)));
-        matches.extend(engine.push(stock(100, 1, "Sun", 1.0, 1))); // out of window
-        matches.extend(engine.push(stock(105, 2, "IBM", 1.0, 1)));
-        matches.extend(engine.push(stock(110, 3, "Sun", 1.0, 1))); // in window
+        let mut engine = routed("PATTERN IBM; Sun WITHIN 10");
+        let events = [
+            stock(1, 0, "IBM", 1.0, 1),
+            stock(100, 1, "Sun", 1.0, 1), // out of window
+            stock(105, 2, "IBM", 1.0, 1),
+            stock(110, 3, "Sun", 1.0, 1), // in window
+        ];
+        let matches = run(&mut engine, &events, 1);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].start_ts(), 105);
     }
 
     #[test]
     fn flush_forces_round() {
-        let mut engine = EngineBuilder::parse("PATTERN IBM; Sun WITHIN 100")
+        let mut engine = routed("PATTERN IBM; Sun WITHIN 100");
+        let batch =
+            EventBatch::from_events(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 1.0, 1)])
+                .unwrap();
+        assert_eq!(engine.push_columns(&batch).len(), 1, "the push runs its own round");
+        let before = engine.metrics();
+        assert!(engine.flush().is_empty());
+        let after = engine.metrics();
+        assert_eq!(after.idle_rounds, before.idle_rounds + 1, "flush is one more round");
+        assert_eq!(after.assembly_rounds, before.assembly_rounds);
+    }
+
+    /// The compiled `PATTERN IBM; Sun; Oracle WITHIN 200` and an engine of
+    /// it fed IBM, Sun, Oracle, IBM, Sun in batches of two: one match
+    /// done, and partial matches straddling the last batch.
+    fn mid_stream() -> (CompiledParts, Engine) {
+        let parts = EngineBuilder::parse("PATTERN IBM; Sun; Oracle WITHIN 200")
             .unwrap()
             .stock_routing()
-            .config(EngineConfig { batch_size: 1000, ..Default::default() })
-            .build()
+            .compile()
             .unwrap();
-        assert!(engine.push(stock(1, 0, "IBM", 1.0, 1)).is_empty());
-        assert!(engine.push(stock(2, 1, "Sun", 1.0, 1)).is_empty());
-        let out = engine.flush();
-        assert_eq!(out.len(), 1);
+        let mut engine = parts.engine().unwrap();
+        let events: Vec<EventRef> = ["IBM", "Sun", "Oracle", "IBM", "Sun"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| stock(i as u64 + 1, i as i64, name, 10.0, 1))
+            .collect();
+        let head_matches: usize = events
+            .chunks(2)
+            .map(|chunk| engine.push_columns(&EventBatch::from_events(chunk).unwrap()).len())
+            .sum();
+        assert_eq!(head_matches, 1, "IBM@1;Sun@2;Oracle@3 completed pre-snapshot");
+        (parts, engine)
     }
 
     #[test]
     fn engine_snapshot_round_trips_mid_stream() {
         use zstream_events::{Snapshot, SnapshotReader, SnapshotWriter};
-        let parts = EngineBuilder::parse("PATTERN IBM; Sun; Oracle WITHIN 200")
-            .unwrap()
-            .stock_routing()
-            .config(EngineConfig { batch_size: 2, ..Default::default() })
-            .compile()
-            .unwrap();
-        let mut engine = parts.engine().unwrap();
-        let names = ["IBM", "Sun", "Oracle", "IBM", "Sun"];
-        let mut head_matches = 0;
-        for (i, name) in names.iter().enumerate() {
-            head_matches += engine.push(stock(i as u64 + 1, i as i64, name, 10.0, 1)).len();
-        }
-        assert_eq!(head_matches, 1, "IBM@1;Sun@2;Oracle@3 completed pre-snapshot");
-
-        // Snapshot mid-stream: batch_size 2 with 5 events leaves one event
-        // pending, buffers partially consumed.
+        let (parts, mut engine) = mid_stream();
         let mut w = SnapshotWriter::new();
         engine.write_snapshot(&mut w);
         let bytes = w.into_bytes();
@@ -405,23 +411,46 @@ mod tests {
         // The tail completes matches whose prefixes straddle the boundary;
         // both engines must emit the same matches in the same order, and
         // neither may re-emit the pre-snapshot match.
-        let tail: Vec<_> = ["Oracle", "IBM", "Sun", "Oracle"]
-            .iter()
-            .enumerate()
-            .map(|(i, name)| stock(i as u64 + 6, i as i64, name, 10.0, 1))
-            .collect();
-        let fmt = |e: &Engine, recs: &[zstream_events::Record]| {
+        let fmt = |e: &Engine, recs: &[Record]| {
             recs.iter().map(|r| e.format_match(r)).collect::<Vec<_>>()
         };
-        for e in &tail {
-            let a = engine.push(e.clone());
-            let b = restored.push(e.clone());
+        for (i, name) in ["Oracle", "IBM", "Sun", "Oracle"].iter().enumerate() {
+            let batch =
+                EventBatch::from_events(&[stock(i as u64 + 6, i as i64, name, 10.0, 1)]).unwrap();
+            let a = engine.push_columns(&batch);
+            let b = restored.push_columns(&batch);
             assert_eq!(fmt(&engine, &a), fmt(&restored, &b));
         }
         let (a, b) = (engine.flush(), restored.flush());
         assert_eq!(fmt(&engine, &a), fmt(&restored, &b));
         assert_eq!(restored.metrics().matches_out, engine.metrics().matches_out);
         assert!(engine.metrics().matches_out > 1, "tail produced matches");
+    }
+
+    /// The snapshot's word after the class counters once counted events
+    /// pushed one at a time. It is written as 0; any other value is corrupt.
+    #[test]
+    fn engine_restore_rejects_pending_events() {
+        use zstream_events::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+        let (parts, engine) = mid_stream();
+        let mut w = SnapshotWriter::new();
+        engine.write_snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        // Offset of the word: watermark, metrics, then both counter lists.
+        let mut head = SnapshotWriter::new();
+        head.u64(engine.watermark());
+        engine.metrics().write_snapshot(&mut head);
+        for counters in [engine.class_counters().0, engine.class_counters().1] {
+            head.len(counters.len());
+            counters.iter().for_each(|c| head.u64(*c));
+        }
+        let at = head.bytes().len();
+        assert_eq!(bytes[at..at + 8], [0; 8], "the reserved word is written as 0");
+        bytes[at] = 1;
+        assert!(matches!(
+            parts.restore_engine(&mut SnapshotReader::new(&bytes)),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -438,7 +467,7 @@ mod tests {
             .compile()
             .unwrap();
         let mut engine = two.engine().unwrap();
-        engine.push(stock(1, 0, "IBM", 1.0, 1));
+        engine.push_columns(&EventBatch::from_events(&[stock(1, 0, "IBM", 1.0, 1)]).unwrap());
         let mut w = SnapshotWriter::new();
         engine.write_snapshot(&mut w);
         let bytes = w.into_bytes();
@@ -456,21 +485,12 @@ mod tests {
                 stock(i as u64 + 1, i as i64, name, i as f64, 1)
             })
             .collect();
-        let mut counts = Vec::new();
-        for bs in [1, 7, 64] {
-            let mut engine = EngineBuilder::parse("PATTERN IBM; Sun; Oracle WITHIN 30")
-                .unwrap()
-                .stock_routing()
-                .config(EngineConfig { batch_size: bs, ..Default::default() })
-                .build()
-                .unwrap();
-            let mut n = 0;
-            for e in &events {
-                n += engine.push(e.clone()).len();
-            }
-            n += engine.flush().len();
-            counts.push(n);
-        }
+        let counts: Vec<usize> = [1, 7, 64]
+            .iter()
+            .map(|size| {
+                run(&mut routed("PATTERN IBM; Sun; Oracle WITHIN 30"), &events, *size).len()
+            })
+            .collect();
         assert!(counts[0] > 0);
         assert_eq!(counts[0], counts[1]);
         assert_eq!(counts[1], counts[2]);

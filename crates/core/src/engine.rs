@@ -16,14 +16,12 @@
 use std::sync::Arc;
 
 use zstream_events::{
-    EventBatch, EventRef, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
-    SnapshotWriter, Sym, Ts,
+    EventBatch, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter,
+    Sym, Ts,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 
-use crate::intake::{
-    CompiledIntake, IntakeScratch, OneClassBinding, SharedPredIndex, Subscription,
-};
+use crate::intake::{CompiledIntake, IntakeScratch, SharedPredIndex, Subscription};
 use crate::metrics::EngineMetrics;
 use crate::obs::EngineObs;
 use crate::physical::plan::PhysicalPlan;
@@ -37,8 +35,8 @@ pub struct Engine {
     aq: Arc<AnalyzedQuery>,
     plan: PhysicalPlan,
     /// Per-class intake predicates — analyzed single-class predicates plus
-    /// any route-by-field equality added by the builder — as expressions
-    /// and compiled for column-wise evaluation.
+    /// any route-by-field equality added by the builder — compiled for
+    /// column-wise evaluation.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
     intake: Arc<CompiledIntake>,
     /// Reusable bitmap scratch (see [`IntakeScratch`] for the invariant).
@@ -61,10 +59,6 @@ pub struct Engine {
     /// compare).
     // zlint::allow(snapshot, "derived: re-interned from the analyzed query's class schemas")
     class_schema: Vec<Sym>,
-    /// Events buffered until a full batch is formed (push-one API).
-    pending: Vec<EventRef>,
-    // zlint::allow(snapshot, "restore_snapshot receives the batch size from the caller; not checkpoint state")
-    batch_size: usize,
     watermark: Ts,
     metrics: EngineMetrics,
     /// Per-class counters for the adaptive statistics sampler (§5.3).
@@ -76,15 +70,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine over an analyzed query, plan, per-class intake
-    /// predicates and batch size.
-    pub fn new(
-        aq: Arc<AnalyzedQuery>,
-        plan: PhysicalPlan,
-        intake: Vec<Vec<TypedExpr>>,
-        batch_size: usize,
-    ) -> Engine {
-        Engine::with_intake(aq, plan, CompiledIntake::compile(intake), batch_size)
+    /// Creates an engine over an analyzed query, plan and per-class intake
+    /// predicates.
+    pub fn new(aq: Arc<AnalyzedQuery>, plan: PhysicalPlan, intake: &[Vec<TypedExpr>]) -> Engine {
+        Engine::with_intake(aq, plan, CompiledIntake::compile(intake))
     }
 
     /// [`Engine::new`] over already-compiled intake predicates (a
@@ -93,9 +82,7 @@ impl Engine {
         aq: Arc<AnalyzedQuery>,
         plan: PhysicalPlan,
         intake: Arc<CompiledIntake>,
-        batch_size: usize,
     ) -> Engine {
-        assert!(batch_size >= 1);
         let n = aq.num_classes();
         let class_schema = aq.classes.iter().map(|c| c.schema.name_sym()).collect();
         Engine {
@@ -107,8 +94,6 @@ impl Engine {
             local: None,
             intake_mode: IntakeMode::default(),
             class_schema,
-            pending: Vec::with_capacity(batch_size),
-            batch_size,
             watermark: 0,
             metrics: EngineMetrics::default(),
             offered: vec![0; n],
@@ -125,6 +110,12 @@ impl Engine {
     /// The current physical plan.
     pub fn plan(&self) -> &PhysicalPlan {
         &self.plan
+    }
+
+    /// The compiled intake predicates (shared by `Arc` where compiled once).
+    #[cfg(test)]
+    pub(crate) fn intake(&self) -> &Arc<CompiledIntake> {
+        &self.intake
     }
 
     /// Metrics snapshot. Process-global values (symbol-table stats, the
@@ -191,35 +182,12 @@ impl Engine {
         (&self.offered, &self.admitted)
     }
 
-    /// Pushes a single event; runs a round when a full batch accumulated.
-    /// Returns any matches produced.
-    pub fn push(&mut self, event: EventRef) -> Vec<Record> {
-        self.pending.push(event);
-        if self.pending.len() >= self.batch_size {
-            let batch = std::mem::take(&mut self.pending);
-            self.process_batch(&batch)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Routes a whole batch and runs one round.
-    pub fn push_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        if !self.pending.is_empty() {
-            let mut batch = std::mem::take(&mut self.pending);
-            batch.extend_from_slice(events);
-            self.process_batch(&batch)
-        } else {
-            self.process_batch(events)
-        }
-    }
-
-    /// Routes a whole **columnar** batch and runs one round — the
-    /// vectorized intake path. Single-class predicates (§4.1 push-down)
-    /// evaluate column-wise over the batch, and only the surviving rows
-    /// materialize leaf records; admitted/offered accounting, watermark and
-    /// round semantics are identical to [`Engine::push_batch`] over the same
-    /// rows. Predicates evaluate through the engine's own index.
+    /// Routes a whole columnar batch and runs one round (§4.3: one batch
+    /// of primitive events per round). Single-class predicates (§4.1
+    /// push-down) evaluate column-wise over the batch, and only the
+    /// surviving rows materialize leaf records. Predicates evaluate through
+    /// the engine's own index. A caller holding event handles packs them
+    /// first ([`EventBatch::from_events`], `zstream_events::repack_events`).
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
         self.push_intake(batch, None, None)
     }
@@ -248,18 +216,13 @@ impl Engine {
         self.push_intake(batch, rows, Some(index))
     }
 
-    /// Both columnar entries: drain events pushed one at a time, route the
-    /// selection, run one round.
+    /// Both entries: route the selection, run one round.
     pub(crate) fn push_intake(
         &mut self,
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: Option<&mut SharedPredIndex>,
     ) -> Vec<Record> {
-        let pending = std::mem::take(&mut self.pending);
-        for e in &pending {
-            self.route(e);
-        }
         self.route_columns(batch, rows, index);
         self.round()
     }
@@ -267,20 +230,19 @@ impl Engine {
     /// The O(1) stand-in for [`Engine::push_rows`] over every row of a batch
     /// this engine cannot admit a row of. Asks `index` (which this engine must
     /// have subscribed to) for the class mask of every class whose schema
-    /// the batch carries; if all are empty, and no event pushed one at a
-    /// time is still buffered, settles the batch exactly as the full path
-    /// would for zero admissions (`events_in`, per-class `offered`,
-    /// watermark, and one idle round — every round leaves the trigger
-    /// buffers consumed, so with nothing admitted there is nothing to
-    /// assemble) and returns `true`. Otherwise changes nothing and returns `false`: the
-    /// caller pushes the batch as usual, and the masks evaluated here are
-    /// already valid for it.
+    /// the batch carries; if all are empty, settles the batch exactly as the
+    /// full path would for zero admissions (`events_in`, per-class
+    /// `offered`, watermark, and one idle round — every round leaves the
+    /// trigger buffers consumed, so with nothing admitted there is nothing
+    /// to assemble) and returns `true`. Otherwise changes nothing and
+    /// returns `false`: the caller pushes the batch as usual, and the masks
+    /// evaluated here are already valid for it.
     ///
     /// A class with no column-kernel conjunct has the all-rows mask, so a
     /// query carrying one is never skipped on a batch of its schema.
     pub fn skip_unadmitted(&mut self, batch: &EventBatch, index: &mut SharedPredIndex) -> bool {
         let Some(subscription) = &self.subscription else { return false };
-        if batch.is_empty() || !self.pending.is_empty() {
+        if batch.is_empty() {
             return false;
         }
         let schema = batch.schema().name_sym();
@@ -311,16 +273,11 @@ impl Engine {
         true
     }
 
-    /// Flushes any buffered events and forces a final assembly round.
+    /// Runs one more round at end of stream. Every push already ran its
+    /// own round and every round consumes its trigger instances, so this
+    /// one is idle (one `idle_rounds` tick) and emits nothing; stream
+    /// drivers call it so every engine kind ends the same way.
     pub fn flush(&mut self) -> Vec<Record> {
-        let batch = std::mem::take(&mut self.pending);
-        self.process_batch(&batch)
-    }
-
-    fn process_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        for e in events {
-            self.route(e);
-        }
         self.round()
     }
 
@@ -391,8 +348,8 @@ impl Engine {
     /// (the caller's when this engine subscribed to it, else the engine's
     /// own), narrowed by the input selection and the class's row-wise
     /// conjuncts where there are any; union popcount for `events_admitted`,
-    /// set-bit materialization. Produces exactly the per-event path's
-    /// admissions in the same class-then-row order.
+    /// set-bit materialization. Produces exactly the row path's admissions
+    /// in the same class-then-row order.
     fn route_columns_kernel(
         &mut self,
         batch: &EventBatch,
@@ -548,7 +505,7 @@ impl Engine {
             obs.kernel_fallback_rows.add(n_input as u64);
         }
         // Phase 2: materialize leaf records for the surviving rows, in the
-        // same class-then-row order as the per-event path fills buffers.
+        // same class-then-row order as the kernel path fills buffers.
         for (c, sel) in class_sels {
             let leaf = self.plan.leaf_of_class[c];
             let admit = |row: usize, this: &mut PhysicalPlan| {
@@ -574,42 +531,6 @@ impl Engine {
                     }
                 }
             }
-        }
-    }
-
-    /// Routes one event to every class whose schema matches and whose
-    /// intake predicates accept it (§4.1: single-class predicates prevent
-    /// irrelevant events from entering leaf buffers).
-    fn route(&mut self, event: &EventRef) {
-        self.metrics.events_in += 1;
-        debug_assert!(event.ts() >= self.watermark, "input must be time-ordered");
-        self.watermark = self.watermark.max(event.ts());
-        let mut admitted_any = false;
-        let event_schema = event.schema().name_sym();
-        for c in 0..self.aq.num_classes() {
-            if self.class_schema[c] != event_schema {
-                continue;
-            }
-            self.offered[c] += 1;
-            let binding = OneClassBinding { class: c, event };
-            if self.intake.exprs[c]
-                .iter()
-                .all(|p| matches!(p.eval(&binding), Ok(zstream_events::Value::Bool(true))))
-            {
-                self.admitted[c] += 1;
-                admitted_any = true;
-                let leaf = self.plan.leaf_of_class[c];
-                self.plan.nodes[leaf].buf.push(Record::primitive(event.clone()));
-            }
-        }
-        if admitted_any {
-            self.metrics.events_admitted += 1;
-        }
-        if let Some(obs) = &self.obs {
-            if admitted_any {
-                obs.admitted.inc();
-            }
-            obs.kernel_fallback_rows.inc();
         }
     }
 
@@ -720,21 +641,23 @@ impl Engine {
         self.metrics.plan_switches += 1;
     }
 
-    /// Rebuilds an engine from a [`Snapshot`] stream. `aq`, `plan` and
-    /// `intake` must come from compiling the same query with the same plan
+    /// Rebuilds an engine from a [`Snapshot`] stream — the restore twin of
+    /// [`Engine::with_intake`], so a restored partitioned engine compiles
+    /// its intake once for all of its keys (the public entry is
+    /// [`crate::CompiledParts::restore_engine`]). `aq`, `plan` and `intake`
+    /// must come from compiling the same query with the same plan
     /// configuration the snapshotted engine ran (checkpoints carry state,
     /// not code — the caller re-derives the plan and this injects the
     /// buffers, cursors, watermark and counters into it). Hash indexes are
     /// *not* snapshotted: they are derived state and re-sync incrementally
     /// from the restored buffers on the next probe.
-    pub fn restore_snapshot(
+    pub(crate) fn restore_snapshot(
         aq: Arc<AnalyzedQuery>,
         plan: PhysicalPlan,
-        intake: Vec<Vec<TypedExpr>>,
-        batch_size: usize,
+        intake: Arc<CompiledIntake>,
         r: &mut SnapshotReader<'_>,
     ) -> SnapshotResult<Engine> {
-        let mut engine = Engine::new(aq, plan, intake, batch_size);
+        let mut engine = Engine::with_intake(aq, plan, intake);
         engine.watermark = r.u64()?;
         engine.metrics = EngineMetrics::restore_snapshot(r)?;
         let n_classes = engine.aq.num_classes();
@@ -749,8 +672,11 @@ impl Engine {
         };
         engine.offered = read_counters(r)?;
         engine.admitted = read_counters(r)?;
-        let n_pending = r.len()?;
-        engine.pending = (0..n_pending).map(|_| r.event()).collect::<SnapshotResult<_>>()?;
+        if r.len()? != 0 {
+            return Err(SnapshotError::Corrupt(
+                "events pending a batch: engines take whole batches only".into(),
+            ));
+        }
         let n_nodes = r.len()?;
         if n_nodes != engine.plan.nodes.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -779,10 +705,12 @@ impl Engine {
 
 impl Snapshot for Engine {
     /// Serializes the evolving state: watermark, metrics, per-class intake
-    /// counters, events pending a full batch, and every node buffer with
-    /// its consumed cursor. The query, plan shape and intake predicates are
-    /// **not** written — [`Engine::restore_snapshot`] re-derives them from
-    /// the compiled query, which also makes the snapshot independent of
+    /// counters, a reserved length word (always 0; it counted events
+    /// pushed one at a time, and restore rejects any other value), and
+    /// every node buffer with its consumed cursor. The query, plan shape
+    /// and intake predicates are **not** written —
+    /// [`crate::CompiledParts::restore_engine`] re-derives them from the
+    /// compiled query, which also makes the snapshot independent of
     /// process-local symbol ids and compiled-predicate layout.
     fn write_snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.watermark);
@@ -795,10 +723,7 @@ impl Snapshot for Engine {
         for &c in &self.admitted {
             w.u64(c);
         }
-        w.len(self.pending.len());
-        for e in &self.pending {
-            w.event(e);
-        }
+        w.len(0);
         w.len(self.plan.nodes.len());
         for node in &self.plan.nodes {
             w.len(node.buf.len());

@@ -35,9 +35,9 @@ use zstream_events::{EventBatch, EventRef, HashableValue, Sym, Value};
 use zstream_lang::{BinOp, ClassId, EventBinding, TypedExpr};
 
 /// Binding of a single event to a single class (intake predicates).
-pub(crate) struct OneClassBinding<'a> {
-    pub(crate) class: ClassId,
-    pub(crate) event: &'a EventRef,
+struct OneClassBinding<'a> {
+    class: ClassId,
+    event: &'a EventRef,
 }
 
 impl EventBinding for OneClassBinding<'_> {
@@ -77,7 +77,7 @@ pub(crate) enum IntakePred {
         lit: Value,
     },
     /// Anything else: evaluate the expression per row against a one-class
-    /// binding (the same code path the per-event intake uses).
+    /// binding (what the brute-force oracle does for every predicate).
     General(TypedExpr),
 }
 
@@ -212,24 +212,21 @@ pub(crate) fn cmp_passes(op: BinOp, v: Value, lit: &Value) -> bool {
     }
 }
 
-/// A query's per-class intake predicates in both forms: the expressions
-/// (what the per-event path evaluates) and their column-kernel compilation.
-/// Compiled once per query and shared by `Arc` — a partitioned engine hands
-/// the same copy to every per-key engine.
+/// A query's per-class intake predicates compiled for column-wise
+/// evaluation. Compiled once per query and shared by `Arc` — a partitioned
+/// engine hands the same copy to every per-key engine, fresh or restored.
 #[derive(Debug)]
 pub(crate) struct CompiledIntake {
     /// Per class, the analyzed single-class predicates plus any
-    /// route-by-field equality added by the builder.
-    pub(crate) exprs: Vec<Vec<TypedExpr>>,
-    /// `exprs`, compiled: same shape, same order.
+    /// route-by-field equality added by the builder, compiled in order.
     pub(crate) preds: Vec<Vec<IntakePred>>,
 }
 
 impl CompiledIntake {
     /// Compiles every conjunct of every class, once.
-    pub(crate) fn compile(exprs: Vec<Vec<TypedExpr>>) -> Arc<CompiledIntake> {
+    pub(crate) fn compile(exprs: &[Vec<TypedExpr>]) -> Arc<CompiledIntake> {
         let preds = exprs.iter().map(|ps| ps.iter().map(IntakePred::compile).collect()).collect();
-        Arc::new(CompiledIntake { exprs, preds })
+        Arc::new(CompiledIntake { preds })
     }
 }
 
@@ -451,7 +448,8 @@ impl SharedPredIndex {
 mod tests {
     use super::*;
     use crate::{Engine, EngineBuilder};
-    use zstream_events::stock;
+    use proptest::prelude::*;
+    use zstream_events::{stock, DictMode, Schema, ValueType};
 
     fn engine_of(src: &str) -> Engine {
         EngineBuilder::parse(src).unwrap().build().unwrap()
@@ -459,7 +457,7 @@ mod tests {
 
     fn routed_intake(src: &str) -> Arc<CompiledIntake> {
         let parts = EngineBuilder::parse(src).unwrap().stock_routing().compile().unwrap();
-        CompiledIntake::compile(parts.intake)
+        CompiledIntake::compile(&parts.intake)
     }
 
     /// Prices 1..=8, one row each.
@@ -564,5 +562,146 @@ mod tests {
         assert_eq!(skipped.metrics().idle_rounds, 1);
         assert_eq!(skipped.class_counters(), pushed.class_counters());
         assert_eq!(skipped.watermark(), pushed.watermark());
+    }
+
+    /// Float cells and literals: both NaN signs, both zeros, both
+    /// infinities, fractions, and the `2^53` / `2^63` neighbourhoods where an
+    /// int stops being exactly one `f64`.
+    const FLOATS: &[f64] = &[
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+        -1.0,
+        3.5,
+        9_007_199_254_740_991.0,      // 2^53 - 1
+        9_007_199_254_740_992.0,      // 2^53
+        9_007_199_254_740_994.0,      // 2^53 + 2: the next float
+        -9_007_199_254_740_992.0,     // -2^53
+        9_223_372_036_854_775_808.0,  // 2^63 > i64::MAX
+        -9_223_372_036_854_775_808.0, // -2^63 = i64::MIN
+    ];
+
+    const TWO_53: i64 = 1 << 53;
+
+    const INTS: &[i64] = &[
+        i64::MIN,
+        i64::MIN + 1,
+        -TWO_53 - 1,
+        -TWO_53,
+        -1,
+        0,
+        1,
+        3,
+        TWO_53 - 1,
+        TWO_53,
+        TWO_53 + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+
+    const STRS: &[&str] = &["IBM", "Sun", "Zed"];
+
+    /// A stock batch whose `name` (string), `price` (float) and `volume`
+    /// (int) cells come from the edge domains; `dict` encodes `name`.
+    fn edge_batch(rows: &[(usize, usize, usize)], dict: bool) -> EventBatch {
+        let mut b = EventBatch::builder(Schema::stocks(), rows.len());
+        for (i, (s, f, n)) in rows.iter().enumerate() {
+            let row = [
+                Value::Int(i as i64),
+                Value::str(STRS[*s]),
+                Value::Float(FLOATS[*f]),
+                Value::Int(INTS[*n]),
+            ];
+            b.push_row(i as u64, &row).unwrap();
+        }
+        b.finish_with(if dict { DictMode::Force } else { DictMode::Plain })
+    }
+
+    /// Every intake predicate shape over the string, float and int columns:
+    /// each comparison against every edge literal with the literal on
+    /// either side (`StrEq` / `CmpLit`), and two row-wise (`General`)
+    /// expressions per literal.
+    fn intake_exprs() -> Vec<TypedExpr> {
+        let lits = FLOATS
+            .iter()
+            .map(|f| Value::Float(*f))
+            .chain(INTS.iter().map(|n| Value::Int(*n)))
+            .chain(STRS.iter().copied().map(Value::str));
+        let lits: Vec<Value> = lits.collect();
+        let bin = |op, l, r| TypedExpr::Binary(op, Box::new(l), Box::new(r));
+        let mut out = Vec::new();
+        for (field, ty) in [(1, ValueType::Str), (2, ValueType::Float), (3, ValueType::Int)] {
+            let attr = || TypedExpr::Attr { class: 0, field, ty };
+            for &lit in &lits {
+                for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+                    out.push(bin(op, attr(), TypedExpr::Lit(lit)));
+                    out.push(bin(op, TypedExpr::Lit(lit), attr()));
+                }
+                let doubled = bin(BinOp::Mul, attr(), TypedExpr::Lit(Value::Float(2.0)));
+                out.push(bin(BinOp::Gt, doubled, TypedExpr::Lit(lit)));
+                let at_least = bin(BinOp::Ge, attr(), TypedExpr::Lit(lit));
+                let at_most = bin(BinOp::Le, TypedExpr::Lit(lit), attr());
+                out.push(bin(BinOp::And, at_least, at_most));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_expressions_compile_to_every_variant() {
+        let preds: Vec<IntakePred> = intake_exprs().iter().map(IntakePred::compile).collect();
+        assert!(preds.iter().any(|p| matches!(p, IntakePred::StrEq { .. })));
+        assert!(preds.iter().any(|p| matches!(p, IntakePred::CmpLit { .. })));
+        assert!(preds.iter().any(|p| matches!(p, IntakePred::General(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24 })]
+
+        /// A compiled intake predicate decides every row exactly as its
+        /// expression does when evaluated against the row's event — what
+        /// the oracle does — both row-wise (`passes`) and, for the kernel
+        /// variants, column-wise (`eval_column`). Row counts cross a 64-row
+        /// bitmap word.
+        #[test]
+        fn compiled_intake_decides_like_the_expression(
+            rows in prop::collection::vec(
+                (0usize..STRS.len(), 0usize..FLOATS.len(), 0usize..INTS.len()),
+                0..100,
+            ),
+            dict: bool,
+        ) {
+            let batch = edge_batch(&rows, dict);
+            let events: Vec<EventRef> = batch.iter().collect();
+            let mut bits = Bitmap::new();
+            for expr in &intake_exprs() {
+                let pred = IntakePred::compile(expr);
+                if pred.is_kernel() {
+                    pred.eval_column(&batch, &mut bits);
+                }
+                for (row, event) in events.iter().enumerate() {
+                    let expected = matches!(
+                        expr.eval(&OneClassBinding { class: 0, event }),
+                        Ok(Value::Bool(true))
+                    );
+                    prop_assert_eq!(
+                        pred.passes(&batch, row, 0),
+                        expected,
+                        "passes: {:?} on row {} ({:?})", expr, row, event
+                    );
+                    if pred.is_kernel() {
+                        prop_assert_eq!(
+                            bits.get(row),
+                            expected,
+                            "eval_column: {:?} on row {} ({:?})", expr, row, event
+                        );
+                    }
+                }
+            }
+        }
     }
 }

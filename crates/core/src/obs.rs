@@ -32,8 +32,8 @@ pub struct EngineObs {
     /// predicates evaluated per batch).
     pub kernel_rows_evaluated: Counter,
     /// `zstream_kernel_fallback_rows_total{query}` — rows that went through
-    /// a row-at-a-time intake path instead of a kernel: per-event routing,
-    /// sparse selections, and `General` predicates with no columnar kernel.
+    /// a row-at-a-time intake path instead of a kernel: sparse selections
+    /// and `General` predicates with no columnar kernel.
     pub kernel_fallback_rows: Counter,
     /// Trace ring for batch-level `assembly_round` events; `None`
     /// disables tracing while keeping the counters.

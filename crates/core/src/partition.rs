@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use zstream_events::{
-    EventBatch, EventRef, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotResult, SnapshotWriter, Ts,
+    EventBatch, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
+    SnapshotWriter,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 use zstream_obs::TraceKind;
@@ -95,8 +95,6 @@ pub struct PartitionedEngine {
     /// Compiled once here and shared with every per-key engine.
     // zlint::allow(snapshot, "restore_snapshot receives the intake predicates from the caller; not checkpoint state")
     intake: Arc<CompiledIntake>,
-    // zlint::allow(snapshot, "restore_snapshot receives the batch size from the caller; not checkpoint state")
-    batch_size: usize,
     /// Field index of the partition attribute per class schema — all class
     /// schemas must agree on the field name; events are keyed through the
     /// first class's schema (events that match no schema are dropped).
@@ -126,8 +124,7 @@ impl PartitionedEngine {
     pub fn new(
         compiled: CompiledQuery,
         plan_config: PlanConfig,
-        intake: Vec<Vec<TypedExpr>>,
-        batch_size: usize,
+        intake: &[Vec<TypedExpr>],
         field: impl Into<String>,
     ) -> Result<PartitionedEngine, CoreError> {
         let field = field.into();
@@ -141,7 +138,6 @@ impl PartitionedEngine {
             compiled,
             plan_config,
             intake: CompiledIntake::compile(intake),
-            batch_size,
             field,
             partitions: HashMap::new(),
             intake_mode: crate::engine::IntakeMode::default(),
@@ -183,95 +179,19 @@ impl PartitionedEngine {
         self.subscription = Some(subscription);
     }
 
-    /// Pushes one event into its partition; returns completed matches.
-    pub fn push(&mut self, event: EventRef) -> Vec<Record> {
-        self.events_in += 1;
-        let Ok(value) = event.value_by_name(&self.field) else {
-            self.dropped += 1;
-            return Vec::new();
-        };
-        let key = value.hash_key();
-        self.partition_mut(key).push(event)
-    }
-
-    /// Routes a whole batch and forces one evaluation round in every
-    /// partition that received events, so no match whose trigger is in
-    /// `events` stays buffered past this call. This is the latency/finality
-    /// guarantee the scale-out runtime's watermark protocol relies on: after
-    /// `push_batch` returns, every future match has an end timestamp no
-    /// earlier than the last timestamp of `events`.
+    /// Routes a whole columnar batch: extracts the partition key from the
+    /// routing column (one field resolution per batch, integer keys
+    /// throughout), hands each partition its rows as a selection into the
+    /// shared batch, and forces one evaluation round in every partition
+    /// that received rows, so no match whose trigger is in `batch` stays
+    /// buffered past this call. This is the latency/finality guarantee the
+    /// scale-out runtime's watermark protocol relies on: after the call
+    /// returns, every future match has an end timestamp no earlier than the
+    /// batch's last timestamp.
     ///
     /// Output is ordered by end timestamp across partitions (ties keep the
     /// first-seen-key partition order), so it is deterministic for a given
     /// input stream.
-    pub fn push_batch(&mut self, events: &[EventRef]) -> Vec<Record> {
-        // Group by key, preserving both intra-key event order and the
-        // first-seen order of keys (HashMap iteration order would be
-        // nondeterministic).
-        let mut order: Vec<HashableValue> = Vec::new();
-        let mut groups: HashMap<HashableValue, Vec<EventRef>> = HashMap::new();
-        for event in events {
-            self.events_in += 1;
-            let Ok(value) = event.value_by_name(&self.field) else {
-                self.dropped += 1;
-                continue;
-            };
-            let key = value.hash_key();
-            match groups.get_mut(&key) {
-                Some(group) => group.push(event.clone()),
-                None => {
-                    order.push(key);
-                    groups.insert(key, vec![event.clone()]);
-                }
-            }
-        }
-        let Some(last) = events.last() else { return Vec::new() };
-        self.push_groups(last.ts(), order, groups, |engine, group| engine.push_batch(&group))
-    }
-
-    /// Shared tail of every batch intake path: hands each key's group (keys
-    /// in first-seen `order`) to that key's engine, forcing a round there,
-    /// and returns all matches ordered by end timestamp — stable, so ties
-    /// keep key order. One `assembly_round` trace event covers the whole
-    /// call when any key assembled; per-key engines have no ring.
-    fn push_groups<G>(
-        &mut self,
-        last_ts: Ts,
-        order: Vec<HashableValue>,
-        mut groups: HashMap<HashableValue, G>,
-        mut push: impl FnMut(&mut Engine, G) -> Vec<Record>,
-    ) -> Vec<Record> {
-        let trace = self.obs.as_ref().and_then(|obs| obs.trace.clone());
-        let start = trace.as_ref().map(|_| std::time::Instant::now());
-        let (mut out, mut rounds) = (Vec::new(), 0u64);
-        for key in order {
-            let group = groups.remove(&key).expect("every key in `order` has a group");
-            let engine = self.partition_mut(key);
-            let before = engine.metrics().assembly_rounds;
-            out.extend(push(engine, group));
-            rounds += engine.metrics().assembly_rounds - before;
-        }
-        out.sort_by_key(Record::end_ts);
-        if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
-            if rounds > 0 {
-                let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                trace.emit(
-                    last_ts,
-                    obs.shard,
-                    Some(&obs.query),
-                    TraceKind::AssemblyRound,
-                    format!("rounds={rounds} matches={} ns={ns}", out.len()),
-                );
-            }
-        }
-        out
-    }
-
-    /// Columnar variant of [`PartitionedEngine::push_batch`]: extracts the
-    /// partition key from the routing column (one field resolution per
-    /// batch, integer keys throughout) and hands each partition its rows as
-    /// cheap handles. Output ordering and round-forcing semantics are
-    /// identical to `push_batch` over the same rows.
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
         self.push_intake(batch, None, None)
     }
@@ -293,8 +213,8 @@ impl PartitionedEngine {
         self.push_intake(batch, rows, Some(index))
     }
 
-    /// Both columnar entries: count the selection offered, resolve the
-    /// partition field once, and key the rows.
+    /// Both entries: count the selection offered, resolve the partition
+    /// field once, and key the rows.
     fn push_intake(
         &mut self,
         batch: &EventBatch,
@@ -315,10 +235,12 @@ impl PartitionedEngine {
 
     /// Groups the given rows by partition key (first-seen key order,
     /// intra-key stream order), hands each partition its row selection
-    /// (forcing a round per receiving partition), and emits in
-    /// end-timestamp order. Groups hold 4-byte row indices, not event
-    /// handles — the batch stays shared storage all the way into each
-    /// partition's [`Engine::push_rows`].
+    /// (forcing a round per receiving partition), and returns all matches
+    /// ordered by end timestamp — stable, so ties keep key order. Groups
+    /// hold 4-byte row indices, not event handles — the batch stays shared
+    /// storage all the way into each partition's [`Engine::push_rows`]. One
+    /// `assembly_round` trace event covers the whole call when any key
+    /// assembled; per-key engines have no ring.
     fn push_selected(
         &mut self,
         batch: &EventBatch,
@@ -344,9 +266,30 @@ impl PartitionedEngine {
         let Some(last_ts) = last_row.map(|row| batch.ts_column()[row as usize]) else {
             return Vec::new();
         };
-        self.push_groups(last_ts, order, groups, |engine, group| {
-            engine.push_intake(batch, Some(&group), index.as_deref_mut())
-        })
+        let trace = self.obs.as_ref().and_then(|obs| obs.trace.clone());
+        let start = trace.as_ref().map(|_| std::time::Instant::now());
+        let (mut out, mut rounds) = (Vec::new(), 0u64);
+        for key in order {
+            let group = groups.remove(&key).expect("every key in `order` has a group");
+            let engine = self.partition_mut(key);
+            let before = engine.metrics().assembly_rounds;
+            out.extend(engine.push_intake(batch, Some(&group), index.as_deref_mut()));
+            rounds += engine.metrics().assembly_rounds - before;
+        }
+        out.sort_by_key(Record::end_ts);
+        if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
+            if rounds > 0 {
+                let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                trace.emit(
+                    last_ts,
+                    obs.shard,
+                    Some(&obs.query),
+                    TraceKind::AssemblyRound,
+                    format!("rounds={rounds} matches={} ns={ns}", out.len()),
+                );
+            }
+        }
+        out
     }
 
     /// The engine owning `key`, created from the compiled template on first
@@ -357,12 +300,8 @@ impl PartitionedEngine {
                 .compiled
                 .physical_plan(self.plan_config.clone())
                 .expect("template plan was validated at construction");
-            let mut engine = Engine::with_intake(
-                self.compiled.aq.clone(),
-                plan,
-                self.intake.clone(),
-                self.batch_size,
-            );
+            let mut engine =
+                Engine::with_intake(self.compiled.aq.clone(), plan, self.intake.clone());
             engine.set_intake_mode(self.intake_mode);
             if let Some(subscription) = &self.subscription {
                 engine.set_subscription(subscription.clone());
@@ -409,8 +348,7 @@ impl PartitionedEngine {
     /// is *not* handed down: a batch touching K keys would emit K
     /// `assembly_round` events, so this engine emits one per batch push
     /// instead (`rounds=… matches=… ns=…`, `ns` covering the per-key
-    /// intake and rounds of that push). The per-event [`Self::push`] is not
-    /// traced.
+    /// intake and rounds of that push).
     pub fn set_obs(&mut self, obs: crate::obs::EngineObs) {
         for e in self.partitions.values_mut() {
             e.set_obs(obs.without_trace());
@@ -425,18 +363,18 @@ impl PartitionedEngine {
     }
 
     /// Rebuilds a partitioned engine from a [`Snapshot`] stream. The
-    /// compiled query, plan configuration, intake predicates, batch size
-    /// and partition field must match what the snapshotted engine ran —
-    /// checkpoints carry state, not code.
+    /// compiled query, plan configuration, intake predicates and partition
+    /// field must match what the snapshotted engine ran — checkpoints carry
+    /// state, not code. The intake compiles once, shared by every restored
+    /// partition engine.
     pub fn restore_snapshot(
         compiled: CompiledQuery,
         plan_config: PlanConfig,
-        intake: Vec<Vec<TypedExpr>>,
-        batch_size: usize,
+        intake: &[Vec<TypedExpr>],
         field: impl Into<String>,
         r: &mut SnapshotReader<'_>,
     ) -> SnapshotResult<PartitionedEngine> {
-        let mut pe = PartitionedEngine::new(compiled, plan_config, intake, batch_size, field)
+        let mut pe = PartitionedEngine::new(compiled, plan_config, intake, field)
             .map_err(|e| SnapshotError::Corrupt(format!("invalid partition template: {e}")))?;
         pe.events_in = r.u64()?;
         pe.dropped = r.u64()?;
@@ -447,13 +385,8 @@ impl PartitionedEngine {
                 .compiled
                 .physical_plan(pe.plan_config.clone())
                 .map_err(|e| SnapshotError::Corrupt(format!("plan rebuild failed: {e}")))?;
-            let engine = Engine::restore_snapshot(
-                pe.compiled.aq.clone(),
-                plan,
-                pe.intake.exprs.clone(),
-                pe.batch_size,
-                r,
-            )?;
+            let engine =
+                Engine::restore_snapshot(pe.compiled.aq.clone(), plan, pe.intake.clone(), r)?;
             if pe.partitions.insert(key, engine).is_some() {
                 return Err(SnapshotError::Corrupt(format!("duplicate partition key {key:?}")));
             }
@@ -484,7 +417,7 @@ impl Snapshot for PartitionedEngine {
 mod tests {
     use super::*;
     use crate::builder::{build_intake, CompiledQuery};
-    use zstream_events::{stock, Schema};
+    use zstream_events::{stock, EventRef, Schema};
     use zstream_lang::{analyze, Query, SchemaMap};
 
     fn compiled(src: &str) -> CompiledQuery {
@@ -518,12 +451,31 @@ mod tests {
         assert!(!can_partition_by(&aq, "name"), "C is not connected");
     }
 
+    /// Packs a stream into columnar batches of `size` rows each.
+    fn batches(events: &[EventRef], size: usize) -> Vec<EventBatch> {
+        events.chunks(size).map(|chunk| EventBatch::from_events(chunk).unwrap()).collect()
+    }
+
+    /// The row handles of `batches`, in stream order — what match
+    /// signatures identify events by.
+    fn handles(batches: &[EventBatch]) -> Vec<EventRef> {
+        batches.iter().flat_map(EventBatch::iter).collect()
+    }
+
+    /// One stock event per index in `range` (timestamp index + 1), its name
+    /// picked from `names` with stride `step`.
+    fn stream(range: std::ops::Range<u64>, names: &[&str], step: usize) -> Vec<EventRef> {
+        range
+            .map(|i| stock(i + 1, i as i64, names[(i as usize * step) % names.len()], i as f64, 1))
+            .collect()
+    }
+
     #[test]
     fn construction_rejects_unsound_partitioning() {
         let c = compiled("PATTERN A; B WITHIN 10");
         let intake = build_intake(&c.aq, None).unwrap();
         assert!(matches!(
-            PartitionedEngine::new(c, PlanConfig::default(), intake, 4, "name"),
+            PartitionedEngine::new(c, PlanConfig::default(), &intake, "name"),
             Err(CoreError::UnsupportedPattern(_))
         ));
     }
@@ -532,12 +484,17 @@ mod tests {
     fn partitioned_matches_only_within_keys() {
         let c = compiled("PATTERN A; B WHERE A.name = B.name WITHIN 100");
         let intake = build_intake(&c.aq, None).unwrap();
-        let mut pe = PartitionedEngine::new(c, PlanConfig::default(), intake, 1, "name").unwrap();
+        let mut pe = PartitionedEngine::new(c, PlanConfig::default(), &intake, "name").unwrap();
+        let events = [
+            stock(1, 1, "IBM", 1.0, 1),
+            stock(2, 2, "Sun", 1.0, 1),
+            stock(3, 3, "Sun", 2.0, 1), // Sun;Sun ✓
+            stock(4, 4, "IBM", 2.0, 1), // IBM;IBM ✓
+        ];
         let mut matches = Vec::new();
-        matches.extend(pe.push(stock(1, 1, "IBM", 1.0, 1)));
-        matches.extend(pe.push(stock(2, 2, "Sun", 1.0, 1)));
-        matches.extend(pe.push(stock(3, 3, "Sun", 2.0, 1))); // Sun;Sun ✓
-        matches.extend(pe.push(stock(4, 4, "IBM", 2.0, 1))); // IBM;IBM ✓
+        for batch in batches(&events, 1) {
+            matches.extend(pe.push_columns(&batch));
+        }
         matches.extend(pe.flush());
         assert_eq!(matches.len(), 2);
         assert_eq!(pe.num_partitions(), 2);
@@ -548,29 +505,25 @@ mod tests {
     fn partitioned_equals_unpartitioned() {
         let src = "PATTERN A; B; C WHERE A.name = B.name = C.name WITHIN 50";
         // Small alphabet so partitions receive several events each.
-        let names = ["IBM", "Sun", "Oracle"];
-        let events: Vec<EventRef> = (0..120u64)
-            .map(|i| stock(i + 1, i as i64, names[(i as usize * 7) % 3], i as f64, 1))
-            .collect();
+        let batches = batches(&stream(0..120, &["IBM", "Sun", "Oracle"], 7), 4);
 
         let c = compiled(src);
         let intake = build_intake(&c.aq, None).unwrap();
         let mut pe =
-            PartitionedEngine::new(c.clone(), PlanConfig::default(), intake.clone(), 4, "name")
-                .unwrap();
+            PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
         let mut part_out = Vec::new();
-        for e in &events {
-            part_out.extend(pe.push(e.clone()));
+        for batch in &batches {
+            part_out.extend(pe.push_columns(batch));
         }
         part_out.extend(pe.flush());
         let mut part_sigs: Vec<_> = part_out.iter().map(|r| pe.record_signature(r)).collect();
         part_sigs.sort();
 
         let plan = c.physical_plan(PlanConfig::default()).unwrap();
-        let mut engine = Engine::new(c.aq.clone(), plan, intake, 4);
+        let mut engine = Engine::new(c.aq.clone(), plan, &intake);
         let mut flat_out = Vec::new();
-        for e in &events {
-            flat_out.extend(engine.push(e.clone()));
+        for batch in &batches {
+            flat_out.extend(engine.push_columns(batch));
         }
         flat_out.extend(engine.flush());
         let mut flat_sigs: Vec<_> = flat_out.iter().map(|r| engine.record_signature(r)).collect();
@@ -581,54 +534,39 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_equals_per_event_push_and_orders_output() {
+    fn push_columns_matches_oracle_and_orders_output() {
         let src = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
-        let names = ["IBM", "Sun", "Oracle", "HP"];
-        let events: Vec<EventRef> = (0..80u64)
-            .map(|i| stock(i + 1, i as i64, names[(i as usize * 5) % 4], i as f64, 1))
-            .collect();
+        let batches = batches(&stream(0..80, &["IBM", "Sun", "Oracle", "HP"], 5), 7);
 
         let c = compiled(src);
         let intake = build_intake(&c.aq, None).unwrap();
-        let mut batched =
-            PartitionedEngine::new(c.clone(), PlanConfig::default(), intake.clone(), 4, "name")
-                .unwrap();
-        let mut batched_out = Vec::new();
-        for chunk in events.chunks(7) {
-            let out = batched.push_batch(chunk);
+        let mut pe =
+            PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
+        let mut out = Vec::new();
+        for batch in &batches {
+            let matches = pe.push_columns(batch);
             assert!(
-                out.windows(2).all(|w| w[0].end_ts() <= w[1].end_ts()),
-                "push_batch output must be end-ts ordered"
+                matches.windows(2).all(|w| w[0].end_ts() <= w[1].end_ts()),
+                "push_columns output must be end-ts ordered"
             );
-            batched_out.extend(out);
+            out.extend(matches);
         }
-        batched_out.extend(batched.flush());
+        out.extend(pe.flush());
 
-        let mut single =
-            PartitionedEngine::new(c, PlanConfig::default(), intake, 4, "name").unwrap();
-        let mut single_out = Vec::new();
-        for e in &events {
-            single_out.extend(single.push(e.clone()));
-        }
-        single_out.extend(single.flush());
-
-        let mut b_sigs: Vec<_> = batched_out.iter().map(|r| batched.record_signature(r)).collect();
-        let mut s_sigs: Vec<_> = single_out.iter().map(|r| single.record_signature(r)).collect();
-        b_sigs.sort();
-        s_sigs.sort();
-        assert!(!b_sigs.is_empty());
-        assert_eq!(b_sigs, s_sigs);
-        assert_eq!(batched.metrics().events_in, events.len() as u64);
-        assert_eq!(batched.metrics().matches_out, single.metrics().matches_out);
+        let mut sigs: Vec<_> = out.iter().map(|r| pe.record_signature(r)).collect();
+        sigs.sort();
+        let events = handles(&batches);
+        let oracle = crate::reference::reference_signatures(&c.aq, &intake, &events);
+        assert!(!sigs.is_empty());
+        assert_eq!(sigs, oracle);
+        assert_eq!(pe.metrics().events_in, events.len() as u64);
+        assert_eq!(pe.metrics().matches_out, oracle.len() as u64);
     }
 
     #[test]
     fn push_rows_equals_push_columns_on_the_selected_subset() {
         let src = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
-        let names = ["IBM", "Sun", "Oracle", "HP"];
-        let events: Vec<EventRef> = (0..60u64)
-            .map(|i| stock(i + 1, i as i64, names[(i as usize * 5) % 4], i as f64, 1))
-            .collect();
+        let events = stream(0..60, &["IBM", "Sun", "Oracle", "HP"], 5);
         let batch = EventBatch::from_events(&events).unwrap();
         // Every third row: the kind of selection a shard receives.
         let rows: Vec<u32> = (0..batch.len() as u32).filter(|r| r % 3 == 0).collect();
@@ -636,8 +574,7 @@ mod tests {
         let c = compiled(src);
         let intake = build_intake(&c.aq, None).unwrap();
         let mut by_rows =
-            PartitionedEngine::new(c.clone(), PlanConfig::default(), intake.clone(), 4, "name")
-                .unwrap();
+            PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
         let mut index = SharedPredIndex::new();
         by_rows.subscribe(&mut index);
         index.begin_batch();
@@ -646,7 +583,7 @@ mod tests {
 
         let sub = batch.select(&rows);
         let mut by_columns =
-            PartitionedEngine::new(c, PlanConfig::default(), intake, 4, "name").unwrap();
+            PartitionedEngine::new(c, PlanConfig::default(), &intake, "name").unwrap();
         let mut b = by_columns.push_columns(&sub);
         b.extend(by_columns.flush());
 
@@ -664,7 +601,7 @@ mod tests {
         let src = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
         let c = compiled(src);
         let intake = build_intake(&c.aq, None).unwrap();
-        let mut pe = PartitionedEngine::new(c, PlanConfig::default(), intake, 4, "name").unwrap();
+        let mut pe = PartitionedEngine::new(c, PlanConfig::default(), &intake, "name").unwrap();
         // A batch whose schema has no `name` field: every selected row is
         // dropped, no partition materializes.
         let mut wb = EventBatch::builder(zstream_events::Schema::weblog(), 2);
@@ -682,44 +619,35 @@ mod tests {
         assert_eq!(pe.metrics().events_in, 2, "dropped rows still count as offered");
     }
 
-    #[test]
-    fn partitioned_snapshot_round_trips_with_stable_bytes() {
-        let src = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
-        let names = ["IBM", "Sun", "Oracle", "HP"];
-        let events: Vec<EventRef> = (0..40u64)
-            .map(|i| stock(i + 1, i as i64, names[(i as usize * 5) % 4], i as f64, 1))
-            .collect();
-        let c = compiled(src);
+    /// A two-class keyed query fed 40 events in batches of 4, and the
+    /// bytes of its snapshot.
+    fn snapshotted() -> (CompiledQuery, Vec<Vec<TypedExpr>>, PartitionedEngine, Vec<u8>) {
+        let c = compiled("PATTERN A; B WHERE A.name = B.name WITHIN 100");
         let intake = build_intake(&c.aq, None).unwrap();
         let mut pe =
-            PartitionedEngine::new(c.clone(), PlanConfig::default(), intake.clone(), 4, "name")
-                .unwrap();
-        let mut head_out = Vec::new();
-        for e in &events {
-            head_out.extend(pe.push(e.clone()));
+            PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
+        for batch in batches(&stream(0..40, &["IBM", "Sun", "Oracle", "HP"], 5), 4) {
+            pe.push_columns(&batch);
         }
         assert!(pe.num_partitions() > 1);
+        let mut w = SnapshotWriter::new();
+        pe.write_snapshot(&mut w);
+        (c, intake, pe, w.into_bytes())
+    }
 
-        let snap = |pe: &PartitionedEngine| {
-            let mut w = SnapshotWriter::new();
-            pe.write_snapshot(&mut w);
-            w.into_bytes()
-        };
-        let bytes = snap(&pe);
+    #[test]
+    fn partitioned_snapshot_round_trips_with_stable_bytes() {
+        let (c, intake, mut pe, bytes) = snapshotted();
         // Digest-sorted partition order: re-snapshotting identical state is
         // byte-identical despite HashMap iteration order.
-        assert_eq!(bytes, snap(&pe));
+        let mut w = SnapshotWriter::new();
+        pe.write_snapshot(&mut w);
+        assert_eq!(bytes, w.into_bytes());
 
         let mut r = SnapshotReader::new(&bytes);
-        let mut restored = PartitionedEngine::restore_snapshot(
-            c,
-            PlanConfig::default(),
-            intake,
-            4,
-            "name",
-            &mut r,
-        )
-        .unwrap();
+        let mut restored =
+            PartitionedEngine::restore_snapshot(c, PlanConfig::default(), &intake, "name", &mut r)
+                .unwrap();
         assert!(r.is_exhausted());
         assert_eq!(restored.num_partitions(), pe.num_partitions());
         assert_eq!(restored.metrics().events_in, pe.metrics().events_in);
@@ -727,17 +655,31 @@ mod tests {
 
         // Tail equivalence: both engines see the same continuation and must
         // produce the same spans in the same order.
-        let tail: Vec<EventRef> = (40..60u64)
-            .map(|i| stock(i + 1, i as i64, names[(i as usize * 5) % 4], i as f64, 1))
-            .collect();
+        let tail =
+            EventBatch::from_events(&stream(40..60, &["IBM", "Sun", "Oracle", "HP"], 5)).unwrap();
         let spans =
             |recs: &[Record]| recs.iter().map(|r| (r.start_ts(), r.end_ts())).collect::<Vec<_>>();
-        let mut a = pe.push_batch(&tail);
+        let mut a = pe.push_columns(&tail);
         a.extend(pe.flush());
-        let mut b = restored.push_batch(&tail);
+        let mut b = restored.push_columns(&tail);
         b.extend(restored.flush());
         assert!(!a.is_empty());
         assert_eq!(spans(&a), spans(&b));
+    }
+
+    #[test]
+    fn restored_partitions_share_one_compiled_intake() {
+        let (c, intake, _, bytes) = snapshotted();
+        let mut r = SnapshotReader::new(&bytes);
+        let mut restored =
+            PartitionedEngine::restore_snapshot(c, PlanConfig::default(), &intake, "name", &mut r)
+                .unwrap();
+        // A key first seen after the restore is built the ordinary way.
+        restored.push_columns(&EventBatch::from_events(&[stock(99, 0, "Dell", 1.0, 1)]).unwrap());
+        assert!(restored.num_partitions() > 2);
+        for engine in restored.partitions.values() {
+            assert!(Arc::ptr_eq(engine.intake(), &restored.intake), "intake compiled twice");
+        }
     }
 
     #[test]

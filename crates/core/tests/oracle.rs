@@ -1,12 +1,15 @@
 //! Oracle tests: the engine must produce *exactly* the matches enumerated by
 //! the brute-force reference matcher — for every plan shape, with hashing on
-//! and off, with EAT pruning on and off, and for every batch size. This
+//! and off, with EAT pruning on and off, and for every batch size. Streams
+//! are packed into columnar batches (one engine round each), and the oracle
+//! runs over the batches' own row handles, since a match signature
+//! identifies events by handle. This
 //! pins down the exactly-once semantics of the batch-iterator model (§4.3)
 //! and the correctness of each operator algorithm (§4.4).
 
 use zstream_core::reference::{reference_signatures, Signature};
 use zstream_core::{build_intake, EngineBuilder, EngineConfig, NegStrategy, PlanConfig, PlanShape};
-use zstream_events::{stock, EventRef};
+use zstream_events::{stock, EventBatch, EventRef};
 use zstream_lang::Query;
 
 /// Deterministic pseudo-random stream of stock events over a small alphabet,
@@ -31,34 +34,47 @@ fn gen_stream(seed: u64, len: usize, names: &[&str]) -> Vec<EventRef> {
         .collect()
 }
 
-fn engine_signatures(
-    src: &str,
-    shape: Option<PlanShape>,
-    neg: NegStrategy,
-    batch_size: usize,
-    plan_cfg: PlanConfig,
-    events: &[EventRef],
-) -> Vec<Signature> {
-    let mut b = EngineBuilder::parse(src)
-        .unwrap()
-        .stock_routing()
-        .neg_strategy(neg)
-        .config(EngineConfig { batch_size, plan: plan_cfg });
-    if let Some(s) = shape {
-        b = b.shape(s);
-    }
-    let mut engine = b.build().unwrap();
+/// Packs `events` into batches of `size` rows; returns the batches and
+/// their row handles in stream order.
+fn pack(events: &[EventRef], size: usize) -> (Vec<EventBatch>, Vec<EventRef>) {
+    let batches: Vec<EventBatch> =
+        events.chunks(size).map(|chunk| EventBatch::from_events(chunk).unwrap()).collect();
+    let handles = batches.iter().flat_map(EventBatch::iter).collect();
+    (batches, handles)
+}
+
+/// Sorted signatures of one engine's output over `batches`, asserting it
+/// emitted no match twice.
+fn run_signatures(engine: &mut zstream_core::Engine, batches: &[EventBatch]) -> Vec<Signature> {
     let mut out = Vec::new();
-    for e in events {
-        out.extend(engine.push(e.clone()));
+    for batch in batches {
+        out.extend(engine.push_columns(batch));
     }
     out.extend(engine.flush());
     let mut sigs: Vec<Signature> = out.iter().map(|r| engine.record_signature(r)).collect();
     let before_dedup = sigs.len();
     sigs.sort();
     sigs.dedup();
-    assert_eq!(before_dedup, sigs.len(), "engine emitted duplicate matches for {src}");
+    assert_eq!(before_dedup, sigs.len(), "engine emitted duplicate matches");
     sigs
+}
+
+fn engine_signatures(
+    src: &str,
+    shape: Option<PlanShape>,
+    neg: NegStrategy,
+    plan: PlanConfig,
+    batches: &[EventBatch],
+) -> Vec<Signature> {
+    let mut b = EngineBuilder::parse(src)
+        .unwrap()
+        .stock_routing()
+        .neg_strategy(neg)
+        .config(EngineConfig { plan, ..Default::default() });
+    if let Some(s) = shape {
+        b = b.shape(s);
+    }
+    run_signatures(&mut b.build().unwrap(), batches)
 }
 
 fn reference_for(src: &str, events: &[EventRef]) -> Vec<Signature> {
@@ -77,28 +93,28 @@ fn reference_for(src: &str, events: &[EventRef]) -> Vec<Signature> {
 fn check_flat(src: &str, n_units: usize, seeds: std::ops::Range<u64>, names: &[&str]) {
     for seed in seeds {
         let events = gen_stream(seed, 40, names);
-        let expected = reference_for(src, &events);
         let shapes: Vec<PlanShape> = if n_units <= 4 {
             PlanShape::enumerate_all(n_units)
         } else {
             vec![PlanShape::left_deep(n_units), PlanShape::right_deep(n_units)]
         };
-        for shape in shapes {
-            for (batch, hash, prune) in [
-                (1, true, true),
-                (7, true, true),
-                (1000, true, true),
-                (3, false, true),
-                (5, true, false),
-            ] {
+        for (batch, hash, prune) in [
+            (1, true, true),
+            (7, true, true),
+            (1000, true, true),
+            (3, false, true),
+            (5, true, false),
+        ] {
+            let (batches, handles) = pack(&events, batch);
+            let expected = reference_for(src, &handles);
+            for shape in &shapes {
                 let cfg = PlanConfig { use_hash: hash, eat_pruning: prune };
                 let got = engine_signatures(
                     src,
                     Some(shape.clone()),
                     NegStrategy::PushdownPreferred,
-                    batch,
                     cfg,
-                    &events,
+                    &batches,
                 );
                 assert_eq!(
                     got, expected,
@@ -113,11 +129,11 @@ fn check_flat(src: &str, n_units: usize, seeds: std::ops::Range<u64>, names: &[&
 fn check_syntax(src: &str, seeds: std::ops::Range<u64>, names: &[&str]) {
     for seed in seeds {
         let events = gen_stream(seed, 30, names);
-        let expected = reference_for(src, &events);
         for (batch, hash) in [(1, true), (6, true), (4, false), (1000, true)] {
+            let (batches, handles) = pack(&events, batch);
+            let expected = reference_for(src, &handles);
             let cfg = PlanConfig { use_hash: hash, ..Default::default() };
-            let got =
-                engine_signatures(src, None, NegStrategy::PushdownPreferred, batch, cfg, &events);
+            let got = engine_signatures(src, None, NegStrategy::PushdownPreferred, cfg, &batches);
             assert_eq!(
                 got, expected,
                 "mismatch: seed={seed} batch={batch} hash={hash} query={src}"
@@ -185,15 +201,15 @@ fn negation_top_filter_matches_oracle() {
     let src = "PATTERN IBM; !Sun; Oracle WHERE Sun.price > IBM.price AND Sun.price < Oracle.price WITHIN 20";
     for seed in 0..8 {
         let events = gen_stream(seed, 40, &["IBM", "Sun", "Oracle"]);
-        let expected = reference_for(src, &events);
         for batch in [1, 9, 1000] {
+            let (batches, handles) = pack(&events, batch);
+            let expected = reference_for(src, &handles);
             let got = engine_signatures(
                 src,
                 None,
                 NegStrategy::TopFilter,
-                batch,
                 PlanConfig::default(),
-                &events,
+                &batches,
             );
             assert_eq!(got, expected, "seed={seed} batch={batch}");
         }
@@ -204,17 +220,16 @@ fn negation_top_filter_matches_oracle() {
 fn both_negation_strategies_agree() {
     let src = "PATTERN IBM; !Sun; Oracle WITHIN 15";
     for seed in 0..10 {
-        let events = gen_stream(seed, 45, &["IBM", "Sun", "Oracle"]);
+        let (batches, _) = pack(&gen_stream(seed, 45, &["IBM", "Sun", "Oracle"]), 4);
         let pushdown = engine_signatures(
             src,
             None,
             NegStrategy::PushdownPreferred,
-            4,
             PlanConfig::default(),
-            &events,
+            &batches,
         );
         let top =
-            engine_signatures(src, None, NegStrategy::TopFilter, 4, PlanConfig::default(), &events);
+            engine_signatures(src, None, NegStrategy::TopFilter, PlanConfig::default(), &batches);
         assert_eq!(pushdown, top, "strategies disagree at seed {seed}");
     }
 }
@@ -234,7 +249,7 @@ fn rewritten_negated_conjunction_matches_oracle() {
     // `(!Sun & !Google)` rewrites to `!(Sun | Google)` (§5.2.1) and must
     // produce identical results.
     for seed in 0..4 {
-        let events = gen_stream(seed, 35, &["IBM", "Sun", "Oracle", "Google"]);
+        let (batches, events) = pack(&gen_stream(seed, 35, &["IBM", "Sun", "Oracle", "Google"]), 3);
         let a = reference_for("PATTERN IBM; (!Sun & !Google); Oracle WITHIN 18", &events);
         let b = reference_for("PATTERN IBM; !(Sun | Google); Oracle WITHIN 18", &events);
         assert_eq!(a, b);
@@ -242,9 +257,8 @@ fn rewritten_negated_conjunction_matches_oracle() {
             "PATTERN IBM; (!Sun & !Google); Oracle WITHIN 18",
             None,
             NegStrategy::PushdownPreferred,
-            3,
             PlanConfig::default(),
-            &events,
+            &batches,
         );
         assert_eq!(got, a, "seed={seed}");
     }
@@ -344,7 +358,7 @@ fn equality_routing_query1_style() {
                  AND T1.price > T2.price AND T3.price < T2.price \
                WITHIN 18";
     for seed in 0..5 {
-        let events = gen_stream(seed, 35, &["IBM", "Google", "Sun"]);
+        let (batches, events) = pack(&gen_stream(seed, 35, &["IBM", "Google", "Sun"]), 4);
         let query = Query::parse(src).unwrap();
         let aq = zstream_lang::analyze(
             &query,
@@ -359,20 +373,12 @@ fn equality_routing_query1_style() {
                     .unwrap()
                     .shape(shape.clone())
                     .config(EngineConfig {
-                        batch_size: 4,
                         plan: PlanConfig { use_hash: hash, ..Default::default() },
+                        ..Default::default()
                     })
                     .build()
                     .unwrap();
-                let mut out = Vec::new();
-                for e in &events {
-                    out.extend(engine.push(e.clone()));
-                }
-                out.extend(engine.flush());
-                let mut sigs: Vec<Signature> =
-                    out.iter().map(|r| engine.record_signature(r)).collect();
-                sigs.sort();
-                sigs.dedup();
+                let sigs = run_signatures(&mut engine, &batches);
                 assert_eq!(sigs, expected, "seed={seed} shape={shape} hash={hash}");
             }
         }

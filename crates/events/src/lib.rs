@@ -22,8 +22,6 @@
 //!   pointers plus a start time and an end time. Composite events produced by
 //!   operators are `Record`s; `Slot::Many` holds Kleene-closure groups and
 //!   `Slot::None` represents the `(NULL, Rr)` rows emitted by NSEQ,
-//! * [`Batcher`] — splits an ordered event stream into fixed-size batches for
-//!   the batch-iterator model of §4.3,
 //! * [`ReorderBuffer`] / [`ColumnarReorder`] — the §4.1 reordering operator
 //!   for disordered streams: bounded-slack buffering with per-source
 //!   watermarks, lateness detection at the slack boundary, and (columnar
@@ -34,7 +32,6 @@
 //!   partitioning to a fixed shard count): per-shard row-index selections,
 //!   the zero-copy fan-out of the runtime's columnar ingest.
 
-mod batch;
 mod error;
 mod event;
 pub mod kernel;
@@ -48,7 +45,6 @@ mod sym;
 mod time;
 mod value;
 
-pub use batch::Batcher;
 pub use error::EventError;
 pub use event::{stock, Event, EventBuilder};
 pub use kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};

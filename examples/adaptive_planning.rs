@@ -16,14 +16,16 @@ use std::time::Instant;
 use zstream::core::{
     build_intake, AdaptiveConfig, AdaptiveEngine, CompiledQuery, Engine, PlanConfig,
 };
-use zstream::events::{Event, EventRef, Schema};
+use zstream::events::{Event, EventBatch, Schema};
 use zstream::lang::{Query, SchemaMap};
 use zstream::workload::{StockConfig, StockGenerator};
 
 const QUERY: &str = "PATTERN IBM; Sun; Oracle WITHIN 100";
 
-fn phase_stream(rates: [(&str, f64); 3], len: usize, seed: u64, ts_base: u64) -> Vec<EventRef> {
-    StockGenerator::generate(StockConfig::with_rates(&rates, len, seed))
+/// One phase's stream, shifted to start at `ts_base`, in batches of 1024
+/// rows (one engine round each).
+fn phase_stream(rates: [(&str, f64); 3], len: usize, seed: u64, ts_base: u64) -> Vec<EventBatch> {
+    let events: Vec<_> = StockGenerator::generate(StockConfig::with_rates(&rates, len, seed))
         .into_iter()
         .map(|e| {
             Event::builder(Schema::stocks(), ts_base + e.ts())
@@ -34,7 +36,8 @@ fn phase_stream(rates: [(&str, f64); 3], len: usize, seed: u64, ts_base: u64) ->
                 .build_ref()
                 .unwrap()
         })
-        .collect()
+        .collect();
+    events.chunks(1024).map(|chunk| EventBatch::from_events(chunk).unwrap()).collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,12 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None)?;
     let intake = build_intake(&compiled.aq, Some("name"))?;
-    let engine = Engine::new(
-        compiled.aq.clone(),
-        compiled.physical_plan(PlanConfig::default())?,
-        intake,
-        1024,
-    );
+    let engine =
+        Engine::new(compiled.aq.clone(), compiled.physical_plan(PlanConfig::default())?, &intake);
     let mut adaptive = AdaptiveEngine::new(
         engine,
         compiled.spec.clone(),
@@ -65,19 +64,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Query: {QUERY}\n");
     let mut ts_base = 0u64;
     for (i, (label, rates)) in phases.iter().enumerate() {
-        let events = phase_stream(*rates, per_phase, 1000 + i as u64, ts_base);
+        let batches = phase_stream(*rates, per_phase, 1000 + i as u64, ts_base);
         ts_base += per_phase as u64;
         let before = adaptive.engine().metrics();
         let t0 = Instant::now();
         let mut matches = 0usize;
-        for chunk in events.chunks(1024) {
-            matches += adaptive.push_batch(chunk).len();
+        for batch in &batches {
+            matches += adaptive.push_columns(batch).len();
         }
         let dt = t0.elapsed();
         let after = adaptive.engine().metrics();
         println!(
             "{label}: {:>9.0} events/s | {matches:>8} matches | replans +{} | switches +{}",
-            events.len() as f64 / dt.as_secs_f64(),
+            per_phase as f64 / dt.as_secs_f64(),
             after.replans - before.replans,
             after.plan_switches - before.plan_switches,
         );

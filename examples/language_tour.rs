@@ -5,8 +5,8 @@
 //! cargo run --example language_tour
 //! ```
 
-use zstream::core::{CompiledQuery, EngineBuilder, EngineConfig};
-use zstream::events::stock;
+use zstream::core::{CompiledQuery, EngineBuilder};
+use zstream::events::{stock, EventBatch};
 use zstream::lang::{Query, SchemaMap};
 
 fn demo(title: &str, src: &str, events: Vec<zstream::events::EventRef>) {
@@ -32,13 +32,11 @@ fn demo_with(title: &str, src: &str, events: Vec<zstream::events::EventRef>, rou
     if route {
         builder = builder.stock_routing();
     }
-    let mut engine = builder
-        .config(EngineConfig { batch_size: 1, ..Default::default() })
-        .build()
-        .expect("builds");
+    let mut engine = builder.build().expect("builds");
     let mut n = 0;
-    for e in events {
-        for m in engine.push(e) {
+    // One event per batch: every event is its own engine round.
+    for event in events.chunks(1) {
+        for m in engine.push_columns(&EventBatch::from_events(event).expect("one schema")) {
             n += 1;
             if n <= 2 {
                 println!("    match: {}", engine.format_match(&m));

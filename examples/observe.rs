@@ -114,12 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None)?;
     let intake = build_intake(&compiled.aq, Some("name"))?;
-    let mut engine = Engine::new(
-        compiled.aq.clone(),
-        compiled.physical_plan(PlanConfig::default())?,
-        intake,
-        1024,
-    );
+    let mut engine =
+        Engine::new(compiled.aq.clone(), compiled.physical_plan(PlanConfig::default())?, &intake);
     // Engine-level instruments (admissions, rounds, kernel-vs-row intake
     // split) for the adaptive query, next to the runtime's per-shard ones.
     engine.set_obs(zstream::core::EngineObs::register(&hub, "adaptive", None, None));
@@ -169,8 +165,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Kernel-intake split: rows evaluated by the columnar filter kernels
-    // vs rows that went through a row-at-a-time path (per-event pushes,
-    // sparse shard selections, General-predicate fallback).
+    // vs rows that went through a row-at-a-time path (sparse shard
+    // selections, General-predicate fallback).
     let total = |name: &str| {
         snap.metrics
             .iter()

@@ -8,8 +8,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use zstream::core::{CompiledQuery, Engine, EngineBuilder, EngineConfig};
-use zstream::events::stock;
+use zstream::core::{CompiledQuery, Engine, EngineBuilder};
+use zstream::events::{stock, EventBatch};
 use zstream::lang::{Query, SchemaMap};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,11 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Physical plan:\n{}", plan.render(&compiled.aq));
 
     // Build the engine and stream events through it.
-    let mut engine: Engine = EngineBuilder::parse(src)?
-        .config(EngineConfig { batch_size: 1, ..Default::default() })
-        .build()?;
+    let mut engine: Engine = EngineBuilder::parse(src)?.build()?;
 
-    let events = vec![
+    let events = [
         stock(1, 0, "IBM", 106.0, 100),    // T1: 106 > 105 = (1+5%)*100 ✓
         stock(2, 1, "Google", 100.0, 500), // the Google tick (T2)
         stock(3, 2, "Sun", 93.0, 200),     // different name: no T3 for IBM
@@ -49,8 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!("Streaming {} events...\n", events.len());
     let mut total = 0;
-    for e in events {
-        for m in engine.push(e) {
+    // Engines take columnar batches, one round each; a one-event batch per
+    // push reports every match as soon as its last event arrives.
+    for event in events.chunks(1) {
+        for m in engine.push_columns(&EventBatch::from_events(event)?) {
             total += 1;
             println!("MATCH {}", engine.format_match(&m));
         }

@@ -12,7 +12,7 @@
 //! cargo run --example stock_monitoring
 //! ```
 
-use zstream::core::{CompiledQuery, EngineBuilder, EngineConfig, Statistics};
+use zstream::core::{CompiledQuery, EngineBuilder, Statistics};
 use zstream::lang::{Query, SchemaMap};
 use zstream::workload::{StockConfig, StockGenerator};
 
@@ -40,13 +40,12 @@ fn negation_query() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("plan: {}", compiled.spec.as_ref().unwrap().describe(&compiled.aq));
 
-    let mut engine = EngineBuilder::parse(src)?
-        .config(EngineConfig { batch_size: 8, ..Default::default() })
-        .build()?;
-    let events = StockGenerator::generate(StockConfig::uniform(&["Google", "IBM"], 4_000, 7));
+    let mut engine = EngineBuilder::parse(src)?.build()?;
+    let batches =
+        StockGenerator::generate_batches(StockConfig::uniform(&["Google", "IBM"], 4_000, 7), 8);
     let mut matches = 0usize;
-    for e in &events {
-        matches += engine.push(e.clone()).len();
+    for batch in &batches {
+        matches += engine.push_columns(batch).len();
     }
     matches += engine.flush().len();
     println!("{matches} threshold-crossing rises without an interleaved dip\n");
@@ -63,18 +62,15 @@ fn kleene_query() -> Result<(), Box<dyn std::error::Error>> {
                  AND T3.price > (1 + 20%) * T1.price \
                WITHIN 40 \
                RETURN T1, sum(T2.volume), T3";
-    let mut engine = EngineBuilder::parse(src)?
-        .config(EngineConfig { batch_size: 16, ..Default::default() })
-        .build()?;
-    let events = StockGenerator::generate(StockConfig::with_rates(
-        &[("Google", 5.0), ("IBM", 1.0), ("Sun", 1.0)],
-        6_000,
-        21,
-    ));
+    let mut engine = EngineBuilder::parse(src)?.build()?;
+    let batches = StockGenerator::generate_batches(
+        StockConfig::with_rates(&[("Google", 5.0), ("IBM", 1.0), ("Sun", 1.0)], 6_000, 21),
+        16,
+    );
     let mut shown = 0usize;
     let mut matches = 0usize;
-    for e in &events {
-        for m in engine.push(e.clone()) {
+    for batch in &batches {
+        for m in engine.push_columns(batch) {
             matches += 1;
             if shown < 3 {
                 println!("  {}", engine.format_match(&m));

@@ -23,7 +23,11 @@ const QUERY8: &str = "PATTERN Publication; Project; Course \
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 150k records = 1/10 of the paper's trace; same Table 4 proportions.
-    let (events, stats) = WeblogGenerator::generate(&WeblogConfig::scaled(150_000, 2009));
+    // Columnar batches of 512 rows (one engine round each) for the tree
+    // plans; the NFA consumes the same rows one event at a time.
+    let (batches, stats) =
+        WeblogGenerator::generate_batches(&WeblogConfig::scaled(150_000, 2009), 512);
+    let events: Vec<_> = batches.iter().flat_map(|b| b.iter()).collect();
     println!("Synthetic web log (Table 4 shape):");
     println!(
         "  total {} | publication {} | project {} | course {}\n",
@@ -45,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let plan = compiled.physical_plan(PlanConfig::default())?;
         let intake = build_intake(&compiled.aq, Some("category"))?;
-        let mut engine = Engine::new(compiled.aq.clone(), plan, intake, 512);
+        let mut engine = Engine::new(compiled.aq.clone(), plan, &intake);
         let t0 = Instant::now();
         let mut matches = 0usize;
-        for chunk in events.chunks(512) {
-            matches += engine.push_batch(chunk).len();
+        for batch in &batches {
+            matches += engine.push_columns(batch).len();
         }
         matches += engine.flush().len();
         let dt = t0.elapsed();

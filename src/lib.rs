@@ -51,11 +51,12 @@ pub mod prelude {
     pub use zstream_core::CompiledParts;
     /// A parsed, analyzed and optimized query, ready to instantiate.
     pub use zstream_core::CompiledQuery;
-    /// The tree-plan evaluation engine (push events, collect matches).
+    /// The tree-plan evaluation engine (push columnar batches, collect
+    /// matches).
     pub use zstream_core::Engine;
     /// Fluent constructor: query + routing + config → [`Engine`].
     pub use zstream_core::EngineBuilder;
-    /// Engine tuning knobs (batch size, plan options).
+    /// Engine tuning knobs (plan options).
     pub use zstream_core::EngineConfig;
     /// The shape of a tree plan (left-deep, right-deep, bushy).
     pub use zstream_core::PlanShape;
@@ -63,10 +64,11 @@ pub mod prelude {
     pub use zstream_core::Statistics;
     /// Convenience constructor for stock-schema events.
     pub use zstream_events::stock;
-    /// Fixed-size batching for the batch-iterator model (§4.3).
-    pub use zstream_events::Batcher;
     /// A primitive event: one timestamp plus a row of typed values.
     pub use zstream_events::Event;
+    /// A columnar batch of events: what engines and the runtime take in,
+    /// one round per batch (§4.3).
+    pub use zstream_events::EventBatch;
     /// A shared, immutable handle to an [`Event`].
     pub use zstream_events::EventRef;
     /// A composite result: event pointers plus a start and an end time.
@@ -94,7 +96,7 @@ pub mod prelude {
     pub use zstream_runtime::QueryId;
     /// The sharded, multi-threaded execution runtime.
     pub use zstream_runtime::Runtime;
-    /// Fluent constructor: workers + batch size + registered queries → [`Runtime`].
+    /// Fluent constructor: workers + registered queries → [`Runtime`].
     pub use zstream_runtime::RuntimeBuilder;
     /// One composite match produced by the runtime (query, shard, record).
     pub use zstream_runtime::RuntimeMatch;

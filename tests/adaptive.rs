@@ -7,7 +7,7 @@ mod common;
 use common::rebatch;
 use zstream::core::{
     build_intake, AdaptiveConfig, AdaptiveEngine, CompiledQuery, Engine, EngineBuilder,
-    EngineConfig, NegStrategy, PlanConfig, PlanShape, Statistics,
+    NegStrategy, PlanConfig, PlanShape, Statistics,
 };
 use zstream::events::{EventBatch, EventRef, Schema};
 use zstream::lang::{Query, SchemaMap};
@@ -44,22 +44,30 @@ fn three_phase_stream(seed: u64, per_phase: usize) -> Vec<EventRef> {
     out
 }
 
-fn adaptive_run(src: &str, events: &[EventRef], batch: usize) -> (Vec<Signature>, u64, u64) {
+/// A fresh adaptive engine (optimizer-chosen initial plan, checking
+/// every 4 rounds) over `src` with route-by-name intake.
+fn adaptive_engine(src: &str, initial: Option<Statistics>) -> AdaptiveEngine {
     let query = Query::parse(src).unwrap();
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None).unwrap();
     let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
     let intake = build_intake(&compiled.aq, Some("name")).unwrap();
-    let engine = Engine::new(compiled.aq.clone(), plan, intake, batch);
-    let mut adaptive = AdaptiveEngine::new(
+    let engine = Engine::new(compiled.aq.clone(), plan, &intake);
+    AdaptiveEngine::new(
         engine,
         compiled.spec.clone(),
-        compiled.stats.clone(),
+        initial.unwrap_or_else(|| compiled.stats.clone()),
         AdaptiveConfig { check_interval: 4, ..Default::default() },
-    );
+    )
+}
+
+/// The adaptive engine over `batches` (one round each): sorted signatures,
+/// replans and plan switches.
+fn adaptive_run(src: &str, batches: &[EventBatch]) -> (Vec<Signature>, u64, u64) {
+    let mut adaptive = adaptive_engine(src, None);
     let mut out = Vec::new();
-    for chunk in events.chunks(batch) {
-        out.extend(adaptive.push_batch(chunk));
+    for batch in batches {
+        out.extend(adaptive.push_columns(batch));
     }
     out.extend(adaptive.flush());
     let mut sigs: Vec<Signature> =
@@ -72,49 +80,17 @@ fn adaptive_run(src: &str, events: &[EventRef], batch: usize) -> (Vec<Signature>
     (sigs, m.replans, m.plan_switches)
 }
 
-/// The columnar twin of [`adaptive_run`]: same controller configuration,
-/// but events arrive as [`EventBatch`]es through
-/// [`AdaptiveEngine::push_columns`] — the vectorized intake path.
-fn adaptive_run_columns(src: &str, batches: &[EventBatch]) -> (Vec<Signature>, u64, u64) {
-    let query = Query::parse(src).unwrap();
-    let schemas = SchemaMap::uniform(Schema::stocks());
-    let compiled = CompiledQuery::optimize(&query, &schemas, None).unwrap();
-    let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
-    let intake = build_intake(&compiled.aq, Some("name")).unwrap();
-    let engine = Engine::new(compiled.aq.clone(), plan, intake, 16);
-    let mut adaptive = AdaptiveEngine::new(
-        engine,
-        compiled.spec.clone(),
-        compiled.stats.clone(),
-        AdaptiveConfig { check_interval: 4, ..Default::default() },
-    );
-    let mut out = Vec::new();
-    for batch in batches {
-        out.extend(adaptive.push_columns(batch));
-    }
-    out.extend(adaptive.flush());
-    let mut sigs: Vec<Signature> =
-        out.iter().map(|r| adaptive.engine().record_signature(r)).collect();
-    let n = sigs.len();
-    sigs.sort();
-    sigs.dedup();
-    assert_eq!(n, sigs.len(), "adaptive columnar engine emitted duplicates");
-    let m = adaptive.engine().metrics();
-    (sigs, m.replans, m.plan_switches)
-}
-
-fn static_run(src: &str, shape: PlanShape, events: &[EventRef], batch: usize) -> Vec<Signature> {
+fn static_run(src: &str, shape: PlanShape, batches: &[EventBatch]) -> Vec<Signature> {
     let mut engine = EngineBuilder::parse(src)
         .unwrap()
         .stock_routing()
         .shape(shape)
         .neg_strategy(NegStrategy::PushdownPreferred)
-        .config(EngineConfig { batch_size: batch, ..Default::default() })
         .build()
         .unwrap();
     let mut out = Vec::new();
-    for e in events {
-        out.extend(engine.push(e.clone()));
+    for batch in batches {
+        out.extend(engine.push_columns(batch));
     }
     out.extend(engine.flush());
     let mut sigs: Vec<Signature> = out.iter().map(|r| engine.record_signature(r)).collect();
@@ -127,9 +103,9 @@ fn static_run(src: &str, shape: PlanShape, events: &[EventRef], batch: usize) ->
 fn adaptive_output_equals_static_output() {
     let src = "PATTERN IBM; Sun; Oracle WITHIN 40";
     for seed in [0, 100, 200] {
-        let events = three_phase_stream(seed, 250);
-        let (adaptive_sigs, _, _) = adaptive_run(src, &events, 16);
-        let static_sigs = static_run(src, PlanShape::left_deep(3), &events, 16);
+        let batches = rebatch(&three_phase_stream(seed, 250), &[16]);
+        let (adaptive_sigs, _, _) = adaptive_run(src, &batches);
+        let static_sigs = static_run(src, PlanShape::left_deep(3), &batches);
         assert_eq!(adaptive_sigs, static_sigs, "seed {seed}");
     }
 }
@@ -137,8 +113,8 @@ fn adaptive_output_equals_static_output() {
 #[test]
 fn adaptive_engine_switches_plans_on_drift() {
     let src = "PATTERN IBM; Sun; Oracle WITHIN 40";
-    let events = three_phase_stream(7, 400);
-    let (_, replans, switches) = adaptive_run(src, &events, 16);
+    let batches = rebatch(&three_phase_stream(7, 400), &[16]);
+    let (_, replans, switches) = adaptive_run(src, &batches);
     assert!(replans >= 1, "drifting rates should trigger re-planning");
     assert!(switches >= 1, "the optimal shape changes across phases");
 }
@@ -150,38 +126,21 @@ fn adaptive_engine_switches_plans_on_drift() {
 fn adaptive_columnar_intake_equals_static_and_still_switches() {
     let src = "PATTERN IBM; Sun; Oracle WITHIN 40";
     for seed in [0, 7] {
-        let events = three_phase_stream(seed, 300);
-        let batches = rebatch(&events, &[16]);
-        // Handles into the rebatched storage: static and columnar paths
-        // share event identities.
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-        let (columnar_sigs, replans, switches) = adaptive_run_columns(src, &batches);
-        let static_sigs = static_run(src, PlanShape::left_deep(3), &events, 16);
+        let batches = rebatch(&three_phase_stream(seed, 300), &[16]);
+        let (columnar_sigs, replans, switches) = adaptive_run(src, &batches);
+        let static_sigs = static_run(src, PlanShape::left_deep(3), &batches);
         assert_eq!(columnar_sigs, static_sigs, "seed {seed}");
         assert!(replans >= 1, "drifting rates should trigger re-planning (seed {seed})");
         assert!(switches >= 1, "the optimal shape changes across phases (seed {seed})");
     }
 }
 
-/// Record and columnar intake drive the adaptive controller identically:
-/// same match set for the same stream, whichever path carries it.
-#[test]
-fn adaptive_columnar_equals_adaptive_record_path() {
-    let src = "PATTERN IBM; Sun; Oracle WHERE IBM.price > Sun.price WITHIN 35";
-    let events = three_phase_stream(42, 200);
-    let batches = rebatch(&events, &[8]);
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-    let (columnar_sigs, _, _) = adaptive_run_columns(src, &batches);
-    let (record_sigs, _, _) = adaptive_run(src, &events, 8);
-    assert_eq!(columnar_sigs, record_sigs);
-}
-
 #[test]
 fn adaptive_with_predicates_stays_correct() {
     let src = "PATTERN IBM; Sun; Oracle WHERE IBM.price > Sun.price WITHIN 35";
-    let events = three_phase_stream(42, 200);
-    let (adaptive_sigs, _, _) = adaptive_run(src, &events, 8);
-    let static_sigs = static_run(src, PlanShape::right_deep(3), &events, 8);
+    let batches = rebatch(&three_phase_stream(42, 200), &[8]);
+    let (adaptive_sigs, _, _) = adaptive_run(src, &batches);
+    let static_sigs = static_run(src, PlanShape::right_deep(3), &batches);
     assert_eq!(adaptive_sigs, static_sigs);
 }
 
@@ -196,23 +155,11 @@ fn every_replan_is_logged_with_estimates_and_actuals() {
     use zstream::obs::Obs;
 
     let src = "PATTERN IBM; Sun; Oracle WITHIN 40";
-    let events = three_phase_stream(7, 400);
-    let query = Query::parse(src).unwrap();
-    let schemas = SchemaMap::uniform(Schema::stocks());
-    let compiled = CompiledQuery::optimize(&query, &schemas, None).unwrap();
-    let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
-    let intake = build_intake(&compiled.aq, Some("name")).unwrap();
-    let engine = Engine::new(compiled.aq.clone(), plan, intake, 16);
-    let mut adaptive = AdaptiveEngine::new(
-        engine,
-        compiled.spec.clone(),
-        compiled.stats.clone(),
-        AdaptiveConfig { check_interval: 4, ..Default::default() },
-    );
+    let mut adaptive = adaptive_engine(src, None);
     let hub = Arc::new(Obs::new());
     adaptive.attach_obs(hub.clone(), "q0");
-    for chunk in events.chunks(16) {
-        adaptive.push_batch(chunk);
+    for batch in rebatch(&three_phase_stream(7, 400), &[16]) {
+        adaptive.push_columns(&batch);
     }
     adaptive.finalize_observations();
     adaptive.flush();
@@ -261,23 +208,15 @@ fn every_replan_is_logged_with_estimates_and_actuals() {
 #[test]
 fn stable_stream_does_not_thrash() {
     let src = "PATTERN IBM; Sun; Oracle WITHIN 40";
-    let events = StockGenerator::generate(StockConfig::uniform(&["IBM", "Sun", "Oracle"], 600, 5));
-    let query = Query::parse(src).unwrap();
-    let schemas = SchemaMap::uniform(Schema::stocks());
-    let compiled = CompiledQuery::optimize(&query, &schemas, None).unwrap();
-    let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
-    let intake = build_intake(&compiled.aq, Some("name")).unwrap();
+    let batches = StockGenerator::generate_batches(
+        StockConfig::uniform(&["IBM", "Sun", "Oracle"], 600, 5),
+        16,
+    );
     // Initial statistics match the stream (uniform): no switches expected.
     let stats = Statistics::uniform(3, 0, 40).with_rates(&[1.0 / 3.0; 3]);
-    let engine = Engine::new(compiled.aq.clone(), plan, intake, 16);
-    let mut adaptive = AdaptiveEngine::new(
-        engine,
-        compiled.spec.clone(),
-        stats,
-        AdaptiveConfig { check_interval: 4, ..Default::default() },
-    );
-    for chunk in events.chunks(16) {
-        adaptive.push_batch(chunk);
+    let mut adaptive = adaptive_engine(src, Some(stats));
+    for batch in &batches {
+        adaptive.push_columns(batch);
     }
     assert_eq!(adaptive.engine().metrics().plan_switches, 0);
 }

@@ -29,7 +29,7 @@ mod common;
 use common::{batch_of, compile, lines_columns, rebatch, stream_strategy};
 use proptest::prelude::*;
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
+use zstream::core::{CompiledParts, EngineBuilder};
 use zstream::events::{stock, EventBatch, EventRef, Schema, Ts};
 use zstream::lang::SchemaMap;
 use zstream::runtime::{
@@ -136,7 +136,7 @@ proptest! {
             Some(bound) => DisorderSpec::bounded(bound, disorder_seed).shuffle_events(&events),
             None => events,
         };
-        let parts = compile(PARTITIONABLE, 4);
+        let parts = compile(PARTITIONABLE);
         let partitioning = Partitioning::Auto("name".into());
         let batches = rebatch(&arrival, &sizes);
         let ckpt_at = ckpt_sel % (batches.len() + 1);
@@ -168,7 +168,7 @@ proptest! {
         cut_a in 0usize..64,
         cut_b in 0usize..64,
     ) {
-        let parts = compile(PARTITIONABLE, 4);
+        let parts = compile(PARTITIONABLE);
         let partitioning = Partitioning::Auto("name".into());
         let template = parts.engine().unwrap();
         let batches = rebatch(&events, &sizes);
@@ -230,7 +230,6 @@ proptest! {
 fn stock_workload_recovery_is_byte_identical() {
     let parts = compile(
         "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 30 RETURN A, B, C",
-        16,
     );
     let partitioning = Partitioning::Auto("name".into());
     let batches = StockGenerator::generate_batches(
@@ -272,7 +271,6 @@ fn weblog_workload_recovery_with_disorder_is_byte_identical() {
         .unwrap()
         .schemas(SchemaMap::uniform(Schema::weblog()))
         .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
         .compile()
         .unwrap();
     let partitioning = Partitioning::Field("ip".into());
@@ -302,7 +300,7 @@ fn weblog_workload_recovery_with_disorder_is_byte_identical() {
 /// processes the whole stream normally.
 #[test]
 fn empty_checkpoint_round_trips() {
-    let parts = compile(PARTITIONABLE, 4);
+    let parts = compile(PARTITIONABLE);
     let partitioning = Partitioning::Auto("name".into());
     let events: Vec<EventRef> =
         (0..40).map(|i| stock(i + 1, i as i64, NAMES[i as usize % 4], 1.0, 1)).collect();
@@ -319,7 +317,7 @@ fn empty_checkpoint_round_trips() {
 /// runtime.
 #[test]
 fn replay_guard_skips_exactly_the_duplicated_chunk() {
-    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12 RETURN A, B", 4);
+    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12 RETURN A, B");
     let partitioning = Partitioning::Auto("name".into());
     // A reorder stage with generous slack, so the one-shot check below can
     // legally deliver an old chunk a third time.
@@ -383,7 +381,7 @@ fn replay_guard_skips_exactly_the_duplicated_chunk() {
 /// naming the mismatch, not silent corruption.
 #[test]
 fn restore_rejects_configuration_drift() {
-    let parts = compile(PARTITIONABLE, 4);
+    let parts = compile(PARTITIONABLE);
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
@@ -413,7 +411,7 @@ fn restore_rejects_configuration_drift() {
     // A reorder stage the checkpoint does not have.
     expect_mismatch(builder(&parts, &partitioning, 2, Some(4), LatenessPolicy::Drop), "slack");
     // A different query (window differs).
-    let other = compile("PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 9", 4);
+    let other = compile("PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 9");
     expect_mismatch(builder(&other, &partitioning, 2, None, LatenessPolicy::Drop), "query");
     // The matching configuration still restores fine afterwards.
     builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop)
@@ -428,7 +426,7 @@ fn restore_rejects_configuration_drift() {
 /// junk are all rejected.
 #[test]
 fn restore_rejects_garbage_and_truncation() {
-    let parts = compile(PARTITIONABLE, 4);
+    let parts = compile(PARTITIONABLE);
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
@@ -477,7 +475,7 @@ fn restore_rejects_garbage_and_truncation() {
 /// [`Runtime::take_late_events`]: zstream::runtime::Runtime::take_late_events
 #[test]
 fn dead_letters_survive_checkpoint_and_shutdown_surfaces_undrained() {
-    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12 RETURN A, B", 4);
+    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12 RETURN A, B");
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, Some(1), LatenessPolicy::DeadLetter).build().unwrap();
@@ -515,7 +513,7 @@ fn dead_letters_survive_checkpoint_and_shutdown_surfaces_undrained() {
 /// after ingest — and the report's dead-letter queue stays empty.
 #[test]
 fn take_late_events_is_empty_without_slack() {
-    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12", 4);
+    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 12");
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 2, None, LatenessPolicy::Drop).build().unwrap();
@@ -536,7 +534,7 @@ fn take_late_events_is_empty_without_slack() {
 #[test]
 fn departed_worker_stays_departed_across_restore() {
     let workers = 4;
-    let parts = compile(PARTITIONABLE, 8);
+    let parts = compile(PARTITIONABLE);
     let partitioning = Partitioning::Field("name".into());
     let mut builder0 =
         Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
@@ -571,7 +569,7 @@ fn departed_worker_stays_departed_across_restore() {
 /// `CheckpointId` is the monotone sequence number, rendered as `ckpt-N`.
 #[test]
 fn checkpoint_ids_are_monotone_and_display() {
-    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 8", 4);
+    let parts = compile("PATTERN A; B WHERE A.name = B.name WITHIN 8");
     let partitioning = Partitioning::Auto("name".into());
     let mut runtime =
         builder(&parts, &partitioning, 1, None, LatenessPolicy::Drop).build().unwrap();

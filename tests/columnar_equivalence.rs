@@ -1,33 +1,31 @@
 //! Columnar data-plane equivalence: for generated queries and streams, the
-//! vectorized intake path ([`Engine::push_columns`] /
-//! [`PartitionedEngine::push_columns`]) must produce **byte-identical**
-//! match streams to the pre-refactor record-at-a-time path
-//! ([`Engine::push`]) and to the brute-force oracle — on stock and weblog
-//! workloads, across arbitrary batch boundaries and all shard counts.
+//! single-threaded engines' intake ([`Engine::push_columns`] /
+//! [`PartitionedEngine::push_columns`]) must match the brute-force oracle,
+//! be independent of where batch boundaries fall (down to one event per
+//! round), agree with the shard entry ([`Engine::push_rows`]) and produce
+//! **byte-identical** match streams to the sharded runtime at every shard
+//! count — on stock and weblog workloads.
 //!
 //! [`Engine::push_columns`]: zstream::core::Engine::push_columns
-//! [`Engine::push`]: zstream::core::Engine::push
+//! [`Engine::push_rows`]: zstream::core::Engine::push_rows
 //! [`PartitionedEngine::push_columns`]: zstream::core::PartitionedEngine::push_columns
 
 mod common;
 
-use common::{compile_stock, lines_columns, oracle_sigs, rebatch, Signature};
+use common::{compile_stock, engine_run, handles, lines_columns, oracle_sigs, rebatch, Signature};
 use proptest::prelude::*;
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
-use zstream::events::{EventBatch, EventRef, Schema};
+use zstream::core::{CompiledParts, EngineBuilder, SharedPredIndex};
+use zstream::events::{EventBatch, EventRef, Record, Schema};
 use zstream::lang::SchemaMap;
 use zstream::runtime::{LatenessPolicy, Partitioning};
 use zstream::workload::{StockConfig, StockGenerator, WeblogConfig, WeblogGenerator};
 
-/// The record-at-a-time path: one event per push (the pre-refactor intake).
-fn record_path(parts: &CompiledParts, events: &[EventRef]) -> (Vec<Signature>, Vec<String>) {
-    let mut engine = parts.engine().unwrap();
-    let mut records = Vec::new();
-    for e in events {
-        records.extend(engine.push(e.clone()));
-    }
-    records.extend(engine.flush());
+/// Sorted signatures and sorted formatted lines of `records`.
+fn sigs_and_lines(
+    engine: &zstream::core::Engine,
+    records: &[Record],
+) -> (Vec<Signature>, Vec<String>) {
     let mut sigs: Vec<Signature> = records.iter().map(|r| engine.record_signature(r)).collect();
     let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
     sigs.sort();
@@ -35,19 +33,57 @@ fn record_path(parts: &CompiledParts, events: &[EventRef]) -> (Vec<Signature>, V
     (sigs, lines)
 }
 
-/// The vectorized path: whole columnar batches through `push_columns`.
-fn columnar_path(parts: &CompiledParts, batches: &[EventBatch]) -> (Vec<Signature>, Vec<String>) {
+/// The record-at-a-time path: every event its own round, handed to the
+/// engine as a one-row selection of the batch that holds it
+/// ([`Engine::push_rows`], the shard entry), so event identities are the
+/// batches' own.
+///
+/// [`Engine::push_rows`]: zstream::core::Engine::push_rows
+fn record_path(parts: &CompiledParts, batches: &[EventBatch]) -> (Vec<Signature>, Vec<String>) {
     let mut engine = parts.engine().unwrap();
+    let mut index = SharedPredIndex::new();
+    engine.subscribe(&mut index);
     let mut records = Vec::new();
     for batch in batches {
-        records.extend(engine.push_columns(batch));
+        for row in 0..batch.len() as u32 {
+            index.begin_batch();
+            records.extend(engine.push_rows(batch, Some(&[row]), &mut index));
+        }
     }
     records.extend(engine.flush());
-    let mut sigs: Vec<Signature> = records.iter().map(|r| engine.record_signature(r)).collect();
-    let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
-    sigs.sort();
-    lines.sort();
-    (sigs, lines)
+    sigs_and_lines(&engine, &records)
+}
+
+/// The vectorized path: whole columnar batches through `push_columns`.
+fn columnar_path(parts: &CompiledParts, batches: &[EventBatch]) -> (Vec<Signature>, Vec<String>) {
+    let (engine, records) = engine_run(parts, batches);
+    sigs_and_lines(&engine, &records)
+}
+
+/// A `name`-keyed partitioned engine's output over `batches`, unsorted —
+/// its order is deterministic — through `push_columns` or, with
+/// `shard_entry`, through `push_rows` with every row selected and a shared
+/// index.
+fn partitioned_lines(
+    parts: &CompiledParts,
+    batches: &[EventBatch],
+    shard_entry: bool,
+) -> Vec<String> {
+    let mut engine = parts.partitioned_engine("name").unwrap();
+    let mut index = SharedPredIndex::new();
+    engine.subscribe(&mut index);
+    let mut records = Vec::new();
+    for batch in batches {
+        records.extend(if shard_entry {
+            index.begin_batch();
+            engine.push_rows(batch, None, &mut index)
+        } else {
+            engine.push_columns(batch)
+        });
+    }
+    records.extend(engine.flush());
+    let template = parts.engine().unwrap();
+    records.iter().map(|r| template.format_match(r)).collect()
 }
 
 /// The sharded runtime's match lines at `workers` shards.
@@ -84,8 +120,6 @@ fn stock_stream(max_len: usize) -> impl Strategy<Value = Vec<EventRef>> {
                 (ts, name_idx, price as f64, volume)
             })
             .collect();
-        // Build through one columnar batch so the record path and the
-        // columnar path share event identities.
         let mut b = EventBatch::builder(Schema::stocks(), specs.len());
         for (i, (ts, name_idx, price, volume)) in specs.iter().enumerate() {
             let name = ["IBM", "Sun", "Oracle", "HP"][*name_idx];
@@ -123,63 +157,47 @@ proptest! {
         events in stock_stream(30),
         query_idx in 0usize..4,
         sizes in prop::collection::vec(1usize..9, 1..4),
-        engine_batch in 1usize..6,
     ) {
         let src = STOCK_QUERIES[query_idx];
-        let parts = compile_stock(src, engine_batch);
+        let parts = compile_stock(src);
         let batches = rebatch(&events, &sizes);
-        // Handles into the rebatched storage: every path below sees the
-        // same event identities.
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
 
-        let (rec_sigs, rec_lines) = record_path(&parts, &events);
+        let (rec_sigs, rec_lines) = record_path(&parts, &batches);
         let (col_sigs, col_lines) = columnar_path(&parts, &batches);
         prop_assert_eq!(&col_sigs, &rec_sigs, "columnar vs record signatures ({})", src);
         prop_assert_eq!(&col_lines, &rec_lines, "columnar vs record lines ({})", src);
 
-        // Brute-force oracle over the same handles (route-by-name intake).
-        let mut oracle = oracle_sigs(src, Some("name"), &events);
-        oracle.sort();
-        oracle.dedup();
-        let mut deduped = rec_sigs.clone();
+        // Brute-force oracle over the batches' own handles (route-by-name
+        // intake).
+        let oracle = oracle_sigs(src, Some("name"), &handles(&batches));
+        let mut deduped = col_sigs;
         deduped.dedup();
         prop_assert_eq!(&deduped, &oracle, "engine vs oracle ({})", src);
     }
 
+    /// The shard's per-batch entry (`push_rows` over every row, through a
+    /// shared index) and `push_columns` drive a partitioned engine
+    /// identically: same matches in the same deterministic (end_ts,
+    /// first-seen-key) order — compared without sorting — and the oracle's
+    /// match set.
     #[test]
     fn partitioned_columnar_equals_batch_path(
         events in stock_stream(30),
         sizes in prop::collection::vec(1usize..9, 1..4),
     ) {
         let src = "PATTERN A; B WHERE A.name = B.name WITHIN 8 RETURN A, B";
-        let parts = EngineBuilder::parse(src)
-            .unwrap()
-            .config(EngineConfig { batch_size: 4, plan: PlanConfig::default() })
-            .compile()
-            .unwrap();
+        let parts = EngineBuilder::parse(src).unwrap().compile().unwrap();
         let batches = rebatch(&events, &sizes);
 
-        let mut by_batch = parts.partitioned_engine("name").unwrap();
-        let mut a = Vec::new();
-        for batch in &batches {
-            a.extend(by_batch.push_batch(&batch.to_events()));
-        }
-        a.extend(by_batch.flush());
+        let by_batch = partitioned_lines(&parts, &batches, true);
+        let by_columns = partitioned_lines(&parts, &batches, false);
+        prop_assert_eq!(&by_batch, &by_columns);
 
-        let mut by_columns = parts.partitioned_engine("name").unwrap();
-        let mut b = Vec::new();
-        for batch in &batches {
-            b.extend(by_columns.push_columns(batch));
-        }
-        b.extend(by_columns.flush());
-
-        let template = parts.engine().unwrap();
-        let fmt = |records: &[zstream::events::Record]| -> Vec<String> {
-            records.iter().map(|r| template.format_match(r)).collect()
-        };
-        // push_columns and push_batch emit in the same deterministic
-        // (end_ts, first-seen-key) order — compare without sorting.
-        prop_assert_eq!(fmt(&a), fmt(&b));
+        let (flat_sigs, flat_lines) = columnar_path(&parts, &batches);
+        let mut sorted = by_columns;
+        sorted.sort();
+        prop_assert_eq!(sorted, flat_lines, "partitioned vs flat engine");
+        prop_assert_eq!(flat_sigs, oracle_sigs(src, None, &handles(&batches)), "flat vs oracle");
     }
 }
 
@@ -197,14 +215,9 @@ fn stock_workload_byte_identical_across_paths_and_shard_counts() {
         ),
         64,
     );
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-    let parts = EngineBuilder::parse(src)
-        .unwrap()
-        .config(EngineConfig { batch_size: 16, plan: PlanConfig::default() })
-        .compile()
-        .unwrap();
+    let parts = EngineBuilder::parse(src).unwrap().compile().unwrap();
 
-    let (_, rec_lines) = record_path(&parts, &events);
+    let (_, rec_lines) = record_path(&parts, &batches);
     let (_, col_lines) = columnar_path(&parts, &batches);
     assert!(!rec_lines.is_empty());
     assert_eq!(col_lines, rec_lines, "columnar vs record path");
@@ -223,16 +236,14 @@ fn weblog_workload_byte_identical_across_paths_and_shard_counts() {
                WHERE Publication.ip = Project.ip AND Project.ip = Course.ip \
                WITHIN 10 hours RETURN Publication, Project, Course";
     let (batches, _) = WeblogGenerator::generate_batches(&WeblogConfig::scaled(12_000, 13), 256);
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
     let parts = EngineBuilder::parse(src)
         .unwrap()
         .schemas(SchemaMap::uniform(Schema::weblog()))
         .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
         .compile()
         .unwrap();
 
-    let (_, rec_lines) = record_path(&parts, &events);
+    let (_, rec_lines) = record_path(&parts, &batches);
     let (_, col_lines) = columnar_path(&parts, &batches);
     assert!(!rec_lines.is_empty(), "workload produced no matches — weak test");
     assert_eq!(col_lines, rec_lines, "columnar vs record path");

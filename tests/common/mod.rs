@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use zstream::core::reference::reference_signatures;
-use zstream::core::{build_intake, CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
+use zstream::core::{build_intake, CompiledParts, Engine, EngineBuilder};
 use zstream::events::{stock, EventBatch, EventRef, Schema, Ts};
 use zstream::lang::{analyze, Query, SchemaMap};
 use zstream::runtime::{
@@ -47,23 +47,14 @@ pub fn batch_of(events: &[EventRef]) -> EventBatch {
 
 /// Compiles a stock-schema query with the default plan config and no
 /// route-by-name intake (classes match any event; predicates connect them).
-pub fn compile(src: &str, batch: usize) -> CompiledParts {
-    EngineBuilder::parse(src)
-        .unwrap()
-        .config(EngineConfig { batch_size: batch, plan: PlanConfig::default() })
-        .compile()
-        .unwrap()
+pub fn compile(src: &str) -> CompiledParts {
+    EngineBuilder::parse(src).unwrap().compile().unwrap()
 }
 
 /// Compiles with `stock_routing()` — class names are stock symbols and the
 /// intake routes by the `name` field.
-pub fn compile_stock(src: &str, batch: usize) -> CompiledParts {
-    EngineBuilder::parse(src)
-        .unwrap()
-        .stock_routing()
-        .config(EngineConfig { batch_size: batch, plan: PlanConfig::default() })
-        .compile()
-        .unwrap()
+pub fn compile_stock(src: &str) -> CompiledParts {
+    EngineBuilder::parse(src).unwrap().stock_routing().compile().unwrap()
 }
 
 /// The brute-force oracle over the stocks schema: every combination of
@@ -142,15 +133,31 @@ pub fn lines_columns(
     (lines, report)
 }
 
-/// Sorted, deduplicated signatures from the single-threaded engine.
-pub fn engine_sigs(parts: &CompiledParts, events: &[EventRef]) -> Vec<Signature> {
+/// The row handles of `batches` in stream order: what signatures identify
+/// events by, so oracles compared with engines fed `batches` run over these.
+pub fn handles(batches: &[EventBatch]) -> Vec<EventRef> {
+    batches.iter().flat_map(EventBatch::iter).collect()
+}
+
+/// A fresh single-threaded engine fed every batch (one round each), then
+/// flushed: the engine and every match in emission order.
+pub fn engine_run(
+    parts: &CompiledParts,
+    batches: &[EventBatch],
+) -> (Engine, Vec<zstream::events::Record>) {
     let mut engine = parts.engine().unwrap();
-    let mut out = Vec::new();
-    for e in events {
-        out.extend(engine.push(e.clone()));
+    let mut records = Vec::new();
+    for batch in batches {
+        records.extend(engine.push_columns(batch));
     }
-    out.extend(engine.flush());
-    let mut sigs: Vec<Signature> = out.iter().map(|r| engine.record_signature(r)).collect();
+    records.extend(engine.flush());
+    (engine, records)
+}
+
+/// Sorted, deduplicated signatures from the single-threaded engine.
+pub fn engine_sigs(parts: &CompiledParts, batches: &[EventBatch]) -> Vec<Signature> {
+    let (engine, records) = engine_run(parts, batches);
+    let mut sigs: Vec<Signature> = records.iter().map(|r| engine.record_signature(r)).collect();
     sigs.sort();
     sigs.dedup();
     sigs
@@ -158,13 +165,8 @@ pub fn engine_sigs(parts: &CompiledParts, events: &[EventRef]) -> Vec<Signature>
 
 /// Sorted formatted lines from the single-threaded engine — the byte-level
 /// oracle for runtime acceptance tests.
-pub fn engine_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
-    let mut engine = parts.engine().unwrap();
-    let mut records = Vec::new();
-    for e in events {
-        records.extend(engine.push(e.clone()));
-    }
-    records.extend(engine.flush());
+pub fn engine_lines(parts: &CompiledParts, batches: &[EventBatch]) -> Vec<String> {
+    let (engine, records) = engine_run(parts, batches);
     let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
     lines.sort();
     lines

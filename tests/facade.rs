@@ -1,7 +1,7 @@
 //! End-to-end smoke test of the `zstream::prelude` facade: parse a query,
-//! build an engine with stock routing, push a hand-written stream, and check
-//! the match count and contents — exactly the path the README quickstart
-//! shows.
+//! build an engine with stock routing, pack a hand-written stream into an
+//! [`EventBatch`], push it, and check the match count and contents —
+//! exactly the path the README quickstart shows.
 
 use zstream::prelude::*;
 
@@ -26,10 +26,8 @@ fn prelude_end_to_end_sequence() {
     let mut engine =
         EngineBuilder::new(query).stock_routing().build().expect("engine builds for stock schema");
 
-    let mut matches: Vec<Record> = Vec::new();
-    for event in fixed_stream() {
-        matches.extend(engine.push(event.clone()));
-    }
+    let batch = EventBatch::from_events(&fixed_stream()).expect("one schema");
+    let mut matches: Vec<Record> = engine.push_columns(&batch);
     matches.extend(engine.flush());
 
     assert_eq!(matches.len(), 1, "exactly one IBM; Sun; Oracle composite");
@@ -47,8 +45,8 @@ fn prelude_end_to_end_with_predicate_and_generator() {
 
     let mut engine = EngineBuilder::parse(src).unwrap().stock_routing().build().unwrap();
     let mut got = 0usize;
-    for event in &events {
-        got += engine.push(event.clone()).len();
+    for chunk in events.chunks(128) {
+        got += engine.push_columns(&EventBatch::from_events(chunk).unwrap()).len();
     }
     got += engine.flush().len();
 
@@ -86,8 +84,8 @@ fn plan_shapes_agree_on_match_count() {
         let mut engine =
             EngineBuilder::parse(src).unwrap().stock_routing().shape(shape).build().unwrap();
         let mut n = 0usize;
-        for event in &events {
-            n += engine.push(event.clone()).len();
+        for chunk in events.chunks(128) {
+            n += engine.push_columns(&EventBatch::from_events(chunk).unwrap()).len();
         }
         n += engine.flush().len();
         counts.push(n);

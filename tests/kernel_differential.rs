@@ -1,8 +1,9 @@
 //! Kernel-intake differential suite: the columnar filter kernels
 //! ([`IntakeMode::Kernel`]) must produce **byte-identical** match streams to
-//! the row-at-a-time `IntakePred::passes` oracle ([`IntakeMode::Rows`]) and
-//! to the per-event record path — across stock and weblog workloads,
-//! dictionary-encoded vs plain `Sym` columns, 1–8 worker shards
+//! the row-at-a-time `IntakePred::passes` path ([`IntakeMode::Rows`]), and
+//! the match set of the brute-force oracle (which evaluates every intake
+//! predicate as an expression, per event) — across stock and weblog
+//! workloads, dictionary-encoded vs plain `Sym` columns, 1–8 worker shards
 //! (`split_batch_rows` fan-out), and float edge cases (`NaN`,
 //! `0.0 == -0.0`) flowing through `CmpLit` predicates.
 //!
@@ -11,12 +12,11 @@
 
 mod common;
 
-use common::{compile, compile_stock, rebatch};
+use common::{compile, compile_stock, handles, oracle_sigs, rebatch, Signature};
 use proptest::prelude::*;
 
-use zstream::core::{
-    CompiledParts, EngineBuilder, EngineConfig, IntakeMode, PlanConfig, SharedPredIndex,
-};
+use zstream::core::reference::reference_signatures;
+use zstream::core::{CompiledParts, EngineBuilder, IntakeMode, SharedPredIndex};
 use zstream::events::{split_batch_rows, DictMode, EventBatch, EventRef, Schema, Value};
 use zstream::lang::SchemaMap;
 use zstream::workload::{WeblogConfig, WeblogGenerator};
@@ -26,9 +26,14 @@ use zstream::workload::{WeblogConfig, WeblogGenerator};
 /// all numbers under the total order both paths must share).
 const EDGE_FLOATS: &[f64] = &[0.0, -0.0, f64::NAN, 1.0, -1.5, 2.0, 1e300];
 
-/// Columnar path under an explicit intake mode; unsorted — a single engine's
-/// output order is deterministic, so the comparison is byte-for-byte.
-fn columnar_lines(parts: &CompiledParts, batches: &[EventBatch], mode: IntakeMode) -> Vec<String> {
+/// Columnar path under an explicit intake mode: formatted lines, unsorted —
+/// a single engine's output order is deterministic, so the comparison is
+/// byte-for-byte — and the sorted, deduplicated signatures.
+fn columnar_run(
+    parts: &CompiledParts,
+    batches: &[EventBatch],
+    mode: IntakeMode,
+) -> (Vec<String>, Vec<Signature>) {
     let mut engine = parts.engine().unwrap();
     engine.set_intake_mode(mode);
     let mut records = Vec::new();
@@ -36,19 +41,11 @@ fn columnar_lines(parts: &CompiledParts, batches: &[EventBatch], mode: IntakeMod
         records.extend(engine.push_columns(batch));
     }
     records.extend(engine.flush());
-    records.iter().map(|r| engine.format_match(r)).collect()
-}
-
-/// The per-event record path — the original `IntakePred::passes` oracle
-/// (one event per push, no columns involved at all).
-fn record_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
-    let mut engine = parts.engine().unwrap();
-    let mut records = Vec::new();
-    for e in events {
-        records.extend(engine.push(e.clone()));
-    }
-    records.extend(engine.flush());
-    records.iter().map(|r| engine.format_match(r)).collect()
+    let lines = records.iter().map(|r| engine.format_match(r)).collect();
+    let mut sigs: Vec<Signature> = records.iter().map(|r| engine.record_signature(r)).collect();
+    sigs.sort();
+    sigs.dedup();
+    (lines, sigs)
 }
 
 /// Shard fan-out: `split_batch_rows` selection vectors into `workers`
@@ -150,28 +147,28 @@ const EDGE_QUERIES: &[(&str, bool)] = &[
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Kernel vs row oracle vs per-event record path, on dictionary-encoded
-    /// and plain columns, over the float-edge stream.
+    /// Kernel vs row path byte for byte, and kernel vs the brute-force
+    /// oracle's match set, on dictionary-encoded and plain columns, over the
+    /// float-edge stream.
     #[test]
     fn kernel_matches_row_oracle_on_float_edges(
         events in edge_stock_stream(40),
         query_idx in 0usize..EDGE_QUERIES.len(),
         sizes in prop::collection::vec(1usize..11, 1..4),
-        engine_batch in 1usize..6,
     ) {
         let (src, routed) = EDGE_QUERIES[query_idx];
-        let parts =
-            if routed { compile_stock(src, engine_batch) } else { compile(src, engine_batch) };
+        let (parts, route) =
+            if routed { (compile_stock(src), Some("name")) } else { (compile(src), None) };
         let batches = rebatch(&events, &sizes);
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
 
-        let oracle = record_lines(&parts, &events);
         for dict in [DictMode::Plain, DictMode::Force] {
+            // Fresh storage per mode: the oracle runs over these handles.
             let batches = with_dict(&batches, dict);
-            let kernel = columnar_lines(&parts, &batches, IntakeMode::Kernel);
-            let rows = columnar_lines(&parts, &batches, IntakeMode::Rows);
+            let (kernel, kernel_sigs) = columnar_run(&parts, &batches, IntakeMode::Kernel);
+            let (rows, _) = columnar_run(&parts, &batches, IntakeMode::Rows);
             prop_assert_eq!(&kernel, &rows, "kernel vs rows ({src}, {dict:?})");
-            prop_assert_eq!(&kernel, &oracle, "kernel vs record path ({src}, {dict:?})");
+            let oracle = oracle_sigs(src, route, &handles(&batches));
+            prop_assert_eq!(&kernel_sigs, &oracle, "kernel vs oracle ({src}, {dict:?})");
         }
     }
 
@@ -184,7 +181,7 @@ proptest! {
         workers in 1usize..=8,
     ) {
         let src = "PATTERN IBM; Sun WHERE IBM.price > 0.0 WITHIN 6 RETURN IBM, Sun";
-        let parts = compile_stock(src, 4);
+        let parts = compile_stock(src);
         let batches = rebatch(&events, &sizes);
         let kernel = sharded_lines(&parts, &batches, "name", workers, IntakeMode::Kernel);
         let rows = sharded_lines(&parts, &batches, "name", workers, IntakeMode::Rows);
@@ -201,21 +198,19 @@ fn weblog_kernel_matches_row_oracle_across_paths_and_workers() {
                WHERE Publication.ip = Project.ip AND Project.ip = Course.ip \
                WITHIN 10 hours RETURN Publication, Project, Course";
     let (batches, _) = WeblogGenerator::generate_batches(&WeblogConfig::scaled(12_000, 13), 128);
-    let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
     let parts = EngineBuilder::parse(src)
         .unwrap()
         .schemas(SchemaMap::uniform(Schema::weblog()))
         .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
         .compile()
         .unwrap();
 
-    let oracle = record_lines(&parts, &events);
-    assert!(!oracle.is_empty(), "workload produced no matches — weak test");
-    let kernel = columnar_lines(&parts, &batches, IntakeMode::Kernel);
-    let rows = columnar_lines(&parts, &batches, IntakeMode::Rows);
+    let (kernel, kernel_sigs) = columnar_run(&parts, &batches, IntakeMode::Kernel);
+    let (rows, _) = columnar_run(&parts, &batches, IntakeMode::Rows);
+    assert!(!kernel.is_empty(), "workload produced no matches — weak test");
     assert_eq!(kernel, rows, "columnar kernel vs rows");
-    assert_eq!(kernel, oracle, "columnar kernel vs record path");
+    let oracle = reference_signatures(parts.analyzed(), &parts.intake, &handles(&batches));
+    assert_eq!(kernel_sigs, oracle, "columnar kernel vs oracle");
 
     // PartitionedEngine stamps the mode onto every per-key engine; its
     // output order is deterministic, so compare unsorted.
@@ -236,13 +231,13 @@ fn weblog_kernel_matches_row_oracle_across_paths_and_workers() {
         "partitioned kernel vs rows"
     );
 
-    let mut sorted_oracle = oracle;
-    sorted_oracle.sort();
+    let mut sorted = kernel;
+    sorted.sort();
     for workers in 1..=8 {
         let kernel = sharded_lines(&parts, &batches, "ip", workers, IntakeMode::Kernel);
         let rows = sharded_lines(&parts, &batches, "ip", workers, IntakeMode::Rows);
         assert_eq!(kernel, rows, "sharded kernel vs rows at {workers} workers");
-        assert_eq!(kernel, sorted_oracle, "sharded kernel vs record path at {workers} workers");
+        assert_eq!(kernel, sorted, "sharded kernel vs one engine at {workers} workers");
     }
 }
 

@@ -37,7 +37,7 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/metric
 fn representative_snapshot() -> ObsSnapshot {
     let hub = Arc::new(Obs::new());
 
-    let parts = compile_stock("PATTERN IBM; Sun; Oracle WITHIN 50 RETURN IBM, Sun, Oracle", 16);
+    let parts = compile_stock("PATTERN IBM; Sun; Oracle WITHIN 50 RETURN IBM, Sun, Oracle");
     let mut b =
         Runtime::builder().workers(2).slack(4).lateness(LatenessPolicy::Drop).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
@@ -47,8 +47,9 @@ fn representative_snapshot() -> ObsSnapshot {
         400,
         3,
     ));
-    for batch in rebatch(&events, &[16]) {
-        runtime.ingest_columns(&batch).unwrap();
+    let batches = rebatch(&events, &[16]);
+    for batch in &batches {
+        runtime.ingest_columns(batch).unwrap();
     }
     let mut sink: Vec<u8> = Vec::new();
     runtime.checkpoint(&mut sink).unwrap();
@@ -62,8 +63,7 @@ fn representative_snapshot() -> ObsSnapshot {
     let engine = Engine::new(
         compiled.aq.clone(),
         compiled.physical_plan(PlanConfig::default()).unwrap(),
-        intake,
-        16,
+        &intake,
     );
     let mut adaptive = AdaptiveEngine::new(
         engine,
@@ -72,8 +72,8 @@ fn representative_snapshot() -> ObsSnapshot {
         AdaptiveConfig { check_interval: 4, ..Default::default() },
     );
     adaptive.attach_obs(Arc::clone(&hub), "q-adaptive");
-    for chunk in events.chunks(16) {
-        adaptive.push_batch(chunk);
+    for batch in &batches {
+        adaptive.push_columns(batch);
     }
     adaptive.finalize_observations();
     adaptive.flush();

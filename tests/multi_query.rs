@@ -15,9 +15,7 @@ use proptest::prelude::*;
 
 use std::collections::BTreeMap;
 
-use zstream::core::{
-    can_partition_by, CompiledParts, Engine, EngineBuilder, EngineConfig, EngineMetrics, PlanConfig,
-};
+use zstream::core::{can_partition_by, CompiledParts, Engine, EngineBuilder, EngineMetrics};
 use zstream::events::{EventBatch, EventRef, Record, Schema, Snapshot, SnapshotWriter, Ts};
 use zstream::lang::SchemaMap;
 use zstream::runtime::{
@@ -39,7 +37,7 @@ const POOL: &[&str] = &[
 ];
 
 fn pool_parts() -> Vec<(CompiledParts, Partitioning)> {
-    POOL.iter().map(|src| (compile(src, 8), Partitioning::Auto("name".into()))).collect()
+    POOL.iter().map(|src| (compile(src), Partitioning::Auto("name".into()))).collect()
 }
 
 /// Sorted formatted lines of one query running **alone** in its own
@@ -196,8 +194,8 @@ proptest! {
 #[test]
 fn drop_q0_leaves_q1_matches_metrics_and_route_untouched() {
     let workers = 2;
-    let q0_parts = compile(POOL[3], 8);
-    let q1_parts = compile(POOL[2], 8);
+    let q0_parts = compile(POOL[3]);
+    let q1_parts = compile(POOL[2]);
     let events: Vec<EventRef> = {
         let strat_events: Vec<EventRef> = (0..160)
             .map(|i| {
@@ -272,8 +270,8 @@ fn drop_q0_leaves_q1_matches_metrics_and_route_untouched() {
 fn create_after_worker_failure_routes_around_retired_shards() {
     let workers = 3;
     let dead = 1;
-    let hash_parts = compile(POOL[2], 8);
-    let solo_parts = compile(POOL[3], 8);
+    let hash_parts = compile(POOL[2]);
+    let solo_parts = compile(POOL[3]);
 
     let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder.register(hash_parts, Partitioning::Auto("name".into()));
@@ -331,7 +329,7 @@ fn create_after_worker_failure_routes_around_retired_shards() {
 /// later traffic).
 #[test]
 fn create_mid_stream_sees_only_later_events() {
-    let parts = compile(POOL[0], 8);
+    let parts = compile(POOL[0]);
     let events: Vec<EventRef> = (0..120)
         .map(|i| {
             zstream::events::stock(
@@ -375,9 +373,9 @@ fn create_mid_stream_sees_only_later_events() {
 /// resolved routes), not the build-time query set.
 #[test]
 fn lifecycle_survives_checkpoint_and_restore() {
-    let q0_parts = compile(POOL[0], 8);
-    let q1_parts = compile(POOL[2], 8);
-    let q2_parts = compile(POOL[1], 8);
+    let q0_parts = compile(POOL[0]);
+    let q1_parts = compile(POOL[2]);
+    let q2_parts = compile(POOL[1]);
     let events: Vec<EventRef> = (0..160)
         .map(|i| {
             zstream::events::stock(
@@ -466,8 +464,8 @@ fn lifecycle_survives_checkpoint_and_restore() {
 /// distinct error variants carrying distinct guidance.
 #[test]
 fn restore_distinguishes_drift_from_corruption() {
-    let q0_parts = compile(POOL[0], 8);
-    let q1_parts = compile(POOL[2], 8);
+    let q0_parts = compile(POOL[0]);
+    let q1_parts = compile(POOL[2]);
     let mut builder = Runtime::builder().workers(2).channel_capacity(2);
     let q0 = builder.register(q0_parts.clone(), Partitioning::Auto("name".into()));
     builder.register(q1_parts.clone(), Partitioning::Auto("name".into()));
@@ -507,7 +505,7 @@ fn restore_distinguishes_drift_from_corruption() {
                 (q1_parts.clone(), Partitioning::Auto("name".into())),
             ],
         ),
-        ("wrong window", vec![(compile(POOL[0], 8), Partitioning::Auto("name".into()))]),
+        ("wrong window", vec![(compile(POOL[0]), Partitioning::Auto("name".into()))]),
         ("incompatible partitioning", vec![(q1_parts.clone(), Partitioning::Broadcast)]),
     ];
     for (what, defs) in drift_cases {
@@ -700,7 +698,6 @@ fn weblog_multi_query_differential() {
             .unwrap()
             .schemas(SchemaMap::uniform(Schema::weblog()))
             .route_by_field("category")
-            .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
             .compile()
             .unwrap()
     };
@@ -784,7 +781,7 @@ fn skip_pool() -> Vec<(CompiledParts, Partitioning)> {
         .map(|(src, hashed)| {
             let partitioning =
                 if *hashed { Partitioning::Field("name".into()) } else { Partitioning::Broadcast };
-            (compile(src, 8), partitioning)
+            (compile(src), partitioning)
         })
         .collect()
 }

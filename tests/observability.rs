@@ -30,7 +30,7 @@ fn stream(seed: u64, len: usize) -> Vec<EventRef> {
 }
 
 fn builder(workers: usize) -> RuntimeBuilder {
-    let parts = compile_stock(SEQ, 16);
+    let parts = compile_stock(SEQ);
     let mut b = Runtime::builder().workers(workers);
     b.register(parts, Partitioning::Auto("name".into()));
     b
@@ -39,7 +39,7 @@ fn builder(workers: usize) -> RuntimeBuilder {
 /// Ingests every batch, formats matches through the RETURN clause, and
 /// returns the full (sorted) durable match stream.
 fn run_lines(mut runtime: Runtime, batches: &[EventBatch]) -> Vec<String> {
-    let template = compile_stock(SEQ, 16).engine().unwrap();
+    let template = compile_stock(SEQ).engine().unwrap();
     let mut lines = Vec::new();
     for batch in batches {
         for m in runtime.ingest_columns(batch).unwrap() {
@@ -98,7 +98,7 @@ fn concurrent_scrape_is_invisible_in_the_match_stream() {
 fn counters_agree_with_the_shutdown_report() {
     let events = stream(23, 600);
     let batches = rebatch(&events, &[16]);
-    let template = compile_stock(SEQ, 16).engine().unwrap();
+    let template = compile_stock(SEQ).engine().unwrap();
 
     let mut runtime = builder(2).build().unwrap();
     let hub = runtime.obs_handle();
@@ -162,7 +162,7 @@ fn restore_restarts_observability_from_zero() {
     let ckpt_at = batches.len() / 2;
     let baseline = run_lines(builder(2).build().unwrap(), &batches);
 
-    let template = compile_stock(SEQ, 16).engine().unwrap();
+    let template = compile_stock(SEQ).engine().unwrap();
     let mut lines = Vec::new();
     let mut runtime = builder(2).build().unwrap();
     for batch in &batches[..ckpt_at] {
@@ -214,7 +214,7 @@ fn restore_restarts_observability_from_zero() {
 fn trace_ring_stays_bounded() {
     let batches = rebatch(&stream(42, 4000), &[4]);
     let hub = Arc::new(Obs::new());
-    let parts = compile_stock(SEQ, 16);
+    let parts = compile_stock(SEQ);
     let mut b = Runtime::builder().workers(2).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = b.build().unwrap();
@@ -233,7 +233,7 @@ fn trace_ring_stays_bounded() {
 #[test]
 fn builder_accepts_a_shared_hub() {
     let hub = Arc::new(Obs::new());
-    let parts = compile_stock(SEQ, 16);
+    let parts = compile_stock(SEQ);
     let mut b = Runtime::builder().workers(1).obs(Arc::clone(&hub));
     b.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = b.build().unwrap();
@@ -259,7 +259,7 @@ fn merge_gauges_follow_checkpoint_and_read_zero_after_shutdown() {
     // idle shard never echoes a watermark, so the frontier stays at 0 and
     // every match is held until shutdown.
     let mut b = Runtime::builder().workers(2).heartbeat_interval(usize::MAX).obs(Arc::clone(&hub));
-    b.register(compile_stock(SEQ, 16), Partitioning::Broadcast);
+    b.register(compile_stock(SEQ), Partitioning::Broadcast);
     let mut runtime = b.build().unwrap();
     for batch in &batches {
         assert!(runtime.ingest_columns(batch).unwrap().is_empty(), "frontier must not move");
@@ -298,7 +298,7 @@ fn merge_gauges_follow_checkpoint_and_read_zero_after_shutdown() {
 fn assembly_round_trace_events_are_per_batch_not_per_key() {
     let workers = 2;
     let hub = Arc::new(Obs::new());
-    let parts = common::compile("PATTERN A; B WHERE A.name = B.name WITHIN 1000", 16);
+    let parts = common::compile("PATTERN A; B WHERE A.name = B.name WITHIN 1000");
     let mut b = Runtime::builder().workers(workers).obs(Arc::clone(&hub));
     b.register(parts.clone(), Partitioning::Field("name".into()));
     b.register(parts, Partitioning::Field("name".into()));

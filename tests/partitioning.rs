@@ -6,7 +6,7 @@ use zstream::core::reference::reference_signatures;
 use zstream::core::{
     build_intake, can_partition_by, CompiledQuery, Engine, PartitionedEngine, PlanConfig,
 };
-use zstream::events::Schema;
+use zstream::events::{EventBatch, Schema};
 use zstream::lang::{Query, SchemaMap};
 use zstream::workload::{StockConfig, StockGenerator, WeblogConfig, WeblogGenerator};
 
@@ -24,15 +24,18 @@ fn partitioned_query2_style_matches_oracle() {
     assert!(can_partition_by(&compiled.aq, "name"));
     let intake = build_intake(&compiled.aq, None).unwrap();
 
-    let events = StockGenerator::generate(StockConfig::uniform(&["IBM", "Sun", "Oracle"], 400, 31));
+    let batches = StockGenerator::generate_batches(
+        StockConfig::uniform(&["IBM", "Sun", "Oracle"], 400, 31),
+        8,
+    );
+    let events: Vec<_> = batches.iter().flat_map(EventBatch::iter).collect();
     let expected = reference_signatures(&compiled.aq, &intake, &events);
 
     let mut pe =
-        PartitionedEngine::new(compiled.clone(), PlanConfig::default(), intake.clone(), 8, "name")
-            .unwrap();
+        PartitionedEngine::new(compiled.clone(), PlanConfig::default(), &intake, "name").unwrap();
     let mut out = Vec::new();
-    for e in &events {
-        out.extend(pe.push(e.clone()));
+    for batch in &batches {
+        out.extend(pe.push_columns(batch));
     }
     out.extend(pe.flush());
     let mut sigs: Vec<_> = out.iter().map(|r| pe.record_signature(r)).collect();
@@ -53,24 +56,23 @@ fn partitioned_weblog_query8_equals_flat() {
     let compiled = CompiledQuery::optimize(&Query::parse(src).unwrap(), &schemas, None).unwrap();
     assert!(can_partition_by(&compiled.aq, "ip"));
     let intake = build_intake(&compiled.aq, Some("category")).unwrap();
-    let (events, _) = WeblogGenerator::generate(&WeblogConfig::scaled(40_000, 17));
+    let (batches, _) = WeblogGenerator::generate_batches(&WeblogConfig::scaled(40_000, 17), 32);
 
     let mut pe =
-        PartitionedEngine::new(compiled.clone(), PlanConfig::default(), intake.clone(), 32, "ip")
-            .unwrap();
+        PartitionedEngine::new(compiled.clone(), PlanConfig::default(), &intake, "ip").unwrap();
     let mut part_out = Vec::new();
-    for e in &events {
-        part_out.extend(pe.push(e.clone()));
+    for batch in &batches {
+        part_out.extend(pe.push_columns(batch));
     }
     part_out.extend(pe.flush());
     let mut part_sigs: Vec<_> = part_out.iter().map(|r| pe.record_signature(r)).collect();
     part_sigs.sort();
 
     let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
-    let mut flat = Engine::new(compiled.aq.clone(), plan, intake, 32);
+    let mut flat = Engine::new(compiled.aq.clone(), plan, &intake);
     let mut flat_out = Vec::new();
-    for e in &events {
-        flat_out.extend(flat.push(e.clone()));
+    for batch in &batches {
+        flat_out.extend(flat.push_columns(batch));
     }
     flat_out.extend(flat.flush());
     let mut flat_sigs: Vec<_> = flat_out.iter().map(|r| flat.record_signature(r)).collect();
@@ -88,5 +90,5 @@ fn partitioning_rejected_without_connecting_equalities() {
     let compiled = CompiledQuery::optimize(&Query::parse(src).unwrap(), &schemas, None).unwrap();
     assert!(!can_partition_by(&compiled.aq, "name"));
     let intake = build_intake(&compiled.aq, Some("name")).unwrap();
-    assert!(PartitionedEngine::new(compiled, PlanConfig::default(), intake, 8, "name").is_err());
+    assert!(PartitionedEngine::new(compiled, PlanConfig::default(), &intake, "name").is_err());
 }

@@ -11,34 +11,38 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{stream_strategy, Signature};
+use common::{handles, rebatch, stream_strategy, Signature};
 use proptest::prelude::*;
 
 use zstream::core::{
     build_intake, EngineBuilder, EngineConfig, NegStrategy, PlanConfig, PlanShape,
 };
-use zstream::events::EventRef;
+use zstream::events::{EventBatch, EventRef};
 use zstream::lang::{analyze, Query, SchemaMap};
 
 /// Three names with small domains so predicates and equalities hit often.
 const NAMES: &[&str] = &["IBM", "Sun", "Oracle"];
 
 /// The brute-force oracle with route-by-name intake (the classes here are
-/// stock symbols).
-fn oracle_sigs(src: &str, events: &[EventRef]) -> Vec<Signature> {
-    common::oracle_sigs(src, Some("name"), events)
+/// stock symbols), over the row handles of `batches`.
+fn oracle_sigs(src: &str, batches: &[EventBatch]) -> Vec<Signature> {
+    common::oracle_sigs(src, Some("name"), &handles(batches))
+}
+
+/// `events` packed into batches of `batch` rows: one engine round each.
+fn packed(events: &[EventRef], batch: usize) -> Vec<EventBatch> {
+    rebatch(events, &[batch])
 }
 
 fn engine_run(
     src: &str,
     shape: Option<PlanShape>,
-    batch: usize,
     use_hash: bool,
-    events: &[EventRef],
+    batches: &[EventBatch],
 ) -> Vec<Signature> {
     let mut b = EngineBuilder::parse(src).unwrap().stock_routing().config(EngineConfig {
-        batch_size: batch,
         plan: PlanConfig { use_hash, ..Default::default() },
+        ..Default::default()
     });
     if let Some(s) = shape {
         b = b.shape(s);
@@ -47,9 +51,9 @@ fn engine_run(
     let mut out = Vec::new();
     let window = engine.analyzed().window;
     let mut round_out = Vec::new();
-    for e in events {
+    for batch in batches {
         round_out.clear();
-        round_out.extend(engine.push(e.clone()));
+        round_out.extend(engine.push_columns(batch));
         check_round_invariants(&round_out, window);
         out.extend(round_out.iter().cloned());
     }
@@ -87,9 +91,10 @@ proptest! {
     #[test]
     fn sequence_matches_oracle(events in stream_strategy(28, NAMES), batch in 1usize..12, hash: bool) {
         let src = "PATTERN IBM; Sun; Oracle WITHIN 12";
-        let expected = oracle_sigs(src, &events);
+        let batches = packed(&events, batch);
+        let expected = oracle_sigs(src, &batches);
         for shape in PlanShape::enumerate_all(3) {
-            let got = engine_run(src, Some(shape), batch, hash, &events);
+            let got = engine_run(src, Some(shape), hash, &batches);
             prop_assert_eq!(&got, &expected);
         }
     }
@@ -97,8 +102,9 @@ proptest! {
     #[test]
     fn predicate_sequence_matches_oracle(events in stream_strategy(26, NAMES), batch in 1usize..10) {
         let src = "PATTERN IBM; Sun; Oracle WHERE IBM.price > Sun.price WITHIN 14";
-        let expected = oracle_sigs(src, &events);
-        let got = engine_run(src, None, batch, true, &events);
+        let batches = packed(&events, batch);
+        let expected = oracle_sigs(src, &batches);
+        let got = engine_run(src, None, true, &batches);
         prop_assert_eq!(&got, &expected);
     }
 
@@ -106,24 +112,25 @@ proptest! {
     fn equality_sequence_matches_oracle(events in stream_strategy(26, NAMES), hash: bool) {
         // Small volume domain (1..4) makes the equality selective but non-trivial.
         let src = "PATTERN IBM; Sun WHERE IBM.volume = Sun.volume WITHIN 15";
-        let expected = oracle_sigs(src, &events);
-        let got = engine_run(src, None, 5, hash, &events);
+        let batches = packed(&events, 5);
+        let expected = oracle_sigs(src, &batches);
+        let got = engine_run(src, None, hash, &batches);
         prop_assert_eq!(&got, &expected);
     }
 
     #[test]
     fn negation_matches_oracle(events in stream_strategy(30, NAMES), batch in 1usize..10) {
         let src = "PATTERN IBM; !Sun; Oracle WITHIN 12";
-        let expected = oracle_sigs(src, &events);
-        let pushdown = engine_run(src, None, batch, true, &events);
+        let batches = packed(&events, batch);
+        let expected = oracle_sigs(src, &batches);
+        let pushdown = engine_run(src, None, true, &batches);
         prop_assert_eq!(&pushdown, &expected);
         let mut b = EngineBuilder::parse(src).unwrap().stock_routing()
-            .neg_strategy(NegStrategy::TopFilter)
-            .config(EngineConfig { batch_size: batch, ..Default::default() });
+            .neg_strategy(NegStrategy::TopFilter);
         b = b.shape(PlanShape::left_deep(2));
         let mut engine = b.build().unwrap();
         let mut out = Vec::new();
-        for e in &events { out.extend(engine.push(e.clone())); }
+        for batch in &batches { out.extend(engine.push_columns(batch)); }
         out.extend(engine.flush());
         let mut sigs: Vec<Signature> = out.iter().map(|r| engine.record_signature(r)).collect();
         sigs.sort();
@@ -133,25 +140,27 @@ proptest! {
 
     #[test]
     fn kleene_matches_oracle(events in stream_strategy(22, NAMES), batch in 1usize..8) {
+        let batches = packed(&events, batch);
         for src in [
             "PATTERN IBM; Sun^2; Oracle WITHIN 12",
             "PATTERN IBM; Sun*; Oracle WITHIN 10",
             "PATTERN IBM; Sun+; Oracle WITHIN 10",
         ] {
-            let expected = oracle_sigs(src, &events);
-            let got = engine_run(src, None, batch, true, &events);
+            let expected = oracle_sigs(src, &batches);
+            let got = engine_run(src, None, true, &batches);
             prop_assert_eq!(&got, &expected, "query {}", src);
         }
     }
 
     #[test]
     fn conjunction_disjunction_match_oracle(events in stream_strategy(20, NAMES), batch in 1usize..8) {
+        let batches = packed(&events, batch);
         for src in [
             "PATTERN IBM & Sun WITHIN 8",
             "PATTERN (IBM | Sun); Oracle WITHIN 8",
         ] {
-            let expected = oracle_sigs(src, &events);
-            let got = engine_run(src, None, batch, true, &events);
+            let expected = oracle_sigs(src, &batches);
+            let got = engine_run(src, None, true, &batches);
             prop_assert_eq!(&got, &expected, "query {}", src);
         }
     }
@@ -164,7 +173,7 @@ proptest! {
             &SchemaMap::uniform(zstream::events::Schema::stocks()),
         ).unwrap());
         let intake = build_intake(&aq, Some("name")).unwrap();
-        let expected = oracle_sigs(src, &events);
+        let expected = common::oracle_sigs(src, Some("name"), &events);
         let mut nfa = zstream::nfa::NfaEngine::new(aq, intake).unwrap();
         let mut sigs: Vec<Signature> = Vec::new();
         for e in &events {

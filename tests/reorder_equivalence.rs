@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use common::{batch_of, compile, lines_columns, rebatch, sorted_counterpart, stream_strategy};
 use proptest::prelude::*;
 
-use zstream::core::{EngineBuilder, EngineConfig, PlanConfig};
+use zstream::core::EngineBuilder;
 use zstream::events::{shard_of, stock, EventBatch, EventRef, Schema, Ts, Value};
 use zstream::lang::SchemaMap;
 use zstream::runtime::{LatenessPolicy, Partitioning, Runtime, RuntimeError};
@@ -64,7 +64,7 @@ proptest! {
         seed in 0u64..1000,
         sizes in prop::collection::vec(1usize..9, 1..4),
     ) {
-        let parts = compile(PARTITIONABLE, 4);
+        let parts = compile(PARTITIONABLE);
         let arrival = DisorderSpec::bounded(max_delay, seed).shuffle_events(&events);
         let sorted = sorted_counterpart(&arrival);
         let sorted_batches = rebatch(&sorted, &sizes);
@@ -94,7 +94,7 @@ proptest! {
         seed in 0u64..1000,
         sizes in prop::collection::vec(1usize..9, 1..4),
     ) {
-        let parts = compile(PARTITIONABLE, 4);
+        let parts = compile(PARTITIONABLE);
         let arrival = DisorderSpec::bounded(max_delay, seed)
             .late_fraction(0.2)
             .shuffle_events(&events);
@@ -123,7 +123,7 @@ proptest! {
         workers in 1usize..5,
         block in 1usize..7,
     ) {
-        let parts = compile(PARTITIONABLE, 4);
+        let parts = compile(PARTITIONABLE);
         let sorted = sorted_counterpart(&events);
         let (expected, _) = lines_columns(
             &parts, Partitioning::Auto("name".into()), workers, None,
@@ -168,7 +168,7 @@ proptest! {
 fn stock_workload_disordered_ingest_is_byte_identical() {
     let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name \
                WITHIN 30 RETURN A, B, C";
-    let parts = compile(src, 16);
+    let parts = compile(src);
     let rates: Vec<(&str, f64)> =
         [("IBM", 1.0), ("Sun", 1.0), ("Oracle", 1.0), ("HP", 1.0), ("Dell", 1.0)].to_vec();
     let cfg = StockConfig::with_rates(&rates, 600, 21);
@@ -218,7 +218,6 @@ fn weblog_workload_disordered_ingest_is_byte_identical() {
         .unwrap()
         .schemas(SchemaMap::uniform(Schema::weblog()))
         .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
         .compile()
         .unwrap();
     let cfg = WeblogConfig::scaled(20_000, 11);
@@ -270,7 +269,7 @@ fn straggler_batch() -> EventBatch {
 
 #[test]
 fn drop_policy_counts_and_discards() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let mut builder = Runtime::builder().workers(2).slack(1);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -292,7 +291,7 @@ fn drop_policy_counts_and_discards() {
 
 #[test]
 fn dead_letter_policy_returns_late_events_in_arrival_order() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let mut builder = Runtime::builder().workers(2).slack(1).lateness(LatenessPolicy::DeadLetter);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -316,7 +315,7 @@ fn dead_letter_policy_returns_late_events_in_arrival_order() {
 
 #[test]
 fn strict_policy_errors_without_poisoning_the_runtime() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let template = parts.engine().unwrap();
     let mut builder = Runtime::builder().workers(2).slack(2).lateness(LatenessPolicy::Strict);
     builder.register(parts.clone(), Partitioning::Auto("name".into()));
@@ -362,7 +361,7 @@ fn strict_policy_errors_without_poisoning_the_runtime() {
 /// batches are an ordinary product of the API now.
 #[test]
 fn reorder_less_runtime_rejects_disordered_input() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let mut builder = Runtime::builder().workers(1);
     builder.register(parts, Partitioning::Auto("name".into()));
     let mut runtime = builder.build().unwrap();
@@ -388,7 +387,7 @@ fn reorder_less_runtime_rejects_disordered_input() {
 #[test]
 #[should_panic(expected = "time-ordered")]
 fn engine_rejects_disordered_batches_loudly() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let mut engine = parts.engine().unwrap();
     let unsorted =
         rebatch(&[stock(5, 0, "IBM", 1.0, 1), stock(2, 1, "IBM", 2.0, 1)], &[2]).remove(0);
@@ -400,7 +399,7 @@ fn engine_rejects_disordered_batches_loudly() {
 
 #[test]
 fn misconfigured_reorder_knobs_are_rejected() {
-    let parts = compile(PAIR, 4);
+    let parts = compile(PAIR);
     let mut b = Runtime::builder().workers(1).sources(2);
     b.register(parts.clone(), Partitioning::Broadcast);
     assert!(matches!(b.build(), Err(RuntimeError::InvalidConfig(_))), "sources need slack");
@@ -443,7 +442,7 @@ fn dead_shard_does_not_stall_disordered_finality() {
     let arrival = DisorderSpec::bounded(slack, 31).shuffle_events(&events);
 
     let src = "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 12 RETURN A, B, C";
-    let parts = compile(src, 8);
+    let parts = compile(src);
     let template = parts.engine().unwrap();
     let mut builder =
         Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1).slack(slack);

@@ -31,7 +31,7 @@ fn builder(sources: usize, lateness: LatenessPolicy) -> RuntimeBuilder {
         .slack(SLACK)
         .lateness(lateness)
         .sources(sources);
-    b.register(compile(QUERY, 4), Partitioning::Auto("name".into()));
+    b.register(compile(QUERY), Partitioning::Auto("name".into()));
     b
 }
 

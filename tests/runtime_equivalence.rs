@@ -7,13 +7,13 @@
 mod common;
 
 use common::{
-    compile, engine_lines, engine_sigs, lines_columns, oracle_sigs, rebatch, runtime_matches,
-    runtime_sigs, stream_strategy, Signature,
+    compile, engine_lines, engine_sigs, handles, lines_columns, oracle_sigs, rebatch,
+    runtime_matches, runtime_sigs, stream_strategy, Signature,
 };
 use proptest::prelude::*;
 
-use zstream::core::{EngineBuilder, EngineConfig, PlanConfig};
-use zstream::events::{EventBatch, EventRef, Schema};
+use zstream::core::EngineBuilder;
+use zstream::events::Schema;
 use zstream::lang::SchemaMap;
 use zstream::runtime::{LatenessPolicy, Partitioning, Route, Runtime};
 use zstream::workload::{StockConfig, StockGenerator, WeblogConfig, WeblogGenerator};
@@ -36,15 +36,13 @@ proptest! {
         events in stream_strategy(26, NAMES),
         workers in 1usize..9,
         sizes in prop::collection::vec(1usize..9, 1..4),
-        engine_batch in 1usize..6,
     ) {
-        let parts = compile(PARTITIONABLE, engine_batch);
+        let parts = compile(PARTITIONABLE);
         // Rebatch first; every path consumes handles into the same storage
         // so signatures (event identities) are comparable across paths.
         let batches = rebatch(&events, &sizes);
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-        let expected = oracle_sigs(PARTITIONABLE, None, &events);
-        prop_assert_eq!(&engine_sigs(&parts, &events), &expected);
+        let expected = oracle_sigs(PARTITIONABLE, None, &handles(&batches));
+        prop_assert_eq!(&engine_sigs(&parts, &batches), &expected);
         let got = runtime_sigs(parts, Partitioning::Auto("name".into()), workers, &batches);
         prop_assert_eq!(&got, &expected);
     }
@@ -55,11 +53,10 @@ proptest! {
         workers in 1usize..4,
         chunk in 1usize..9,
     ) {
-        let parts = compile(BROADCAST, 4);
+        let parts = compile(BROADCAST);
         let batches = rebatch(&events, &[chunk]);
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-        let expected = oracle_sigs(BROADCAST, None, &events);
-        prop_assert_eq!(&engine_sigs(&parts, &events), &expected);
+        let expected = oracle_sigs(BROADCAST, None, &handles(&batches));
+        prop_assert_eq!(&engine_sigs(&parts, &batches), &expected);
         let got = runtime_sigs(
             parts,
             Partitioning::Auto("name".into()), // no equalities -> home shard
@@ -77,10 +74,9 @@ proptest! {
         workers in 1usize..5,
         sizes in prop::collection::vec(1usize..9, 1..4),
     ) {
-        let parts = compile(BROADCAST, 4);
+        let parts = compile(BROADCAST);
         let batches = rebatch(&events, &sizes);
-        let events: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
-        let expected = oracle_sigs(BROADCAST, None, &events);
+        let expected = oracle_sigs(BROADCAST, None, &handles(&batches));
         let got = runtime_sigs(
             parts,
             Partitioning::Auto("name".into()), // no equalities -> home shard
@@ -98,7 +94,7 @@ fn worker_count_never_changes_the_match_set() {
         400,
         7,
     ));
-    let parts = compile(PARTITIONABLE, 8);
+    let parts = compile(PARTITIONABLE);
     // Formatted lines, not signatures: each rebatching is fresh storage.
     let lines = |workers: usize, chunk: usize| {
         let auto = Partitioning::Auto("name".into());
@@ -127,12 +123,12 @@ fn stock_workload_output_is_byte_identical_to_engine() {
         21,
     ));
     let batches = rebatch(&events, &[32]);
-    let parts = compile(src, 16);
+    let parts = compile(src);
     // Both outputs are deterministic; equal end-ts ties may order
     // differently between one engine and N shards, so compare under the
     // shared canonical sorted order (end_ts is the line's `..end]` prefix,
     // and the full line disambiguates ties).
-    let expected = engine_lines(&parts, &events);
+    let expected = engine_lines(&parts, &rebatch(&events, &[16]));
 
     for workers in [2, 4] {
         let template = parts.engine().unwrap();
@@ -158,10 +154,9 @@ fn weblog_workload_output_is_byte_identical_to_engine() {
         .unwrap()
         .schemas(SchemaMap::uniform(Schema::weblog()))
         .route_by_field("category")
-        .config(EngineConfig { batch_size: 64, plan: PlanConfig::default() })
         .compile()
         .unwrap();
-    let expected = engine_lines(&parts, &events);
+    let expected = engine_lines(&parts, &rebatch(&events, &[64]));
 
     let template = parts.engine().unwrap();
     let batches = rebatch(&events, &[128]);
@@ -187,8 +182,8 @@ fn multi_query_same_field_shares_columnar_routing() {
         32,
     );
     const PAIR: &str = "PATTERN A; B WHERE A.name = B.name WITHIN 8";
-    let triple_parts = compile(PARTITIONABLE, 8);
-    let pair_parts = compile(PAIR, 8);
+    let triple_parts = compile(PARTITIONABLE);
+    let pair_parts = compile(PAIR);
     let solo_triple =
         runtime_sigs(triple_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
     let solo_pair =
@@ -239,8 +234,8 @@ fn multi_query_registry_isolates_results() {
         ),
         16,
     );
-    let part_parts = compile(PARTITIONABLE, 8);
-    let bcast_parts = compile(BROADCAST, 8);
+    let part_parts = compile(PARTITIONABLE);
+    let bcast_parts = compile(BROADCAST);
     let solo_part =
         runtime_sigs(part_parts.clone(), Partitioning::Auto("name".into()), 3, &batches);
     let solo_bcast = runtime_sigs(bcast_parts.clone(), Partitioning::Broadcast, 3, &batches);

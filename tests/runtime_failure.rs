@@ -14,35 +14,13 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::rebatch;
+use common::{compile, engine_lines, rebatch};
 
-use zstream::core::{CompiledParts, EngineBuilder, EngineConfig, PlanConfig};
 use zstream::events::{shard_of, stock, EventBatch, EventRef, Value};
 use zstream::runtime::{Partitioning, Runtime};
 
 const QUERY: &str =
     "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 12 RETURN A, B, C";
-
-fn parts(batch: usize) -> CompiledParts {
-    EngineBuilder::parse(QUERY)
-        .unwrap()
-        .config(EngineConfig { batch_size: batch, plan: PlanConfig::default() })
-        .compile()
-        .unwrap()
-}
-
-/// Sorted formatted output of the single-threaded engine over `events`.
-fn engine_lines(parts: &CompiledParts, events: &[EventRef]) -> Vec<String> {
-    let mut engine = parts.engine().unwrap();
-    let mut records = Vec::new();
-    for e in events {
-        records.extend(engine.push(e.clone()));
-    }
-    records.extend(engine.flush());
-    let mut lines: Vec<String> = records.iter().map(|r| engine.format_match(r)).collect();
-    lines.sort();
-    lines
-}
 
 /// Ingests `events` in batches of `chunk` rows, collecting the matches.
 fn ingest_chunked(
@@ -87,7 +65,7 @@ fn failed_worker_leaves_pool_without_wedging_the_watermark() {
         .map(|i| stock(i as u64 + 1, i as i64, names[i as usize % names.len()], 1.0, 1))
         .collect();
 
-    let p = parts(8);
+    let p = compile(QUERY);
     let template = p.engine().unwrap();
     let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     let q = builder.register(p.clone(), Partitioning::Field("name".into()));
@@ -109,7 +87,7 @@ fn failed_worker_leaves_pool_without_wedging_the_watermark() {
         .filter(|e| shard_of(&e.value_by_name("name").unwrap().hash_key(), workers) != dead)
         .cloned()
         .collect();
-    let expected = engine_lines(&p, &surviving);
+    let expected = engine_lines(&p, &rebatch(&surviving, &[8]));
     let mut lines: Vec<String> = matches.iter().map(|m| template.format_match(&m.record)).collect();
     lines.sort();
     assert!(!lines.is_empty(), "surviving shards must still produce matches");
@@ -132,7 +110,7 @@ fn failure_after_traffic_keeps_earlier_matches_and_metrics() {
         .collect();
     let (first, second) = events.split_at(events.len() / 2);
 
-    let p = parts(8);
+    let p = compile(QUERY);
     let template = p.engine().unwrap();
     let mut builder = Runtime::builder().workers(workers).channel_capacity(2).heartbeat_interval(1);
     builder.register(p.clone(), Partitioning::Field("name".into()));
@@ -175,7 +153,7 @@ fn failure_after_traffic_keeps_earlier_matches_and_metrics() {
 /// degraded state, not an error.
 #[test]
 fn losing_every_worker_degrades_gracefully() {
-    let p = parts(8);
+    let p = compile(QUERY);
     let template = p.engine().unwrap();
     let mut builder = Runtime::builder().workers(1).channel_capacity(2);
     let q = builder.register(p, Partitioning::Field("name".into()));
@@ -205,7 +183,7 @@ fn losing_every_worker_degrades_gracefully() {
 /// shard's watermark — matches may not wait for more ingest or shutdown.
 #[test]
 fn poll_heartbeats_idle_shards_to_finalize_matches() {
-    let p = parts(4);
+    let p = compile(QUERY);
     // Default heartbeat_interval (8) — one chunk never triggers the
     // ingest-driven heartbeat.
     let mut builder = Runtime::builder().workers(2).channel_capacity(2);
@@ -229,7 +207,7 @@ fn poll_heartbeats_idle_shards_to_finalize_matches() {
 /// finalize before shutdown even when every event keys to one shard.
 #[test]
 fn heartbeats_let_matches_finalize_before_shutdown() {
-    let p = parts(4);
+    let p = compile(QUERY);
     let mut builder = Runtime::builder().workers(2).channel_capacity(2).heartbeat_interval(1);
     builder.register(p, Partitioning::Field("name".into()));
     let mut runtime = builder.build().unwrap();
