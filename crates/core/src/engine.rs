@@ -11,13 +11,15 @@
 //!    earliest unconsumed end-timestamp among trigger buffers minus the
 //!    window, and push it down to every buffer,
 //! 4. assemble events bottom-up, materializing intermediate results in node
-//!    buffers and emitting complete composites at the root.
+//!    buffers and emitting complete composites at the root — packed into a
+//!    [`MatchBatch`] of `(source, row)` ids, which [`Engine::push_rows`]
+//!    returns as is and [`Engine::push_columns`] builds into `Record`s.
 
 use std::sync::Arc;
 
 use zstream_events::{
-    EventBatch, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter,
-    Sym, Ts,
+    EventBatch, MatchBatch, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
+    SnapshotWriter, Sym, Ts,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 
@@ -188,8 +190,12 @@ impl Engine {
     /// surviving rows materialize leaf records. Predicates evaluate through
     /// the engine's own index. A caller holding event handles packs them
     /// first ([`EventBatch::from_events`], `zstream_events::repack_events`).
+    /// Returns the round's matches built as `Record`s (see
+    /// [`Engine::push_rows`] for the packed form).
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        self.push_intake(batch, None, None)
+        let mut out = MatchBatch::new();
+        self.push_intake(batch, None, None, &mut out);
+        out.records()
     }
 
     /// The shard form of [`Engine::push_columns`]: routes the given
@@ -202,29 +208,37 @@ impl Engine {
     /// `index` is the [`SharedPredIndex`] this engine subscribed to
     /// ([`Engine::subscribe`]): class masks already valid for this batch are
     /// reused instead of re-evaluated, and ones this engine evaluates become
-    /// valid for later subscribers. Match output is byte-identical to
-    /// `push_columns` — only the evaluation count changes. An engine that
-    /// never subscribed evaluates through its own index, and sparse
-    /// selections fall back to row-at-a-time narrowing without touching
-    /// either.
+    /// valid for later subscribers. An engine that never subscribed
+    /// evaluates through its own index, and sparse selections fall back to
+    /// row-at-a-time narrowing without touching either.
+    ///
+    /// The matches come back packed, in end-timestamp order: built with
+    /// [`MatchBatch::records`] they are byte-identical to `push_columns`'s.
+    /// The packed form holds the round's source batches once, not a handle
+    /// per matched event, so nothing is allocated or refcounted per match
+    /// until a consumer builds it.
     pub fn push_rows(
         &mut self,
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: &mut SharedPredIndex,
-    ) -> Vec<Record> {
-        self.push_intake(batch, rows, Some(index))
+    ) -> MatchBatch {
+        let mut out = MatchBatch::new();
+        self.push_intake(batch, rows, Some(index), &mut out);
+        out
     }
 
-    /// Both entries: route the selection, run one round.
+    /// Both entries: route the selection, run one round, append its
+    /// matches to `out`.
     pub(crate) fn push_intake(
         &mut self,
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
+        out: &mut MatchBatch,
+    ) {
         self.route_columns(batch, rows, index);
-        self.round()
+        self.round(out);
     }
 
     /// The O(1) stand-in for [`Engine::push_rows`] over every row of a batch
@@ -273,12 +287,18 @@ impl Engine {
         true
     }
 
-    /// Runs one more round at end of stream. Every push already ran its
-    /// own round and every round consumes its trigger instances, so this
-    /// one is idle (one `idle_rounds` tick) and emits nothing; stream
-    /// drivers call it so every engine kind ends the same way.
+    /// Ends the stream with one idle round: every push already ran its own
+    /// round and every round consumes its trigger instances, so there is
+    /// nothing to assemble — this books the `idle_rounds` tick and returns
+    /// no match. Callers end every stream with it so every engine kind ends
+    /// the same way.
     pub fn flush(&mut self) -> Vec<Record> {
-        self.round()
+        debug_assert!(
+            self.earliest_trigger_end().is_none(),
+            "every push runs its own round, so a flush has nothing to assemble"
+        );
+        self.metrics.idle_rounds += 1;
+        Vec::new()
     }
 
     /// Column-wise intake of one batch (§4.1 push-down over columns).
@@ -535,17 +555,19 @@ impl Engine {
     }
 
     /// One round: idle if no trigger instance is waiting, otherwise compute
-    /// the EAT and assemble.
-    fn round(&mut self) -> Vec<Record> {
+    /// the EAT and assemble, appending the matches to `out`.
+    fn round(&mut self, out: &mut MatchBatch) {
         let Some(earliest) = self.earliest_trigger_end() else {
             self.metrics.idle_rounds += 1;
-            return Vec::new();
+            return;
         };
         let eat = earliest.saturating_sub(self.plan.window);
         self.metrics.assembly_rounds += 1;
         let start = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let out = self.plan.assemble(eat);
-        self.metrics.matches_out += out.len() as u64;
+        let before = out.len();
+        self.plan.assemble(eat, out);
+        let matched = (out.len() - before) as u64;
+        self.metrics.matches_out += matched;
         self.metrics.sample_memory(self.plan.total_bytes());
         // What lets a batch with no admissions be settled as an idle round
         // without looking (`skip_unadmitted`): nothing is left to trigger on.
@@ -555,9 +577,8 @@ impl Engine {
         );
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            obs.record_round(self.watermark, ns, out.len() as u64);
+            obs.record_round(self.watermark, ns, matched);
         }
-        out
     }
 
     /// Earliest unconsumed end timestamp across trigger-class leaf buffers

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use zstream_events::{
-    EventBatch, HashableValue, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
-    SnapshotWriter,
+    EventBatch, HashableValue, MatchBatch, Record, Snapshot, SnapshotError, SnapshotReader,
+    SnapshotResult, SnapshotWriter,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
 use zstream_obs::TraceKind;
@@ -193,7 +193,7 @@ impl PartitionedEngine {
     /// first-seen-key partition order), so it is deterministic for a given
     /// input stream.
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        self.push_intake(batch, None, None)
+        self.push_intake(batch, None, None).records()
     }
 
     /// The shard form of [`PartitionedEngine::push_columns`]: `rows` are
@@ -203,13 +203,14 @@ impl PartitionedEngine {
     /// never copied. Every partition engine evaluates through `index`, the
     /// [`SharedPredIndex`] this engine subscribed to (see
     /// [`Engine::push_rows`]). Semantics are identical to `push_columns` over
-    /// a batch containing exactly the selected rows.
+    /// a batch containing exactly the selected rows; the matches come back
+    /// packed, as from [`Engine::push_rows`] — every key's in one batch.
     pub fn push_rows(
         &mut self,
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: &mut SharedPredIndex,
-    ) -> Vec<Record> {
+    ) -> MatchBatch {
         self.push_intake(batch, rows, Some(index))
     }
 
@@ -220,12 +221,12 @@ impl PartitionedEngine {
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
+    ) -> MatchBatch {
         let n = rows.map_or(batch.len(), <[u32]>::len);
         self.events_in += n as u64;
         let Ok(field_idx) = batch.schema().field_index(&self.field) else {
             self.dropped += n as u64;
-            return Vec::new();
+            return MatchBatch::new();
         };
         match rows {
             None => self.push_selected(batch, field_idx, 0..n as u32, index),
@@ -235,10 +236,11 @@ impl PartitionedEngine {
 
     /// Groups the given rows by partition key (first-seen key order,
     /// intra-key stream order), hands each partition its row selection
-    /// (forcing a round per receiving partition), and returns all matches
-    /// ordered by end timestamp — stable, so ties keep key order. Groups
-    /// hold 4-byte row indices, not event handles — the batch stays shared
-    /// storage all the way into each partition's [`Engine::push_rows`]. One
+    /// (forcing a round per receiving partition, every key's matches
+    /// packed into one batch), and returns all matches ordered by end
+    /// timestamp — stable, so ties keep key order. Groups hold 4-byte row
+    /// indices, not event handles — the batch stays shared storage all the
+    /// way into each partition's [`Engine::push_rows`]. One
     /// `assembly_round` trace event covers the whole call when any key
     /// assembled; per-key engines have no ring.
     fn push_selected(
@@ -247,7 +249,7 @@ impl PartitionedEngine {
         field_idx: usize,
         rows: impl Iterator<Item = u32>,
         mut index: Option<&mut SharedPredIndex>,
-    ) -> Vec<Record> {
+    ) -> MatchBatch {
         let col = batch.column(field_idx);
         let mut order: Vec<HashableValue> = Vec::new();
         let mut groups: HashMap<HashableValue, Vec<u32>> = HashMap::new();
@@ -264,19 +266,19 @@ impl PartitionedEngine {
             }
         }
         let Some(last_ts) = last_row.map(|row| batch.ts_column()[row as usize]) else {
-            return Vec::new();
+            return MatchBatch::new();
         };
         let trace = self.obs.as_ref().and_then(|obs| obs.trace.clone());
         let start = trace.as_ref().map(|_| std::time::Instant::now());
-        let (mut out, mut rounds) = (Vec::new(), 0u64);
+        let (mut out, mut rounds) = (MatchBatch::new(), 0u64);
         for key in order {
             let group = groups.remove(&key).expect("every key in `order` has a group");
             let engine = self.partition_mut(key);
             let before = engine.metrics().assembly_rounds;
-            out.extend(engine.push_intake(batch, Some(&group), index.as_deref_mut()));
+            engine.push_intake(batch, Some(&group), index.as_deref_mut(), &mut out);
             rounds += engine.metrics().assembly_rounds - before;
         }
-        out.sort_by_key(Record::end_ts);
+        out.sort_by_end();
         if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
             if rounds > 0 {
                 let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -314,15 +316,14 @@ impl PartitionedEngine {
         self.partitions.get_mut(&key).expect("inserted above")
     }
 
-    /// Flushes every partition.
+    /// Ends the stream: one idle round per partition ([`Engine::flush`]),
+    /// so no match.
     pub fn flush(&mut self) -> Vec<Record> {
-        let mut out = Vec::new();
         for engine in self.partitions.values_mut() {
-            out.extend(engine.flush());
+            let out = engine.flush();
+            debug_assert!(out.is_empty(), "a flush round is idle");
         }
-        // Global end-ts order across partitions for deterministic output.
-        out.sort_by_key(Record::end_ts);
-        out
+        Vec::new()
     }
 
     /// Aggregated metrics: per-partition counters folded together with
@@ -578,7 +579,7 @@ mod tests {
         let mut index = SharedPredIndex::new();
         by_rows.subscribe(&mut index);
         index.begin_batch();
-        let mut a = by_rows.push_rows(&batch, Some(&rows), &mut index);
+        let mut a = by_rows.push_rows(&batch, Some(&rows), &mut index).records();
         a.extend(by_rows.flush());
 
         let sub = batch.select(&rows);

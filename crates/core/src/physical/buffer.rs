@@ -12,8 +12,9 @@
 //! plan switch, while the cursor keeps each assembly round independent —
 //! the combination of retained records and cursors yields exactly-once
 //! output. Internal buffers in *drain* roles (right child of SEQ, inputs of
-//! DISJ, the KSEQ end buffer, the root) are physically cleared after
-//! consumption, matching Algorithm 1's `Clear RBuf`.
+//! DISJ, the KSEQ end buffer) are physically cleared after consumption,
+//! matching Algorithm 1's `Clear RBuf`. The root's output never enters its
+//! buffer: it is packed into the round's `MatchBatch` (see `eval`).
 
 use std::collections::VecDeque;
 
@@ -83,11 +84,6 @@ impl Buffer {
         self.recs.iter()
     }
 
-    /// Iterates the unconsumed suffix.
-    pub fn iter_unconsumed(&self) -> impl Iterator<Item = &Record> {
-        self.recs.iter().skip(self.consumed)
-    }
-
     /// Earliest end timestamp among unconsumed records (for EAT).
     pub fn earliest_unconsumed_end(&self) -> Option<Ts> {
         self.recs.get(self.consumed).map(Record::end_ts)
@@ -103,14 +99,6 @@ impl Buffer {
     pub fn set_consumed(&mut self, consumed: usize) {
         debug_assert!(consumed <= self.recs.len());
         self.consumed = consumed;
-    }
-
-    /// Removes and returns every stored record (the engine draining the
-    /// root's output each round).
-    pub fn take_all(&mut self) -> Vec<Record> {
-        self.consumed = 0;
-        self.bytes = 0;
-        std::mem::take(&mut self.recs).into_iter().collect()
     }
 
     /// Advances the consumed cursor by one.

@@ -18,13 +18,22 @@
 //! * **KSEQ** — Algorithm 4: trinary start/closure/end grouping,
 //! * **NEG** — the on-top filter: drop composites with a qualifying
 //!   negation instance interleaved between `prev` and `next`.
+//!
+//! Every operator describes each output as [`Part`]s plus a span and hands
+//! it to its node's one sink (`Out`): an internal node's buffer, which
+//! builds a [`Record`] for its parent to read, or — at the plan root — the
+//! round's [`MatchBatch`], which packs `(source, row)` ids and builds
+//! nothing. Matches become `Record`s only where a consumer asks for them
+//! (`Engine::push_columns`, or the runtime's control thread), so the thread
+//! that assembles them never allocates or refcounts per match.
 
-use zstream_events::{EventRef, Record, Slot, Ts};
+use zstream_events::{EventRef, MatchBatch, Part, Record, Slot, Ts};
 use zstream_lang::{eval_binop, ClassId, EventBinding, KleeneKind, TypedExpr};
 
 use crate::physical::binding::{
     pred_passes, ClassMap, PairBinding, RecordBinding, WithEventBinding,
 };
+use crate::physical::buffer::Buffer;
 use crate::physical::hash::HashIndex;
 use crate::physical::plan::{Node, NodeKind, PhysicalPlan, ProbeSide};
 
@@ -41,26 +50,27 @@ pub struct EvalCtx {
 
 impl PhysicalPlan {
     /// Runs one assembly round: prunes every buffer against `eat`, evaluates
-    /// all internal nodes bottom-up, and drains the root's output.
-    pub fn assemble(&mut self, eat: Ts) -> Vec<Record> {
+    /// all internal nodes bottom-up, and appends the root's output to `out`.
+    pub fn assemble(&mut self, eat: Ts, out: &mut MatchBatch) {
         let ctx = EvalCtx { window: self.window, eat, optional_mask: self.optional_mask };
         if self.config.eat_pruning {
             self.prune_all(eat);
         }
+        let root = self.root;
         for k in 0..self.nodes.len() {
             if !self.nodes[k].is_leaf() {
-                eval_node(&mut self.nodes, k, &ctx);
+                let root_out = if k == root { Some(&mut *out) } else { None };
+                eval_node(&mut self.nodes, k, &ctx, root_out);
             }
         }
-        let root = self.root;
         if self.nodes[root].is_leaf() {
             // Degenerate single-class pattern: emit unconsumed leaf records.
             let buf = &mut self.nodes[root].buf;
-            let out: Vec<Record> = buf.iter_unconsumed().cloned().collect();
+            let mut sink = Out::Matches(out);
+            for i in buf.consumed()..buf.len() {
+                sink.forward(buf.get(i));
+            }
             buf.consume_all();
-            out
-        } else {
-            self.nodes[root].buf.take_all()
         }
     }
 
@@ -117,15 +127,59 @@ impl PhysicalPlan {
     }
 }
 
-fn eval_node(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
+/// Where one node's output goes — the node's single sink for the round.
+enum Out<'a> {
+    /// An internal node's own buffer: its parent reads records.
+    Buffer(&'a mut Buffer),
+    /// The plan root's output: the round's packed matches.
+    Matches(&'a mut MatchBatch),
+}
+
+impl<'a> Out<'a> {
+    /// The sink of a node whose buffer is `buf`: `root` when the node is
+    /// the plan root.
+    fn new(buf: &'a mut Buffer, root: Option<&'a mut MatchBatch>) -> Out<'a> {
+        match root {
+            Some(matches) => Out::Matches(matches),
+            None => Out::Buffer(buf),
+        }
+    }
+
+    /// Emits one output made of `parts` with span `[start, end]`.
+    #[inline]
+    fn emit(&mut self, parts: &[Part<'_>], start: Ts, end: Ts) {
+        match self {
+            Out::Buffer(buf) => buf.push(Record::from_parts(parts, start, end)),
+            Out::Matches(matches) => matches.push(parts, start, end),
+        }
+    }
+
+    /// Emits `left` and `right` side by side (left classes first) over the
+    /// union of their spans — SEQ and CONJ output.
+    #[inline]
+    fn combine(&mut self, left: &Record, right: &Record) {
+        self.emit(
+            &[Part::Slots(left.slots()), Part::Slots(right.slots())],
+            left.start_ts().min(right.start_ts()),
+            left.end_ts().max(right.end_ts()),
+        );
+    }
+
+    /// Emits `rec` unchanged.
+    fn forward(&mut self, rec: &Record) {
+        self.emit(&[Part::Slots(rec.slots())], rec.start_ts(), rec.end_ts());
+    }
+}
+
+fn eval_node(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut MatchBatch>) {
     match nodes[k].kind {
         NodeKind::Leaf { .. } => {}
-        NodeKind::Seq { left, right } => eval_seq(nodes, k, left, right, ctx),
-        NodeKind::Conj { left, right } => eval_conj(nodes, k, left, right, ctx),
-        NodeKind::Disj { left, right } => eval_disj(nodes, k, left, right),
-        NodeKind::Nseq { .. } => eval_nseq(nodes, k, ctx),
-        NodeKind::Kseq { .. } => eval_kseq(nodes, k, ctx),
-        NodeKind::NegTop { .. } => eval_negtop(nodes, k, ctx),
+        NodeKind::Seq { left, right } => eval_seq(nodes, k, left, right, ctx, root),
+        NodeKind::Conj { left, right } => eval_conj(nodes, k, left, right, ctx, root),
+        NodeKind::Disj { left, right } => eval_disj(nodes, k, left, right, root),
+        NodeKind::Nseq { .. } => eval_nseq(nodes, k, ctx, root),
+        NodeKind::Kseq { .. } => eval_kseq(nodes, k, ctx, root),
+        NodeKind::NegTop { .. } => eval_negtop(nodes, k, ctx, root),
     }
 }
 
@@ -157,7 +211,14 @@ fn guards_pass(
     })
 }
 
-fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalCtx) {
+fn eval_seq(
+    nodes: &mut [Node],
+    k: usize,
+    left: usize,
+    right: usize,
+    ctx: &EvalCtx,
+    root: Option<&mut MatchBatch>,
+) {
     // Sync the build-side hash index with the left child's buffer.
     if let Some(spec) = nodes[k].hash.clone() {
         let (before, rest) = nodes.split_at_mut(k);
@@ -167,7 +228,8 @@ fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalC
     let node = &mut rest[0];
     let lnode = &before[left];
     let rnode = &before[right];
-    let Node { buf: out, preds, split_preds, split_flag, hash, hash_left, guards, .. } = node;
+    let Node { buf, preds, split_preds, split_flag, hash, hash_left, guards, .. } = node;
+    let mut out = Out::new(buf, root);
     let mut candidates: Vec<u32> = Vec::new();
     // Split-predicate fast path: sound only when no referenced class can be
     // legitimately unbound (vacuous truth needs the tree-walk semantics).
@@ -228,7 +290,7 @@ fn eval_seq(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalC
                         })
                     };
                     if slow_pass {
-                        out.push(Record::combine(lr, rr));
+                        out.combine(lr, rr);
                     }
                 }
             }};
@@ -301,14 +363,22 @@ fn preds_pass(
         .all(|(i, p)| skip.contains(&i) || pred_passes(p, binding, optional_mask))
 }
 
-fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &EvalCtx) {
+fn eval_conj(
+    nodes: &mut [Node],
+    k: usize,
+    left: usize,
+    right: usize,
+    ctx: &EvalCtx,
+    root: Option<&mut MatchBatch>,
+) {
     if let Some(spec) = nodes[k].hash.clone() {
         let (before, rest) = nodes.split_at_mut(k);
         rest[0].hash_left.sync(&before[left].buf, &before[left].map, &spec.left);
         rest[0].hash_right.sync(&before[right].buf, &before[right].map, &spec.right);
     }
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { buf, preds, hash, hash_left, hash_right, .. } = &mut rest[0];
+    let mut out = Out::new(buf, root);
     let lnode = &before[left];
     let rnode = &before[right];
 
@@ -335,10 +405,10 @@ fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &Eval
         // Candidates: records of the other side already consumed.
         candidates.clear();
         let mut hash_used = false;
-        if let Some(spec) = &node.hash {
+        if let Some(spec) = &*hash {
             let parts = if probe_right { &spec.left } else { &spec.right };
             if let Some(key) = HashIndex::key_of(pr, pr_map, parts) {
-                let idx = if probe_right { &node.hash_right } else { &node.hash_left };
+                let idx = if probe_right { &*hash_right } else { &*hash_left };
                 candidates
                     .extend(idx.probe(&key).iter().copied().filter(|&i| (i as usize) < bound));
                 candidates.extend(idx.unkeyed().iter().copied().filter(|&i| (i as usize) < bound));
@@ -363,20 +433,26 @@ fn eval_conj(nodes: &mut [Node], k: usize, left: usize, right: usize, ctx: &Eval
                 right: RecordBinding { rec: rrec, map: rmap2 },
             };
             let covered: &[usize] =
-                if hash_used { node.hash.as_ref().map_or(&[], |s| &s.covered_preds) } else { &[] };
-            if !preds_pass(&node.preds, covered, &binding, ctx.optional_mask) {
+                if hash_used { hash.as_ref().map_or(&[], |s| &s.covered_preds) } else { &[] };
+            if !preds_pass(preds, covered, &binding, ctx.optional_mask) {
                 continue;
             }
-            node.buf.push(Record::combine(lrec, rrec));
+            out.combine(lrec, rrec);
         }
     }
     before[left].buf.set_consumed(lc);
     before[right].buf.set_consumed(rc);
 }
 
-fn eval_disj(nodes: &mut [Node], k: usize, left: usize, right: usize) {
+fn eval_disj(
+    nodes: &mut [Node],
+    k: usize,
+    left: usize,
+    right: usize,
+    root: Option<&mut MatchBatch>,
+) {
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let mut out = Out::new(&mut rest[0].buf, root);
     let lnode = &before[left];
     let rnode = &before[right];
     let lwidth = lnode.classes.len();
@@ -389,40 +465,38 @@ fn eval_disj(nodes: &mut [Node], k: usize, left: usize, right: usize) {
             (true, true) => lnode.buf.get(lc).end_ts() <= rnode.buf.get(rc).end_ts(),
             (l, _) => l,
         };
-        let rec = if take_left {
+        // The branch that matched binds its slots; the other's stay unbound.
+        if take_left {
             let r = lnode.buf.get(lc);
             lc += 1;
-            let mut slots: Vec<Slot> = r.slots().to_vec();
-            slots.extend(std::iter::repeat_with(|| Slot::None).take(rwidth));
-            Record::from_slots_with_span(slots, r.start_ts(), r.end_ts())
+            out.emit(&[Part::Slots(r.slots()), Part::Nulls(rwidth)], r.start_ts(), r.end_ts());
         } else {
             let r = rnode.buf.get(rc);
             rc += 1;
-            let mut slots: Vec<Slot> = std::iter::repeat_with(|| Slot::None).take(lwidth).collect();
-            slots.extend(r.slots().iter().cloned());
-            Record::from_slots_with_span(slots, r.start_ts(), r.end_ts())
-        };
-        node.buf.push(rec);
+            out.emit(&[Part::Nulls(lwidth), Part::Slots(r.slots())], r.start_ts(), r.end_ts());
+        }
     }
     finish_consume(nodes, left);
     finish_consume(nodes, right);
 }
 
-fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
+fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut MatchBatch>) {
     let NodeKind::Nseq { ref negs, right } = nodes[k].kind else { unreachable!() };
     let negs = negs.clone();
     let neg_mask: u64 = negs.iter().map(|ni| nodes[*ni].mask()).fold(0, |a, b| a | b);
     let neg_classes: Vec<ClassId> = negs.iter().map(|ni| nodes[*ni].classes[0]).collect();
 
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { buf, preds, .. } = &mut rest[0];
+    let mut out = Out::new(buf, root);
     let rnode = &before[right];
+    let mut parts: Vec<Part<'_>> = Vec::with_capacity(neg_classes.len() + 1);
 
     for ri in rnode.buf.consumed()..rnode.buf.len() {
         let rr = rnode.buf.get(ri);
         // Algorithm 2: scan each negation buffer backward for the latest
         // instance before rr that satisfies the value constraints.
-        let mut best: Option<(Ts, ClassId, EventRef)> = None;
+        let mut best: Option<(Ts, ClassId, &EventRef)> = None;
         for (gi, &ni) in negs.iter().enumerate() {
             let nb = &before[ni];
             let nclass = neg_classes[gi];
@@ -442,22 +516,20 @@ fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
                 // Other negation classes stay legitimately unbound while
                 // this candidate is tested.
                 let optional = ctx.optional_mask | (neg_mask & !(1u64 << nclass));
-                if preds_pass(&node.preds, &[], &binding, optional) {
-                    best = Some((bts, nclass, ev.clone()));
+                if preds_pass(preds, &[], &binding, optional) {
+                    best = Some((bts, nclass, ev));
                     break;
                 }
             }
         }
         // Emit (b, Rr) or (NULL, Rr); the span excludes the negation event.
-        let mut slots: Vec<Slot> = neg_classes
-            .iter()
-            .map(|nc| match &best {
-                Some((_, c, ev)) if c == nc => Slot::One(ev.clone()),
-                _ => Slot::None,
-            })
-            .collect();
-        slots.extend(rr.slots().iter().cloned());
-        node.buf.push(Record::from_slots_with_span(slots, rr.start_ts(), rr.end_ts()));
+        parts.clear();
+        parts.extend(neg_classes.iter().map(|nc| match best {
+            Some((_, c, ev)) if c == *nc => Part::One(ev),
+            _ => Part::Nulls(1),
+        }));
+        parts.push(Part::Slots(rr.slots()));
+        out.emit(&parts, rr.start_ts(), rr.end_ts());
     }
     finish_consume(nodes, right);
 }
@@ -494,12 +566,33 @@ impl EventBinding for KseqBinding<'_> {
     }
 }
 
-fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
+fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut MatchBatch>) {
     let NodeKind::Kseq { start, closure, kind, end } = nodes[k].kind else { unreachable!() };
     let closure_class = nodes[closure].classes[0];
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
-    let mbuf = &before[closure].buf;
+    let Node { buf, preds, event_preds, .. } = &mut rest[0];
+    let mut kseq = Kseq {
+        preds,
+        event_preds,
+        mbuf: &before[closure].buf,
+        closure_class,
+        kind,
+        ctx,
+        out: Out::new(buf, root),
+    };
+    // Start-anchor candidates ending before `bound` (one unanchored pass
+    // when the closure opens the pattern).
+    let starts = |bound: Ts| -> Vec<Option<(&Node, &Record)>> {
+        match start {
+            Some(s) => {
+                let snode = &before[s];
+                (0..snode.buf.prefix_end_before(bound))
+                    .map(|i| Some((snode, snode.buf.get(i))))
+                    .collect()
+            }
+            None => vec![None],
+        }
+    };
 
     match end {
         Some(e) => {
@@ -507,24 +600,8 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
             let enode = &before[e];
             for ei in enode.buf.consumed()..enode.buf.len() {
                 let er = enode.buf.get(ei);
-                let starts: Vec<Option<usize>> = match start {
-                    Some(s) => {
-                        (0..before[s].buf.prefix_end_before(er.start_ts())).map(Some).collect()
-                    }
-                    None => vec![None],
-                };
-                for si in starts {
-                    let sr = si.map(|i| before[start.expect("si bound")].buf.get(i));
-                    emit_kseq_groups(
-                        node,
-                        start.map(|s| &before[s]),
-                        sr,
-                        mbuf,
-                        closure_class,
-                        kind,
-                        Some((&before[e], er)),
-                        ctx,
-                    );
+                for sr in starts(er.start_ts()) {
+                    kseq.groups(sr, (enode, er));
                 }
             }
             finish_consume(nodes, e);
@@ -532,27 +609,13 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
         None => {
             // Counted closure ends the pattern: each new middle event can
             // complete a group of exactly `cc` qualifying events.
-            let KleeneKind::Count(_) = kind else {
+            let KleeneKind::Count(cc) = kind else {
                 unreachable!("unbounded trailing closures are rejected at plan time")
             };
+            let mbuf = kseq.mbuf;
             for mi in mbuf.consumed()..mbuf.len() {
-                let m_end = mbuf.get(mi).end_ts();
-                let starts: Vec<Option<usize>> = match start {
-                    Some(s) => (0..before[s].buf.prefix_end_before(m_end)).map(Some).collect(),
-                    None => vec![None],
-                };
-                for si in starts {
-                    let sr = si.map(|i| before[start.expect("si bound")].buf.get(i));
-                    emit_trailing_group(
-                        node,
-                        start.map(|s| &before[s]),
-                        sr,
-                        mbuf,
-                        mi,
-                        closure_class,
-                        kind,
-                        ctx,
-                    );
+                for sr in starts(mbuf.get(mi).end_ts()) {
+                    kseq.trailing_group(sr, mi, cc as usize);
                 }
             }
             finish_consume(nodes, closure);
@@ -560,161 +623,158 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
     }
 }
 
-/// Collects qualifying middle events strictly between `sr.end` and
-/// `er.start` and emits the group(s) per the closure kind.
-#[allow(clippy::too_many_arguments)]
-fn emit_kseq_groups(
-    node: &mut Node,
-    snode: Option<&Node>,
-    sr: Option<&Record>,
-    mbuf: &crate::physical::buffer::Buffer,
+/// A start or end anchor of a closure group: the anchor's leaf node (for
+/// its class map) and one of its records.
+type Anchor<'a> = (&'a Node, &'a Record);
+
+/// One KSEQ node's round: its predicates, the closure buffer, and its sink.
+struct Kseq<'a, 'o> {
+    /// Group-level predicates (aggregates, start/end predicates).
+    preds: &'a [TypedExpr],
+    /// Per-closure-event predicates.
+    event_preds: &'a [TypedExpr],
+    mbuf: &'a Buffer,
     closure_class: ClassId,
     kind: KleeneKind,
-    er: Option<(&Node, &Record)>,
-    ctx: &EvalCtx,
-) {
-    let lo_sr = match sr {
-        Some(s) => mbuf.first_end_at_or_after(s.end_ts() + 1),
-        None => 0,
-    };
-    // Closure events must fit in the window ending at the end anchor; this
-    // bounds the "maximal group" of unanchored closures explicitly (rather
-    // than implicitly through EAT pruning, which may be disabled).
-    let lo_window = match er {
-        Some((_, e)) => mbuf.first_end_at_or_after(e.end_ts().saturating_sub(ctx.window)),
-        None => 0,
-    };
-    let lo = lo_sr.max(lo_window);
-    let hi = match er {
-        Some((_, e)) => mbuf.prefix_end_before(e.start_ts()),
-        None => mbuf.len(),
-    };
-    let mut qualifying: Vec<EventRef> = Vec::new();
-    for j in lo..hi {
-        let m = mbuf.get(j);
-        let Some(ev) = m.slot(0).as_one() else { continue };
-        let binding = KseqBinding {
-            start: sr.map(|r| RecordBinding { rec: r, map: &snode.expect("sr bound").map }),
-            end: er.map(|(en, r)| RecordBinding { rec: r, map: &en.map }),
-            closure_class,
-            mid_event: Some(ev),
-            mid_group: &[],
-        };
-        if node.event_preds.iter().all(|p| pred_passes(p, &binding, ctx.optional_mask)) {
-            qualifying.push(ev.clone());
+    ctx: &'a EvalCtx,
+    out: Out<'o>,
+}
+
+impl Kseq<'_, '_> {
+    /// The binding of a group between `start` and `end` whose closure slot
+    /// holds `mid_group` — or, to qualify one candidate, just `mid_event`.
+    fn binding<'b>(
+        &self,
+        start: Option<Anchor<'b>>,
+        end: Option<Anchor<'b>>,
+        mid_event: Option<&'b EventRef>,
+        mid_group: &'b [EventRef],
+    ) -> KseqBinding<'b> {
+        KseqBinding {
+            start: start.map(|(n, rec)| RecordBinding { rec, map: &n.map }),
+            end: end.map(|(n, rec)| RecordBinding { rec, map: &n.map }),
+            closure_class: self.closure_class,
+            mid_event,
+            mid_group,
         }
     }
-    match kind {
-        KleeneKind::Star => {
-            emit_group(node, snode, sr, &qualifying, closure_class, er, ctx);
-        }
-        KleeneKind::Plus => {
-            if !qualifying.is_empty() {
-                emit_group(node, snode, sr, &qualifying, closure_class, er, ctx);
+
+    /// Whether closure event `ev` satisfies the per-event predicates.
+    fn qualifies(&self, start: Option<Anchor<'_>>, end: Option<Anchor<'_>>, ev: &EventRef) -> bool {
+        let binding = self.binding(start, end, Some(ev), &[]);
+        self.event_preds.iter().all(|p| pred_passes(p, &binding, self.ctx.optional_mask))
+    }
+
+    /// Collects qualifying middle events strictly between `start.end` and
+    /// `end.start` and emits the group(s) per the closure kind.
+    fn groups(&mut self, start: Option<Anchor<'_>>, end: Anchor<'_>) {
+        let mbuf = self.mbuf;
+        let lo_start = match start {
+            Some((_, s)) => mbuf.first_end_at_or_after(s.end_ts() + 1),
+            None => 0,
+        };
+        // Closure events must fit in the window ending at the end anchor;
+        // this bounds the "maximal group" of unanchored closures explicitly
+        // (rather than implicitly through EAT pruning, which may be
+        // disabled).
+        let er = end.1;
+        let lo_window = mbuf.first_end_at_or_after(er.end_ts().saturating_sub(self.ctx.window));
+        let hi = mbuf.prefix_end_before(er.start_ts());
+        let qualifying: Vec<EventRef> = (lo_start.max(lo_window)..hi)
+            .filter_map(|j| mbuf.get(j).slot(0).as_one())
+            .filter(|ev| self.qualifies(start, Some(end), ev))
+            .cloned()
+            .collect();
+        match self.kind {
+            KleeneKind::Star => self.emit(start, &qualifying, Some(end)),
+            KleeneKind::Plus => {
+                if !qualifying.is_empty() {
+                    self.emit(start, &qualifying, Some(end));
+                }
             }
-        }
-        KleeneKind::Count(cc) => {
-            let cc = cc as usize;
-            if qualifying.len() >= cc {
-                for w in 0..=qualifying.len() - cc {
-                    emit_group(node, snode, sr, &qualifying[w..w + cc], closure_class, er, ctx);
+            KleeneKind::Count(cc) => {
+                let cc = cc as usize;
+                if qualifying.len() >= cc {
+                    for w in 0..=qualifying.len() - cc {
+                        self.emit(start, &qualifying[w..w + cc], Some(end));
+                    }
                 }
             }
         }
     }
-}
 
-/// Emits the group of exactly `cc` qualifying events ending at middle-buffer
-/// index `mi` (trailing-closure mode).
-#[allow(clippy::too_many_arguments)]
-fn emit_trailing_group(
-    node: &mut Node,
-    snode: Option<&Node>,
-    sr: Option<&Record>,
-    mbuf: &crate::physical::buffer::Buffer,
-    mi: usize,
-    closure_class: ClassId,
-    kind: KleeneKind,
-    ctx: &EvalCtx,
-) {
-    let KleeneKind::Count(cc) = kind else { unreachable!() };
-    let cc = cc as usize;
-    let lo = match sr {
-        Some(s) => mbuf.first_end_at_or_after(s.end_ts() + 1),
-        None => 0,
-    };
-    // Walk backward from mi collecting qualifying events.
-    let mut group_rev: Vec<EventRef> = Vec::with_capacity(cc);
-    let mut j = mi + 1;
-    while j > lo && group_rev.len() < cc {
-        j -= 1;
-        let m = mbuf.get(j);
-        let Some(ev) = m.slot(0).as_one() else { continue };
-        let binding = KseqBinding {
-            start: sr.map(|r| RecordBinding { rec: r, map: &snode.expect("sr bound").map }),
-            end: None,
-            closure_class,
-            mid_event: Some(ev),
-            mid_group: &[],
+    /// Emits the group of exactly `cc` qualifying events ending at
+    /// middle-buffer index `mi` (trailing-closure mode).
+    fn trailing_group(&mut self, start: Option<Anchor<'_>>, mi: usize, cc: usize) {
+        let mbuf = self.mbuf;
+        let lo = match start {
+            Some((_, s)) => mbuf.first_end_at_or_after(s.end_ts() + 1),
+            None => 0,
         };
-        if node.event_preds.iter().all(|p| pred_passes(p, &binding, ctx.optional_mask)) {
-            group_rev.push(ev.clone());
-        } else if j == mi {
-            return; // the completing event itself must qualify
+        // Walk backward from mi collecting qualifying events.
+        let mut group_rev: Vec<EventRef> = Vec::with_capacity(cc);
+        let mut j = mi + 1;
+        while j > lo && group_rev.len() < cc {
+            j -= 1;
+            let Some(ev) = mbuf.get(j).slot(0).as_one() else { continue };
+            if self.qualifies(start, None, ev) {
+                group_rev.push(ev.clone());
+            } else if j == mi {
+                return; // the completing event itself must qualify
+            }
         }
+        if group_rev.len() < cc {
+            return;
+        }
+        group_rev.reverse();
+        self.emit(start, &group_rev, None);
     }
-    if group_rev.len() < cc {
-        return;
+
+    /// Emits `start; group; end` if it fits the window and passes the
+    /// group-level predicates.
+    fn emit(&mut self, start: Option<Anchor<'_>>, group: &[EventRef], end: Option<Anchor<'_>>) {
+        // Anchors are leaf records, so a record's span is its event's
+        // timestamp; the group is in time order.
+        let (s, e) = (start.map(|a| a.1), end.map(|a| a.1));
+        let firsts =
+            [s.map(Record::start_ts), group.first().map(EventRef::ts), e.map(Record::start_ts)];
+        let lasts = [s.map(Record::end_ts), group.last().map(EventRef::ts), e.map(Record::end_ts)];
+        let (Some(lo), Some(hi)) =
+            (firsts.into_iter().flatten().min(), lasts.into_iter().flatten().max())
+        else {
+            unreachable!("a closure group binds at least one event")
+        };
+        if hi - lo > self.ctx.window {
+            return;
+        }
+        let binding = self.binding(start, end, None, group);
+        if !self.preds.iter().all(|p| pred_passes(p, &binding, self.ctx.optional_mask)) {
+            return;
+        }
+        let parts = [
+            Part::Slots(s.map_or(&[], Record::slots)),
+            Part::Group(group),
+            Part::Slots(e.map_or(&[], Record::slots)),
+        ];
+        self.out.emit(&parts, lo, hi);
     }
-    group_rev.reverse();
-    emit_group(node, snode, sr, &group_rev, closure_class, None, ctx);
 }
 
-fn emit_group(
-    node: &mut Node,
-    snode: Option<&Node>,
-    sr: Option<&Record>,
-    group: &[EventRef],
-    closure_class: ClassId,
-    er: Option<(&Node, &Record)>,
-    ctx: &EvalCtx,
-) {
-    let _ = closure_class;
-    let mut slots: Vec<Slot> = Vec::new();
-    if let Some(s) = sr {
-        slots.extend(s.slots().iter().cloned());
-    }
-    slots.push(Slot::Many(group.to_vec().into()));
-    if let Some((_, e)) = er {
-        slots.extend(e.slots().iter().cloned());
-    }
-    let rec = Record::from_slots(slots);
-    if rec.end_ts() - rec.start_ts() > ctx.window {
-        return;
-    }
-    // Group-level predicates (aggregates and start/end predicates).
-    let binding = RecordBinding { rec: &rec, map: &node.map };
-    let _ = (snode, er);
-    if !node.preds.iter().all(|p| pred_passes(p, &binding, ctx.optional_mask)) {
-        return;
-    }
-    node.buf.push(rec);
-}
-
-fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
+fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut MatchBatch>) {
     let NodeKind::NegTop { input, ref negs, prev, next } = nodes[k].kind else { unreachable!() };
     let negs = negs.clone();
     let neg_mask: u64 = negs.iter().map(|ni| nodes[*ni].mask()).fold(0, |a, b| a | b);
     let neg_classes: Vec<ClassId> = negs.iter().map(|ni| nodes[*ni].classes[0]).collect();
 
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
+    let Node { buf, preds, map, .. } = &mut rest[0];
+    let mut out = Out::new(buf, root);
     let inode = &before[input];
 
     // Record-level predicates (no negation classes) vs. candidate
     // predicates (touch a negation class).
     let (cand_preds, rec_preds): (Vec<&TypedExpr>, Vec<&TypedExpr>) =
-        node.preds.iter().partition(|p| p.class_mask() & neg_mask != 0);
+        preds.iter().partition(|p| p.class_mask() & neg_mask != 0);
 
     for ri in inode.buf.consumed()..inode.buf.len() {
         let rr = inode.buf.get(ri);
@@ -722,11 +782,11 @@ fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
         if !rec_preds.iter().all(|p| pred_passes(p, &base, ctx.optional_mask)) {
             continue;
         }
-        let prev_ts = node.map.slot_of(prev).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
-        let next_ts = node.map.slot_of(next).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
+        let prev_ts = map.slot_of(prev).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
+        let next_ts = map.slot_of(next).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
         let (Some(prev_ts), Some(next_ts)) = (prev_ts, next_ts) else {
             // Defensive: anchors should always be bound for flat sequences.
-            node.buf.push(rr.clone());
+            out.forward(rr);
             continue;
         };
         // A negation instance b interleaves when prev.ts < b.ts < next.ts
@@ -757,7 +817,7 @@ fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx) {
             }
         }
         if !negated {
-            node.buf.push(rr.clone());
+            out.forward(rr);
         }
     }
     finish_consume(nodes, input);

@@ -22,6 +22,9 @@
 //!   pointers plus a start time and an end time. Composite events produced by
 //!   operators are `Record`s; `Slot::Many` holds Kleene-closure groups and
 //!   `Slot::None` represents the `(NULL, Rr)` rows emitted by NSEQ,
+//! * [`MatchBatch`] / [`Part`] — match output in packed form: `(source,
+//!   row)` ids into the distinct source batches of a round, built into
+//!   `Record`s only where a consumer asks,
 //! * [`ReorderBuffer`] / [`ColumnarReorder`] — the §4.1 reordering operator
 //!   for disordered streams: bounded-slack buffering with per-source
 //!   watermarks, lateness detection at the slack boundary, and (columnar
@@ -35,6 +38,7 @@
 mod error;
 mod event;
 pub mod kernel;
+mod matches;
 mod record;
 mod reorder;
 mod route;
@@ -48,7 +52,8 @@ mod value;
 pub use error::EventError;
 pub use event::{stock, Event, EventBuilder};
 pub use kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};
-pub use record::{Record, Slot};
+pub use matches::MatchBatch;
+pub use record::{Part, Record, Slot};
 pub use reorder::{
     repack_events, BatchRelease, ColumnarReorder, ReorderBuffer, ReorderOutcome, ReorderStats,
 };

@@ -66,6 +66,34 @@ impl Slot {
     }
 }
 
+/// One piece of an operator's output, in slot order: what a composite is
+/// made of before anything is built. An operator describes each output as a
+/// list of parts plus its span, and its sink decides the form — a
+/// [`Record`] ([`Record::from_parts`]) for an internal buffer, packed ids
+/// ([`crate::MatchBatch::push`]) at the plan root.
+#[derive(Debug, Clone, Copy)]
+pub enum Part<'a> {
+    /// Every slot of a sub-record, in order.
+    Slots(&'a [Slot]),
+    /// This many unbound slots.
+    Nulls(usize),
+    /// One bound event.
+    One(&'a EventRef),
+    /// A Kleene-closure group, as one slot.
+    Group(&'a [EventRef]),
+}
+
+impl Part<'_> {
+    /// Number of slots this part contributes.
+    fn width(&self) -> usize {
+        match self {
+            Part::Slots(slots) => slots.len(),
+            Part::Nulls(n) => *n,
+            Part::One(_) | Part::Group(_) => 1,
+        }
+    }
+}
+
 /// A buffer record: a vector of event slots plus a start and end timestamp.
 ///
 /// Records are cheap to clone (slots hold `Arc`s) and are kept sorted by
@@ -108,6 +136,21 @@ impl Record {
     pub fn from_slots_with_span(slots: Vec<Slot>, start: Ts, end: Ts) -> Record {
         debug_assert!(start <= end);
         Record { slots: slots.into_boxed_slice(), start, end }
+    }
+
+    /// A record from an operator's output parts (see [`Part`]) and an
+    /// explicit span.
+    pub fn from_parts(parts: &[Part<'_>], start: Ts, end: Ts) -> Record {
+        let mut slots = Vec::with_capacity(parts.iter().map(Part::width).sum());
+        for part in parts {
+            match *part {
+                Part::Slots(s) => slots.extend(s.iter().cloned()),
+                Part::Nulls(n) => slots.extend(std::iter::repeat_with(|| Slot::None).take(n)),
+                Part::One(e) => slots.push(Slot::One(e.clone())),
+                Part::Group(es) => slots.push(Slot::Many(es.into())),
+            }
+        }
+        Record::from_slots_with_span(slots, start, end)
     }
 
     /// Combines two adjacent sub-records into one covering both class ranges

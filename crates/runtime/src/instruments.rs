@@ -8,14 +8,17 @@
 //! source / shard id, so ingest and dispatch never format a label.
 //!
 //! Two time accounts are defined here because the bench harness and the
-//! operator read them as shares of wall time. `zstream_shard_service_ns`
-//! ([`ShardInstruments`], recorded by the shard thread) covers everything a
-//! shard does for one traffic message — evaluation, wrapping records into
-//! sequenced matches, sorting the reply — up to, but not including, the
-//! reply-channel send. `zstream_merge_ns` covers the control thread's merge
-//! stage: one observation per pass that folds the replies that have arrived
-//! into the merger and emits what became final (once per `ingest_columns` /
-//! `poll` call; `shutdown` records its final emit, not its blocking wait).
+//! operator read them as shares of wall time (their one-line definitions
+//! are pinned in `tests/fixtures/metrics_schema.txt`).
+//! `zstream_shard_service_ns` ([`ShardInstruments`], recorded by the shard
+//! thread) covers everything a shard does for one traffic message —
+//! evaluation, with matches packed as ids, then numbering and sorting the
+//! reply — up to, but not including, the reply-channel send; no match is
+//! built there. `zstream_merge_ns` covers the control thread's merge stage:
+//! one observation per pass that folds the replies that have arrived into
+//! the merger — building each match's `Record` on the way in — and emits
+//! what became final (once per `ingest_columns` / `poll` call; `shutdown`
+//! records its final emit, not its blocking wait).
 //!
 //! The two symbol-table gauges are registered as scrape-time sources
 //! ([`zstream_obs::Registry::gauge_fn`]) with **Max** fold: the interner

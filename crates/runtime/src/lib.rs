@@ -79,6 +79,11 @@
 //!   restores a deterministic total order (composite end-timestamp, then
 //!   shard id, then per-shard sequence) and releases a match only once
 //!   every live shard's watermark has passed its end timestamp.
+//! * **Late-materialised output** — a shard replies with its matches
+//!   packed as `(source batch, row)` ids
+//!   ([`zstream_events::MatchBatch`]); the control thread builds each
+//!   [`RuntimeMatch`]'s `Record` once, as it accepts the reply, so the
+//!   thread that allocates a match is the thread that frees it.
 //! * **Worker failure** — a panicking shard engine is contained: the shard
 //!   reports a final `Done` and leaves the pool; its metrics are kept, its
 //!   buffered matches finalize (it can no longer hold the frontier), later

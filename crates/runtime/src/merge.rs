@@ -14,7 +14,10 @@
 //! shard sorts each reply by `(end_ts, seq)` before sending it, every match
 //! of a reply ends at or before the watermark the reply echoes, and every
 //! later match ends at or after it — so appending replies keeps the shard's
-//! queue sorted. The merger therefore never sorts or sifts: the final
+//! queue sorted. Replies arrive packed (`(source batch, row)` ids); the
+//! runtime builds each [`RuntimeMatch`] once, just before
+//! [`OrderedMerge::offer`], so the queues hold built matches in the order
+//! the shard sealed them. The merger therefore never sorts or sifts: the final
 //! matches of a queue are a prefix (found by binary search against the
 //! frontier), and emitting is a k-way merge of those prefixes' heads — a
 //! bulk move when only one shard has anything final, which is always the

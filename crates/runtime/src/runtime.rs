@@ -1531,13 +1531,15 @@ impl Runtime {
     /// watermark frontier.
     fn handle_reply(&mut self, reply: ShardReply) {
         match reply {
-            ShardReply::Output { shard, watermark, mut matches } => {
+            ShardReply::Output { shard, watermark, matches } => {
                 self.inst.queue_depth[shard].sub(1);
-                // Matches of a query dropped after this batch was
-                // dispatched (channel-FIFO race) must not surface — the
-                // drop purged its buffered matches already.
+                // Each match is built here, once. Matches of a query dropped
+                // after this batch was dispatched (channel-FIFO race) must
+                // not surface — the drop purged its buffered matches
+                // already — so they are skipped unbuilt.
                 let queries = &self.queries;
-                matches.retain(|m| queries.get(m.query.0).is_some_and(QueryState::is_live));
+                let matches = matches
+                    .into_matches(shard, |q| queries.get(q.0).is_some_and(QueryState::is_live));
                 self.merge.offer(shard, matches);
                 self.merge.advance(shard, watermark);
             }
@@ -1658,7 +1660,45 @@ fn chunk_digest(batch: &EventBatch) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zstream_events::stock;
+    use crate::shard::PackedMatches;
+    use zstream_core::EngineBuilder;
+    use zstream_events::{stock, MatchBatch, Part};
+
+    /// A reply still on the channel when its query is dropped: the control
+    /// thread skips that query's packed matches — none reaches the merger,
+    /// so `pending_matches` counts only the live query's, and only those
+    /// surface at shutdown.
+    #[test]
+    fn in_flight_matches_of_a_dropped_query_never_surface() {
+        let parts = || EngineBuilder::parse("PATTERN A; B WITHIN 5").unwrap().compile().unwrap();
+        let mut builder = Runtime::builder().workers(1);
+        let q0 = builder.register(parts(), Partitioning::Broadcast);
+        let q1 = builder.register(parts(), Partitioning::Broadcast);
+        let mut runtime = builder.build().unwrap();
+        runtime.drop_query(q1).unwrap();
+
+        let batch =
+            EventBatch::from_events(&[stock(1, 0, "IBM", 1.0, 1), stock(2, 1, "Sun", 1.0, 1)])
+                .unwrap();
+        let (a, b) = (batch.event(0), batch.event(1));
+        let mut reply = PackedMatches::default();
+        for (q, ends) in [(q1, [2, 2]), (q0, [2, 2]), (q1, [2, 2])] {
+            let mut matches = MatchBatch::new();
+            for end in ends {
+                matches.push(&[Part::One(&a), Part::One(&b)], 1, end);
+            }
+            reply.push(q.index(), matches);
+        }
+        reply.seal(&mut 0);
+        runtime.inst.queue_depth[0].add(1);
+        runtime.handle_reply(ShardReply::Output { shard: 0, watermark: 1, matches: reply });
+        assert_eq!(runtime.pending_matches(), 2);
+
+        let report = runtime.shutdown().unwrap();
+        let delivered: Vec<(QueryId, u64)> =
+            report.matches.iter().map(|m| (m.query, m.seq)).collect();
+        assert_eq!(delivered, [(q0, 2), (q0, 3)], "q0's matches, numbered after q1's first two");
+    }
 
     /// The replay-guard digest is an on-disk contract: a checkpoint written
     /// by one build must arm the guard of the next. The constant is what the

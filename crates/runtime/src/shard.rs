@@ -10,6 +10,15 @@
 //! unboundedly), evaluate, and reply with matches plus the batch watermark
 //! on the shared reply channel.
 //!
+//! Matches cross the reply channel **packed** ([`PackedMatches`]): the
+//! engines' [`MatchBatch`]es of one message appended into one, plus
+//! parallel query and `seq` columns. The shard never builds a `Record`:
+//! the control thread builds each match once, as it accepts the reply
+//! ([`PackedMatches::into_matches`]), and is also the thread that later
+//! frees it — so the shard pays no allocation and no refcount traffic per
+//! match, and the two threads do not contend on the source batches'
+//! refcounts.
+//!
 //! The finality invariant the merger relies on: a traffic message forces an
 //! evaluation round in every engine that received events, so once the shard
 //! echoes watermark `w`, every match it later produces ends at or after
@@ -27,7 +36,8 @@
 //! [`ShardReply::Done`] (its metrics up to the failure) and exits — the
 //! runtime then treats it as having left the pool. Shutdown is a terminal
 //! [`ShardMsg::Shutdown`] message — channel FIFO order guarantees all
-//! in-flight batches are drained first — answered by a final flush, a
+//! in-flight batches are drained first — answered by a final flush (an
+//! idle round per engine: every traffic message already ran its round), a
 //! [`ShardReply::Done`] with per-query metrics, and thread exit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +48,8 @@ use zstream_core::{
     CoreError, Engine, EngineMetrics, EngineObs, PartitionedEngine, SharedPredIndex,
 };
 use zstream_events::{
-    EventBatch, Record, Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter, Ts,
+    EventBatch, MatchBatch, Snapshot, SnapshotError, SnapshotReader, SnapshotResult,
+    SnapshotWriter, Ts,
 };
 use zstream_obs::Obs;
 
@@ -96,12 +107,68 @@ pub(crate) enum ShardMsg {
     Shutdown,
 }
 
+/// One reply's matches, packed: match `i` of `matches` was produced by
+/// query `query[i]` as the shard's `seq[i]`-th match. In `(end_ts, seq)`
+/// order once sealed.
+#[derive(Default)]
+pub(crate) struct PackedMatches {
+    matches: MatchBatch,
+    query: Vec<QueryId>,
+    seq: Vec<u64>,
+}
+
+impl PackedMatches {
+    /// Appends one query's matches, in emission order.
+    pub(crate) fn push(&mut self, query: usize, matches: MatchBatch) {
+        if matches.is_empty() {
+            return;
+        }
+        self.query.extend(std::iter::repeat_n(QueryId(query), matches.len()));
+        self.matches.append(matches);
+    }
+
+    /// Numbers the matches from `*seq` in emission order and stable-sorts
+    /// them by end timestamp — one `(end_ts, seq)`-ordered run the merger
+    /// appends without looking inside. One query's engine emits in end
+    /// order already, and the sort is then a single verifying pass.
+    pub(crate) fn seal(&mut self, seq: &mut u64) {
+        let first = *seq;
+        *seq += self.matches.len() as u64;
+        match self.matches.sort_by_end() {
+            None => self.seq = (first..*seq).collect(),
+            Some(order) => {
+                self.seq = order.iter().map(|&i| first + u64::from(i)).collect();
+                let emitted = std::mem::take(&mut self.query);
+                self.query =
+                    order.iter().filter_map(|&i| emitted.get(i as usize).copied()).collect();
+            }
+        }
+    }
+
+    /// Builds the matches of queries `is_live` accepts, each exactly once,
+    /// in run order — on the control thread, as it accepts the reply.
+    /// Matches of other (dropped) queries are skipped unbuilt.
+    pub(crate) fn into_matches(
+        self,
+        shard: usize,
+        is_live: impl Fn(QueryId) -> bool,
+    ) -> Vec<RuntimeMatch> {
+        let PackedMatches { matches, query, seq } = self;
+        let mut built = Vec::with_capacity(matches.len());
+        built.extend(
+            query.into_iter().zip(seq).enumerate().filter(|(_, (query, _))| is_live(*query)).map(
+                |(i, (query, seq))| RuntimeMatch { query, shard, seq, record: matches.record(i) },
+            ),
+        );
+        built
+    }
+}
+
 /// Shard-to-control replies.
 pub(crate) enum ShardReply {
-    /// Matches produced by one batch (or the final flush) in
-    /// `(end_ts, seq)` order, plus the watermark the shard has now fully
-    /// processed.
-    Output { shard: usize, watermark: Ts, matches: Vec<RuntimeMatch> },
+    /// Matches produced by one batch, packed and sealed in `(end_ts, seq)`
+    /// order, plus the watermark the shard has now fully processed.
+    Output { shard: usize, watermark: Ts, matches: PackedMatches },
     /// Terminal reply: per-query metrics, in registration order. Sent on
     /// shutdown — or prematurely after a worker-side failure, in which case
     /// the shard has left the pool.
@@ -132,18 +199,21 @@ impl ShardEngine {
         batch: &EventBatch,
         rows: Option<&[u32]>,
         index: &mut SharedPredIndex,
-    ) -> Vec<Record> {
+    ) -> MatchBatch {
         match self {
             ShardEngine::Partitioned(e) => e.push_rows(batch, rows, index),
             ShardEngine::Flat(e) => e.push_rows(batch, rows, index),
         }
     }
 
-    fn flush(&mut self) -> Vec<Record> {
-        match self {
+    /// The end-of-stream round: idle, since every traffic message ran its
+    /// own round.
+    fn flush(&mut self) {
+        let out = match self {
             ShardEngine::Partitioned(e) => e.flush(),
             ShardEngine::Flat(e) => e.flush(),
-        }
+        };
+        debug_assert!(out.is_empty(), "a flush round is idle");
     }
 
     fn metrics(&self) -> EngineMetrics {
@@ -306,15 +376,12 @@ fn send_done(shard: usize, engines: &[Option<ShardEngine>], tx: &Sender<ShardRep
     let _ = tx.send(ShardReply::Done { shard, metrics });
 }
 
-/// Shared evaluation plumbing for every traffic arm of the shard loop: run
-/// `eval` under `catch_unwind`, tag its per-query records into sequenced
-/// [`RuntimeMatch`]es — numbered in emission order, then stable-sorted by
-/// end timestamp, so the reply is one `(end_ts, seq)`-ordered run the
-/// merger appends without looking inside — and reply with one batched
-/// [`ShardReply::Output`]. Everything up to, but not including, the reply
-/// send is timed into the shard's service-time histogram. Returns `false`
-/// when the thread must exit (engine panic — a premature `Done` was sent —
-/// or a disconnected reply channel).
+/// Evaluates one routed batch: runs `eval` under `catch_unwind`, seals the
+/// packed matches it collected ([`PackedMatches::seal`]) and replies with
+/// one [`ShardReply::Output`]. Everything up to, but not including, the
+/// reply send is timed into the shard's service-time histogram. Returns
+/// `false` when the thread must exit (engine panic — a premature `Done`
+/// was sent — or a disconnected reply channel).
 fn eval_and_reply(
     shard: usize,
     seq: &mut u64,
@@ -322,22 +389,12 @@ fn eval_and_reply(
     tx: &Sender<ShardReply>,
     inst: &ShardInstruments,
     watermark: Ts,
-    eval: impl FnOnce(&mut Vec<Option<ShardEngine>>) -> Vec<(usize, Vec<Record>)>,
+    eval: impl FnOnce(&mut Vec<Option<ShardEngine>>) -> PackedMatches,
 ) -> bool {
     let start = std::time::Instant::now();
-    let run = catch_unwind(AssertUnwindSafe(|| eval(engines))).map(|per_q| {
-        let mut run = Vec::with_capacity(per_q.iter().map(|(_, records)| records.len()).sum());
-        for (q, records) in per_q {
-            for record in records {
-                run.push(RuntimeMatch { query: QueryId(q), shard, seq: *seq, record });
-                *seq += 1;
-            }
-        }
-        // Stable, so equal end timestamps keep emission (`seq`) order. One
-        // query's engine emits in end-timestamp order already, and the sort
-        // is then a single verifying pass.
-        run.sort_by_key(|m| m.record.end_ts());
-        run
+    let run = catch_unwind(AssertUnwindSafe(|| eval(engines))).map(|mut matches| {
+        matches.seal(seq);
+        matches
     });
     inst.service_ns.observe(elapsed_ns(start));
     match run {
@@ -379,7 +436,7 @@ pub(crate) fn run_shard(
                         // subscriber to need a class mask evaluates it,
                         // every later subscriber reuses it.
                         index.begin_batch();
-                        let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
+                        let mut matches = PackedMatches::default();
                         let mut skipped = 0u64;
                         for (q, sel) in per_query.iter().enumerate() {
                             let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
@@ -402,17 +459,18 @@ pub(crate) fn run_shard(
                                 RowSel::Rows(rows) if rows.is_empty() => continue,
                                 RowSel::Rows(rows) => Some(rows.as_slice()),
                             };
-                            per_q.push((q, engine.push(&batch, rows, index)));
+                            matches.push(q, engine.push(&batch, rows, index));
                         }
                         inst.engines_skipped.add(skipped);
-                        per_q
+                        matches
                     });
                 if !ok {
                     return;
                 }
             }
             ShardMsg::Heartbeat { watermark } => {
-                if tx.send(ShardReply::Output { shard, watermark, matches: Vec::new() }).is_err() {
+                let matches = PackedMatches::default();
+                if tx.send(ShardReply::Output { shard, watermark, matches }).is_err() {
                     return;
                 }
             }
@@ -469,19 +527,13 @@ pub(crate) fn run_shard(
                 }
             }
             ShardMsg::Shutdown => {
-                let ok =
-                    eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, Ts::MAX, |engines| {
-                        let mut per_q: Vec<(usize, Vec<Record>)> = Vec::new();
-                        for (q, engine) in engines.iter_mut().enumerate() {
-                            if let Some(engine) = engine {
-                                per_q.push((q, engine.flush()));
-                            }
-                        }
-                        per_q
-                    });
-                if ok {
-                    send_done(shard, &engines, &tx);
-                }
+                // Books each engine's idle end-of-stream round; there is no
+                // output to reply with, and `Done` ends the shard's stream
+                // in the merger. A panic here still reports `Done`.
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    engines.iter_mut().flatten().for_each(ShardEngine::flush)
+                }));
+                send_done(shard, &engines, &tx);
                 return;
             }
         }

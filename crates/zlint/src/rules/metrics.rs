@@ -1,9 +1,10 @@
 //! Rule `metrics`: cross-artifact metric-name drift.
 //!
 //! The exported metric set is a dashboard/alerting contract, golden-pinned
-//! in `tests/fixtures/metrics_schema.txt` (one `name|kind|label-keys` line
-//! per instrument). The runtime test (`tests/metrics_schema.rs`) compares a
-//! live scrape against that fixture — but only when it runs, and only for
+//! in `tests/fixtures/metrics_schema.txt` (one
+//! `name|kind|label-keys|definition` line per instrument; this rule reads
+//! the name). The runtime test (`tests/metrics_schema.rs`) compares a live
+//! scrape against that fixture — but only when it runs, and only for
 //! instruments the test's workload happens to register. This rule makes the
 //! same contract hold *statically*, in both directions:
 //!

@@ -47,7 +47,7 @@ fn record_path(parts: &CompiledParts, batches: &[EventBatch]) -> (Vec<Signature>
     for batch in batches {
         for row in 0..batch.len() as u32 {
             index.begin_batch();
-            records.extend(engine.push_rows(batch, Some(&[row]), &mut index));
+            records.extend(engine.push_rows(batch, Some(&[row]), &mut index).records());
         }
     }
     records.extend(engine.flush());
@@ -76,7 +76,7 @@ fn partitioned_lines(
     for batch in batches {
         records.extend(if shard_entry {
             index.begin_batch();
-            engine.push_rows(batch, None, &mut index)
+            engine.push_rows(batch, None, &mut index).records()
         } else {
             engine.push_columns(batch)
         });

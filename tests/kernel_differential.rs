@@ -78,7 +78,7 @@ fn sharded_lines(
             if !rows.is_empty() {
                 let (engine, index) = &mut shards[shard];
                 index.begin_batch();
-                records.extend(engine.push_rows(batch, Some(rows), index));
+                records.extend(engine.push_rows(batch, Some(rows), index).records());
             }
         }
     }

@@ -1,8 +1,11 @@
 //! The exported metrics schema is a contract: dashboards and alerts key on
 //! instrument names, kinds, and label keys. This test pins the full key
-//! set — `name|kind|label-keys` per instrument family — against a
-//! checked-in golden file, so renaming or dropping an instrument is a
-//! deliberate, reviewed change rather than a silent one.
+//! set — `name|kind|label-keys|definition` per instrument family — against
+//! a checked-in golden file, so renaming or dropping an instrument is a
+//! deliberate, reviewed change rather than a silent one. The definition
+//! field is filled for the instruments whose *meaning* is part of the
+//! contract ([`DEFINITIONS`]) and empty elsewhere, so redefining what one
+//! of them measures is a reviewed diff of the golden file too.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -81,15 +84,35 @@ fn representative_snapshot() -> ObsSnapshot {
     hub.snapshot()
 }
 
-/// `name|kind|label-keys`, one line per instrument family (label *keys*,
-/// not values — per-shard / per-query fan-out is not part of the schema).
+/// One-line definitions of the instruments read as shares of wall time —
+/// the "Time accounts" of `docs/ARCHITECTURE.md`. What they cover moved
+/// once already (matches are built on the control thread, not the shard),
+/// so the definition is pinned with the name.
+const DEFINITIONS: &[(&str, &str)] = &[
+    (
+        "zstream_merge_ns",
+        "control-thread time per merge pass: fold arrived replies into the merger, building each \
+         match once, and emit what became final",
+    ),
+    (
+        "zstream_shard_service_ns",
+        "shard-thread time per traffic message: engine rounds packing matches as ids, then \
+         numbering and end-ts sorting the reply; excludes the reply send",
+    ),
+];
+
+/// `name|kind|label-keys|definition`, one line per instrument family
+/// (label *keys*, not values — per-shard / per-query fan-out is not part of
+/// the schema; the definition is empty unless [`DEFINITIONS`] pins one).
 fn schema_lines(snap: &ObsSnapshot) -> Vec<String> {
     let set: BTreeSet<String> = snap
         .metrics
         .iter()
         .map(|s| {
             let keys: Vec<&str> = s.labels.iter().map(|(k, _)| k.as_str()).collect();
-            format!("{}|{}|{}", s.name, s.value.kind(), keys.join(","))
+            let definition =
+                DEFINITIONS.iter().find(|(name, _)| *name == s.name).map_or("", |(_, d)| d);
+            format!("{}|{}|{}|{definition}", s.name, s.value.kind(), keys.join(","))
         })
         .collect();
     set.into_iter().collect()
@@ -104,6 +127,9 @@ fn exported_key_set_matches_the_golden_schema() {
     if std::env::var("UPDATE_METRICS_SCHEMA").is_ok() {
         std::fs::write(GOLDEN, &rendered).unwrap();
         return;
+    }
+    for (name, _) in DEFINITIONS {
+        assert!(lines.iter().any(|l| l.starts_with(&format!("{name}|"))), "{name} not exported");
     }
     let golden = std::fs::read_to_string(GOLDEN)
         .expect("missing golden file — run with UPDATE_METRICS_SCHEMA=1 to create it");

@@ -960,3 +960,98 @@ fn checkpoint_inside_a_run_of_skipped_batches_recovers_exactly() {
         assert_eq!(report.dropped, oracle_report.dropped);
     }
 }
+
+/// What one match delivery pins: query slot, end timestamp, shard, `seq`,
+/// and the matched events.
+type Numbered = (usize, Ts, usize, u64, Vec<Vec<usize>>);
+
+/// The reply rule the merger relies on, for broadcast queries homed on
+/// shard 0: per batch, the shard numbers its matches in emission order —
+/// query by query in slot order, each engine's own order within — and
+/// stable-sorts the batch's reply by end timestamp. Query `q` is evaluated
+/// for the batches in `live[q]`. One reply per batch.
+fn reply_model(
+    parts: &[CompiledParts],
+    live: &[std::ops::Range<usize>],
+    batches: &[EventBatch],
+) -> Vec<Vec<Numbered>> {
+    let mut engines: Vec<Engine> = parts.iter().map(|p| p.engine().unwrap()).collect();
+    let mut seq = 0u64;
+    let mut replies = Vec::new();
+    for (b, batch) in batches.iter().enumerate() {
+        let mut reply: Vec<Numbered> = Vec::new();
+        for (q, engine) in engines.iter_mut().enumerate() {
+            if !live[q].contains(&b) {
+                continue;
+            }
+            for r in engine.push_columns(batch) {
+                reply.push((q, r.end_ts(), 0, seq, engine.record_signature(&r)));
+                seq += 1;
+            }
+        }
+        reply.sort_by_key(|m| m.1);
+        replies.push(reply);
+    }
+    replies
+}
+
+/// Packed replies keep the reply rule, and a query dropped while its packed
+/// matches are in flight never surfaces one. Two broadcast queries share
+/// one shard and tie on every end timestamp (both end at `Sun`, each with
+/// several `IBM` / `Oracle` partners). q1 is dropped straight after an
+/// ingest call — its last replies likely still on the channel, its last
+/// matches certainly not final — and a checkpoint then quiesces the shard.
+/// Pending matches are exactly q0's undelivered ones; q0's delivered
+/// `(end_ts, shard, seq)` and events equal the model, and q1's are a strict
+/// prefix of its model stream.
+#[test]
+fn packed_replies_keep_the_seq_rule_and_drop_in_flight_matches() {
+    let parts = [
+        common::compile_stock("PATTERN IBM; Sun WITHIN 6"),
+        common::compile_stock("PATTERN Oracle; Sun WITHIN 6"),
+    ];
+    let events: Vec<EventRef> = (0..240)
+        .map(|i| {
+            let name = ["IBM", "Oracle", "IBM", "Oracle", "Sun"][i % 5];
+            zstream::events::stock(i as u64 / 2 + 1, i as i64, name, 1.0, 1)
+        })
+        .collect();
+    let batches = rebatch(&events, &[24]);
+    let drop_after = batches.len() / 2;
+    let replies = reply_model(&parts, &[0..batches.len(), 0..drop_after], &batches);
+    let stream_of = |q: usize| -> Vec<Numbered> {
+        replies.iter().flatten().filter(|m| m.0 == q).cloned().collect()
+    };
+
+    let mut builder = Runtime::builder().workers(1).channel_capacity(2);
+    let ids: Vec<QueryId> =
+        parts.iter().map(|p| builder.register(p.clone(), Partitioning::Broadcast)).collect();
+    let mut runtime = builder.build().unwrap();
+    let templates: Vec<Engine> = parts.iter().map(|p| p.engine().unwrap()).collect();
+    let number = |m: &RuntimeMatch| -> Numbered {
+        let q = m.query.index();
+        (q, m.record.end_ts(), m.shard, m.seq, templates[q].record_signature(&m.record))
+    };
+
+    let mut delivered: Vec<Numbered> = Vec::new();
+    for batch in &batches[..drop_after] {
+        delivered.extend(runtime.ingest_columns(batch).unwrap().iter().map(number));
+    }
+    runtime.drop_query(ids[1]).unwrap();
+    runtime.checkpoint(&mut Vec::new()).unwrap();
+    let q0_evaluated = replies[..drop_after].iter().flatten().filter(|m| m.0 == 0).count();
+    let q0_delivered = delivered.iter().filter(|m| m.0 == 0).count();
+    assert_eq!(runtime.pending_matches(), q0_evaluated - q0_delivered);
+    for batch in &batches[drop_after..] {
+        delivered.extend(runtime.ingest_columns(batch).unwrap().iter().map(number));
+    }
+    delivered.extend(runtime.shutdown().unwrap().matches.iter().map(number));
+
+    let (q0, q1): (Vec<Numbered>, Vec<Numbered>) = delivered.into_iter().partition(|m| m.0 == 0);
+    let q1_model = stream_of(1);
+    assert!(q1.len() < q1_model.len(), "q1's last matches were not final at the drop");
+    assert_eq!(q1, q1_model[..q1.len()]);
+    assert_eq!(q0, stream_of(0));
+    let ties = replies.iter().flatten().collect::<Vec<_>>();
+    assert!(ties.windows(2).any(|w| w[0].0 != w[1].0 && w[0].1 == w[1].1), "no cross-query tie");
+}
