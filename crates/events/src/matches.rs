@@ -10,6 +10,8 @@
 //! ids only where a consumer asks for one ([`MatchBatch::record`]) — on the
 //! thread that will also drop it.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::record::{Part, Record, Slot};
@@ -49,9 +51,10 @@ struct Entry {
 #[derive(Debug, Default)]
 pub struct MatchBatch {
     sources: Vec<Arc<BatchData>>,
-    /// The source most recently looked up, by address, and its index:
-    /// consecutive events nearly always share a batch.
-    last_source: Option<(usize, u32)>,
+    /// Index into `sources` by batch id, built once there are more than
+    /// [`SCAN_SOURCES`] of them (a restore leaves every retained event in
+    /// its own one-row batch); empty until then, whole after.
+    source_index: HashMap<u64, u32, BuildHasherDefault<BatchIdHasher>>,
     entries: Vec<Entry>,
     slots: Vec<PackedSlot>,
     /// Kleene group members, in group order.
@@ -191,22 +194,55 @@ impl MatchBatch {
     }
 
     /// The index of `data` among the sources, adding it on first sight.
+    /// A round or reply usually spans one or two input batches, so up to
+    /// [`SCAN_SOURCES`] sources are scanned; past that the id index answers
+    /// in O(1) however many there are.
     fn intern(&mut self, data: &Arc<BatchData>) -> u32 {
-        let addr = Arc::as_ptr(data) as usize;
-        if let Some((last, i)) = self.last_source {
-            if last == addr {
-                return i;
+        let found = if self.source_index.is_empty() {
+            self.sources.iter().rposition(|s| Arc::ptr_eq(s, data)).map(to_u32)
+        } else {
+            self.source_index.get(&data.id()).copied()
+        };
+        if let Some(i) = found {
+            return i;
+        }
+        let i = to_u32(self.sources.len());
+        self.sources.push(Arc::clone(data));
+        if self.sources.len() > SCAN_SOURCES {
+            let indexed = self.source_index.len();
+            for (k, s) in self.sources.iter().enumerate().skip(indexed) {
+                self.source_index.insert(s.id(), to_u32(k));
             }
         }
-        let i = match self.sources.iter().rposition(|s| Arc::as_ptr(s) as usize == addr) {
-            Some(i) => to_u32(i),
-            None => {
-                self.sources.push(Arc::clone(data));
-                to_u32(self.sources.len() - 1)
-            }
-        };
-        self.last_source = Some((addr, i));
         i
+    }
+}
+
+/// Sources a [`MatchBatch`] finds by scanning before it indexes them. An
+/// index from the first source costs one hash table per emitting engine
+/// round — 8–10 % of `alarm-1000q` throughput on a 2-vCPU host, where a
+/// round's sources are almost always one batch.
+const SCAN_SOURCES: usize = 8;
+
+/// Hashes a batch id (a process-wide counter) with one multiply, folding
+/// the well-mixed high bits down into the bits the table indexes by.
+#[derive(Default)]
+struct BatchIdHasher(u64);
+
+impl Hasher for BatchIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
     }
 }
 
@@ -338,5 +374,28 @@ mod tests {
         let rows: Vec<u32> =
             built.iter().map(|r| r.slot(0).as_one().unwrap().batch_row().1).collect();
         assert_eq!(rows, [1, 3, 0, 2]);
+    }
+
+    /// Restored events are one-row batches each: a reply over thousands of
+    /// them holds every source once, and each id still builds its own event.
+    #[test]
+    fn many_single_row_sources_intern_once_each() {
+        let n = 4096u64;
+        let events: Vec<Event> = (0..n).map(|i| stock(i, i as i64, "S", 1.0, 1)).collect();
+        let mut m = MatchBatch::new();
+        // Each match pairs an old event with a new one, so consecutive
+        // lookups alternate between sources — seen and unseen.
+        for i in 0..n as usize {
+            let old = &events[i / 2];
+            m.push(&[Part::One(old), Part::One(&events[i])], old.ts(), events[i].ts());
+        }
+        assert_eq!(m.num_sources(), n as usize);
+        for (i, r) in m.records().iter().enumerate() {
+            let ids: Vec<u64> = r.slots().iter().map(|s| s.as_one().unwrap().identity()).collect();
+            assert_eq!(ids, [events[i / 2].identity(), events[i].identity()]);
+        }
+        for e in &events {
+            assert_eq!(Arc::strong_count(e.batch_row().0), 2, "one handle per source");
+        }
     }
 }

@@ -132,6 +132,7 @@ impl PackedMatches {
     /// appends without looking inside. One query's engine emits in end
     /// order already, and the sort is then a single verifying pass.
     pub(crate) fn seal(&mut self, seq: &mut u64) {
+        debug_assert_eq!(self.query.len(), self.matches.len());
         let first = *seq;
         *seq += self.matches.len() as u64;
         match self.matches.sort_by_end() {
@@ -139,8 +140,8 @@ impl PackedMatches {
             Some(order) => {
                 self.seq = order.iter().map(|&i| first + u64::from(i)).collect();
                 let emitted = std::mem::take(&mut self.query);
-                self.query =
-                    order.iter().filter_map(|&i| emitted.get(i as usize).copied()).collect();
+                // zlint::allow(panic, "`order` permutes 0..matches.len() and query.len() == matches.len() (debug-asserted above): a mismatch must fail loudly, not misattribute matches")
+                self.query = order.iter().map(|&i| emitted[i as usize]).collect();
             }
         }
     }
