@@ -59,7 +59,6 @@ fn main() {
             matches,
             peak_mb: metrics.peak_mb(),
             peak_bytes: metrics.peak_bytes,
-            latency: None,
         }
     };
     let hash_on = measure_alias(true);

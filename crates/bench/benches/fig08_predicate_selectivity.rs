@@ -42,9 +42,6 @@ fn main() {
         let nfa = measure_nfa(&query, Routing::StockByName, &events, reps);
         assert_eq!(ld.matches, rd.matches, "plans must agree on matches");
         assert_eq!(ld.matches, nfa.matches, "NFA must agree on matches");
-        record_json("fig08_predicate_selectivity", &format!("left-deep@{s}"), &ld);
-        record_json("fig08_predicate_selectivity", &format!("right-deep@{s}"), &rd);
-        record_json("fig08_predicate_selectivity", &format!("nfa@{s}"), &nfa);
         results[0].1.push(ld.throughput);
         results[1].1.push(rd.throughput);
         results[2].1.push(nfa.throughput);

@@ -43,9 +43,6 @@ fn main() {
 
     let nfa = measure_nfa(QUERY8, Routing::WeblogByCategory, &events, reps);
     row("NFA", &[nfa.throughput, nfa.matches as f64]);
-    record_json("fig17_weblog", "left-deep", &ld);
-    record_json("fig17_weblog", "right-deep", &rd);
-    record_json("fig17_weblog", "nfa", &nfa);
 
     assert_eq!(ld.matches, rd.matches);
     assert_eq!(ld.matches, nfa.matches);

@@ -14,40 +14,6 @@ use zstream_events::{EventBatch, EventRef, Schema};
 use zstream_lang::{Query, SchemaMap};
 use zstream_nfa::NfaEngine;
 
-/// Batch service-latency percentiles, derived from an observability
-/// histogram ([`zstream_obs::HistSnapshot`]) scraped after the run. The
-/// buckets are log-spaced, so a percentile is the upper bound of the
-/// bucket it falls in — an over-estimate by at most one bucket width.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencySummary {
-    /// Median batch service time, microseconds.
-    pub p50_us: f64,
-    /// 95th percentile, microseconds.
-    pub p95_us: f64,
-    /// 99th percentile, microseconds.
-    pub p99_us: f64,
-    /// Largest observed value, microseconds (exact, not bucketed).
-    pub max_us: f64,
-    /// Observations behind the percentiles.
-    pub count: u64,
-}
-
-impl LatencySummary {
-    /// Converts a nanosecond-valued histogram scrape into microsecond
-    /// percentiles; `None` when the histogram recorded nothing.
-    pub fn from_ns_hist(h: &zstream_obs::HistSnapshot) -> Option<LatencySummary> {
-        let (p50, p95, p99, max) = h.summary()?;
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        Some(LatencySummary {
-            p50_us: us(p50),
-            p95_us: us(p95),
-            p99_us: us(p99),
-            max_us: us(max),
-            count: h.count,
-        })
-    }
-}
-
 /// One measured point.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
@@ -59,10 +25,6 @@ pub struct Measurement {
     pub peak_mb: f64,
     /// Peak logical memory in bytes (what `peak_mb` is derived from).
     pub peak_bytes: usize,
-    /// Batch service-latency percentiles, when the measured configuration
-    /// exposes an observability histogram (the sharded runtime does; the
-    /// single-threaded engines report `None`).
-    pub latency: Option<LatencySummary>,
 }
 
 /// Which schema/routing convention a benchmark uses.
@@ -162,7 +124,6 @@ pub fn measure_tree(run: &TreeRun<'_>, batches: &[EventBatch], reps: usize) -> M
                 matches,
                 peak_mb: metrics.peak_mb(),
                 peak_bytes: metrics.peak_bytes,
-                latency: None,
             }
         })
         .collect();
@@ -189,57 +150,10 @@ pub fn measure_nfa(query: &str, routing: Routing, events: &[EventRef], reps: usi
                 matches,
                 peak_mb: nfa.peak_bytes() as f64 / (1024.0 * 1024.0),
                 peak_bytes: nfa.peak_bytes(),
-                latency: None,
             }
         })
         .collect();
     median(samples)
-}
-
-/// Appends one measured point to the JSON results file named by the
-/// `ZSTREAM_BENCH_JSON` environment variable (no-op when unset). The file
-/// stays a valid JSON array after every append, so several bench targets can
-/// contribute to one `BENCH_results.json` without a collation step.
-///
-/// The read-modify-write is not atomic: run bench targets that share one
-/// results file sequentially (as the CI `bench-trajectory` job does), not in
-/// parallel.
-pub fn record_json(bench: &str, series: &str, m: &Measurement) {
-    let Some(path) = std::env::var_os("ZSTREAM_BENCH_JSON") else { return };
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let latency = match &m.latency {
-        Some(l) => format!(
-            ", \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"max_us\": {:.1}, \"latency_n\": {}",
-            l.p50_us, l.p95_us, l.p99_us, l.max_us, l.count
-        ),
-        None => String::new(),
-    };
-    let entry = format!(
-        "  {{\"bench\": \"{}\", \"series\": \"{}\", \
-         \"events_per_sec\": {:.0}, \"peak_bytes\": {}, \"matches\": {}{}}}",
-        escape(bench),
-        escape(series),
-        m.throughput,
-        m.peak_bytes,
-        m.matches,
-        latency
-    );
-    let existing = std::fs::read_to_string(&path).ok();
-    let content = match existing.as_deref().map(str::trim_end) {
-        Some(s) if s.ends_with(']') => {
-            let body = s.strip_suffix(']').expect("checked above").trim_end();
-            if body == "[" {
-                format!("[\n{entry}\n]\n")
-            } else {
-                format!("{body},\n{entry}\n]\n")
-            }
-        }
-        _ => format!("[\n{entry}\n]\n"),
-    };
-    if let Err(e) = std::fs::write(&path, content) {
-        eprintln!("warning: could not write bench results to {path:?}: {e}");
-    }
 }
 
 fn median(mut samples: Vec<Measurement>) -> Measurement {

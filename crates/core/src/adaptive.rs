@@ -348,15 +348,6 @@ impl AdaptiveEngine {
     }
 }
 
-/// The `s`-th sampled index into buffer `bi` of length `len`.
-///
-/// Strides through the buffer with a per-buffer stride made **coprime** to
-/// `len`, so consecutive samples visit every index before repeating (a full
-/// cycle of Z/len). The naive `(s * (bi * 7 + 3)) % len` strides by a fixed
-/// constant: whenever `len` divides the stride (any length-3 buffer for
-/// `bi = 0`, length-10 for `bi = 1`, …) it degenerates to sampling index 0
-/// only, silently biasing the multi-class selectivity estimate toward
-/// whatever single pair sits at the buffer heads.
 /// Renders statistics as the decision log's generic named series:
 /// `rate.<class>` and `sel.<class>` per pattern class, `pred.<i>` per
 /// multi-class predicate.
@@ -372,6 +363,15 @@ fn stat_series(aq: &AnalyzedQuery, stats: &Statistics) -> StatSeries {
     out
 }
 
+/// The `s`-th sampled index into buffer `bi` of length `len`.
+///
+/// Strides through the buffer with a per-buffer stride made **coprime** to
+/// `len`, so consecutive samples visit every index before repeating (a full
+/// cycle of Z/len). The naive `(s * (bi * 7 + 3)) % len` strides by a fixed
+/// constant: whenever `len` divides the stride (any length-3 buffer for
+/// `bi = 0`, length-10 for `bi = 1`, …) it degenerates to sampling index 0
+/// only, silently biasing the multi-class selectivity estimate toward
+/// whatever single pair sits at the buffer heads.
 fn sample_index(s: usize, bi: usize, len: usize) -> usize {
     if len <= 1 {
         return 0;

@@ -471,7 +471,12 @@ pub fn search_optimal(aq: &AnalyzedQuery, stats: &Statistics) -> Result<PlanSpec
         .filter_map(|(i, t)| matches!(t, Term::Neg(_)).then_some(i))
         .collect();
     let k = neg_groups.len();
-    assert!(k <= 16, "patterns with more than 16 negation groups are unrealistic");
+    // The search below enumerates all 2^k strategy combinations.
+    if k > 16 {
+        return Err(CoreError::UnsupportedNegation(format!(
+            "{k} negation groups; the planner supports at most 16"
+        )));
+    }
 
     let mut best: Option<PlanSpec> = None;
     for combo in 0..(1usize << k) {
@@ -732,6 +737,23 @@ mod tests {
         let dt = t0.elapsed();
         spec.shape.validate(20).unwrap();
         assert!(dt.as_millis() < 1000, "planner took {dt:?}");
+    }
+
+    #[test]
+    fn too_many_negation_groups_is_an_error_not_a_panic() {
+        // 17 groups `P0; !N0; P1; ...; !N16; P17`: the strategy search
+        // would enumerate 2^17 combinations.
+        let mut terms = vec!["P0".to_string()];
+        for i in 0..17 {
+            terms.push(format!("!N{i}"));
+            terms.push(format!("P{}", i + 1));
+        }
+        let src = format!("PATTERN {} WITHIN 100", terms.join("; "));
+        let q = aq(&src);
+        let s = Statistics::uniform(q.num_classes(), q.multi_preds.len(), 100);
+        assert!(matches!(search_optimal(&q, &s), Err(CoreError::UnsupportedNegation(_))));
+        let compiled = crate::EngineBuilder::parse(&src).unwrap().compile();
+        assert!(matches!(compiled, Err(CoreError::UnsupportedNegation(_))));
     }
 
     #[test]
