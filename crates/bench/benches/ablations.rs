@@ -44,7 +44,8 @@ fn main() {
             NegStrategy::PushdownPreferred,
         )
         .unwrap();
-        let plan = compiled.physical_plan(PlanConfig { use_hash, ..Default::default() }).unwrap();
+        let plan =
+            compiled.physical_plan(PlanConfig { use_hash, ..Default::default() }, &[]).unwrap();
         let intake = build_intake(&compiled.aq, None).unwrap();
         let mut engine = Engine::new(compiled.aq.clone(), plan, &intake);
         let t0 = Instant::now();

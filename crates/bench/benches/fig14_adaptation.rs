@@ -97,7 +97,7 @@ fn main() {
         let intake = build_intake(&compiled.aq, Some("name")).unwrap();
         let engine = Engine::new(
             compiled.aq.clone(),
-            compiled.physical_plan(PlanConfig::default()).unwrap(),
+            compiled.physical_plan(PlanConfig::default(), &[]).unwrap(),
             &intake,
         );
         let mut adaptive = AdaptiveEngine::new(

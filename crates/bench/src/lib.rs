@@ -88,7 +88,7 @@ impl<'a> TreeRun<'a> {
                 .expect("bench query compiles"),
             None => CompiledQuery::optimize(&query, &schemas, None).expect("compiles"),
         };
-        let plan = compiled.physical_plan(self.plan.clone()).expect("plan builds");
+        let plan = compiled.physical_plan(self.plan.clone(), &[]).expect("plan builds");
         let intake = build_intake(&compiled.aq, Some(self.routing.field())).expect("intake builds");
         Engine::new(compiled.aq.clone(), plan, &intake)
     }

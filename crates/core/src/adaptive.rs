@@ -190,7 +190,7 @@ impl AdaptiveEngine {
             self.current_stats = measured;
             return Ok(false);
         }
-        let plan = PhysicalPlan::from_spec(&aq, &new_spec, self.engine.plan().config.clone())?;
+        let plan = PhysicalPlan::from_spec(&aq, &new_spec, self.engine.plan().config.clone(), &[])?;
         self.engine.install_plan(plan);
         self.current_spec = Some(new_spec);
         self.current_stats = measured;

@@ -97,11 +97,18 @@ impl CompiledQuery {
         Ok(CompiledQuery { aq, stats, spec, rewrites })
     }
 
-    /// Builds the physical plan.
-    pub fn physical_plan(&self, config: PlanConfig) -> Result<PhysicalPlan, CoreError> {
+    /// Builds the physical plan. `applied` lists the multi-class predicates
+    /// the caller already guarantees for every event it feeds the plan
+    /// (see [`PhysicalPlan::from_spec`]); pass `&[]` for a plan that
+    /// evaluates them all.
+    pub fn physical_plan(
+        &self,
+        config: PlanConfig,
+        applied: &[usize],
+    ) -> Result<PhysicalPlan, CoreError> {
         match &self.spec {
-            Some(spec) => PhysicalPlan::from_spec(&self.aq, spec, config),
-            None => PhysicalPlan::from_pattern(&self.aq, config),
+            Some(spec) => PhysicalPlan::from_spec(&self.aq, spec, config, applied),
+            None => PhysicalPlan::from_pattern(&self.aq, config, applied),
         }
     }
 }
@@ -227,7 +234,7 @@ impl CompiledParts {
 
     /// Instantiates a fresh single-threaded engine.
     pub fn engine(&self) -> Result<Engine, CoreError> {
-        let plan = self.compiled.physical_plan(self.config.plan.clone())?;
+        let plan = self.compiled.physical_plan(self.config.plan.clone(), &[])?;
         Ok(Engine::new(self.compiled.aq.clone(), plan, &self.intake))
     }
 
@@ -245,7 +252,7 @@ impl CompiledParts {
         &self,
         r: &mut zstream_events::SnapshotReader<'_>,
     ) -> Result<Engine, zstream_events::SnapshotError> {
-        let plan = self.compiled.physical_plan(self.config.plan.clone()).map_err(|e| {
+        let plan = self.compiled.physical_plan(self.config.plan.clone(), &[]).map_err(|e| {
             zstream_events::SnapshotError::Corrupt(format!("plan rebuild failed: {e}"))
         })?;
         Engine::restore_snapshot(

@@ -12,6 +12,15 @@
 //! soundness condition: the query's equality predicates must connect **all**
 //! classes (including negated and closure classes) on the partition field,
 //! so that no cross-partition match can exist.
+//!
+//! Routing is also where those equalities are applied, once. Rows are keyed
+//! by [`zstream_events::Value::hash_key`], which is canonical for the `=`
+//! of query predicates (`Value::loose_eq`: NaNs form one class, `0.0 ==
+//! -0.0`), so every two rows of one partition satisfy each `X.f = Y.f` on
+//! the partition field `f`. The per-key plans are built without those
+//! predicates: no per-key hash join on a key that carries no information.
+//! Every other predicate stays, including equalities on other fields and
+//! equalities inside an `OR`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,7 +37,7 @@ use crate::engine::Engine;
 use crate::error::CoreError;
 use crate::intake::{CompiledIntake, SharedPredIndex, Subscription};
 use crate::metrics::EngineMetrics;
-use crate::physical::plan::PlanConfig;
+use crate::physical::plan::{as_equality, PhysicalPlan, PlanConfig};
 
 /// True when partitioning the stream on `field` preserves the query's
 /// semantics. Two conditions must hold:
@@ -42,16 +51,21 @@ use crate::physical::plan::PlanConfig;
 ///    legitimately negate a match and per-partition evaluation would miss
 ///    it.
 pub fn can_partition_by(aq: &AnalyzedQuery, field: &str) -> bool {
+    partition_equalities(aq, field).is_some()
+}
+
+/// The multi-class predicates that partitioning on `field` applies, as
+/// indices into `aq.multi_preds`: every `X.f = Y.f` whose `f` is `field` in
+/// both classes' schemas, negated and closure classes included. `None` when
+/// partitioning on `field` is unsound (see [`can_partition_by`]).
+fn partition_equalities(aq: &AnalyzedQuery, field: &str) -> Option<Vec<usize>> {
     let n = aq.num_classes();
     if n == 0 {
-        return false;
+        return None;
     }
     // Resolve the field index per class; every class must have the field.
-    let field_idx: Vec<Option<usize>> =
-        aq.classes.iter().map(|c| c.schema.field_index(field).ok()).collect();
-    if field_idx.iter().any(Option::is_none) {
-        return false;
-    }
+    let field_idx: Vec<usize> =
+        aq.classes.iter().map(|c| c.schema.field_index(field).ok()).collect::<Option<_>>()?;
     let negated: Vec<bool> = aq.classes.iter().map(|c| c.negated).collect();
     // Union-find over non-negated classes joined on the partition field.
     let mut parent: Vec<usize> = (0..n).collect();
@@ -63,11 +77,13 @@ pub fn can_partition_by(aq: &AnalyzedQuery, field: &str) -> bool {
         parent[x]
     }
     let mut neg_anchored = vec![false; n];
-    for eq in &aq.equalities {
-        let ((c1, f1), (c2, f2)) = (eq.left, eq.right);
-        if field_idx[c1] != Some(f1) || field_idx[c2] != Some(f2) {
+    let mut implied = Vec::new();
+    for (i, mp) in aq.multi_preds.iter().enumerate() {
+        let Some(((c1, f1), (c2, f2))) = as_equality(&mp.expr) else { continue };
+        if field_idx[c1] != f1 || field_idx[c2] != f2 {
             continue;
         }
+        implied.push(i);
         match (negated[c1], negated[c2]) {
             (false, false) => {
                 let (r1, r2) = (find(&mut parent, c1), find(&mut parent, c2));
@@ -79,10 +95,11 @@ pub fn can_partition_by(aq: &AnalyzedQuery, field: &str) -> bool {
         }
     }
     let positives: Vec<usize> = (0..n).filter(|c| !negated[*c]).collect();
-    let Some(&first) = positives.first() else { return false };
+    let &first = positives.first()?;
     let root = find(&mut parent, first);
-    positives.iter().all(|c| find(&mut parent, *c) == root)
-        && (0..n).filter(|c| negated[*c]).all(|c| neg_anchored[c])
+    let sound = positives.iter().all(|c| find(&mut parent, *c) == root)
+        && (0..n).filter(|c| negated[*c]).all(|c| neg_anchored[c]);
+    sound.then_some(implied)
 }
 
 /// A pattern engine evaluated independently per partition key.
@@ -100,6 +117,10 @@ pub struct PartitionedEngine {
     /// first class's schema (events that match no schema are dropped).
     // zlint::allow(snapshot, "restore_snapshot receives the partition field from the caller; not checkpoint state")
     field: String,
+    /// The equalities routing on `field` applies (indices into the query's
+    /// `multi_preds`); every per-key plan is built without them.
+    // zlint::allow(snapshot, "derived from the compiled query and partition field at construction; not checkpoint state")
+    implied: Vec<usize>,
     partitions: HashMap<HashableValue, Engine>,
     /// Intake-path choice stamped onto every partition engine (existing and
     /// future); see [`Engine::set_intake_mode`].
@@ -128,17 +149,18 @@ impl PartitionedEngine {
         field: impl Into<String>,
     ) -> Result<PartitionedEngine, CoreError> {
         let field = field.into();
-        if !can_partition_by(&compiled.aq, &field) {
+        let Some(implied) = partition_equalities(&compiled.aq, &field) else {
             return Err(CoreError::UnsupportedPattern(format!(
                 "cannot partition on '{field}': equality predicates do not connect \
                  all classes on that field"
             )));
-        }
+        };
         Ok(PartitionedEngine {
             compiled,
             plan_config,
             intake: CompiledIntake::compile(intake),
             field,
+            implied,
             partitions: HashMap::new(),
             intake_mode: crate::engine::IntakeMode::default(),
             subscription: None,
@@ -294,14 +316,17 @@ impl PartitionedEngine {
         out
     }
 
+    /// The plan every key runs, live or restored: the compiled template
+    /// without the equalities routing already applies.
+    fn key_plan(&self) -> Result<PhysicalPlan, CoreError> {
+        self.compiled.physical_plan(self.plan_config.clone(), &self.implied)
+    }
+
     /// The engine owning `key`, created from the compiled template on first
     /// sight.
     fn partition_mut(&mut self, key: HashableValue) -> &mut Engine {
         if !self.partitions.contains_key(&key) {
-            let plan = self
-                .compiled
-                .physical_plan(self.plan_config.clone())
-                .expect("template plan was validated at construction");
+            let plan = self.key_plan().expect("template plan was validated at construction");
             let mut engine =
                 Engine::with_intake(self.compiled.aq.clone(), plan, self.intake.clone());
             engine.set_intake_mode(self.intake_mode);
@@ -316,8 +341,9 @@ impl PartitionedEngine {
         self.partitions.get_mut(&key).expect("inserted above")
     }
 
-    /// Ends the stream: one idle round per partition ([`Engine::flush`]),
-    /// so no match.
+    /// Ends the stream: one idle round per partition ([`Engine::flush`]).
+    /// Every push already ran an assembly round in each partition it fed,
+    /// so the flush rounds find nothing to emit and the result is empty.
     pub fn flush(&mut self) -> Vec<Record> {
         for engine in self.partitions.values_mut() {
             let out = engine.flush();
@@ -383,8 +409,7 @@ impl PartitionedEngine {
         for _ in 0..n {
             let key = r.hashable()?;
             let plan = pe
-                .compiled
-                .physical_plan(pe.plan_config.clone())
+                .key_plan()
                 .map_err(|e| SnapshotError::Corrupt(format!("plan rebuild failed: {e}")))?;
             let engine =
                 Engine::restore_snapshot(pe.compiled.aq.clone(), plan, pe.intake.clone(), r)?;
@@ -520,7 +545,7 @@ mod tests {
         let mut part_sigs: Vec<_> = part_out.iter().map(|r| pe.record_signature(r)).collect();
         part_sigs.sort();
 
-        let plan = c.physical_plan(PlanConfig::default()).unwrap();
+        let plan = c.physical_plan(PlanConfig::default(), &[]).unwrap();
         let mut engine = Engine::new(c.aq.clone(), plan, &intake);
         let mut flat_out = Vec::new();
         for batch in &batches {
@@ -620,10 +645,13 @@ mod tests {
         assert_eq!(pe.metrics().events_in, 2, "dropped rows still count as offered");
     }
 
-    /// A two-class keyed query fed 40 events in batches of 4, and the
-    /// bytes of its snapshot.
-    fn snapshotted() -> (CompiledQuery, Vec<Vec<TypedExpr>>, PartitionedEngine, Vec<u8>) {
-        let c = compiled("PATTERN A; B WHERE A.name = B.name WITHIN 100");
+    /// The two-class keyed query of the snapshot tests.
+    const KEYED_AB: &str = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
+
+    /// A query keyed on `name` fed 40 events in batches of 4, and the bytes
+    /// of its snapshot.
+    fn snapshotted(src: &str) -> (CompiledQuery, Vec<Vec<TypedExpr>>, PartitionedEngine, Vec<u8>) {
+        let c = compiled(src);
         let intake = build_intake(&c.aq, None).unwrap();
         let mut pe =
             PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
@@ -638,7 +666,7 @@ mod tests {
 
     #[test]
     fn partitioned_snapshot_round_trips_with_stable_bytes() {
-        let (c, intake, mut pe, bytes) = snapshotted();
+        let (c, intake, mut pe, bytes) = snapshotted(KEYED_AB);
         // Digest-sorted partition order: re-snapshotting identical state is
         // byte-identical despite HashMap iteration order.
         let mut w = SnapshotWriter::new();
@@ -670,7 +698,7 @@ mod tests {
 
     #[test]
     fn restored_partitions_share_one_compiled_intake() {
-        let (c, intake, _, bytes) = snapshotted();
+        let (c, intake, _, bytes) = snapshotted(KEYED_AB);
         let mut r = SnapshotReader::new(&bytes);
         let mut restored =
             PartitionedEngine::restore_snapshot(c, PlanConfig::default(), &intake, "name", &mut r)
@@ -680,6 +708,101 @@ mod tests {
         assert!(restored.num_partitions() > 2);
         for engine in restored.partitions.values() {
             assert!(Arc::ptr_eq(engine.intake(), &restored.intake), "intake compiled twice");
+        }
+    }
+
+    /// Runs `check` on every per-key plan of a partitioned engine on `name`
+    /// over `src`: the live keys, the keys restored from its snapshot, and
+    /// a key first seen after the restore.
+    fn check_key_plans(src: &str, check: impl Fn(&AnalyzedQuery, &PhysicalPlan)) {
+        let (c, intake, live, bytes) = snapshotted(src);
+        let mut r = SnapshotReader::new(&bytes);
+        let mut restored = PartitionedEngine::restore_snapshot(
+            c.clone(),
+            PlanConfig::default(),
+            &intake,
+            "name",
+            &mut r,
+        )
+        .unwrap();
+        restored.push_columns(&EventBatch::from_events(&[stock(99, 0, "Dell", 1.0, 1)]).unwrap());
+        assert_eq!((live.num_partitions(), restored.num_partitions()), (4, 5));
+        for engine in live.partitions.values().chain(restored.partitions.values()) {
+            check(&c.aq, engine.plan());
+        }
+    }
+
+    /// Every predicate a plan evaluates, over all nodes.
+    fn plan_preds(plan: &PhysicalPlan) -> Vec<&TypedExpr> {
+        plan.nodes.iter().flat_map(|n| n.preds.iter().chain(&n.event_preds)).collect()
+    }
+
+    #[test]
+    fn key_plans_omit_the_routed_equalities() {
+        check_key_plans(
+            "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 100",
+            |_, plan| {
+                assert!(plan.nodes.iter().all(|n| n.hash.is_none()), "a per-key plan hashes");
+                assert!(plan_preds(plan).is_empty());
+            },
+        );
+    }
+
+    #[test]
+    fn key_plans_keep_every_other_predicate() {
+        check_key_plans(
+            "PATTERN A; B; C \
+             WHERE A.name = B.name AND B.name = C.name AND A.price < C.price WITHIN 100",
+            |aq, plan| {
+                assert!(plan.nodes.iter().all(|n| n.hash.is_none()));
+                assert_eq!(plan_preds(plan), vec![&aq.multi_preds[2].expr]);
+            },
+        );
+        // An equality on another field still hashes; one inside an `OR` is
+        // not implied by routing.
+        let volume = Schema::stocks().field_index("volume").unwrap();
+        check_key_plans(
+            "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name \
+             AND A.volume = C.volume AND (A.name = C.name OR A.price > C.price) WITHIN 100",
+            |aq, plan| {
+                let kept = vec![&aq.multi_preds[2].expr, &aq.multi_preds[3].expr];
+                assert_eq!(plan_preds(plan), kept);
+                let specs: Vec<_> = plan.nodes.iter().filter_map(|n| n.hash.as_ref()).collect();
+                assert_eq!(specs.len(), 1);
+                assert!(specs[0].left.iter().chain(&specs[0].right).all(|k| k.field == volume));
+            },
+        );
+    }
+
+    #[test]
+    fn key_plans_omit_the_negated_class_anchor() {
+        // Query 2: `T2.name = T1.name` binds the negated class; routing
+        // applies it as much as the positive `T1.name = T3.name`.
+        let src = "PATTERN T1; !T2; T3 \
+                   WHERE T1.name = T3.name AND T2.name = T1.name \
+                     AND T1.price > 50 AND T2.price < 50 AND T3.price > 60 WITHIN 25";
+        let flat = compiled(src).physical_plan(PlanConfig::default(), &[]).unwrap();
+        assert_eq!(plan_preds(&flat).len(), 2, "the flat plan places both equalities");
+        check_key_plans(src, |_, plan| {
+            assert!(plan.nodes.iter().all(|n| n.hash.is_none()));
+            assert!(plan_preds(plan).is_empty());
+        });
+    }
+
+    #[test]
+    fn flat_engine_still_hash_joins_on_the_key() {
+        let parts = crate::builder::EngineBuilder::parse(
+            "PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name WITHIN 100",
+        )
+        .unwrap()
+        .compile()
+        .unwrap();
+        let engine = parts.engine().unwrap();
+        let name = Schema::stocks().field_index("name").unwrap();
+        let specs: Vec<_> = engine.plan().nodes.iter().filter_map(|n| n.hash.as_ref()).collect();
+        assert_eq!(specs.len(), 2, "one hash join per SEQ node");
+        for spec in specs {
+            assert!(spec.left.iter().chain(&spec.right).all(|k| k.field == name));
         }
     }
 

@@ -250,13 +250,21 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Builds a plan for a flat sequential pattern from a [`PlanSpec`]
     /// produced by the optimizer (or by [`crate::spec_with_shape`]).
+    ///
+    /// `applied` lists the multi-class predicates (indices into
+    /// `aq.multi_preds`) that the caller already guarantees for every
+    /// event it feeds the plan; they are neither hashed nor evaluated. A
+    /// partitioned engine passes the equalities its key routing implies
+    /// (see [`crate::partition`]); every other caller passes `&[]`. The
+    /// node layout does not depend on `applied`.
     pub fn from_spec(
         aq: &AnalyzedQuery,
         spec: &PlanSpec,
         config: PlanConfig,
+        applied: &[usize],
     ) -> Result<PhysicalPlan, CoreError> {
         spec.shape.validate(spec.units.len())?;
-        let mut b = Builder::new(aq, config);
+        let mut b = Builder::new(aq, config, applied);
         let tree_root = b.build_shape(&spec.shape, &spec.units)?;
         let root = b.add_top_negs(tree_root, &spec.top_negs);
         b.finish(aq, root)
@@ -265,9 +273,13 @@ impl PhysicalPlan {
     /// Builds a syntax-directed plan for patterns with conjunction or
     /// disjunction groups (no reordering; nested connectives evaluate
     /// left-deep). Negation and Kleene closure require the flat-sequence
-    /// planner path.
-    pub fn from_pattern(aq: &AnalyzedQuery, config: PlanConfig) -> Result<PhysicalPlan, CoreError> {
-        let mut b = Builder::new(aq, config);
+    /// planner path. `applied` is as for [`PhysicalPlan::from_spec`].
+    pub fn from_pattern(
+        aq: &AnalyzedQuery,
+        config: PlanConfig,
+        applied: &[usize],
+    ) -> Result<PhysicalPlan, CoreError> {
+        let mut b = Builder::new(aq, config, applied);
         let root = b.build_pattern(&aq.pattern)?;
         b.finish(aq, root)
     }
@@ -331,10 +343,12 @@ struct Builder<'a> {
     nodes: Vec<Node>,
     leaf_of_class: Vec<usize>,
     config: PlanConfig,
+    /// Multi-class predicates the caller already applies (not placed).
+    applied: &'a [usize],
 }
 
 impl<'a> Builder<'a> {
-    fn new(aq: &'a AnalyzedQuery, config: PlanConfig) -> Builder<'a> {
+    fn new(aq: &'a AnalyzedQuery, config: PlanConfig, applied: &'a [usize]) -> Builder<'a> {
         let n = aq.num_classes();
         let mut nodes = Vec::with_capacity(2 * n);
         let mut leaf_of_class = Vec::with_capacity(n);
@@ -342,7 +356,7 @@ impl<'a> Builder<'a> {
             leaf_of_class.push(nodes.len());
             nodes.push(Node::new(NodeKind::Leaf { class: c }, vec![c], n));
         }
-        Builder { aq, nodes, leaf_of_class, config }
+        Builder { aq, nodes, leaf_of_class, config, applied }
     }
 
     fn push_node(&mut self, kind: NodeKind, classes: Vec<ClassId>) -> usize {
@@ -458,8 +472,9 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Assigns multi-class predicates to their lowest covering internal
-    /// node, configures hash joins, and computes plan-level metadata.
+    /// Assigns multi-class predicates, except the `applied` ones, to their
+    /// lowest covering internal node, configures hash joins, and computes
+    /// plan-level metadata.
     fn finish(mut self, aq: &AnalyzedQuery, root: usize) -> Result<PhysicalPlan, CoreError> {
         // Virtual masks: NegTop nodes also "cover" their negation classes so
         // predicates over negated classes land on them.
@@ -477,7 +492,10 @@ impl<'a> Builder<'a> {
             })
             .collect();
 
-        for mp in &aq.multi_preds {
+        for (pi, mp) in aq.multi_preds.iter().enumerate() {
+            if self.applied.contains(&pi) {
+                continue;
+            }
             // Lowest covering internal node = first in child-before-parent
             // order. Constant predicates (mask 0) go to the root.
             let target = if mp.mask == 0 {
@@ -649,7 +667,7 @@ fn split_comparison(
 }
 
 /// Destructures `A.f = B.g` with distinct classes.
-fn as_equality(e: &TypedExpr) -> Option<((ClassId, usize), (ClassId, usize))> {
+pub(crate) fn as_equality(e: &TypedExpr) -> Option<((ClassId, usize), (ClassId, usize))> {
     if let TypedExpr::Binary(BinOp::Eq, l, r) = e {
         if let (
             TypedExpr::Attr { class: c1, field: f1, .. },
@@ -724,7 +742,7 @@ mod tests {
         let q = aq(src);
         let stats = Statistics::uniform(q.num_classes(), q.multi_preds.len(), q.window);
         let spec = search_optimal(&q, &stats).unwrap();
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         (q, plan)
     }
 
@@ -758,7 +776,7 @@ mod tests {
         let spec =
             spec_with_shape(&q, &stats, PlanShape::left_deep(3), NegStrategy::PushdownPreferred)
                 .unwrap();
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         // Left-deep: SEQ(A,B) gets the predicate; SEQ((A,B),C) gets none.
         let seq_ab = plan
             .nodes
@@ -772,7 +790,7 @@ mod tests {
         let spec =
             spec_with_shape(&q, &stats, PlanShape::right_deep(3), NegStrategy::PushdownPreferred)
                 .unwrap();
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         let top = &plan.nodes[plan.root];
         assert_eq!(top.preds.len(), 1);
     }
@@ -784,7 +802,7 @@ mod tests {
         let spec =
             spec_with_shape(&q, &stats, PlanShape::left_deep(3), NegStrategy::PushdownPreferred)
                 .unwrap();
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         let top = &plan.nodes[plan.root];
         let hash = top.hash.as_ref().expect("equality should hash");
         assert_eq!(hash.left, vec![KeyPart { class: 0, field: 1 }]);
@@ -796,6 +814,7 @@ mod tests {
             &q,
             &spec,
             PlanConfig { use_hash: false, ..Default::default() },
+            &[],
         )
         .unwrap();
         assert!(plan.nodes[plan.root].hash.is_none());
@@ -822,7 +841,7 @@ mod tests {
              WITHIN 10");
         let stats = Statistics::uniform(3, 2, 10);
         let spec = search_optimal(&q, &stats).unwrap();
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         let kseq = plan.nodes.iter().find(|n| matches!(n.kind, NodeKind::Kseq { .. })).unwrap();
         assert_eq!(kseq.preds.len(), 1, "aggregate stays a group predicate");
         assert_eq!(kseq.event_preds.len(), 1, "plain closure attr is per-event");
@@ -836,7 +855,7 @@ mod tests {
         let stats = Statistics::uniform(3, 2, 200);
         let spec = search_optimal(&q, &stats).unwrap();
         assert_eq!(spec.top_negs.len(), 1, "cross-side predicates force NEG-on-top");
-        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_spec(&q, &spec, PlanConfig::default(), &[]).unwrap();
         let top = &plan.nodes[plan.root];
         assert!(matches!(top.kind, NodeKind::NegTop { .. }));
         assert_eq!(top.preds.len(), 2);
@@ -845,7 +864,7 @@ mod tests {
     #[test]
     fn syntax_directed_conj_disj() {
         let q = aq("PATTERN (A & B); (C | D) WITHIN 10");
-        let plan = PhysicalPlan::from_pattern(&q, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_pattern(&q, PlanConfig::default(), &[]).unwrap();
         assert!(plan.nodes.iter().any(|n| matches!(n.kind, NodeKind::Conj { .. })));
         assert!(plan.nodes.iter().any(|n| matches!(n.kind, NodeKind::Disj { .. })));
         assert_eq!(plan.optional_mask, 0b1100);
@@ -859,7 +878,7 @@ mod tests {
         let (_, plan) = plan_for("PATTERN A; B; C WITHIN 10");
         assert_eq!(plan.trigger_classes, vec![2]);
         let q = aq("PATTERN A & B WITHIN 10");
-        let plan = PhysicalPlan::from_pattern(&q, PlanConfig::default()).unwrap();
+        let plan = PhysicalPlan::from_pattern(&q, PlanConfig::default(), &[]).unwrap();
         let mut t = plan.trigger_classes.clone();
         t.sort_unstable();
         assert_eq!(t, vec![0, 1]);

@@ -9,9 +9,8 @@
 //! * type-checks the WHERE clause against the class schemas,
 //! * splits top-level conjuncts into **single-class predicates** (pushed down
 //!   to leaf buffers, §4.1) and **multi-class predicates** (attached to
-//!   internal nodes),
-//! * detects **equality predicates** between classes for the hash
-//!   optimization of §5.2.2.
+//!   internal nodes; the planner recognises the equalities among them
+//!   for the hash optimization of §5.2.2).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,16 +83,6 @@ impl MultiClassPred {
     }
 }
 
-/// An equality predicate `left.field = right.field` between two classes,
-/// eligible for hash evaluation (§5.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EqualityPred {
-    /// Earlier class (smaller [`ClassId`]) and its field index.
-    pub left: (ClassId, usize),
-    /// Later class and its field index.
-    pub right: (ClassId, usize),
-}
-
 /// A typed RETURN item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TypedReturn {
@@ -114,8 +103,6 @@ pub struct AnalyzedQuery {
     pub single_preds: Vec<Vec<TypedExpr>>,
     /// Multi-class and aggregate predicates, attached to internal nodes.
     pub multi_preds: Vec<MultiClassPred>,
-    /// Detected equality predicates for hash optimization.
-    pub equalities: Vec<EqualityPred>,
     /// The time window (WITHIN) in logical time units.
     pub window: Ts,
     /// Typed RETURN items (defaulted to all non-negated classes).
@@ -184,7 +171,6 @@ pub fn analyze(query: &Query, schemas: &SchemaMap) -> Result<AnalyzedQuery, Lang
     // 3. Type-check the WHERE clause and split conjuncts.
     let mut single_preds: Vec<Vec<TypedExpr>> = vec![Vec::new(); classes.len()];
     let mut multi_preds = Vec::new();
-    let mut equalities = Vec::new();
     if let Some(w) = &query.where_clause {
         let mut conjuncts = Vec::new();
         split_conjuncts(w, &mut conjuncts);
@@ -199,9 +185,6 @@ pub fn analyze(query: &Query, schemas: &SchemaMap) -> Result<AnalyzedQuery, Lang
             }
             let mask = typed.class_mask();
             let has_agg = contains_agg(&typed);
-            if let Some(eq) = detect_equality(&typed) {
-                equalities.push(eq);
-            }
             if mask.count_ones() == 1 && !has_agg {
                 let class = mask.trailing_zeros() as usize;
                 single_preds[class].push(typed);
@@ -227,15 +210,7 @@ pub fn analyze(query: &Query, schemas: &SchemaMap) -> Result<AnalyzedQuery, Lang
             .collect::<Result<_, LangError>>()?
     };
 
-    Ok(AnalyzedQuery {
-        classes,
-        pattern,
-        single_preds,
-        multi_preds,
-        equalities,
-        window: query.within,
-        returns,
-    })
+    Ok(AnalyzedQuery { classes, pattern, single_preds, multi_preds, window: query.within, returns })
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -391,23 +366,6 @@ fn contains_agg(e: &TypedExpr) -> bool {
         TypedExpr::Unary(_, x) => contains_agg(x),
         TypedExpr::Binary(_, l, r) => contains_agg(l) || contains_agg(r),
     }
-}
-
-fn detect_equality(e: &TypedExpr) -> Option<EqualityPred> {
-    if let TypedExpr::Binary(BinOp::Eq, l, r) = e {
-        if let (
-            TypedExpr::Attr { class: c1, field: f1, .. },
-            TypedExpr::Attr { class: c2, field: f2, .. },
-        ) = (l.as_ref(), r.as_ref())
-        {
-            if c1 != c2 {
-                let (left, right) =
-                    if c1 < c2 { ((*c1, *f1), (*c2, *f2)) } else { ((*c2, *f2), (*c1, *f1)) };
-                return Some(EqualityPred { left, right });
-            }
-        }
-    }
-    None
 }
 
 fn type_expr(
@@ -577,16 +535,16 @@ mod tests {
         assert!(a.single_preds[0].is_empty() && a.single_preds[2].is_empty());
         // Three multi-class predicates: name equality + two price comparisons.
         assert_eq!(a.multi_preds.len(), 3);
-        // The T1.name = T3.name equality is detected for hashing.
-        assert_eq!(a.equalities, vec![EqualityPred { left: (0, 1), right: (2, 1) }]);
+        assert_eq!(a.multi_preds[0].mask, 0b101, "T1.name = T3.name");
         assert!(a.is_flat_sequence());
     }
 
     #[test]
     fn chained_equality_detects_two_hash_preds() {
         let a = analyzed("PATTERN A; B; C WHERE A.name = B.name = C.name WITHIN 10");
-        assert_eq!(a.equalities.len(), 2);
-        assert_eq!(a.multi_preds.len(), 2);
+        let masks: Vec<u64> = a.multi_preds.iter().map(|p| p.mask).collect();
+        assert_eq!(masks, vec![0b011, 0b110]);
+        assert!(a.multi_preds.iter().all(|p| matches!(p.expr, TypedExpr::Binary(BinOp::Eq, ..))));
     }
 
     #[test]

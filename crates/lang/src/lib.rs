@@ -29,9 +29,7 @@ pub mod lexer;
 pub mod parser;
 pub mod typed;
 
-pub use analyze::{
-    analyze, AnalyzedQuery, ClassInfo, EqualityPred, MultiClassPred, SchemaMap, TypedReturn,
-};
+pub use analyze::{analyze, AnalyzedQuery, ClassInfo, MultiClassPred, SchemaMap, TypedReturn};
 pub use ast::{AggFunc, BinOp, Expr, KleeneKind, PatternExpr, Query, ReturnItem, UnaryOp};
 pub use error::LangError;
 pub use typed::{

@@ -52,8 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None)?;
     let intake = build_intake(&compiled.aq, Some("name"))?;
-    let engine =
-        Engine::new(compiled.aq.clone(), compiled.physical_plan(PlanConfig::default())?, &intake);
+    let engine = Engine::new(
+        compiled.aq.clone(),
+        compiled.physical_plan(PlanConfig::default(), &[])?,
+        &intake,
+    );
     let mut adaptive = AdaptiveEngine::new(
         engine,
         compiled.spec.clone(),

@@ -114,8 +114,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None)?;
     let intake = build_intake(&compiled.aq, Some("name"))?;
-    let mut engine =
-        Engine::new(compiled.aq.clone(), compiled.physical_plan(PlanConfig::default())?, &intake);
+    let mut engine = Engine::new(
+        compiled.aq.clone(),
+        compiled.physical_plan(PlanConfig::default(), &[])?,
+        &intake,
+    );
     // Engine-level instruments (admissions, rounds, kernel-vs-row intake
     // split) for the adaptive query, next to the runtime's per-shard ones.
     engine.set_obs(zstream::core::EngineObs::register(&hub, "adaptive", None, None));

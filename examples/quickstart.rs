@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(spec) = &compiled.spec {
         println!("Optimizer: {}\n", spec.describe(&compiled.aq));
     }
-    let plan = compiled.physical_plan(Default::default())?;
+    let plan = compiled.physical_plan(Default::default(), &[])?;
     println!("Physical plan:\n{}", plan.render(&compiled.aq));
 
     // Build the engine and stream events through it.

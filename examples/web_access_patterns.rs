@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shape,
             NegStrategy::PushdownPreferred,
         )?;
-        let plan = compiled.physical_plan(PlanConfig::default())?;
+        let plan = compiled.physical_plan(PlanConfig::default(), &[])?;
         let intake = build_intake(&compiled.aq, Some("category"))?;
         let mut engine = Engine::new(compiled.aq.clone(), plan, &intake);
         let t0 = Instant::now();

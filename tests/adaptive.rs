@@ -50,7 +50,7 @@ fn adaptive_engine(src: &str, initial: Option<Statistics>) -> AdaptiveEngine {
     let query = Query::parse(src).unwrap();
     let schemas = SchemaMap::uniform(Schema::stocks());
     let compiled = CompiledQuery::optimize(&query, &schemas, None).unwrap();
-    let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
+    let plan = compiled.physical_plan(PlanConfig::default(), &[]).unwrap();
     let intake = build_intake(&compiled.aq, Some("name")).unwrap();
     let engine = Engine::new(compiled.aq.clone(), plan, &intake);
     AdaptiveEngine::new(

@@ -205,7 +205,7 @@ fn weblog_query8_tree_vs_nfa() {
             NegStrategy::PushdownPreferred,
         )
         .unwrap();
-        let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
+        let plan = compiled.physical_plan(PlanConfig::default(), &[]).unwrap();
         let engine = zstream::core::Engine::new(compiled.aq.clone(), plan, &intake);
         assert_eq!(tree_sigs(engine, &batches), expected, "tree {shape} vs oracle on weblog");
     }

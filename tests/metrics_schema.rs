@@ -65,7 +65,7 @@ fn representative_snapshot() -> ObsSnapshot {
     let intake = build_intake(&compiled.aq, Some("name")).unwrap();
     let engine = Engine::new(
         compiled.aq.clone(),
-        compiled.physical_plan(PlanConfig::default()).unwrap(),
+        compiled.physical_plan(PlanConfig::default(), &[]).unwrap(),
         &intake,
     );
     let mut adaptive = AdaptiveEngine::new(

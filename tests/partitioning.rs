@@ -6,7 +6,7 @@ use zstream::core::reference::reference_signatures;
 use zstream::core::{
     build_intake, can_partition_by, CompiledQuery, Engine, PartitionedEngine, PlanConfig,
 };
-use zstream::events::{EventBatch, Schema};
+use zstream::events::{stock, EventBatch, Schema};
 use zstream::lang::{Query, SchemaMap};
 use zstream::workload::{StockConfig, StockGenerator, WeblogConfig, WeblogGenerator};
 
@@ -68,7 +68,7 @@ fn partitioned_weblog_query8_equals_flat() {
     let mut part_sigs: Vec<_> = part_out.iter().map(|r| pe.record_signature(r)).collect();
     part_sigs.sort();
 
-    let plan = compiled.physical_plan(PlanConfig::default()).unwrap();
+    let plan = compiled.physical_plan(PlanConfig::default(), &[]).unwrap();
     let mut flat = Engine::new(compiled.aq.clone(), plan, &intake);
     let mut flat_out = Vec::new();
     for batch in &batches {
@@ -81,6 +81,63 @@ fn partitioned_weblog_query8_equals_flat() {
     assert!(!flat_sigs.is_empty(), "workload should produce matches");
     assert_eq!(part_sigs, flat_sigs);
     assert_eq!(pe.metrics().matches_out, flat.metrics().matches_out);
+}
+
+#[test]
+fn partitioned_on_float_keys_equals_flat_and_oracle() {
+    // Routing on `price` applies both equalities (per-key plans omit
+    // them), which is exact only because keys follow predicate equality:
+    // NaN is one key, -0.0 and 0.0 are one key. `A.volume < C.volume` is
+    // not implied and must still be evaluated per key.
+    let src = "PATTERN A; B; C \
+               WHERE A.price = B.price AND B.price = C.price AND A.volume < C.volume \
+               WITHIN 20";
+    let schemas = SchemaMap::uniform(Schema::stocks());
+    let compiled = CompiledQuery::optimize(&Query::parse(src).unwrap(), &schemas, None).unwrap();
+    assert!(can_partition_by(&compiled.aq, "price"));
+    let intake = build_intake(&compiled.aq, None).unwrap();
+
+    const PRICES: [f64; 6] = [f64::NAN, -0.0, 0.0, 2.0, 2.5, 1e300];
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let events: Vec<_> = (0..120u64)
+        .map(|ts| {
+            // xorshift64: a fixed draw per seed, no RNG dependency.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let price = PRICES[(state % 6) as usize];
+            stock(ts + 1, ts as i64, "IBM", price, ((state >> 8) % 50) as i64)
+        })
+        .collect();
+    let batches: Vec<_> = events.chunks(8).map(|c| EventBatch::from_events(c).unwrap()).collect();
+    let handles: Vec<_> = batches.iter().flat_map(EventBatch::iter).collect();
+    let expected = reference_signatures(&compiled.aq, &intake, &handles);
+
+    let mut pe =
+        PartitionedEngine::new(compiled.clone(), PlanConfig::default(), &intake, "price").unwrap();
+    let mut part_out = Vec::new();
+    for batch in &batches {
+        part_out.extend(pe.push_columns(batch));
+    }
+    part_out.extend(pe.flush());
+    let mut part_sigs: Vec<_> = part_out.iter().map(|r| pe.record_signature(r)).collect();
+    part_sigs.sort();
+    assert_eq!(pe.num_partitions(), 5, "NaN, ±0.0, 2.0, 2.5 and 1e300");
+
+    let plan = compiled.physical_plan(PlanConfig::default(), &[]).unwrap();
+    assert!(plan.nodes.iter().any(|n| n.hash.is_some()), "the flat engine hash-joins");
+    let mut flat = Engine::new(compiled.aq.clone(), plan, &intake);
+    let mut flat_out = Vec::new();
+    for batch in &batches {
+        flat_out.extend(flat.push_columns(batch));
+    }
+    flat_out.extend(flat.flush());
+    let mut flat_sigs: Vec<_> = flat_out.iter().map(|r| flat.record_signature(r)).collect();
+    flat_sigs.sort();
+
+    assert!(!expected.is_empty(), "workload should produce matches");
+    assert_eq!(part_sigs, expected);
+    assert_eq!(flat_sigs, expected);
 }
 
 #[test]
