@@ -46,4 +46,19 @@ fn main() {
         "\ncrossover check: at 1:1:1 the two estimates differ by {:.1}%",
         100.0 * (out[0].1[3] - out[1].1[3]).abs() / out[0].1[3]
     );
+    // The paper's claim, on estimated costs (deterministic): right-deep is
+    // cheaper while IBM dominates, the two tie at 1:1:1, and left-deep is
+    // cheaper once Sun and Oracle dominate.
+    let (left, right) = (&out[0].1, &out[1].1);
+    for (i, col) in cols.iter().enumerate() {
+        let gap = (left[i] - right[i]) / left[i].max(right[i]);
+        match i.cmp(&3) {
+            std::cmp::Ordering::Less => assert!(gap < 0.0, "{col}: right-deep must be cheaper"),
+            std::cmp::Ordering::Equal => assert!(gap.abs() < 1e-9, "{col}: the plans must tie"),
+            std::cmp::Ordering::Greater => assert!(gap > 0.0, "{col}: left-deep must be cheaper"),
+        }
+    }
+    println!(
+        "claim holds: right-deep cheaper above 1:1:1, a tie at 1:1:1, left-deep cheaper below"
+    );
 }

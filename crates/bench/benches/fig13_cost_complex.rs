@@ -39,6 +39,8 @@ fn main() {
         ("bushy", PlanShape::bushy(4)),
         ("inner", PlanShape::inner4()),
     ];
+    // Per plan, 1/estimated-cost in each regime.
+    let mut inv_cost: Vec<Vec<f64>> = Vec::new();
     for (label, shape) in plans {
         let mut series = Vec::new();
         for (_, rates, sel1, sel2) in &regimes {
@@ -51,5 +53,25 @@ fn main() {
             series.push(1e5 / spec.est_cost);
         }
         row(label, &series);
+        inv_cost.push(series);
     }
+
+    // The ranking the doc comment states, on estimated costs
+    // (deterministic). Plans: 0 left-deep, 1 right-deep, 2 bushy, 3 inner.
+    let at = |regime: usize| -> Vec<f64> { inv_cost.iter().map(|s| s[regime]).collect() };
+    let best = |v: &[f64]| (0..v.len()).max_by(|&a, &b| v[a].total_cmp(&v[b])).unwrap();
+    let worst = |v: &[f64]| (0..v.len()).min_by(|&a, &b| v[a].total_cmp(&v[b])).unwrap();
+    let r1 = at(0);
+    assert!(
+        r1[0].min(r1[2]) > r1[1].max(r1[3]),
+        "regime 1: left-deep and bushy must lead, got {r1:?}"
+    );
+    let r2 = at(1);
+    assert_eq!((best(&r2), worst(&r2)), (3, 2), "regime 2: inner first, bushy last, got {r2:?}");
+    let r3 = at(2);
+    assert_eq!(best(&r3), 1, "regime 3: right-deep must lead, got {r3:?}");
+    println!(
+        "\nclaims hold: left-deep/bushy lead regime 1, inner leads regime 2 with bushy last, \
+         right-deep leads regime 3"
+    );
 }

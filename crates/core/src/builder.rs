@@ -16,7 +16,7 @@ use crate::partition::PartitionedEngine;
 use crate::physical::plan::{PhysicalPlan, PlanConfig};
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Unused: nothing reads it. Engines take whole caller-formed batches,
     /// so a round's size is the size of the batch pushed (§4.3). The field
@@ -34,7 +34,7 @@ impl Default for EngineConfig {
 
 /// A compiled query: rewritten, analyzed, and (for flat sequential patterns)
 /// planned.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledQuery {
     /// The analyzed query.
     pub aq: Arc<AnalyzedQuery>,
@@ -215,7 +215,12 @@ impl EngineBuilder {
 /// the optimized query, the per-class intake predicates, and the engine
 /// configuration. Cloneable, so one compilation can fan out to many shards,
 /// each instantiating its own engine over the shared plan template.
-#[derive(Debug, Clone)]
+///
+/// Equality is structural over the analysed query, statistics, plan spec,
+/// intake and configuration: equal parts build engines that behave
+/// identically on every input, which is what lets a runtime run one engine
+/// for several identical registrations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledParts {
     /// The rewritten, analyzed, planned query.
     pub compiled: CompiledQuery,

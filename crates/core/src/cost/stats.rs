@@ -35,7 +35,7 @@ pub const DEFAULT_PRED_SEL: f64 = 0.5;
 ///     .with_pred_sel(0, 0.25);
 /// assert_eq!(stats.card(1), 4.0 * 200.0 * 0.5); // CARD_E of Table 1
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statistics {
     /// Per-class raw event rate `R_E` (events per logical time unit offered
     /// to the class's intake, before single-class predicates).

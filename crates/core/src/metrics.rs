@@ -74,7 +74,11 @@ impl EngineMetrics {
     ///   per-engine counters: **sum**.
     /// * `peak_bytes` — **sum**: the constituent engines hold their buffers
     ///   simultaneously, so the sum of per-engine peaks is an upper bound
-    ///   on the true simultaneous peak.
+    ///   on the true simultaneous peak. The sum is of per-query *logical*
+    ///   state: in the runtime, identical registrations share one physical
+    ///   engine per shard, yet each still reports (and sums) the state its
+    ///   own engine would hold; physical sharing shows in the
+    ///   `zstream_shard_engines` gauge instead.
     /// * `symbols_interned`, `symbol_bytes_saved`, `reorder_buffered_peak`
     ///   — report-level fields describing one process-global source, zero
     ///   on live engines (stamped once at scrape, never per engine):

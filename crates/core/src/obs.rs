@@ -40,6 +40,10 @@ pub struct EngineObs {
     pub trace: Option<Arc<TraceRing>>,
     /// Query label (e.g. `"q0"`).
     pub query: String,
+    /// Further query labels the engine's trace events go out under: the
+    /// other subscribers of an engine shared by identical registrations
+    /// ([`EngineObs::share`]).
+    pub subscribers: Vec<String>,
     /// Shard id for trace events, when shard-scoped.
     pub shard: Option<u32>,
 }
@@ -64,7 +68,64 @@ impl EngineObs {
             kernel_fallback_rows: hub.metrics.counter("zstream_kernel_fallback_rows_total", l),
             trace,
             query: query.to_string(),
+            subscribers: Vec::new(),
             shard,
+        }
+    }
+
+    /// Registers these cells under `query` too, so that query's series read
+    /// exactly what this engine records, and traces the engine's events
+    /// under it as well: how a runtime running one engine for several
+    /// identical registrations keeps every subscriber's series and trace
+    /// what its own engine would record. Re-attach the handles to the
+    /// engine afterwards.
+    pub fn share(&mut self, hub: &Obs, query: &str) {
+        self.subscribers.push(query.to_string());
+        let l = labels(&[("query", query)]);
+        let m = &hub.metrics;
+        m.share_counter("zstream_query_admitted_total", l.clone(), &self.admitted);
+        m.share_counter("zstream_query_matched_total", l.clone(), &self.matched);
+        m.share_histogram("zstream_engine_round_ns", l.clone(), &self.round_ns);
+        m.share_counter(
+            "zstream_kernel_rows_evaluated_total",
+            l.clone(),
+            &self.kernel_rows_evaluated,
+        );
+        m.share_counter("zstream_kernel_fallback_rows_total", l, &self.kernel_fallback_rows);
+    }
+
+    /// Undoes [`EngineObs::share`] (or the registration) for `query`: its
+    /// series move to private copies of these cells, holding their current
+    /// values, its label leaves these handles' trace labels, and the copies
+    /// are returned — for the engine the query continues on alone, or to
+    /// freeze its series once it is dropped. Re-attach these handles to the
+    /// engine afterwards.
+    pub fn fork(&mut self, hub: &Obs, query: &str) -> EngineObs {
+        if self.query == query && !self.subscribers.is_empty() {
+            self.query = self.subscribers.remove(0);
+        } else {
+            self.subscribers.retain(|q| q != query);
+        }
+        let l = labels(&[("query", query)]);
+        let m = &hub.metrics;
+        EngineObs {
+            admitted: m.fork_counter("zstream_query_admitted_total", l.clone(), &self.admitted),
+            matched: m.fork_counter("zstream_query_matched_total", l.clone(), &self.matched),
+            round_ns: m.fork_histogram("zstream_engine_round_ns", l.clone(), &self.round_ns),
+            kernel_rows_evaluated: m.fork_counter(
+                "zstream_kernel_rows_evaluated_total",
+                l.clone(),
+                &self.kernel_rows_evaluated,
+            ),
+            kernel_fallback_rows: m.fork_counter(
+                "zstream_kernel_fallback_rows_total",
+                l,
+                &self.kernel_fallback_rows,
+            ),
+            trace: self.trace.clone(),
+            query: query.to_string(),
+            subscribers: Vec::new(),
+            shard: self.shard,
         }
     }
 
@@ -81,13 +142,16 @@ impl EngineObs {
         self.round_ns.observe(elapsed_ns);
         self.matched.add(matches);
         if let Some(trace) = &self.trace {
-            trace.emit(
-                watermark,
-                self.shard,
-                Some(&self.query),
-                TraceKind::AssemblyRound,
-                format!("matches={matches} ns={elapsed_ns}"),
-            );
+            self.emit(trace, watermark, format!("matches={matches} ns={elapsed_ns}"));
+        }
+    }
+
+    /// Emits one `assembly_round` trace event under the query's label and
+    /// under every subscriber's.
+    pub(crate) fn emit(&self, trace: &TraceRing, watermark: u64, detail: String) {
+        for query in std::iter::once(&self.query).chain(&self.subscribers) {
+            let detail = detail.clone();
+            trace.emit(watermark, self.shard, Some(query), TraceKind::AssemblyRound, detail);
         }
     }
 }

@@ -30,7 +30,6 @@ use zstream_events::{
     SnapshotResult, SnapshotWriter,
 };
 use zstream_lang::{AnalyzedQuery, TypedExpr};
-use zstream_obs::TraceKind;
 
 use crate::builder::CompiledQuery;
 use crate::engine::Engine;
@@ -304,13 +303,7 @@ impl PartitionedEngine {
         if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
             if rounds > 0 {
                 let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                trace.emit(
-                    last_ts,
-                    obs.shard,
-                    Some(&obs.query),
-                    TraceKind::AssemblyRound,
-                    format!("rounds={rounds} matches={} ns={ns}", out.len()),
-                );
+                obs.emit(&trace, last_ts, format!("rounds={rounds} matches={} ns={ns}", out.len()));
             }
         }
         out

@@ -27,7 +27,7 @@ use crate::physical::buffer::Buffer;
 use crate::physical::hash::{HashIndex, HashSpec, KeyPart};
 
 /// Build-time configuration toggles (ablation switches for the benches).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Evaluate equality predicates through hash tables (§5.2.2).
     pub use_hash: bool,

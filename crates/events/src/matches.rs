@@ -122,6 +122,13 @@ impl MatchBatch {
             *self = other;
             return;
         }
+        self.extend_from(&other);
+    }
+
+    /// Copies every match of `other` to the end of this batch, in order:
+    /// ids and spans are copied, and each source of `other` not yet here
+    /// costs one refcount bump — no event or record is built.
+    pub fn extend_from(&mut self, other: &MatchBatch) {
         let remap: Vec<u32> = other.sources.iter().map(|s| self.intern(s)).collect();
         let remap = |id: EventId| EventId { source: remap[id.source as usize], row: id.row };
         let (slot_base, group_base) = (to_u32(self.slots.len()), to_u32(self.group_ids.len()));
@@ -317,7 +324,8 @@ mod tests {
         /// Packing an operator's output then building it reproduces the
         /// record the operator would have built directly, for `None`,
         /// `One` (from three source batches) and `Many` slots of 0–5
-        /// events — also after the batch is appended to another.
+        /// events — also after the batch is appended to, or copied into,
+        /// another.
         #[test]
         fn pack_then_build_reproduces_the_record_operations(
             left in proptest::prop::collection::vec((0u8..3, 0usize..3, 0u32..8, 0usize..6), 0..4),
@@ -349,9 +357,19 @@ mod tests {
             for _ in 0..lead {
                 reply.push(&[Part::One(&other.event(0))], 1, 1);
             }
+            let mut copies = MatchBatch::new();
+            copies.extend_from(&packed);
             reply.append(packed);
             let got: Vec<Shape> = reply.records()[lead..].iter().map(shape).collect();
             proptest::prop_assert_eq!(&got, &want);
+
+            // A copy builds the same records, as often as it is taken.
+            copies.extend_from(&reply);
+            let got: Vec<Shape> = copies.records().iter().map(shape).collect();
+            let twice: Vec<Shape> = want.iter().cloned().chain(
+                reply.records().iter().map(shape),
+            ).collect();
+            proptest::prop_assert_eq!(&got, &twice);
         }
     }
 

@@ -79,12 +79,31 @@ pub struct SnapshotWriter {
     /// Event identity → dictionary index (identities are only used for
     /// intra-snapshot dedup; they never enter the byte stream).
     events: HashMap<u64, u32>,
+    /// The event dictionary's handles, in index order, when kept for an
+    /// in-process copy ([`SnapshotWriter::keeping_events`]).
+    kept: Option<Vec<EventRef>>,
 }
 
 impl SnapshotWriter {
     /// A fresh writer with empty dictionaries.
     pub fn new() -> SnapshotWriter {
         SnapshotWriter::default()
+    }
+
+    /// A fresh writer that also keeps every event it writes, for an
+    /// in-process copy of the written state: read the bytes back with
+    /// [`SnapshotReader::sharing`] and the copy holds the original event
+    /// handles, not fresh ones (so it shares storage and identity — a later
+    /// snapshot of original and copy dedups their events as before).
+    pub fn keeping_events() -> SnapshotWriter {
+        SnapshotWriter { kept: Some(Vec::new()), ..SnapshotWriter::default() }
+    }
+
+    /// Consumes the writer, returning the bytes and the events kept by a
+    /// [`SnapshotWriter::keeping_events`] writer (empty otherwise), in
+    /// dictionary order.
+    pub fn into_parts(self) -> (Vec<u8>, Vec<EventRef>) {
+        (self.buf, self.kept.unwrap_or_default())
     }
 
     /// The bytes written so far.
@@ -204,6 +223,9 @@ impl SnapshotWriter {
         // zlint::allow(panic, "writer path, not decode: 2^32 dictionary entries cannot exist in memory before this overflows")
         let idx = u32::try_from(self.events.len()).expect("snapshot event dictionary overflow");
         self.events.insert(e.identity(), idx);
+        if let Some(kept) = &mut self.kept {
+            kept.push(e.clone());
+        }
         self.u32(idx);
         self.schema(&Arc::clone(e.schema()));
         self.u64(e.ts());
@@ -298,17 +320,29 @@ pub struct SnapshotReader<'a> {
     syms: Vec<Sym>,
     schemas: Vec<Arc<Schema>>,
     events: Vec<EventRef>,
+    /// Handles new event-dictionary entries restore to, by index (see
+    /// [`SnapshotReader::sharing`]).
+    shared: Vec<EventRef>,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// A reader over `bytes` with empty dictionaries.
     pub fn new(bytes: &'a [u8]) -> SnapshotReader<'a> {
+        SnapshotReader::sharing(bytes, Vec::new())
+    }
+
+    /// A reader over bytes a [`SnapshotWriter::keeping_events`] writer
+    /// produced, given the events it kept: event-dictionary entry `i`
+    /// restores to `events[i]` (its stored row is still decoded and
+    /// validated) instead of to a fresh handle.
+    pub fn sharing(bytes: &'a [u8], events: Vec<EventRef>) -> SnapshotReader<'a> {
         SnapshotReader {
             buf: bytes,
             pos: 0,
             syms: Vec::new(),
             schemas: Vec::new(),
             events: Vec::new(),
+            shared: events,
         }
     }
 
@@ -463,6 +497,7 @@ impl<'a> SnapshotReader<'a> {
         }
         let event = Event::new(schema, ts, values)
             .map_err(|e| SnapshotError::Corrupt(format!("invalid event row: {e}")))?;
+        let event = self.shared.get(idx).cloned().unwrap_or(event);
         self.events.push(event.clone());
         Ok(event)
     }
@@ -587,6 +622,25 @@ mod tests {
         assert_eq!(b.to_string(), other.to_string());
         assert_eq!(a.identity(), c.identity(), "same dictionary entry restores to one handle");
         assert_ne!(a.identity(), b.identity());
+    }
+
+    #[test]
+    fn a_kept_copy_restores_to_the_original_handles() {
+        let (e, other) = (stock(5, 1, "IBM", 101.5, 300), stock(6, 2, "Sun", 9.0, 1));
+        let mut w = SnapshotWriter::keeping_events();
+        w.event(&e);
+        w.event(&other);
+        w.event(&e);
+        let (bytes, kept) = w.into_parts();
+        assert_eq!(bytes, {
+            let mut plain = SnapshotWriter::new();
+            [&e, &other, &e].into_iter().for_each(|x| plain.event(x));
+            plain.into_bytes()
+        });
+        let mut r = SnapshotReader::sharing(&bytes, kept);
+        let got: Vec<u64> = (0..3).map(|_| r.event().unwrap().identity()).collect();
+        assert!(r.is_exhausted());
+        assert_eq!(got, [e.identity(), other.identity(), e.identity()]);
     }
 
     #[test]

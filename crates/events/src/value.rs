@@ -208,6 +208,20 @@ impl Value {
         matches!(self.compare(other), Ok(Ordering::Equal))
     }
 
+    /// Representation identity: the same variant holding the same bits.
+    /// Stricter than [`Value::loose_eq`] (`Int(2)` is not `Float(2.0)`,
+    /// `0.0` is not `-0.0`), so two expressions whose literals are all
+    /// identical also compute identically under arithmetic.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// Arithmetic addition with numeric coercion.
     pub fn add(&self, other: &Value) -> Result<Value, EventError> {
         numeric_binop(self, other, |a, b| a.wrapping_add(b), |a, b| a + b)

@@ -55,7 +55,7 @@ impl SchemaMap {
 }
 
 /// Everything known about one event class after analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassInfo {
     /// The class name as written in the query.
     pub name: String,
@@ -68,7 +68,7 @@ pub struct ClassInfo {
 }
 
 /// A multi-class (or aggregate) predicate attached to internal plan nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiClassPred {
     /// The typed predicate.
     pub expr: TypedExpr,
@@ -93,7 +93,8 @@ pub enum TypedReturn {
 }
 
 /// The result of semantic analysis: the input to plan construction.
-#[derive(Debug, Clone)]
+/// Equality is structural (see [`TypedExpr`]'s).
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedQuery {
     /// Event classes in pattern order.
     pub classes: Vec<ClassInfo>,

@@ -148,7 +148,7 @@ impl fmt::Display for PatternExpr {
 }
 
 /// Binary operators in predicate expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -204,7 +204,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operators in predicate expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Arithmetic negation.
     Neg,
@@ -213,7 +213,7 @@ pub enum UnaryOp {
 }
 
 /// Aggregate functions applicable to Kleene-closure classes (§3.1, Query 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Sum of an attribute over the closure group.
     Sum,

@@ -53,8 +53,10 @@ pub enum EvalError {
     DivisionByZero,
 }
 
-/// A type-checked predicate expression.
-#[derive(Debug, Clone, PartialEq)]
+/// A type-checked predicate expression. Equality is structural, with
+/// literals compared by representation ([`Value::identical`]), so equal
+/// expressions evaluate identically on every binding.
+#[derive(Debug, Clone)]
 pub enum TypedExpr {
     /// Attribute of a bound event: resolved class and field indexes.
     Attr {
@@ -80,6 +82,47 @@ pub enum TypedExpr {
         /// Aggregated field index (unused for `count`).
         field: usize,
     },
+}
+
+impl PartialEq for TypedExpr {
+    fn eq(&self, other: &Self) -> bool {
+        use TypedExpr::*;
+        match (self, other) {
+            (Attr { class: c, field: f, ty: t }, Attr { class: c2, field: f2, ty: t2 }) => {
+                (c, f, t) == (c2, f2, t2)
+            }
+            (Lit(a), Lit(b)) => a.identical(b),
+            (Unary(op, e), Unary(op2, e2)) => op == op2 && e == e2,
+            (Binary(op, l, r), Binary(op2, l2, r2)) => op == op2 && l == l2 && r == r2,
+            (Agg { func: a, class: c, field: f }, Agg { func: a2, class: c2, field: f2 }) => {
+                (a, c, f) == (a2, c2, f2)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Consistent with the structural equality: literals hash by
+/// representation.
+impl std::hash::Hash for TypedExpr {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            TypedExpr::Attr { class, field, ty } => (class, field, ty).hash(h),
+            TypedExpr::Lit(v) => {
+                std::mem::discriminant(v).hash(h);
+                match v {
+                    Value::Int(i) => i.hash(h),
+                    Value::Float(f) => f.to_bits().hash(h),
+                    Value::Str(s) => s.hash(h),
+                    Value::Bool(b) => b.hash(h),
+                }
+            }
+            TypedExpr::Unary(op, e) => (op, e).hash(h),
+            TypedExpr::Binary(op, l, r) => (op, l, r).hash(h),
+            TypedExpr::Agg { func, class, field } => (func, class, field).hash(h),
+        }
+    }
 }
 
 impl TypedExpr {

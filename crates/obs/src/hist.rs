@@ -69,6 +69,18 @@ impl HistCore {
         self.max.fetch_max(v, Relaxed);
     }
 
+    /// A new cell block holding this one's current values.
+    pub(crate) fn copy(&self) -> HistCore {
+        let copy = HistCore::new();
+        for (to, from) in copy.buckets.iter().zip(&self.buckets) {
+            to.store(from.load(Relaxed), Relaxed);
+        }
+        copy.count.store(self.count.load(Relaxed), Relaxed);
+        copy.sum.store(self.sum.load(Relaxed), Relaxed);
+        copy.max.store(self.max.load(Relaxed), Relaxed);
+        copy
+    }
+
     /// Folds this cell block into a snapshot accumulator.
     pub(crate) fn fold_into(&self, snap: &mut HistSnapshot) {
         for (i, b) in self.buckets.iter().enumerate() {

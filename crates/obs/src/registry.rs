@@ -247,6 +247,64 @@ impl Registry {
         Histogram { core }
     }
 
+    /// Registers `counter`'s existing cell under `name` + `labels` as well,
+    /// so that series reads the same cell: one computation counted for
+    /// several subscribers, at no cost per increment.
+    pub fn share_counter(&self, name: &str, labels: Labels, counter: &Counter) {
+        // zlint::allow(locks, "registration path: called when a subscriber joins a shared engine, never per event")
+        let mut map = self.inner.lock().expect("registry poisoned");
+        match map
+            .entry((name.to_string(), labels))
+            .or_insert_with(|| Entry::Counter { cells: Vec::new() })
+        {
+            Entry::Counter { cells } => cells.push(counter.cell.clone()),
+            other => panic!("instrument '{name}' already registered as {}", other.kind()),
+        }
+    }
+
+    /// Registers `hist`'s existing cell block under `name` + `labels` as
+    /// well (see [`Registry::share_counter`]).
+    pub fn share_histogram(&self, name: &str, labels: Labels, hist: &Histogram) {
+        // zlint::allow(locks, "registration path: called when a subscriber joins a shared engine, never per event")
+        let mut map = self.inner.lock().expect("registry poisoned");
+        match map
+            .entry((name.to_string(), labels))
+            .or_insert_with(|| Entry::Histogram { cells: Vec::new() })
+        {
+            Entry::Histogram { cells } => cells.push(hist.core.clone()),
+            other => panic!("instrument '{name}' already registered as {}", other.kind()),
+        }
+    }
+
+    /// Undoes a [`Registry::share_counter`] for one series: `name` +
+    /// `labels` reads a private copy of `counter`'s cell from now on,
+    /// starting at the shared cell's current value. Returns the copy.
+    pub fn fork_counter(&self, name: &str, labels: Labels, counter: &Counter) -> Counter {
+        let copy = Arc::new(AtomicU64::new(counter.get()));
+        // zlint::allow(locks, "registration path: called when a subscriber leaves a shared engine, never per event")
+        let mut map = self.inner.lock().expect("registry poisoned");
+        if let Some(Entry::Counter { cells }) = map.get_mut(&(name.to_string(), labels)) {
+            if let Some(cell) = cells.iter_mut().find(|c| Arc::ptr_eq(c, &counter.cell)) {
+                *cell = copy.clone();
+            }
+        }
+        Counter { cell: copy }
+    }
+
+    /// Undoes a [`Registry::share_histogram`] for one series (see
+    /// [`Registry::fork_counter`]). Returns the copy.
+    pub fn fork_histogram(&self, name: &str, labels: Labels, hist: &Histogram) -> Histogram {
+        let copy = Arc::new(hist.core.copy());
+        // zlint::allow(locks, "registration path: called when a subscriber leaves a shared engine, never per event")
+        let mut map = self.inner.lock().expect("registry poisoned");
+        if let Some(Entry::Histogram { cells }) = map.get_mut(&(name.to_string(), labels)) {
+            if let Some(cell) = cells.iter_mut().find(|c| Arc::ptr_eq(c, &hist.core)) {
+                *cell = copy.clone();
+            }
+        }
+        Histogram { core: copy }
+    }
+
     /// Folds every instrument into a deterministic, sorted sample list.
     /// Never blocks writers: cell reads are relaxed atomic loads.
     pub fn scrape(&self) -> Vec<MetricSample> {
@@ -371,6 +429,34 @@ mod tests {
                 ("b".into(), labels(&[]))
             ]
         );
+    }
+
+    #[test]
+    fn shared_cells_read_alike_until_forked() {
+        let r = Registry::new();
+        let (a, b) = (labels(&[("query", "a")]), labels(&[("query", "b")]));
+        let c = r.counter("c", a.clone());
+        let h = r.histogram("h", a.clone());
+        r.share_counter("c", b.clone(), &c);
+        r.share_histogram("h", b.clone(), &h);
+        c.add(2);
+        h.observe(7);
+        let value = |name: &str, l: &Labels| {
+            let s = r.scrape();
+            match &s.iter().find(|s| s.name == name && s.labels == *l).unwrap().value {
+                MetricValue::Counter(v) => *v,
+                MetricValue::Histogram(h) => h.count * 1000 + h.sum,
+                MetricValue::Gauge(_) => unreachable!(),
+            }
+        };
+        assert_eq!((value("c", &b), value("h", &b)), (2, 1007));
+        let (c2, h2) = (r.fork_counter("c", b.clone(), &c), r.fork_histogram("h", b.clone(), &h));
+        c.add(1);
+        h.observe(1);
+        c2.add(10);
+        h2.observe(3);
+        assert_eq!((value("c", &a), value("h", &a)), (3, 2008));
+        assert_eq!((value("c", &b), value("h", &b)), (12, 2010));
     }
 
     #[test]

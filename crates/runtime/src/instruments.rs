@@ -42,8 +42,14 @@ pub(crate) struct ShardInstruments {
     pub service_ns: Histogram,
     /// `zstream_intake_engines_skipped_total` — engine-batches the shard
     /// settled without entering the engine, because the shared predicate
-    /// index showed every class mask of the query empty for the batch.
+    /// index showed every class mask of the query empty for the batch. An
+    /// engine shared by several identical registrations counts once per
+    /// batch, not once per subscriber.
     pub engines_skipped: Counter,
+    /// `zstream_shard_engines` — physical engines the shard hosts: one per
+    /// group of identical registrations. Beside `zstream_queries_live` it
+    /// shows what sharing saved.
+    pub engines: Gauge,
     /// `zstream_intake_class_masks` — distinct class conjunctions interned
     /// in the shard's shared predicate index (0 with shared intake off).
     pub class_masks: Gauge,
@@ -56,6 +62,7 @@ impl ShardInstruments {
         ShardInstruments {
             service_ns: hub.metrics.histogram("zstream_shard_service_ns", l.clone()),
             engines_skipped: hub.metrics.counter("zstream_intake_engines_skipped_total", l.clone()),
+            engines: hub.metrics.gauge("zstream_shard_engines", l.clone(), GaugeFold::Sum),
             class_masks: hub.metrics.gauge("zstream_intake_class_masks", l, GaugeFold::Sum),
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!     ingest_columns(&EventBatch)          bounded channels (backpressure)
-//!  caller ───────────────► router ──┬────► shard 0 (PartitionedEngine / Engine per query)
+//!  caller ───────────────► router ──┬────► shard 0 (PartitionedEngine / Engine per query group)
 //!        one key-column scan,       ├────► shard 1        …
 //!        Arc<batch> + selection     └────► shard N-1      …
 //!        vectors per shard                     │ matches + watermarks
@@ -41,6 +41,12 @@
 //!   distinct predicates plus queries that admit a row, not registered
 //!   queries (match output and metrics are those of each query's engine
 //!   running alone).
+//! * **Shared engines** — registrations with equal definitions (compiled
+//!   parts and route) run one engine per shard, whose matches are copied to
+//!   each subscriber's slot; a subscriber whose rows diverge (a pause) is
+//!   split onto a copy of the engine. Every subscriber's matches, metrics,
+//!   per-query instruments and checkpoint bytes are those of an engine of
+//!   its own; `zstream_shard_engines` counts the engines actually run.
 //! * **One way in** — [`Runtime::ingest_columns`] routes a whole
 //!   [`zstream_events::EventBatch`] with one scan of each hash query's key
 //!   column ([`zstream_events::split_batch_rows`], memoized symbol

@@ -61,7 +61,7 @@ pub enum Partitioning {
 }
 
 /// The resolved routing of one registered query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Route {
     /// `shard = hash(event[field]) mod workers`; each shard runs a
     /// [`zstream_core::PartitionedEngine`] over its key subset.
@@ -71,8 +71,10 @@ pub enum Route {
     Single(usize),
 }
 
-/// One registered query: compiled artifacts plus resolved routing.
-#[derive(Debug, Clone)]
+/// One registered query: compiled artifacts plus resolved routing. Equal
+/// definitions (structurally equal parts, equal route) evaluate
+/// identically, so a shard may run one engine for all of them.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct QueryDef {
     pub parts: CompiledParts,
     pub route: Route,

@@ -450,11 +450,11 @@ impl RuntimeBuilder {
             let shard_inst = ShardInstruments::register(&obs, shard);
             let thread = std::thread::Builder::new();
             let spawned = match engines {
-                Some((seq, (engines, index))) => {
-                    let (reply_tx, hub) = (reply_tx.clone(), Arc::clone(&obs));
-                    thread.name(format!("zstream-shard-{shard}")).spawn(move || {
-                        run_shard(shard, engines, index, rx, reply_tx, seq, shard_inst, hub)
-                    })
+                Some((seq, (hosted, index))) => {
+                    let reply_tx = reply_tx.clone();
+                    thread
+                        .name(format!("zstream-shard-{shard}"))
+                        .spawn(move || run_shard(hosted, index, rx, reply_tx, seq, shard_inst))
                 }
                 // The shard had left the pool before the checkpoint. Restore
                 // it as already-departed: the thread exits immediately, so

@@ -1,9 +1,38 @@
 //! Worker shards: the shared-nothing evaluation loop.
 //!
-//! Each shard is one OS thread owning one engine per registered query —
-//! a [`PartitionedEngine`] over the shard's key subset for hash-routed
-//! queries, a plain [`Engine`] on the query's home shard otherwise — and one
-//! [`SharedPredIndex`] every engine subscribes to. Shards receive columnar
+//! Each shard is one OS thread owning one engine per **group of identical
+//! registrations** — a [`PartitionedEngine`] over the shard's key subset for
+//! hash-routed queries, a plain [`Engine`] on the query's home shard
+//! otherwise — and one [`SharedPredIndex`] every engine subscribes to.
+//!
+//! Two registrations are identical when their definitions are equal
+//! (structurally equal compiled parts and an equal route; a cheap hash
+//! buckets the comparison): they would run the same engine over the same
+//! rows, so the shard runs it once ([`Hosted`]). An unshared query is a
+//! group of one. Sharing is unobservable per subscriber:
+//! - **Emission order.** Slots are walked in ascending order; a group's
+//!   engine runs at its first member and every later member appends a copy
+//!   of its packed matches under its own slot, so each slot's matches and
+//!   every `seq` are those of separate engines.
+//! - **Split on divergence.** A member whose row selection of a batch
+//!   differs from its group's (a pause) leaves before the batch, with a
+//!   private engine copied from the group's state through the checkpoint's
+//!   write/restore pair (onto the same event handles); it never rejoins. A
+//!   dropped member just leaves; the engine goes with its last member. A
+//!   query added by [`crate::Runtime::create`] starts later than any group,
+//!   so it always runs alone.
+//! - **Accounting.** Each member's `EngineMetrics` is a copy of its
+//!   engine's, and its per-query instruments are the engine's cells
+//!   registered under its label too (`zstream_obs` share/fork), so its
+//!   series read what its own engine would record; a leaving member's
+//!   series continue on private copies. `zstream_shard_engines` counts the
+//!   physical engines.
+//! - **Checkpoints.** A group's engine is written once per member slot; the
+//!   blob's event dictionary makes that byte-identical to separate engines.
+//!   A restore re-groups unpaused slots with equal definitions whose
+//!   restored engines serialize to the same bytes.
+//!
+//! Shards receive columnar
 //! [`ShardMsg::Columns`] messages (a shared `Arc`'d batch plus per-query row
 //! selections — the zero-copy fan-out) over a **bounded** channel (the
 //! backpressure point: a slow shard blocks the router instead of buffering
@@ -40,6 +69,8 @@
 //! idle round per engine: every traffic message already ran its round), a
 //! [`ShardReply::Done`] with per-query metrics, and thread exit.
 
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -83,23 +114,25 @@ pub(crate) enum ShardMsg {
     /// Failure injection (test/chaos hook): behave exactly as if an engine
     /// panicked — report a terminal [`ShardReply::Done`] and exit.
     Fail,
-    /// Serialize every engine's state and reply with
-    /// [`ShardReply::Snapshot`]. Channel FIFO order is the quiesce
-    /// protocol: every batch sent before this message has been evaluated
-    /// (and its `Output` sent) by the time the snapshot reply is produced,
-    /// so the blob captures a consistent point in the shard's sub-stream.
+    /// Serialize every slot's engine state (a shared engine once per
+    /// member) and reply with [`ShardReply::Snapshot`]. Channel FIFO order
+    /// is the quiesce protocol: every batch sent before this message has
+    /// been evaluated (and its `Output` sent) by the time the snapshot reply
+    /// is produced, so the blob captures a consistent point in the shard's
+    /// sub-stream.
     Snapshot,
     /// Instantiate an engine for a freshly created query
-    /// ([`crate::Runtime::create`]) in registry slot `slot`, growing the
-    /// engine table as needed. Channel FIFO is the quiesce protocol here
-    /// too: the new engine exists strictly after every batch dispatched
-    /// before the create, and the router only selects rows for the slot in
-    /// batches dispatched after it — so the query sees exactly the
-    /// post-create suffix of the stream.
+    /// ([`crate::Runtime::create`]) in registry slot `slot` — always a
+    /// private one, never shared with an existing group. Channel FIFO is
+    /// the quiesce protocol here too: the new engine exists strictly after
+    /// every batch dispatched before the create, and the router only
+    /// selects rows for the slot in batches dispatched after it — so the
+    /// query sees exactly the post-create suffix of the stream.
     Create { slot: usize, def: Arc<QueryDef> },
-    /// Tear down the engine in registry slot `slot`
-    /// ([`crate::Runtime::drop_query`]); answered with
-    /// [`ShardReply::Retired`] carrying the engine's final metrics. Batches
+    /// Remove registry slot `slot` from its engine's group, tearing the
+    /// engine down with its last member ([`crate::Runtime::drop_query`]);
+    /// answered with [`ShardReply::Retired`] carrying the engine's final
+    /// metrics. Batches
     /// queued ahead of this message still evaluate the query (FIFO); the
     /// control thread discards their matches for tombstoned slots.
     DropQuery { slot: usize },
@@ -125,6 +158,16 @@ impl PackedMatches {
         }
         self.query.extend(std::iter::repeat_n(QueryId(query), matches.len()));
         self.matches.append(matches);
+    }
+
+    /// Appends a copy of one query's matches — a shared engine's output,
+    /// under a later subscriber's slot.
+    pub(crate) fn push_copy(&mut self, query: usize, matches: &MatchBatch) {
+        if matches.is_empty() {
+            return;
+        }
+        self.query.extend(std::iter::repeat_n(QueryId(query), matches.len()));
+        self.matches.extend_from(matches);
     }
 
     /// Numbers the matches from `*seq` in emission order and stable-sorts
@@ -184,7 +227,7 @@ pub(crate) enum ShardReply {
     Retired { shard: usize, slot: usize, metrics: EngineMetrics },
 }
 
-/// One query's evaluation state on one shard.
+/// One group's evaluation state on one shard.
 pub(crate) enum ShardEngine {
     /// Hash-routed query: per-key engines over this shard's key subset.
     Partitioned(Box<PartitionedEngine>),
@@ -223,6 +266,47 @@ impl ShardEngine {
             ShardEngine::Flat(e) => e.metrics(),
         }
     }
+
+    /// Subscribes the engine to the shard's predicate index (from the
+    /// predicates it compiled at construction) and attaches `obs`.
+    fn attach(&mut self, obs: EngineObs, index: &mut SharedPredIndex) {
+        match self {
+            ShardEngine::Partitioned(e) => e.subscribe(index),
+            ShardEngine::Flat(e) => e.subscribe(index),
+        }
+        self.set_obs(obs);
+    }
+
+    fn set_obs(&mut self, obs: EngineObs) {
+        match self {
+            ShardEngine::Partitioned(e) => e.set_obs(obs),
+            ShardEngine::Flat(e) => e.set_obs(obs),
+        }
+    }
+
+    /// Appends the engine's kind tag (1 = flat, 2 = partitioned; 0 is "not
+    /// hosted") and its [`Snapshot`] stream — one slot's entry of a shard
+    /// blob, read back by [`restore_engine`].
+    fn write_tagged(&self, w: &mut SnapshotWriter) {
+        match self {
+            ShardEngine::Flat(e) => {
+                w.u8(1);
+                e.write_snapshot(w);
+            }
+            ShardEngine::Partitioned(e) => {
+                w.u8(2);
+                e.write_snapshot(w);
+            }
+        }
+    }
+
+    /// The engine's state alone, serialized into a fresh writer: equal
+    /// bytes mean equal state.
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        self.write_tagged(&mut w);
+        w.into_bytes()
+    }
 }
 
 /// A fresh engine for `def` on this shard — `None` for a single-shard query
@@ -239,7 +323,7 @@ fn new_engine(def: &QueryDef, shard: usize) -> Result<Option<ShardEngine>, CoreE
     })
 }
 
-/// Reads slot `slot`'s engine from a [`snapshot_engines`] blob, checking it
+/// Reads slot `slot`'s engine from a [`Hosted::snapshot`] blob, checking it
 /// against the routing the restoring configuration resolved: an engine kind
 /// that disagrees with the route (different queries, a different worker
 /// count reassigning home shards) is rejected as corrupt.
@@ -274,44 +358,308 @@ fn restore_engine(
     })
 }
 
-/// Subscribes a shard engine to the shard's predicate index (from the
-/// predicates the engine compiled at construction) and attaches fresh
-/// per-query instruments, registered in `hub` (cells private to the shard
-/// thread) under the stable slot label (`q0`, `q1`, …) every scrape and the
-/// decision log use. Observability deliberately starts from zero after a
-/// restore (see the checkpoint module docs).
-fn wire(
-    mut engine: ShardEngine,
-    slot: usize,
-    shard: usize,
-    index: &mut SharedPredIndex,
-    hub: &Obs,
-) -> ShardEngine {
-    let obs =
-        EngineObs::register(hub, &format!("q{slot}"), Some(shard as u32), Some(hub.trace.clone()));
-    match &mut engine {
-        ShardEngine::Partitioned(e) => {
-            e.subscribe(index);
-            e.set_obs(obs);
-        }
-        ShardEngine::Flat(e) => {
-            e.subscribe(index);
-            e.set_obs(obs);
-        }
-    }
-    engine
+/// The stable per-query label (`q0`, `q1`, …) every scrape and the
+/// decision log use.
+fn label(slot: usize) -> String {
+    format!("q{slot}")
 }
 
-/// Instantiates this shard's engines — one per live registry slot that can
-/// route events here (`None` for tombstones and for single-shard queries
-/// homed elsewhere) — fresh, or from `blob` when the shard is restored, and
-/// the shard's predicate index with every engine subscribed to it.
+/// A cheap pre-bucket for [`QueryDef`] equality: equal definitions share a
+/// key, so the structural comparison only runs within a bucket.
+fn bucket_key(def: &QueryDef) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let aq = def.parts.analyzed();
+    (&def.route, aq.window, &def.parts.intake).hash(&mut h);
+    aq.classes.iter().for_each(|c| c.name.hash(&mut h));
+    aq.multi_preds.iter().for_each(|p| p.expr.hash(&mut h));
+    h.finish()
+}
+
+/// Whether two subscribers receive the same rows of a batch.
+fn same_rows(a: &RowSel, b: &RowSel) -> bool {
+    let idle = |sel: &RowSel| match sel {
+        RowSel::Skip => true,
+        RowSel::All => false,
+        RowSel::Rows(rows) => rows.is_empty(),
+    };
+    match (a, b) {
+        (RowSel::All, RowSel::All) => true,
+        (RowSel::Rows(a), RowSel::Rows(b)) => Arc::ptr_eq(a, b) || a == b,
+        (a, b) => idle(a) && idle(b),
+    }
+}
+
+/// A group that may take more members at build or restore: its index and,
+/// when restoring, its engine's state bytes.
+type OpenGroup = (usize, Option<Vec<u8>>);
+
+/// One physical engine and the registry slots it serves: a group of
+/// identical registrations (an unshared query is a group of one).
+struct Group {
+    engine: ShardEngine,
+    /// The definition of every member (the members' definitions are equal).
+    def: Arc<QueryDef>,
+    /// The slots the engine serves, ascending. Never empty.
+    members: Vec<usize>,
+    /// The engine's instruments: registered under the first member's
+    /// label, shared under every other member's ([`EngineObs::share`]).
+    obs: EngineObs,
+}
+
+/// A shard's engines: one per group of identical registrations. Each
+/// member reads its group's engine — matches, metrics, instruments,
+/// checkpoint state — exactly as it would read an engine of its own.
+pub(crate) struct Hosted {
+    shard: usize,
+    hub: Arc<Obs>,
+    /// Physical engines; `None` once a group's last member has left.
+    groups: Vec<Option<Group>>,
+    /// Per registry slot, the group serving it here (`None` for
+    /// tombstones and for single-shard queries homed elsewhere).
+    slot_group: Vec<Option<usize>>,
+}
+
+impl Hosted {
+    /// Physical engines this shard runs.
+    fn num_engines(&self) -> usize {
+        self.groups.iter().flatten().count()
+    }
+
+    /// Hosts `engine` for `slot` alone, with fresh instruments registered
+    /// in the hub (cells private to the shard thread). Observability
+    /// deliberately starts from zero after a restore (see the checkpoint
+    /// module docs).
+    fn add_private(
+        &mut self,
+        mut engine: ShardEngine,
+        def: Arc<QueryDef>,
+        slot: usize,
+        index: &mut SharedPredIndex,
+    ) -> usize {
+        let trace = Some(self.hub.trace.clone());
+        let obs = EngineObs::register(&self.hub, &label(slot), Some(self.shard as u32), trace);
+        engine.attach(obs.clone(), index);
+        self.host(slot, Group { engine, def, members: vec![slot], obs })
+    }
+
+    fn host(&mut self, slot: usize, group: Group) -> usize {
+        let g = self.groups.len();
+        self.groups.push(Some(group));
+        self.serve(slot, g);
+        g
+    }
+
+    /// Records that group `g` serves `slot` (a slot the table already
+    /// covers: it is sized at build and grown by `Create`).
+    fn serve(&mut self, slot: usize, g: usize) {
+        if let Some(served) = self.slot_group.get_mut(slot) {
+            *served = Some(g);
+        }
+    }
+
+    fn group(&self, g: usize) -> Option<&Group> {
+        self.groups.get(g).and_then(Option::as_ref)
+    }
+
+    /// The group serving `slot` here.
+    fn group_of(&self, slot: usize) -> Option<&Group> {
+        self.slot_group.get(slot).copied().flatten().and_then(|g| self.group(g))
+    }
+
+    /// Adds `slot` to group `g`, whose engine now also serves it (the
+    /// caller re-attaches the group's instruments to its engine).
+    fn join(&mut self, g: usize, slot: usize) {
+        if let Some(group) = self.groups.get_mut(g).and_then(Option::as_mut) {
+            group.obs.share(&self.hub, &label(slot));
+            group.members.push(slot);
+            self.serve(slot, g);
+        }
+    }
+
+    /// The open group among `candidates` with definition `def` and, when
+    /// restoring, engine state `bytes`.
+    fn find(
+        &self,
+        candidates: Option<&Vec<OpenGroup>>,
+        def: &QueryDef,
+        bytes: Option<&Vec<u8>>,
+    ) -> Option<usize> {
+        let same = |(g, b): &&OpenGroup| {
+            b.as_ref() == bytes && self.group(*g).is_some_and(|group| *group.def == *def)
+        };
+        candidates?.iter().find(same).map(|(g, _)| *g)
+    }
+
+    /// Removes `slot` from its group and returns the metrics it leaves
+    /// with: its series move to private copies of the group's cells
+    /// ([`EngineObs::fork`]), returned for the caller to keep recording
+    /// into (or to drop, freezing them); the group's engine is dropped
+    /// with its last member.
+    fn leave(&mut self, slot: usize) -> Option<(EngineMetrics, EngineObs, usize)> {
+        let g = self.slot_group.get_mut(slot).and_then(Option::take)?;
+        let entry = self.groups.get_mut(g)?;
+        let group = entry.as_mut()?;
+        let metrics = group.engine.metrics();
+        group.members.retain(|&m| m != slot);
+        let obs = group.obs.fork(&self.hub, &label(slot));
+        if group.members.is_empty() {
+            *entry = None;
+        } else {
+            group.engine.set_obs(group.obs.clone());
+        }
+        Some((metrics, obs, g))
+    }
+
+    /// Gives `slot` a private engine copied from its group's current state
+    /// (through the checkpoint's own write/restore pair, restoring to the
+    /// group's event handles, so a later checkpoint dedups the copy's
+    /// events as it would separate engines'), with its instruments
+    /// continuing from the group's values. The copy never rejoins a group.
+    fn split(&mut self, slot: usize, index: &mut SharedPredIndex) -> SnapshotResult<()> {
+        let Some((_, obs, g)) = self.leave(slot) else { return Ok(()) };
+        let Some(group) = self.group(g) else { return Ok(()) };
+        let mut w = SnapshotWriter::keeping_events();
+        group.engine.write_tagged(&mut w);
+        let ((bytes, events), def) = (w.into_parts(), Arc::clone(&group.def));
+        let mut r = SnapshotReader::sharing(&bytes, events);
+        if let Some(mut engine) = restore_engine(&mut r, Some(&def), slot, self.shard)? {
+            engine.attach(obs.clone(), index);
+            self.host(slot, Group { engine, def, members: vec![slot], obs });
+        }
+        Ok(())
+    }
+
+    /// Splits off every member whose selection of this batch differs from
+    /// its group's: the group keeps the selection most of its members have
+    /// (ties to the lowest slot's), so a paused or otherwise diverging
+    /// subscriber leaves before the batch changes the group's state.
+    fn split_diverging(
+        &mut self,
+        per_query: &[RowSel],
+        index: &mut SharedPredIndex,
+    ) -> SnapshotResult<()> {
+        let sel = |slot: usize| per_query.get(slot).unwrap_or(&RowSel::Skip);
+        let mut diverging = Vec::new();
+        for group in self.groups.iter().flatten() {
+            let Some((&first, rest)) = group.members.split_first() else { continue };
+            let first = sel(first);
+            if rest.iter().all(|&m| same_rows(sel(m), first)) {
+                continue;
+            }
+            let votes =
+                |s: &RowSel| group.members.iter().filter(|&&m| same_rows(sel(m), s)).count();
+            let mut keep = first;
+            for &m in rest {
+                if votes(sel(m)) > votes(keep) {
+                    keep = sel(m);
+                }
+            }
+            diverging.extend(group.members.iter().filter(|&&m| !same_rows(sel(m), keep)));
+        }
+        diverging.into_iter().try_for_each(|slot| self.split(slot, index))
+    }
+
+    /// Evaluates one routed batch: slots in ascending order, each group's
+    /// engine run once, at its first member, and its matches copied under
+    /// every later member's slot — so the emission order, and with it every
+    /// `seq`, is the one separate engines would produce. Returns the packed
+    /// matches and how many engines the predicate index let the shard skip.
+    fn eval(
+        &mut self,
+        batch: &EventBatch,
+        per_query: &[RowSel],
+        index: &mut SharedPredIndex,
+    ) -> SnapshotResult<(PackedMatches, u64)> {
+        self.split_diverging(per_query, index)?;
+        let mut matches = PackedMatches::default();
+        let mut skipped = 0u64;
+        // Per group, the matches of this batch, kept for later members.
+        let mut kept: Vec<MatchBatch> = Vec::new();
+        for (q, sel) in per_query.iter().enumerate() {
+            let Some(g) = self.slot_group.get(q).copied().flatten() else { continue };
+            let Some(group) = self.groups.get_mut(g).and_then(Option::as_mut) else { continue };
+            let rows = match sel {
+                RowSel::Skip => continue,
+                RowSel::All => None,
+                RowSel::Rows(rows) if rows.is_empty() => continue,
+                RowSel::Rows(rows) => Some(rows.as_slice()),
+            };
+            if group.members.first() != Some(&q) {
+                // Every member has the first one's rows (see
+                // `split_diverging`), so the first one ran this batch.
+                if let Some(out) = kept.get(g) {
+                    matches.push_copy(q, out);
+                }
+                continue;
+            }
+            // A home-shard engine none of whose class masks has a row in
+            // this batch is settled in O(1), not entered.
+            let skip = match &mut group.engine {
+                ShardEngine::Flat(flat) => rows.is_none() && flat.skip_unadmitted(batch, index),
+                ShardEngine::Partitioned(_) => false,
+            };
+            let out = if skip {
+                skipped += 1;
+                MatchBatch::new()
+            } else {
+                group.engine.push(batch, rows, index)
+            };
+            if group.members.len() == 1 {
+                matches.push(q, out);
+            } else {
+                matches.push_copy(q, &out);
+                if kept.len() <= g {
+                    kept.resize_with(g + 1, MatchBatch::new);
+                }
+                if let Some(slot) = kept.get_mut(g) {
+                    *slot = out;
+                }
+            }
+        }
+        Ok((matches, skipped))
+    }
+
+    /// Per registry slot, the metrics of the engine serving it.
+    fn metrics(&self) -> Vec<EngineMetrics> {
+        (0..self.slot_group.len())
+            .map(|slot| self.group_of(slot).map(|g| g.engine.metrics()).unwrap_or_default())
+            .collect()
+    }
+
+    /// Serializes the shard's engine states into one self-contained blob:
+    /// per registry slot a presence/kind tag (0 = not hosted here, 1 =
+    /// flat, 2 = partitioned) followed by the engine's [`Snapshot`] stream.
+    /// A group's engine is written once for each of its members; the
+    /// writer's event dictionary makes that byte-identical to separate
+    /// engines in the same state. The blob carries its own
+    /// symbol/schema/event dictionaries, so shards serialize concurrently
+    /// without sharing writer state.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.len(self.slot_group.len());
+        for slot in 0..self.slot_group.len() {
+            match self.group_of(slot) {
+                Some(group) => group.engine.write_tagged(&mut w),
+                None => w.u8(0),
+            }
+        }
+        w.into_bytes()
+    }
+}
+
+/// Instantiates this shard's engines — fresh, or from `blob` when the shard
+/// is restored — and the shard's predicate index with every engine
+/// subscribed to it. Live registry slots whose queries can route events
+/// here (not tombstones, not single-shard queries homed elsewhere) share
+/// one engine when their definitions are equal and they are unpaused; a
+/// restored slot joins a group only if its restored engine also serializes
+/// to the same bytes as the group's.
 pub(crate) fn shard_engines(
     queries: &[QueryState],
     shard: usize,
     blob: Option<&[u8]>,
-    hub: &Obs,
-) -> Result<(Vec<Option<ShardEngine>>, SharedPredIndex), RuntimeError> {
+    hub: &Arc<Obs>,
+) -> Result<(Hosted, SharedPredIndex), RuntimeError> {
     let mut blob = blob.map(SnapshotReader::new);
     if let Some(r) = &mut blob {
         let n = r.len()?;
@@ -324,15 +672,45 @@ pub(crate) fn shard_engines(
         }
     }
     let mut index = SharedPredIndex::new();
-    let mut engines = Vec::with_capacity(queries.len());
+    let mut hosted =
+        Hosted { shard, hub: Arc::clone(hub), groups: Vec::new(), slot_group: Vec::new() };
+    hosted.slot_group.resize(queries.len(), None);
+    let restoring = blob.is_some();
+    // Groups open to more members, by definition bucket.
+    let mut open: HashMap<u64, Vec<OpenGroup>> = HashMap::new();
     for (slot, state) in queries.iter().enumerate() {
-        let def = state.def.as_deref();
+        let def = state.def.as_ref();
+        // Only live, unpaused slots share an engine.
+        let key = def.filter(|_| !state.paused).map(|def| bucket_key(def));
+        if let (false, Some(def), Some(key)) = (restoring, def, key) {
+            // Fresh state: equal definitions suffice, and a joining member
+            // builds no engine.
+            if let Some(g) = hosted.find(open.get(&key), def, None) {
+                hosted.join(g, slot);
+                continue;
+            }
+        }
         let engine = match (&mut blob, def) {
-            (Some(r), def) => restore_engine(r, def, slot, shard)?,
+            (Some(r), def) => restore_engine(r, def.map(|d| &**d), slot, shard)?,
             (None, Some(def)) => new_engine(def, shard)?,
             (None, None) => None,
         };
-        engines.push(engine.map(|e| wire(e, slot, shard, &mut index, hub)));
+        let (Some(engine), Some(def)) = (engine, def) else { continue };
+        let bytes = (restoring && key.is_some()).then(|| engine.state_bytes());
+        if restoring {
+            if let Some(g) = key.and_then(|key| hosted.find(open.get(&key), def, bytes.as_ref())) {
+                hosted.join(g, slot);
+                continue;
+            }
+        }
+        let g = hosted.add_private(engine, Arc::clone(def), slot, &mut index);
+        if let Some(key) = key {
+            open.entry(key).or_default().push((g, bytes));
+        }
+    }
+    // The engines trace under every member's label.
+    for group in hosted.groups.iter_mut().flatten().filter(|g| g.members.len() > 1) {
+        group.engine.set_obs(group.obs.clone());
     }
     if let Some(r) = blob.filter(|r| !r.is_exhausted()) {
         return Err(SnapshotError::Corrupt(format!(
@@ -341,131 +719,55 @@ pub(crate) fn shard_engines(
         ))
         .into());
     }
-    Ok((engines, index))
-}
-
-/// Serializes a shard's engine states into one self-contained blob: per
-/// query a presence/kind tag (0 = not hosted here, 1 = flat, 2 =
-/// partitioned) followed by the engine's [`Snapshot`] stream. The blob
-/// carries its own symbol/schema/event dictionaries, so shards serialize
-/// concurrently without sharing writer state.
-fn snapshot_engines(engines: &[Option<ShardEngine>]) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.len(engines.len());
-    for engine in engines {
-        match engine {
-            None => w.u8(0),
-            Some(ShardEngine::Flat(e)) => {
-                w.u8(1);
-                e.write_snapshot(&mut w);
-            }
-            Some(ShardEngine::Partitioned(e)) => {
-                w.u8(2);
-                e.write_snapshot(&mut w);
-            }
-        }
-    }
-    w.into_bytes()
+    Ok((hosted, index))
 }
 
 /// Reports the shard's terminal [`ShardReply::Done`] with per-query
 /// metrics (the normal shutdown reply, or the premature one after a
 /// worker-side failure).
-fn send_done(shard: usize, engines: &[Option<ShardEngine>], tx: &Sender<ShardReply>) {
-    let metrics =
-        engines.iter().map(|e| e.as_ref().map(ShardEngine::metrics).unwrap_or_default()).collect();
-    let _ = tx.send(ShardReply::Done { shard, metrics });
-}
-
-/// Evaluates one routed batch: runs `eval` under `catch_unwind`, seals the
-/// packed matches it collected ([`PackedMatches::seal`]) and replies with
-/// one [`ShardReply::Output`]. Everything up to, but not including, the
-/// reply send is timed into the shard's service-time histogram. Returns
-/// `false` when the thread must exit (engine panic — a premature `Done`
-/// was sent — or a disconnected reply channel).
-fn eval_and_reply(
-    shard: usize,
-    seq: &mut u64,
-    engines: &mut Vec<Option<ShardEngine>>,
-    tx: &Sender<ShardReply>,
-    inst: &ShardInstruments,
-    watermark: Ts,
-    eval: impl FnOnce(&mut Vec<Option<ShardEngine>>) -> PackedMatches,
-) -> bool {
-    let start = std::time::Instant::now();
-    let run = catch_unwind(AssertUnwindSafe(|| eval(engines))).map(|mut matches| {
-        matches.seal(seq);
-        matches
-    });
-    inst.service_ns.observe(elapsed_ns(start));
-    match run {
-        Ok(matches) => tx.send(ShardReply::Output { shard, watermark, matches }).is_ok(),
-        Err(_) => {
-            send_done(shard, engines, tx);
-            false
-        }
-    }
+fn send_done(hosted: &Hosted, tx: &Sender<ShardReply>) {
+    let _ = tx.send(ShardReply::Done { shard: hosted.shard, metrics: hosted.metrics() });
 }
 
 /// The shard thread body. Exits when told to shut down, when either channel
 /// disconnects (the runtime was dropped), or after a worker-side failure
 /// (engine panic or injected [`ShardMsg::Fail`]) — the latter after
 /// reporting a premature [`ShardReply::Done`].
-// One parameter per independently-owned resource the thread takes with it;
-// bundling them into a struct would just move the same list one level down.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shard(
-    shard: usize,
-    mut engines: Vec<Option<ShardEngine>>,
+    mut hosted: Hosted,
     mut index: SharedPredIndex,
     rx: Receiver<ShardMsg>,
     tx: Sender<ShardReply>,
     initial_seq: u64,
     inst: ShardInstruments,
-    hub: Arc<Obs>,
 ) {
+    let shard = hosted.shard;
     let mut seq = initial_seq;
-    let svc = &inst;
     inst.class_masks.set(index.num_masks() as u64);
+    inst.engines.set(hosted.num_engines() as u64);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Columns { watermark, batch, per_query } => {
-                let index = &mut index;
-                let ok =
-                    eval_and_reply(shard, &mut seq, &mut engines, &tx, svc, watermark, |engines| {
-                        // One generation of the index per batch: the first
-                        // subscriber to need a class mask evaluates it,
-                        // every later subscriber reuses it.
-                        index.begin_batch();
-                        let mut matches = PackedMatches::default();
-                        let mut skipped = 0u64;
-                        for (q, sel) in per_query.iter().enumerate() {
-                            let Some(engine) = engines.get_mut(q).and_then(Option::as_mut) else {
-                                continue;
-                            };
-                            let rows = match sel {
-                                RowSel::Skip => continue,
-                                RowSel::All => {
-                                    // A home-shard engine none of whose
-                                    // class masks has a row in this batch
-                                    // is settled in O(1), not entered.
-                                    if let ShardEngine::Flat(flat) = &mut *engine {
-                                        if flat.skip_unadmitted(&batch, index) {
-                                            skipped += 1;
-                                            continue;
-                                        }
-                                    }
-                                    None
-                                }
-                                RowSel::Rows(rows) if rows.is_empty() => continue,
-                                RowSel::Rows(rows) => Some(rows.as_slice()),
-                            };
-                            matches.push(q, engine.push(&batch, rows, index));
-                        }
-                        inst.engines_skipped.add(skipped);
-                        matches
-                    });
-                if !ok {
+                // Evaluation runs under catch_unwind: a panicking engine
+                // (or a failed split) takes the worker-failure path. One
+                // generation of the index per batch: the first subscriber
+                // to need a class mask evaluates it, every later one
+                // reuses it. Everything up to, but not including, the
+                // reply send is timed into the service-time histogram.
+                let start = std::time::Instant::now();
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    index.begin_batch();
+                    hosted.eval(&batch, &per_query, &mut index)
+                }));
+                let Ok(Ok((mut matches, skipped))) = run else {
+                    send_done(&hosted, &tx);
+                    return;
+                };
+                matches.seal(&mut seq);
+                inst.engines_skipped.add(skipped);
+                inst.engines.set(hosted.num_engines() as u64);
+                inst.service_ns.observe(elapsed_ns(start));
+                if tx.send(ShardReply::Output { shard, watermark, matches }).is_err() {
                     return;
                 }
             }
@@ -476,26 +778,29 @@ pub(crate) fn run_shard(
                 }
             }
             ShardMsg::Fail => {
-                send_done(shard, &engines, &tx);
+                send_done(&hosted, &tx);
                 return;
             }
             ShardMsg::Create { slot, def } => {
-                if engines.len() <= slot {
-                    engines.resize_with(slot + 1, || None);
+                if hosted.slot_group.len() <= slot {
+                    hosted.slot_group.resize(slot + 1, None);
                 }
+                // A created query starts later than any existing group's
+                // state, so it always runs on an engine of its own.
                 // Instantiation failure degrades exactly like an engine
                 // panic: this shard leaves the pool rather than silently
                 // running without the query (the control thread validated
                 // the compiled parts, so this is a can't-happen guard).
                 match new_engine(&def, shard) {
                     Ok(engine) => {
-                        if let Some(e) = engines.get_mut(slot) {
-                            *e = engine.map(|e| wire(e, slot, shard, &mut index, &hub));
+                        if let Some(engine) = engine {
+                            hosted.add_private(engine, def, slot, &mut index);
                         }
                         inst.class_masks.set(index.num_masks() as u64);
+                        inst.engines.set(hosted.num_engines() as u64);
                     }
                     Err(_) => {
-                        send_done(shard, &engines, &tx);
+                        send_done(&hosted, &tx);
                         return;
                     }
                 }
@@ -503,9 +808,11 @@ pub(crate) fn run_shard(
             ShardMsg::DropQuery { slot } => {
                 // The index deliberately keeps the dropped query's slots and
                 // class masks: other subscribers may share them, and
-                // unshared ones are lazy — never evaluated again.
-                if let Some(engine) = engines.get_mut(slot).and_then(Option::take) {
-                    let metrics = engine.metrics();
+                // unshared ones are lazy — never evaluated again. The
+                // query's series freeze at their values (the returned
+                // instruments are dropped).
+                if let Some((metrics, _, _)) = hosted.leave(slot) {
+                    inst.engines.set(hosted.num_engines() as u64);
                     if tx.send(ShardReply::Retired { shard, slot, metrics }).is_err() {
                         return;
                     }
@@ -515,26 +822,27 @@ pub(crate) fn run_shard(
                 // Serialization runs under catch_unwind like evaluation: a
                 // panicking engine must degrade to the worker-failure path,
                 // not leave the checkpoint protocol waiting forever.
-                match catch_unwind(AssertUnwindSafe(|| snapshot_engines(&engines))) {
+                match catch_unwind(AssertUnwindSafe(|| hosted.snapshot())) {
                     Ok(bytes) => {
                         if tx.send(ShardReply::Snapshot { shard, seq, bytes }).is_err() {
                             return;
                         }
                     }
                     Err(_) => {
-                        send_done(shard, &engines, &tx);
+                        send_done(&hosted, &tx);
                         return;
                     }
                 }
             }
             ShardMsg::Shutdown => {
-                // Books each engine's idle end-of-stream round; there is no
+                // Books each engine's idle end-of-stream round — once per
+                // physical engine, which every member reads; there is no
                 // output to reply with, and `Done` ends the shard's stream
                 // in the merger. A panic here still reports `Done`.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    engines.iter_mut().flatten().for_each(ShardEngine::flush)
+                    hosted.groups.iter_mut().flatten().for_each(|g| g.engine.flush())
                 }));
-                send_done(shard, &engines, &tx);
+                send_done(&hosted, &tx);
                 return;
             }
         }

@@ -1,8 +1,10 @@
 //! Multi-query service layer: one stream, a changing set of queries.
 //!
 //! Starts the runtime with two registered patterns sharing the intake
-//! predicate index, then — **without stopping ingest** — creates a third
-//! query mid-stream, pauses and resumes one, and drops another. Every
+//! predicate index — one of them registered twice, for two subscribers,
+//! which share one engine per shard — then — **without stopping ingest** —
+//! creates another query mid-stream, pauses and resumes one, and drops
+//! another. Every
 //! transition takes effect at a chunk boundary through the same FIFO
 //! channels the data takes: a created query sees exactly the events
 //! ingested after `create` returns, a paused query's windows freeze in
@@ -13,6 +15,7 @@
 //! cargo run --release --example multi_query
 //! ```
 
+use zstream::obs::MetricValue;
 use zstream::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,17 +33,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = Runtime::builder().workers(2).channel_capacity(4);
     let q_spike = builder
         .register(EngineBuilder::parse(spike)?.compile()?, Partitioning::Auto("name".into()));
+    // A second subscriber to the same alarm: an identical registration, so
+    // each shard runs one engine for both and copies its matches to each.
+    let q_pager = builder
+        .register(EngineBuilder::parse(spike)?.compile()?, Partitioning::Auto("name".into()));
     let q_surge = builder
         .register(EngineBuilder::parse(surge)?.compile()?, Partitioning::Auto("name".into()));
     let mut runtime = builder.build()?;
-    println!("serving {} queries: {q_spike} (spike), {q_surge} (surge)", runtime.num_queries());
+    println!(
+        "serving {} queries: {q_spike} (spike), {q_pager} (spike, second subscriber), \
+         {q_surge} (surge)",
+        runtime.num_queries()
+    );
 
     let names = ["IBM", "Sun", "Oracle", "Google", "HP", "Dell", "AMD", "Intel"];
     let rates: Vec<(&str, f64)> = names.iter().map(|n| (*n, 1.0)).collect();
     let batches = StockGenerator::generate_batches(StockConfig::with_rates(&rates, 6_000, 7), 256);
 
     let mut q_triple = None;
-    let mut counts = [0usize; 3];
+    let mut counts = [0usize; 4];
     for (i, batch) in batches.iter().enumerate() {
         // Lifecycle transitions mid-stream, between chunks:
         match i {
@@ -62,6 +73,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 runtime.resume(q_surge)?;
                 println!("chunk {i:>2}: resume {q_surge} (windows continue where they stopped)");
             }
+            16 => {
+                // What sharing saves: per shard, the engines hosted against
+                // the queries live (the two spike subscribers share one).
+                let snap = runtime.observe();
+                let live = snap.gauge_value("zstream_queries_live").unwrap_or(0);
+                for s in snap.metrics.iter().filter(|s| s.name == "zstream_shard_engines") {
+                    let (MetricValue::Gauge(engines), Some((_, shard))) =
+                        (&s.value, s.labels.first())
+                    else {
+                        continue;
+                    };
+                    println!(
+                        "chunk {i:>2}: shard {shard}: zstream_shard_engines {engines}, \
+                         zstream_queries_live {live}"
+                    );
+                    assert!(*engines < live, "identical registrations must share an engine");
+                }
+            }
             18 => {
                 runtime.drop_query(q_spike)?;
                 println!(
@@ -82,8 +111,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Slots are stable: the dropped q0 still owns index 0 in the report.
     println!();
-    for (q, label) in [(q_spike, "spike (dropped at chunk 18)"), (q_surge, "surge (paused 10..14)")]
-    {
+    for (q, label) in [
+        (q_spike, "spike (dropped at chunk 18)"),
+        (q_pager, "spike, second subscriber"),
+        (q_surge, "surge (paused 10..14)"),
+    ] {
         let metrics = &report.query_metrics[q.index()];
         println!(
             "{q} {label}: {} events in, {} matches delivered",

@@ -3,9 +3,9 @@
 //! set — `name|kind|label-keys|definition` per instrument family — against
 //! a checked-in golden file, so renaming or dropping an instrument is a
 //! deliberate, reviewed change rather than a silent one. The definition
-//! field is filled for the instruments whose *meaning* is part of the
-//! contract ([`DEFINITIONS`]) and empty elsewhere, so redefining what one
-//! of them measures is a reviewed diff of the golden file too.
+//! field carries every instrument's one-line meaning ([`DEFINITIONS`]), so
+//! redefining what one of them measures is a reviewed diff of the golden
+//! file too.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -84,26 +84,43 @@ fn representative_snapshot() -> ObsSnapshot {
     hub.snapshot()
 }
 
-/// One-line definitions of the instruments read as shares of wall time —
-/// the "Time accounts" of `docs/ARCHITECTURE.md`. What they cover moved
-/// once already (matches are built on the control thread, not the shard),
-/// so the definition is pinned with the name.
+/// One-line definition of every instrument family. What an instrument
+/// measures is part of the contract (what some of them cover moved once
+/// already: matches are built on the control thread, not the shard), so
+/// the definition is pinned with the name.
 const DEFINITIONS: &[(&str, &str)] = &[
-    (
-        "zstream_merge_ns",
-        "control-thread time per merge pass: fold arrived replies into the merger, building each \
-         match once, and emit what became final",
-    ),
-    (
-        "zstream_shard_service_ns",
-        "shard-thread time per traffic message: engine rounds packing matches as ids, then \
-         numbering and end-ts sorting the reply; excludes the reply send",
-    ),
+    ("zstream_checkpoint_bytes_total", "bytes of serialized checkpoint written, header included, summed over checkpoints"),
+    ("zstream_checkpoint_duration_ns", "wall time of one checkpoint call: quiesce round-trip, serialization and write"),
+    ("zstream_checkpoints_total", "checkpoints written"),
+    ("zstream_engine_round_ns", "wall time of one non-idle assembly round of the query's engine; an engine shared by identical registrations records each round for every subscriber"),
+    ("zstream_ingest_batches_total", "ingest calls admitted from the source"),
+    ("zstream_ingest_events_total", "rows the source offered in admitted ingest calls"),
+    ("zstream_intake_class_masks", "distinct per-class predicate conjunctions interned in the shard's shared predicate index"),
+    ("zstream_intake_engines_skipped_total", "engine-batches the shard settled without entering the engine because every class mask was empty; a shared engine counts once per batch, not once per subscriber"),
+    ("zstream_kernel_fallback_rows_total", "rows the query's intake decided row at a time instead of with a column kernel"),
+    ("zstream_kernel_rows_evaluated_total", "rows covered by the column-kernel evaluations the query's engine paid for; a predicate shared with an earlier subscriber in the batch is paid by that subscriber"),
+    ("zstream_merge_frontier_lag", "stream watermark minus the merge frontier: how far finality trails ingest"),
+    ("zstream_merge_ns", "control-thread time per merge pass: fold arrived replies into the merger, building each match once, and emit what became final"),
+    ("zstream_merge_pending", "matches buffered in the merger awaiting finality"),
+    ("zstream_queries_live", "registered queries currently live: slots minus tombstones"),
+    ("zstream_query_admitted_total", "events the query admitted into at least one leaf buffer after intake predicates"),
+    ("zstream_query_matched_total", "composite matches the query's engine emitted"),
+    ("zstream_reorder_buffered_peak", "high-water mark of rows the reorder stage held back"),
+    ("zstream_reorder_late_total", "rows from the source that arrived beyond the slack window"),
+    ("zstream_reorder_pending", "rows the reorder stage currently holds back"),
+    ("zstream_reorder_release_lag", "event-time distance between the release frontier and the newest row of each released batch"),
+    ("zstream_reorder_released_rows_total", "rows the reorder stage released to routing in time order"),
+    ("zstream_replans_total", "plan switches the query's adaptive controller made"),
+    ("zstream_shard_engines", "physical engines the shard hosts: one per group of identical registrations, so beside zstream_queries_live it shows what sharing saved"),
+    ("zstream_shard_queue_depth", "traffic messages sent to the shard and not yet answered"),
+    ("zstream_shard_service_ns", "shard-thread time per traffic message: engine rounds packing matches as ids, then numbering and end-ts sorting the reply; excludes the reply send"),
+    ("zstream_symbol_bytes_saved", "string bytes the process-wide symbol table's intern hits avoided copying"),
+    ("zstream_symbols_interned", "distinct strings in the process-wide symbol table"),
 ];
 
 /// `name|kind|label-keys|definition`, one line per instrument family
 /// (label *keys*, not values — per-shard / per-query fan-out is not part of
-/// the schema; the definition is empty unless [`DEFINITIONS`] pins one).
+/// the schema; the definition is [`DEFINITIONS`]' entry).
 fn schema_lines(snap: &ObsSnapshot) -> Vec<String> {
     let set: BTreeSet<String> = snap
         .metrics
@@ -130,6 +147,9 @@ fn exported_key_set_matches_the_golden_schema() {
     }
     for (name, _) in DEFINITIONS {
         assert!(lines.iter().any(|l| l.starts_with(&format!("{name}|"))), "{name} not exported");
+    }
+    for line in &lines {
+        assert!(!line.ends_with('|'), "{line}: every instrument needs a DEFINITIONS entry");
     }
     let golden = std::fs::read_to_string(GOLDEN)
         .expect("missing golden file — run with UPDATE_METRICS_SCHEMA=1 to create it");

@@ -1055,3 +1055,303 @@ fn packed_replies_keep_the_seq_rule_and_drop_in_flight_matches() {
     let ties = replies.iter().flatten().collect::<Vec<_>>();
     assert!(ties.windows(2).any(|w| w[0].0 != w[1].0 && w[0].1 == w[1].1), "no cross-query tie");
 }
+
+// --- Replicated registrations: one engine per group, unobservable per slot ---
+
+/// Three sources, each registered [`COPIES`] times and compiled separately
+/// per copy, interleaved by slot. R0 is hash-routed; R1 is single-homed, so
+/// its copies share an engine only where they share a home shard; R2 is
+/// hash-routed and never matches — its `C` admits no row — so its `A` and
+/// `B` buffers only grow and prune.
+const REPLICATED: &[(&str, bool)] = &[
+    ("PATTERN A; B WHERE A.name = B.name AND A.price > 2 WITHIN 8", true),
+    ("PATTERN A; B WHERE A.price > 2 AND B.price > 3 WITHIN 9", false),
+    ("PATTERN A; B; C WHERE A.name = B.name AND B.name = C.name AND C.price > 7 WITHIN 12", true),
+];
+const COPIES: usize = 4;
+/// A copy of R0, paused for a window.
+const REPLICA_PAUSED: usize = 3;
+/// A copy of R2, dropped: it never matches, so its delivered stream (none)
+/// does not depend on which of its matches were final at the drop.
+const REPLICA_DROPPED: usize = 11;
+
+fn replicated_pool() -> Vec<(CompiledParts, Partitioning)> {
+    (0..COPIES * REPLICATED.len())
+        .map(|slot| {
+            let (src, hashed) = REPLICATED[slot % REPLICATED.len()];
+            let partitioning =
+                if hashed { Partitioning::Field("name".into()) } else { Partitioning::Broadcast };
+            (compile(src), partitioning)
+        })
+        .collect()
+}
+
+/// A builder with the first `slots` queries of the replicated pool
+/// registered, and their ids.
+fn replicated_builder(
+    workers: usize,
+    slots: usize,
+) -> (zstream::runtime::RuntimeBuilder, Vec<QueryId>) {
+    let mut builder = Runtime::builder().workers(workers).channel_capacity(2);
+    let ids = replicated_pool()
+        .into_iter()
+        .take(slots)
+        .map(|(parts, partitioning)| builder.register(parts, partitioning))
+        .collect();
+    (builder, ids)
+}
+
+/// `zstream_shard_engines`, summed over shards.
+fn shard_engines(runtime: &Runtime) -> usize {
+    let snap = runtime.observe();
+    let engines = snap.metrics.iter().filter(|s| s.name == "zstream_shard_engines");
+    engines
+        .map(|s| match s.value {
+            zstream::obs::MetricValue::Gauge(v) => v as usize,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// The replicated run's lifecycle: [`REPLICA_PAUSED`] is paused for the
+/// chunks in `pause.0..pause.1` and [`REPLICA_DROPPED`] dropped before chunk
+/// `drop_at`.
+#[derive(Clone, Copy, Debug)]
+struct Lifecycle {
+    pause: (usize, usize),
+    drop_at: usize,
+}
+
+impl Lifecycle {
+    /// Whether slot `q` is delivered chunk `b`.
+    fn delivers(&self, q: usize, b: usize) -> bool {
+        let paused = q == REPLICA_PAUSED && (self.pause.0..self.pause.1).contains(&b);
+        !(paused || (q == REPLICA_DROPPED && b >= self.drop_at))
+    }
+
+    /// Ingests `chunks[range]`, applying the lifecycle operations due
+    /// before each chunk; returns the matches the calls delivered.
+    fn drive(
+        &self,
+        runtime: &mut Runtime,
+        ids: &[QueryId],
+        chunks: &[EventBatch],
+        range: std::ops::Range<usize>,
+    ) -> Vec<RuntimeMatch> {
+        let (paused, dropped) = (ids[REPLICA_PAUSED], ids[REPLICA_DROPPED]);
+        let mut out = Vec::new();
+        for b in range {
+            if b == self.pause.1 && b != self.pause.0 {
+                runtime.resume(paused).unwrap();
+            }
+            if b == self.pause.0 && b != self.pause.1 {
+                runtime.pause(paused).unwrap();
+            }
+            if b == self.drop_at {
+                runtime.drop_query(dropped).unwrap();
+            }
+            out.extend(runtime.ingest_columns(&chunks[b]).unwrap());
+        }
+        out
+    }
+}
+
+/// One delivered match by content: slot, end timestamp, shard, `seq` and
+/// the RETURN-formatted record (restored events are new handles, so the
+/// events' identities cannot be compared across a restore).
+type Printed = (usize, Ts, usize, u64, String);
+
+/// One model engine of the unshared runtime.
+enum ModelEngine {
+    Flat(Engine),
+    Keyed(zstream::core::PartitionedEngine),
+}
+
+/// The runtime without sharing, modelled: every shard runs one engine per
+/// slot it hosts, each fed the slot's rows of every chunk the slot is
+/// delivered; per shard and chunk, matches are numbered in slot order
+/// (each engine's emission order within) and stable-sorted by end
+/// timestamp. Returns every match as `(slot, end, shard, seq, record)`,
+/// sorted by shard and `seq`.
+fn unshared_model(
+    pool: &[(CompiledParts, Partitioning)],
+    routes: &[Route],
+    workers: usize,
+    chunks: &[EventBatch],
+    life: Lifecycle,
+) -> Vec<Printed> {
+    use zstream::core::SharedPredIndex;
+    let templates: Vec<Engine> = pool.iter().map(|(p, _)| p.engine().unwrap()).collect();
+    // Per shard, per slot: the engine and its own predicate index.
+    let mut engines: Vec<Vec<Option<(ModelEngine, SharedPredIndex)>>> = (0..workers)
+        .map(|shard| {
+            pool.iter()
+                .zip(routes)
+                .map(|((parts, _), route)| {
+                    let mut index = SharedPredIndex::new();
+                    let engine = match route {
+                        Route::Hash(field) => {
+                            let mut e = parts.partitioned_engine(field).unwrap();
+                            e.subscribe(&mut index);
+                            ModelEngine::Keyed(e)
+                        }
+                        Route::Single(home) if *home == shard => {
+                            let mut e = parts.engine().unwrap();
+                            e.subscribe(&mut index);
+                            ModelEngine::Flat(e)
+                        }
+                        Route::Single(_) => return None,
+                    };
+                    Some((engine, index))
+                })
+                .collect()
+        })
+        .collect();
+    let mut seqs = vec![0u64; workers];
+    let mut out = Vec::new();
+    for (b, chunk) in chunks.iter().enumerate() {
+        let splits = zstream::events::split_batch_rows(chunk, "name", workers);
+        for (shard, hosted) in engines.iter_mut().enumerate() {
+            let mut reply: Vec<Printed> = Vec::new();
+            for (q, slot) in hosted.iter_mut().enumerate() {
+                let Some((engine, index)) = slot else { continue };
+                if !life.delivers(q, b) {
+                    continue;
+                }
+                index.begin_batch();
+                let packed = match engine {
+                    ModelEngine::Flat(e) => e.push_rows(chunk, None, index),
+                    ModelEngine::Keyed(e) => {
+                        let rows = &splits.shards[shard];
+                        if rows.is_empty() {
+                            continue;
+                        }
+                        e.push_rows(chunk, Some(rows), index)
+                    }
+                };
+                for r in packed.records() {
+                    let line = templates[q].format_match(&r);
+                    reply.push((q, r.end_ts(), shard, seqs[shard], line));
+                    seqs[shard] += 1;
+                }
+            }
+            reply.sort_by_key(|m| m.1);
+            out.extend(reply);
+        }
+    }
+    out.sort_by_key(|m| (m.2, m.3));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12 })]
+
+    /// Identical registrations share one engine per shard, and no slot can
+    /// tell: with a replica paused for a window (it splits off its group),
+    /// another dropped, and a checkpoint -> crash -> restore mid-run (which
+    /// re-groups), every slot's `(shard, seq, record)` stream is the one the
+    /// runtime without sharing produces ([`unshared_model`]), and every
+    /// slot's records and `EngineMetrics` equal its own engine's
+    /// ([`assert_matches_reference`]) — at 1–4 workers.
+    #[test]
+    fn replicated_registrations_are_unobservable(
+        events in stream_strategy(120, NAMES),
+        workers in 1usize..=4,
+        chunk in 4usize..12,
+        pause_at in 0usize..8,
+        resume_delta in 0usize..5,
+        drop_at in 0usize..12,
+        ckpt_at in 1usize..10,
+    ) {
+        let chunks = rebatch(&events, &[chunk]);
+        let ckpt_at = ckpt_at.min(chunks.len());
+        let crash_at = (ckpt_at + 2).min(chunks.len());
+        let life = Lifecycle { pause: (pause_at, pause_at + resume_delta), drop_at };
+        let pool = replicated_pool();
+        let slots = pool.len();
+        let (builder, ids) = replicated_builder(workers, slots);
+        let mut runtime = builder.build().unwrap();
+        let routes: Vec<Route> = ids.iter().map(|&id| runtime.route(id).clone()).collect();
+        // Per shard, one engine for each source's copies that route there:
+        // R0 and R2 everywhere, R1 on each distinct home of its copies.
+        runtime.checkpoint(&mut Vec::new()).unwrap();
+        prop_assert_eq!(shard_engines(&runtime), 2 * workers + workers.min(COPIES));
+
+        let mut matches = life.drive(&mut runtime, &ids, &chunks, 0..ckpt_at);
+        let mut file = Vec::new();
+        runtime.checkpoint(&mut file).unwrap();
+        let _ = life.drive(&mut runtime, &ids, &chunks, ckpt_at..crash_at); // lost with the crash
+        drop(runtime);
+        let live = if drop_at < ckpt_at { slots - 1 } else { slots };
+        let mut restored =
+            replicated_builder(workers, live).0.restore(&mut file.as_slice()).unwrap();
+        matches.extend(life.drive(&mut restored, &ids, &chunks, ckpt_at..chunks.len()));
+        let report = restored.shutdown().unwrap();
+        matches.extend(report.matches.iter().cloned());
+
+        let delivered: Vec<Vec<EventBatch>> = (0..slots)
+            .map(|q| {
+                let fed = chunks.iter().enumerate().filter(|(b, _)| life.delivers(q, *b));
+                fed.map(|(_, c)| c.clone()).collect()
+            })
+            .collect();
+        let flushed: Vec<bool> =
+            (0..slots).map(|q| q != REPLICA_DROPPED || drop_at >= chunks.len()).collect();
+        assert_matches_reference(&pool, &delivered, &flushed, &matches, &report);
+        let templates: Vec<Engine> = pool.iter().map(|(p, _)| p.engine().unwrap()).collect();
+        let mut got: Vec<Printed> = matches
+            .iter()
+            .map(|m| {
+                let q = m.query.index();
+                (q, m.record.end_ts(), m.shard, m.seq, templates[q].format_match(&m.record))
+            })
+            .collect();
+        got.sort_by_key(|m| (m.2, m.3));
+        prop_assert_eq!(got, unshared_model(&pool, &routes, workers, &chunks, life));
+        prop_assert!(report.dropped.iter().all(|d| *d == 0));
+    }
+}
+
+/// FNV-1a over a checkpoint file.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The checkpoint one fixed replicated input writes, at 2 workers, with
+/// one copy paused from chunk 2 on and another dropped before chunk 4.
+/// Nothing matches before it (prices stay at or below 2, and a name recurs
+/// only every 16 time units), so no match is in flight and the bytes do
+/// not depend on reply timing; the engines still hold buffered events.
+fn replicated_checkpoint() -> Vec<u8> {
+    let events: Vec<EventRef> = (0..48usize)
+        .map(|i| {
+            let (ts, price) = (4 * i as u64 + 1, (i % 3) as f64);
+            zstream::events::stock(ts, i as i64, NAMES[i % NAMES.len()], price, 1 + (i % 3) as i64)
+        })
+        .collect();
+    let chunks = rebatch(&events, &[8]);
+    let (builder, ids) = replicated_builder(2, COPIES * REPLICATED.len());
+    let mut runtime = builder.build().unwrap();
+    let life = Lifecycle { pause: (2, usize::MAX), drop_at: 4 };
+    assert!(life.drive(&mut runtime, &ids, &chunks, 0..chunks.len()).is_empty());
+    let mut file = Vec::new();
+    runtime.checkpoint(&mut file).unwrap();
+    runtime.shutdown().unwrap();
+    file
+}
+
+/// `(length, fnv64)` of [`replicated_checkpoint`]'s file as written by the
+/// runtime that ran one engine per registration.
+const REPLICATED_CHECKPOINT: (usize, u64) = (21208, 0x0bef_f9c4_b1f3_c228);
+
+/// Sharing changes no checkpoint byte: a group's engine is written once
+/// per member, and the writer's event dictionary makes that the file
+/// separate engines in the same state write. Pinned: the length and digest
+/// of the file the runtime wrote before it shared engines.
+#[test]
+fn replicated_checkpoint_bytes_are_unchanged() {
+    let file = replicated_checkpoint();
+    assert_eq!((file.len(), fnv64(&file)), REPLICATED_CHECKPOINT);
+}

@@ -341,3 +341,125 @@ fn assembly_round_trace_events_are_per_batch_not_per_key() {
     assert!(snap.histogram_total("zstream_engine_round_ns").unwrap().count >= 2 * 2 * 64);
     runtime.shutdown().unwrap();
 }
+
+/// One query's series in `hub`: admitted, matched, kernel rows evaluated,
+/// kernel fallback rows, and the number of assembly rounds timed.
+fn query_series(hub: &Obs, query: &str) -> [u64; 5] {
+    let snap = hub.snapshot();
+    let l = zstream::obs::labels(&[("query", query)]);
+    let read = |name: &str| match snap.sample(name, &l).map(|s| &s.value) {
+        Some(MetricValue::Counter(v)) => *v,
+        Some(MetricValue::Histogram(h)) => h.count,
+        _ => 0,
+    };
+    [
+        read("zstream_query_admitted_total"),
+        read("zstream_query_matched_total"),
+        read("zstream_kernel_rows_evaluated_total"),
+        read("zstream_kernel_fallback_rows_total"),
+        read("zstream_engine_round_ns"),
+    ]
+}
+
+/// Identical registrations share one engine per shard, and each
+/// subscriber's per-query series read what the query's series read in a
+/// runtime of its own over the chunks it was delivered — also for a
+/// subscriber that splits off its group (paused for a window) and one that
+/// leaves it (dropped: its series freeze). `zstream_shard_engines` counts
+/// the engines actually hosted.
+#[test]
+fn shared_engines_keep_every_subscribers_series() {
+    let flat = "PATTERN A; B WHERE A.price > 2 AND B.price > 3 WITHIN 9";
+    let keyed = "PATTERN A; B WHERE A.name = B.name AND A.volume > 1 WITHIN 8";
+    // Broadcast copies are homed round-robin: q0/q2 share shard 0's engine,
+    // q1/q3 shard 1's; the hash-routed q4/q5 share one engine per shard.
+    let pool: Vec<(&str, Partitioning)> = vec![
+        (flat, Partitioning::Broadcast),
+        (flat, Partitioning::Broadcast),
+        (flat, Partitioning::Broadcast),
+        (flat, Partitioning::Broadcast),
+        (keyed, Partitioning::Field("name".into())),
+        (keyed, Partitioning::Field("name".into())),
+    ];
+    let (paused, pause, dropped, drop_at) = (2, 3..6, 3, 8);
+    let events: Vec<EventRef> = (0..200usize)
+        .map(|i| {
+            let name = ["IBM", "Sun", "Oracle", "HP"][i % 4];
+            zstream::events::stock(
+                i as u64 / 2 + 1,
+                i as i64,
+                name,
+                (i % 7) as f64,
+                1 + (i % 3) as i64,
+            )
+        })
+        .collect();
+    let chunks = rebatch(&events, &[16]);
+    let delivered = |q: usize, b: usize| {
+        let paused_then = q == paused && pause.contains(&b);
+        !(paused_then || (q == dropped && b >= drop_at))
+    };
+
+    let hub = Arc::new(Obs::new());
+    let mut b = Runtime::builder().workers(2).obs(Arc::clone(&hub));
+    let ids: Vec<_> =
+        pool.iter().map(|(src, p)| b.register(common::compile(src), p.clone())).collect();
+    let mut runtime = b.build().unwrap();
+    runtime.checkpoint(&mut Vec::new()).unwrap(); // quiesce: every shard thread is up
+    let engines = |runtime: &Runtime| {
+        let snap = runtime.observe();
+        let engines = snap.metrics.iter().filter(|s| s.name == "zstream_shard_engines");
+        engines.map(|s| if let MetricValue::Gauge(v) = s.value { v } else { 0 }).sum::<u64>()
+    };
+    assert_eq!(engines(&runtime), 4, "two flat groups, and the keyed group on both shards");
+    assert_eq!(runtime.observe().gauge_value("zstream_queries_live"), Some(6));
+    for (i, chunk) in chunks.iter().enumerate() {
+        if i == pause.start {
+            runtime.pause(ids[paused]).unwrap();
+        }
+        if i == pause.end {
+            runtime.resume(ids[paused]).unwrap();
+        }
+        if i == drop_at {
+            runtime.drop_query(ids[dropped]).unwrap();
+        }
+        runtime.ingest_columns(chunk).unwrap();
+    }
+    runtime.checkpoint(&mut Vec::new()).unwrap();
+    assert_eq!(engines(&runtime), 5, "the paused copy split off; the dropped one left a group");
+    let report = runtime.shutdown().unwrap();
+
+    for (q, (src, partitioning)) in pool.iter().enumerate() {
+        let solo_hub = Arc::new(Obs::new());
+        let mut b = Runtime::builder().workers(2).obs(Arc::clone(&solo_hub));
+        b.register(common::compile(src), partitioning.clone());
+        let mut solo = b.build().unwrap();
+        for (_, chunk) in chunks.iter().enumerate().filter(|(i, _)| delivered(q, *i)) {
+            solo.ingest_columns(chunk).unwrap();
+        }
+        let solo_report = solo.shutdown().unwrap();
+        let (shared, alone) = (query_series(&hub, &format!("q{q}")), query_series(&solo_hub, "q0"));
+        assert!(alone[1] > 0 || q == dropped, "q{q} never matched alone — weak test");
+        if q == paused {
+            // Its private copy evaluates the same predicates as q0's group,
+            // which asks first each batch and so pays the kernel rows
+            // (whoever needs a shared predicate first pays).
+            assert!(shared[2] <= alone[2], "q{q}: kernel rows {shared:?} vs {alone:?}");
+            assert_eq!(
+                [shared[0], shared[1], shared[3], shared[4]],
+                [alone[0], alone[1], alone[3], alone[4]],
+                "q{q}"
+            );
+        } else {
+            assert_eq!(
+                shared, alone,
+                "q{q}: admitted, matched, kernel rows, fallback rows, rounds"
+            );
+        }
+        let mut want = solo_report.query_metrics[0];
+        if q == dropped {
+            want.idle_rounds -= 1; // a dropped query never runs the end-of-stream round
+        }
+        assert_eq!(report.query_metrics[q], want, "q{q}: metrics");
+    }
+}
