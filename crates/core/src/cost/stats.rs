@@ -89,12 +89,6 @@ impl Statistics {
         self
     }
 
-    /// Overrides the implicit time-predicate selectivity `Pt`.
-    pub fn with_pt(mut self, pt: f64) -> Statistics {
-        self.pt = pt;
-        self
-    }
-
     /// Validates dimensions against a query with `n` classes and `m`
     /// multi-class predicates.
     pub fn validate(&self, n: usize, m: usize) -> Result<(), CoreError> {
@@ -161,17 +155,6 @@ impl Statistics {
         self.rates.len()
     }
 
-    /// Number of multi-class predicate entries.
-    pub fn num_preds(&self) -> usize {
-        self.pred_sel.len()
-    }
-
-    /// Product of the selectivities of the predicates selected by
-    /// `pred_indexes`.
-    pub fn pred_product(&self, pred_indexes: impl Iterator<Item = usize>) -> f64 {
-        pred_indexes.map(|i| self.pred_sel[i]).product()
-    }
-
     /// Largest relative change between `self` and `other`, used by the
     /// adaptive controller's error threshold `t` (§5.3).
     pub fn max_relative_change(&self, other: &Statistics) -> f64 {
@@ -214,16 +197,6 @@ mod tests {
         assert!(bad.validate(2, 1).is_err());
         let bad = Statistics::uniform(2, 1, 10).with_rate(0, f64::NAN);
         assert!(bad.validate(2, 1).is_err());
-    }
-
-    #[test]
-    fn pred_product_multiplies() {
-        let s = Statistics::uniform(2, 3, 10)
-            .with_pred_sel(0, 0.5)
-            .with_pred_sel(1, 0.1)
-            .with_pred_sel(2, 1.0);
-        assert!((s.pred_product([0, 1].into_iter()) - 0.05).abs() < 1e-12);
-        assert_eq!(s.pred_product(std::iter::empty()), 1.0);
     }
 
     #[test]

@@ -28,28 +28,13 @@ pub struct EngineMetrics {
     pub replans: u64,
     /// Plan switches actually installed.
     pub plan_switches: u64,
-    /// Distinct strings interned in the **process-wide** symbol table (see
-    /// [`zstream_events::symbol_stats`]). A *report-level* field: live
-    /// engines keep it at zero — the value is stamped exactly once, at
-    /// scrape time, by whoever assembles the final report (the runtime's
-    /// shutdown path, or [`EngineMetrics::stamp_symbol_stats`]). The
-    /// live-queryable form is the `zstream_symbols_interned` gauge in the
-    /// observability registry.
-    pub symbols_interned: u64,
-    /// Bytes the symbol table's intern hits avoided re-allocating (what a
-    /// per-value `Arc<str>` representation would have copied). Report-level,
-    /// like `symbols_interned`; live form: `zstream_symbol_bytes_saved`.
-    pub symbol_bytes_saved: u64,
-    /// Events rejected by an upstream reorder stage as arriving beyond its
-    /// slack window (§4.1 disordered streams). Zero unless a reorder stage
-    /// fronts this engine (the scale-out runtime stamps it).
-    pub late_events: u64,
-    /// Peak number of events the upstream reorder stage held back at once —
-    /// the memory cost of the slack. Report-level: stamped once at scrape
-    /// from the reorder stage; live form: the `zstream_reorder_buffered_peak`
-    /// gauge.
-    pub reorder_buffered_peak: u64,
 }
+
+/// Words of the metrics snapshot that held the report-level copies of the
+/// symbol-table and reorder-stage counters (now read from their own
+/// sources). Written as zero — what every engine held — and ignored on
+/// read, so snapshots keep their layout without a version bump.
+const RETIRED_WORDS: usize = 4;
 
 impl EngineMetrics {
     /// Records a round's footprint sample.
@@ -68,22 +53,13 @@ impl EngineMetrics {
     /// [`crate::PartitionedEngine`] and the scale-out runtime to report one
     /// aggregated snapshot across per-partition / per-shard engines.
     ///
-    /// Per-field semantics:
-    /// * `events_in`, `events_admitted`, `matches_out`, `assembly_rounds`,
-    ///   `idle_rounds`, `replans`, `plan_switches`, `late_events` — true
-    ///   per-engine counters: **sum**.
-    /// * `peak_bytes` — **sum**: the constituent engines hold their buffers
-    ///   simultaneously, so the sum of per-engine peaks is an upper bound
-    ///   on the true simultaneous peak. The sum is of per-query *logical*
-    ///   state: in the runtime, identical registrations share one physical
-    ///   engine per shard, yet each still reports (and sums) the state its
-    ///   own engine would hold; physical sharing shows in the
-    ///   `zstream_shard_engines` gauge instead.
-    /// * `symbols_interned`, `symbol_bytes_saved`, `reorder_buffered_peak`
-    ///   — report-level fields describing one process-global source, zero
-    ///   on live engines (stamped once at scrape, never per engine):
-    ///   **max**, so a stamped report merged with unstamped engines keeps
-    ///   its value and two stamped reports never double-count.
+    /// Every field **sums**. For `peak_bytes` the constituent engines hold
+    /// their buffers simultaneously, so the sum of per-engine peaks is an
+    /// upper bound on the true simultaneous peak. The sum is of per-query
+    /// *logical* state: in the runtime, identical registrations share one
+    /// physical engine per shard, yet each still reports (and sums) the
+    /// state its own engine would hold; physical sharing shows in the
+    /// `zstream_shard_engines` gauge instead.
     pub fn merge(&mut self, other: &EngineMetrics) {
         self.events_in += other.events_in;
         self.events_admitted += other.events_admitted;
@@ -93,26 +69,12 @@ impl EngineMetrics {
         self.peak_bytes += other.peak_bytes;
         self.replans += other.replans;
         self.plan_switches += other.plan_switches;
-        self.symbols_interned = self.symbols_interned.max(other.symbols_interned);
-        self.symbol_bytes_saved = self.symbol_bytes_saved.max(other.symbol_bytes_saved);
-        self.late_events += other.late_events;
-        self.reorder_buffered_peak = self.reorder_buffered_peak.max(other.reorder_buffered_peak);
-    }
-
-    /// Stamps the process-wide symbol-table statistics onto this snapshot.
-    /// Call exactly once, on the final aggregated report — never on
-    /// per-engine metrics (merging stamped engines would smuggle a global
-    /// value through per-engine counters; see [`EngineMetrics::merge`]).
-    pub fn stamp_symbol_stats(&mut self) {
-        let s = zstream_events::symbol_stats();
-        self.symbols_interned = s.symbols;
-        self.symbol_bytes_saved = s.bytes_saved;
     }
 
     /// Rebuilds metrics from a [`Snapshot`] stream, so throughput and
     /// peak-memory accounting span a checkpoint/restore boundary.
     pub fn restore_snapshot(r: &mut SnapshotReader<'_>) -> SnapshotResult<EngineMetrics> {
-        Ok(EngineMetrics {
+        let m = EngineMetrics {
             events_in: r.u64()?,
             events_admitted: r.u64()?,
             matches_out: r.u64()?,
@@ -122,11 +84,11 @@ impl EngineMetrics {
                 .map_err(|_| SnapshotError::Corrupt("peak bytes exceeds usize".into()))?,
             replans: r.u64()?,
             plan_switches: r.u64()?,
-            symbols_interned: r.u64()?,
-            symbol_bytes_saved: r.u64()?,
-            late_events: r.u64()?,
-            reorder_buffered_peak: r.u64()?,
-        })
+        };
+        for _ in 0..RETIRED_WORDS {
+            r.u64()?; // any value restores
+        }
+        Ok(m)
     }
 }
 
@@ -140,10 +102,9 @@ impl Snapshot for EngineMetrics {
         w.u64(self.peak_bytes as u64);
         w.u64(self.replans);
         w.u64(self.plan_switches);
-        w.u64(self.symbols_interned);
-        w.u64(self.symbol_bytes_saved);
-        w.u64(self.late_events);
-        w.u64(self.reorder_buffered_peak);
+        for _ in 0..RETIRED_WORDS {
+            w.u64(0);
+        }
     }
 }
 
@@ -172,10 +133,6 @@ mod tests {
             peak_bytes: 100,
             replans: 1,
             plan_switches: 1,
-            symbols_interned: 10,
-            symbol_bytes_saved: 100,
-            late_events: 3,
-            reorder_buffered_peak: 40,
         };
         let b = EngineMetrics {
             events_in: 5,
@@ -186,10 +143,6 @@ mod tests {
             peak_bytes: 50,
             replans: 0,
             plan_switches: 0,
-            symbols_interned: 25,
-            symbol_bytes_saved: 60,
-            late_events: 2,
-            reorder_buffered_peak: 15,
         };
         a.merge(&b);
         assert_eq!(a.events_in, 15);
@@ -200,12 +153,24 @@ mod tests {
         assert_eq!(a.peak_bytes, 150);
         assert_eq!(a.replans, 1);
         assert_eq!(a.plan_switches, 1);
-        // Symbol stats describe one global table: max, not sum.
-        assert_eq!(a.symbols_interned, 25);
-        assert_eq!(a.symbol_bytes_saved, 100);
-        // Late events sum; the reorder peak describes one global stage: max.
-        assert_eq!(a.late_events, 5);
-        assert_eq!(a.reorder_buffered_peak, 40);
+    }
+
+    #[test]
+    fn snapshot_keeps_the_retired_words() {
+        let words = |ws: [u64; 12]| {
+            let mut w = SnapshotWriter::new();
+            ws.into_iter().for_each(|x| w.u64(x));
+            w.into_bytes()
+        };
+        let m = EngineMetrics { events_in: 7, plan_switches: 3, ..Default::default() };
+        let mut w = SnapshotWriter::new();
+        m.write_snapshot(&mut w);
+        assert_eq!(w.into_bytes(), words([7, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0]), "last four zero");
+        // Older writers stamped values there; any value restores.
+        let old = words([7, 0, 0, 0, 0, 0, 0, 3, 10, 100, 2, 40]);
+        let mut r = SnapshotReader::new(&old);
+        assert_eq!(EngineMetrics::restore_snapshot(&mut r).unwrap(), m);
+        assert!(r.is_exhausted());
     }
 
     #[test]

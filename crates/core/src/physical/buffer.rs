@@ -74,11 +74,6 @@ impl Buffer {
         self.consumed
     }
 
-    /// Number of unconsumed records.
-    pub fn unconsumed_len(&self) -> usize {
-        self.recs.len() - self.consumed
-    }
-
     /// Iterates all records (consumed first).
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         self.recs.iter()
@@ -99,12 +94,6 @@ impl Buffer {
     pub fn set_consumed(&mut self, consumed: usize) {
         debug_assert!(consumed <= self.recs.len());
         self.consumed = consumed;
-    }
-
-    /// Advances the consumed cursor by one.
-    pub fn consume_one(&mut self) {
-        debug_assert!(self.consumed < self.recs.len());
-        self.consumed += 1;
     }
 
     /// Physically removes everything (drain-mode buffers after the parent
@@ -206,12 +195,12 @@ mod tests {
         for t in [1, 2, 3] {
             b.push(rec(t));
         }
-        assert_eq!(b.unconsumed_len(), 3);
+        assert_eq!(b.consumed(), 0);
         assert_eq!(b.earliest_unconsumed_end(), Some(1));
         b.consume_all();
-        assert_eq!(b.unconsumed_len(), 0);
+        assert_eq!(b.consumed(), 3);
         b.push(rec(4));
-        assert_eq!(b.unconsumed_len(), 1);
+        assert_eq!(b.len() - b.consumed(), 1);
         assert_eq!(b.earliest_unconsumed_end(), Some(4));
         assert_eq!(b.len(), 4);
     }

@@ -211,11 +211,6 @@ impl Bitmap {
         Ones { words: &self.words, word: 0, base: 0 }
     }
 
-    /// Appends set-bit positions (as `u32`) to `out` in ascending order.
-    pub fn extend_selection(&self, out: &mut Vec<u32>) {
-        out.extend(self.ones().map(|i| i as u32));
-    }
-
     /// Clears every set bit whose row fails `f`. Only set bits are visited,
     /// so the cost is O(words + set bits) — the escape hatch for predicates
     /// with no columnar kernel.
@@ -621,9 +616,7 @@ mod tests {
         let mut b = Bitmap::new();
         b.reset(200, false);
         b.set_rows(&[0, 7, 63, 64, 199]);
-        let mut sel = Vec::new();
-        b.extend_selection(&mut sel);
-        assert_eq!(sel, vec![0, 7, 63, 64, 199]);
+        assert_eq!(bits(&b), vec![0, 7, 63, 64, 199]);
     }
 
     #[test]

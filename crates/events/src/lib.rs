@@ -25,10 +25,10 @@
 //! * [`MatchBatch`] / [`Part`] — match output in packed form: `(source,
 //!   row)` ids into the distinct source batches of a round, built into
 //!   `Record`s only where a consumer asks,
-//! * [`ReorderBuffer`] / [`ColumnarReorder`] — the §4.1 reordering operator
-//!   for disordered streams: bounded-slack buffering with per-source
-//!   watermarks, lateness detection at the slack boundary, and (columnar
-//!   form) time-ordered re-packed [`EventBatch`] output with a zero-copy
+//! * [`ColumnarReorder`] — the §4.1 reordering operator for disordered
+//!   streams: arrival-order batches in, bounded-slack buffering with
+//!   per-source watermarks, lateness detection at the slack boundary, and
+//!   time-ordered re-packed [`EventBatch`] output with a zero-copy
 //!   pass-through for already-ordered input,
 //! * [`shard_of`] / [`split_batch_rows`] — stable hash routing of batches
 //!   to worker shards for scale-out ingest (generalizing the §4.1 hash
@@ -54,9 +54,7 @@ pub use event::{stock, Event, EventBuilder};
 pub use kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};
 pub use matches::MatchBatch;
 pub use record::{Part, Record, Slot};
-pub use reorder::{
-    repack_events, BatchRelease, ColumnarReorder, ReorderBuffer, ReorderOutcome, ReorderStats,
-};
+pub use reorder::{repack_events, BatchRelease, ColumnarReorder, ReorderStats};
 pub use route::{shard_of, split_batch_rows, RowSplit};
 pub use schema::{Field, Schema, SchemaBuilder};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter};

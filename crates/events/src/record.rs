@@ -208,11 +208,6 @@ impl Record {
         &self.slots[i]
     }
 
-    /// Total number of primitive events bound (closure groups count all).
-    pub fn event_count(&self) -> usize {
-        self.slots.iter().map(|s| s.events().len()).sum()
-    }
-
     /// Approximate in-memory footprint in bytes (record header + slot array +
     /// closure spill), for the logical memory accounting of Tables 3/5.
     /// Shared primitive events are *not* counted; they are owned by leaves.
@@ -247,7 +242,7 @@ mod tests {
     fn primitive_record_spans_its_event() {
         let r = Record::primitive(stock(7, 1, "IBM", 1.0, 1));
         assert_eq!((r.start_ts(), r.end_ts()), (7, 7));
-        assert_eq!(r.event_count(), 1);
+        assert_eq!(r.slot(0).events().len(), 1);
     }
 
     #[test]
@@ -284,7 +279,7 @@ mod tests {
             Slot::Many(group),
             Slot::One(stock(4, 3, "C", 1.0, 1)),
         ]);
-        assert_eq!(r.event_count(), 4);
+        assert_eq!(r.slots().iter().map(|s| s.events().len()).sum::<usize>(), 4);
         assert_eq!((r.start_ts(), r.end_ts()), (0, 4));
     }
 

@@ -3,22 +3,18 @@
 //! §4.1 of the paper: *"ZStream assumes that primitive events from data
 //! sources continuously stream into leaf buffers in time order. If disorder
 //! is a problem, a reordering operator may be placed just after the leaf
-//! buffer."* Two implementations of that operator live here:
-//!
-//! * [`ReorderBuffer`] — the per-event form: holds back events inside a
-//!   bounded *slack* window and releases them in timestamp order. An event
-//!   arriving more than `slack` time units behind the stream's high-water
-//!   mark cannot be ordered anymore and is reported as late.
-//! * [`ColumnarReorder`] — the columnar, multi-source form the scale-out
-//!   runtime puts in front of its ingest: it buffers cheap
-//!   `(Arc<BatchData>, row)` handles (no per-event allocation), tracks one
-//!   high-water mark **per source**, and releases rows up to the *global*
-//!   frontier `min(high-water over sources) − slack`, re-packed into fresh
-//!   time-ordered [`EventBatch`]es so everything downstream keeps the
-//!   sorted-batch invariant and the zero-copy selection-vector fan-out. A
-//!   fully in-order batch that is immediately releasable passes through as
-//!   an `Arc` bump of the original storage — zero copies on the sorted
-//!   fast path.
+//! buffer."* [`ColumnarReorder`] is that operator, in the columnar,
+//! multi-source form the scale-out runtime puts in front of its ingest: it
+//! takes arrival-order batches, buffers cheap `(Arc<BatchData>, row)`
+//! handles (no per-event allocation) within a bounded *slack* window, tracks
+//! one high-water mark **per source**, and releases rows up to the *global*
+//! frontier `min(high-water over sources) − slack`, re-packed into fresh
+//! time-ordered [`EventBatch`]es so everything downstream keeps the
+//! sorted-batch invariant and the zero-copy selection-vector fan-out. A
+//! fully in-order batch that is immediately releasable passes through as an
+//! `Arc` bump of the original storage — zero copies on the sorted fast
+//! path. A row arriving more than `slack` time units behind its source's
+//! high-water mark cannot be ordered anymore and is returned as late.
 //!
 //! Per-source watermarks make multi-source merging exact: an event from
 //! source `s` is late only against *its own* source's high-water mark, while
@@ -32,68 +28,16 @@
 //! an event exactly `slack` behind the high-water mark is still accepted,
 //! and `slack = 0` means "strictly in order" (equal timestamps are fine,
 //! going backwards is not). The addition saturates, so a huge slack can
-//! never overflow into spurious lateness.
+//! never overflow into spurious lateness. Rows with equal timestamps
+//! release in arrival order, within a batch and across batches.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter};
-use crate::soa::EventBatch;
+use crate::soa::{gather, EventBatch};
 use crate::time::Ts;
 use crate::EventRef;
-
-/// Outcome of offering one event to a reorder operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReorderOutcome {
-    /// The event was accepted; zero or more events became releasable.
-    Accepted,
-    /// The event arrived beyond the slack window and was rejected; the
-    /// caller decides whether to drop it, surface it, or fail.
-    TooLate,
-}
-
-/// Buffers out-of-order events and emits them in timestamp order, tolerating
-/// disorder up to a fixed slack.
-///
-/// A thin per-event facade over a single-source [`ColumnarReorder`] — the
-/// lateness boundary and release semantics live in exactly one place, so
-/// the two operators cannot diverge.
-#[derive(Debug)]
-pub struct ReorderBuffer {
-    inner: ColumnarReorder,
-}
-
-impl ReorderBuffer {
-    /// Creates a buffer tolerating disorder up to `slack` time units.
-    pub fn new(slack: Ts) -> ReorderBuffer {
-        ReorderBuffer { inner: ColumnarReorder::new(slack) }
-    }
-
-    /// Offers one event; releasable events (timestamp at or below the new
-    /// high-water mark minus slack) are appended to `out` in order.
-    ///
-    /// Rejects exactly when `ts + slack < high_water` (saturating), so an
-    /// event exactly `slack` late is still accepted and `slack = 0` accepts
-    /// only non-decreasing timestamps.
-    pub fn offer(&mut self, event: EventRef, out: &mut Vec<EventRef>) -> ReorderOutcome {
-        self.inner.offer_from(0, event, out)
-    }
-
-    /// Releases everything still pending, in order (end of stream).
-    pub fn flush(&mut self, out: &mut Vec<EventRef>) {
-        self.inner.flush_events(out);
-    }
-
-    /// Events currently held back.
-    pub fn pending_len(&self) -> usize {
-        self.inner.pending_len()
-    }
-
-    /// Events rejected as too late so far.
-    pub fn late_count(&self) -> u64 {
-        self.inner.late_count()
-    }
-}
 
 /// Rows released by one [`ColumnarReorder::offer_batch_from`] call.
 #[derive(Debug)]
@@ -142,8 +86,7 @@ pub struct ReorderStats {
 /// One high-water mark is kept per source; an event is late only against
 /// its own source's mark (`ts + slack < high_water[source]`, saturating),
 /// while rows release once they fall at or below the global frontier
-/// `min(high_water) − slack`. With a single source this is exactly
-/// [`ReorderBuffer`] over batches.
+/// `min(high_water) − slack`.
 #[derive(Debug)]
 pub struct ColumnarReorder {
     slack: Ts,
@@ -217,29 +160,6 @@ impl ColumnarReorder {
         None
     }
 
-    /// Offers one event from `source`; releasable events are appended to
-    /// `out` in timestamp order. The record-path twin of
-    /// [`ColumnarReorder::offer_batch_from`] — both feed one pending set,
-    /// so the two granularities may be mixed freely.
-    pub fn offer_from(
-        &mut self,
-        source: usize,
-        event: EventRef,
-        out: &mut Vec<EventRef>,
-    ) -> ReorderOutcome {
-        let ts = event.ts();
-        if ts.saturating_add(self.slack) < self.high_water[source] {
-            self.late += 1;
-            return ReorderOutcome::TooLate;
-        }
-        self.high_water[source] = self.high_water[source].max(ts);
-        self.arrivals += 1;
-        self.pending.insert((ts, self.arrivals), event);
-        self.buffered_peak = self.buffered_peak.max(self.pending.len());
-        self.release_into(out);
-        ReorderOutcome::Accepted
-    }
-
     /// Offers one arrival-order batch from `source`; returns the rows that
     /// became releasable (re-packed into time-ordered batches) and the rows
     /// rejected as late.
@@ -284,26 +204,22 @@ impl ColumnarReorder {
             self.pending.insert((ts, self.arrivals), batch.event(row));
         }
         self.buffered_peak = self.buffered_peak.max(self.pending.len());
+        let release_upto = self.frontier();
         let mut released = Vec::new();
-        self.release_into(&mut released);
-        BatchRelease { batches: repack(&released), late }
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > release_upto {
+                break;
+            }
+            released.push(entry.remove());
+        }
+        BatchRelease { batches: repack_events(&released), late }
     }
 
     /// Releases everything still pending as time-ordered batches (end of
     /// stream).
     pub fn flush(&mut self) -> Vec<EventBatch> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        self.flush_events(&mut out);
-        repack(&out)
-    }
-
-    /// Releases everything still pending as the **original** row handles,
-    /// appended to `out` in timestamp order — no re-packing, identities
-    /// preserved (the form [`ReorderBuffer::flush`] exposes).
-    pub fn flush_events(&mut self, out: &mut Vec<EventRef>) {
-        while let Some(entry) = self.pending.first_entry() {
-            out.push(entry.remove());
-        }
+        let pending = std::mem::take(&mut self.pending);
+        repack_events(&pending.into_values().collect::<Vec<_>>())
     }
 
     /// Rows currently held back.
@@ -332,17 +248,6 @@ impl ColumnarReorder {
             buffered_peak: self.buffered_peak,
             late: self.late,
             frontier: self.frontier(),
-        }
-    }
-
-    fn release_into(&mut self, out: &mut Vec<EventRef>) {
-        let release_upto = self.frontier();
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 <= release_upto {
-                out.push(entry.remove());
-            } else {
-                break;
-            }
         }
     }
 
@@ -404,42 +309,36 @@ impl Snapshot for ColumnarReorder {
     }
 }
 
-/// True when an event of schema `b` can be appended to a batch of schema
-/// `a` — structural equality (name + fields incl. types, everything
-/// [`crate::BatchBuilder::push_event`] validates), so a run grouped by
-/// this predicate can never fail to pack. Distinct `Arc` instances of one
-/// logical schema (each generator call allocates its own) compare equal
-/// via the structural fallback behind the cheap pointer check.
+/// True when a row of schema `b` can be gathered into a batch of schema
+/// `a` — structural equality (name + fields incl. types), so a run grouped
+/// by this predicate always gathers value for value. Distinct `Arc`
+/// instances of one logical schema (each generator call allocates its own)
+/// compare equal via the structural fallback behind the cheap pointer check.
 fn schemas_compatible(a: &crate::Schema, b: &crate::Schema) -> bool {
     std::ptr::eq(a, b) || a == b
 }
 
-/// Copies row handles into fresh batches, one per maximal run of events
-/// sharing a compatible schema. The returned handles point into the new
-/// compact storage — the originals (and the source batches they pin) can
-/// be dropped, which is what makes this the right tool for retaining a
-/// few rows (e.g. dead-lettered late events) out of large batches.
+/// Copies row handles into fresh batches, one per maximal run of rows
+/// sharing a compatible schema, so handles from different storage batches
+/// of one logical schema pack together. The returned handles point into
+/// the new compact storage — the originals (and the source batches they
+/// pin) can be dropped, which is what makes this the right tool for
+/// retaining a few rows (e.g. dead-lettered late events) out of large
+/// batches.
 pub fn repack_events(events: &[EventRef]) -> Vec<EventBatch> {
-    repack(events)
-}
-
-/// Gathers released row handles into fresh time-ordered batches, one per
-/// maximal run of rows sharing a compatible schema, so handles from
-/// different storage batches of one logical schema pack together.
-fn repack(events: &[EventRef]) -> Vec<EventBatch> {
     let mut out = Vec::new();
     let mut start = 0;
     while start < events.len() {
-        let schema = Arc::clone(events[start].schema());
+        let schema = events[start].schema();
         let mut end = start + 1;
-        while end < events.len() && schemas_compatible(&schema, events[end].schema()) {
+        while end < events.len() && schemas_compatible(schema, events[end].schema()) {
             end += 1;
         }
-        let mut builder = EventBatch::builder(schema, end - start);
-        for e in &events[start..end] {
-            builder.push_event(e).expect("run shares a compatible schema");
-        }
-        out.push(builder.finish());
+        let rows = events[start..end].iter().map(|e| {
+            let (data, row) = e.batch_row();
+            (&**data, row as usize)
+        });
+        out.push(gather(Arc::clone(schema), rows));
         start = end;
     }
     out
@@ -449,141 +348,124 @@ fn repack(events: &[EventRef]) -> Vec<EventBatch> {
 mod tests {
     use super::*;
     use crate::event::stock;
+    use crate::{Schema, Value};
 
-    fn drain(rb: &mut ReorderBuffer, events: Vec<EventRef>) -> (Vec<EventRef>, u64) {
-        let mut out = Vec::new();
-        for e in events {
-            rb.offer(e, &mut out);
-        }
-        rb.flush(&mut out);
-        (out, rb.late_count())
-    }
-
-    #[test]
-    fn reorders_within_slack() {
-        let mut rb = ReorderBuffer::new(5);
-        let events = vec![
-            stock(3, 0, "A", 1.0, 1),
-            stock(1, 1, "A", 1.0, 1), // 2 behind: within slack
-            stock(7, 2, "A", 1.0, 1),
-            stock(5, 3, "A", 1.0, 1),
-            stock(12, 4, "A", 1.0, 1),
-        ];
-        let (out, late) = drain(&mut rb, events);
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
-        assert_eq!(ts, vec![1, 3, 5, 7, 12]);
-        assert_eq!(late, 0);
-    }
-
-    #[test]
-    fn rejects_events_beyond_slack() {
-        let mut rb = ReorderBuffer::new(3);
-        let mut out = Vec::new();
-        rb.offer(stock(10, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(2, 1, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.late_count(), 1);
-        // An event exactly at the slack boundary is still accepted.
-        assert_eq!(rb.offer(stock(7, 2, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-    }
-
-    #[test]
-    fn boundary_exactly_slack_late_is_accepted() {
-        // high_water = 100, slack = 7: ts 93 is exactly slack late and must
-        // be accepted; ts 92 is one past and must be rejected.
-        let mut rb = ReorderBuffer::new(7);
-        let mut out = Vec::new();
-        rb.offer(stock(100, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(93, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(92, 2, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.late_count(), 1);
-    }
-
-    #[test]
-    fn zero_slack_means_strictly_in_order() {
-        // slack = 0: equal timestamps are fine, going backwards is late.
-        let mut rb = ReorderBuffer::new(0);
-        let mut out = Vec::new();
-        assert_eq!(rb.offer(stock(5, 0, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(5, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.offer(stock(4, 2, "A", 1.0, 1), &mut out), ReorderOutcome::TooLate);
-        assert_eq!(rb.offer(stock(6, 3, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        assert_eq!(rb.late_count(), 1);
-        // In-order events release immediately at zero slack.
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
-        assert_eq!(ts, vec![5, 5, 6]);
-    }
-
-    #[test]
-    fn huge_slack_never_overflows_into_lateness() {
-        // ts + slack would overflow u64; saturation must keep the event
-        // acceptable instead of wrapping around into spurious lateness.
-        let mut rb = ReorderBuffer::new(Ts::MAX);
-        let mut out = Vec::new();
-        rb.offer(stock(Ts::MAX - 1, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(rb.offer(stock(0, 1, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        let mut rb = ReorderBuffer::new(10);
-        rb.offer(stock(Ts::MAX, 0, "A", 1.0, 1), &mut out);
-        assert_eq!(
-            rb.offer(stock(Ts::MAX - 10, 1, "A", 1.0, 1), &mut out),
-            ReorderOutcome::Accepted
-        );
-        assert_eq!(
-            rb.offer(stock(Ts::MAX - 11, 2, "A", 1.0, 1), &mut out),
-            ReorderOutcome::TooLate
-        );
-    }
-
-    #[test]
-    fn releases_eagerly_as_watermark_advances() {
-        let mut rb = ReorderBuffer::new(2);
-        let mut out = Vec::new();
-        rb.offer(stock(1, 0, "A", 1.0, 1), &mut out);
-        rb.offer(stock(2, 1, "A", 1.0, 1), &mut out);
-        assert!(out.is_empty(), "nothing releasable before watermark advances");
-        rb.offer(stock(6, 2, "A", 1.0, 1), &mut out);
-        let ts: Vec<_> = out.iter().map(|e| e.ts()).collect();
-        assert_eq!(ts, vec![1, 2], "events at or below 6-2=4 release");
-        assert_eq!(rb.pending_len(), 1);
-    }
-
-    #[test]
-    fn equal_timestamps_release_in_arrival_order() {
-        let mut rb = ReorderBuffer::new(1);
-        let a = stock(5, 10, "A", 1.0, 1);
-        let b = stock(5, 20, "A", 2.0, 1);
-        let mut out = Vec::new();
-        rb.offer(a, &mut out);
-        rb.offer(b, &mut out);
-        rb.flush(&mut out);
-        assert_eq!(out[0].value(0).as_i64().unwrap(), 10);
-        assert_eq!(out[1].value(0).as_i64().unwrap(), 20);
-    }
-
-    #[test]
-    fn zero_slack_passes_ordered_streams_through() {
-        let mut rb = ReorderBuffer::new(0);
-        let events: Vec<_> = (1..6).map(|t| stock(t, t as i64, "A", 1.0, 1)).collect();
-        let (out, late) = drain(&mut rb, events);
-        assert_eq!(out.len(), 5);
-        assert_eq!(late, 0);
-    }
-
-    // --- ColumnarReorder ---
-
-    fn batch_of(ts: &[Ts]) -> EventBatch {
-        let events: Vec<EventRef> =
-            ts.iter().enumerate().map(|(i, t)| stock(*t, i as i64, "A", 1.0, 1)).collect();
-        // Build through the builder (not from_events) so arrival-order rows
-        // are representable.
-        let mut b = EventBatch::builder(events[0].schema().clone(), events.len());
-        for e in &events {
-            b.push_event(e).unwrap();
+    /// An arrival-order stock batch: row `i` has timestamp `ts[i]` and id
+    /// `first_id + i`, so the id records arrival order across batches.
+    fn arrival_batch(ts: &[Ts], first_id: i64) -> EventBatch {
+        let mut b = EventBatch::builder(Schema::stocks(), ts.len());
+        for (i, &t) in ts.iter().enumerate() {
+            let id = Value::Int(first_id + i as i64);
+            b.push_row(t, &[id, Value::str("A"), Value::Float(1.0), Value::Int(1)]).unwrap();
         }
         b.finish()
     }
 
+    fn batch_of(ts: &[Ts]) -> EventBatch {
+        arrival_batch(ts, 0)
+    }
+
     fn released_ts(release: &BatchRelease) -> Vec<Ts> {
         release.batches.iter().flat_map(|b| b.ts_column().iter().copied()).collect()
+    }
+
+    /// `(ts, arrival id)` of every row of `batches`, in order.
+    fn rows(batches: &[EventBatch]) -> Vec<(Ts, i64)> {
+        batches
+            .iter()
+            .flat_map(EventBatch::iter)
+            .map(|e| (e.ts(), e.value(0).as_i64().unwrap()))
+            .collect()
+    }
+
+    /// One row of the boundary table: `slack`; the arrival-order batches
+    /// offered in turn to a single-source operator; the timestamps each
+    /// offer releases; the timestamps rejected as late (all offers, in
+    /// arrival order); and what the end-of-stream flush releases.
+    type Case<'a> = (Ts, &'a [&'a [Ts]], &'a [&'a [Ts]], &'a [Ts], &'a [Ts]);
+
+    /// Runs a case twice: with each offer as one multi-row batch, and with
+    /// each offer split into one-row batches (whose releases concatenate per
+    /// offer). Both must produce the table's output, and the whole output
+    /// must be in time order with equal timestamps in arrival order.
+    fn check((slack, offers, released, late, flushed): Case<'_>) {
+        for one_row in [false, true] {
+            let mut cr = ColumnarReorder::new(slack);
+            let (mut next_id, mut out, mut got_late) = (0, Vec::new(), Vec::new());
+            for (i, offer) in offers.iter().enumerate() {
+                let mut got = Vec::new();
+                for rows_in in offer.chunks(if one_row { 1 } else { offer.len() }) {
+                    let r = cr.offer_batch_from(0, &arrival_batch(rows_in, next_id));
+                    next_id += rows_in.len() as i64;
+                    got.extend(rows(&r.batches));
+                    got_late.extend(r.late.iter().map(EventRef::ts));
+                }
+                let got_ts: Vec<Ts> = got.iter().map(|r| r.0).collect();
+                assert_eq!(got_ts, released[i], "offer {i}, one_row = {one_row}");
+                out.extend(got);
+            }
+            assert_eq!(got_late, late, "late rows, one_row = {one_row}");
+            assert_eq!(cr.late_count(), late.len() as u64);
+            let tail = rows(&cr.flush());
+            assert_eq!(tail.iter().map(|r| r.0).collect::<Vec<_>>(), flushed, "flush");
+            out.extend(tail);
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "one_row = {one_row}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn reorders_within_slack() {
+        check((5, &[&[3, 1], &[7, 5], &[12]], &[&[], &[1], &[3, 5, 7]], &[], &[12]));
+    }
+
+    #[test]
+    fn rejects_events_beyond_slack() {
+        // 2 is beyond slack 3 of high-water 10; 7 is exactly at the boundary.
+        check((3, &[&[10, 2, 7]], &[&[7]], &[2], &[10]));
+    }
+
+    #[test]
+    fn boundary_exactly_slack_late_is_accepted() {
+        // high_water = 100, slack = 7: ts 93 is exactly slack late and is
+        // accepted; ts 92 is one past and is rejected.
+        check((7, &[&[100, 93, 92]], &[&[93]], &[92], &[100]));
+    }
+
+    #[test]
+    fn zero_slack_means_strictly_in_order() {
+        // Equal timestamps are fine, going backwards is late, and in-order
+        // rows release immediately.
+        check((0, &[&[5, 5, 4, 6]], &[&[5, 5, 6]], &[4], &[]));
+    }
+
+    #[test]
+    fn huge_slack_never_overflows_into_lateness() {
+        // ts + slack would overflow u64; saturation keeps the row
+        // acceptable instead of wrapping around into spurious lateness.
+        check((Ts::MAX, &[&[Ts::MAX - 1, 0]], &[&[0]], &[], &[Ts::MAX - 1]));
+        let (max, edge, past) = (Ts::MAX, Ts::MAX - 10, Ts::MAX - 11);
+        check((10, &[&[max, edge, past]], &[&[edge]], &[past], &[max]));
+    }
+
+    #[test]
+    fn releases_eagerly_as_watermark_advances() {
+        // Nothing is releasable until the watermark passes 2 + slack; then
+        // rows at or below 6 - 2 = 4 release and 6 stays pending.
+        check((2, &[&[1, 2], &[6]], &[&[], &[1, 2]], &[], &[6]));
+    }
+
+    #[test]
+    fn equal_timestamps_release_in_arrival_order() {
+        // Three rows at ts 5 — two in one batch, one in the next — release
+        // in arrival order (`check` compares the arrival ids), both when the
+        // watermark passes them and at the flush.
+        check((1, &[&[5, 5], &[5, 7]], &[&[], &[5, 5, 5]], &[], &[7]));
+        check((1, &[&[5, 5], &[5]], &[&[], &[]], &[], &[5, 5, 5]));
+    }
+
+    #[test]
+    fn zero_slack_passes_ordered_streams_through() {
+        check((0, &[&[1, 2, 3, 4, 5]], &[&[1, 2, 3, 4, 5]], &[], &[]));
     }
 
     #[test]
@@ -693,23 +575,24 @@ mod tests {
     #[test]
     fn repack_splits_same_name_schemas_with_different_types() {
         use crate::value::ValueType;
-        use crate::{Event, Schema};
-        // Same name, same arity, different field types: push_event would
-        // reject mixing them, so the run grouping must split here instead
-        // of panicking.
+        use crate::Event;
+        // Same name, same arity, different field types: their values cannot
+        // share a column, so the run grouping must split here instead of
+        // panicking.
         let sa = Arc::new(Schema::builder("S").field("x", ValueType::Int).build().unwrap());
         let sb = Arc::new(Schema::builder("S").field("x", ValueType::Str).build().unwrap());
         let ea = Event::builder(sa, 1).value(7i64).build_ref().unwrap();
         let eb = Event::builder(sb, 2).value("seven").build_ref().unwrap();
         let mut cr = ColumnarReorder::new(10);
-        let mut out = Vec::new();
-        cr.offer_from(0, ea, &mut out);
-        cr.offer_from(0, eb, &mut out);
-        assert!(out.is_empty());
+        for e in [ea, eb] {
+            let r = cr.offer_batch_from(0, &EventBatch::from_events(&[e]).unwrap());
+            assert_eq!(r.released_rows(), 0);
+        }
         let batches = cr.flush();
         assert_eq!(batches.len(), 2, "incompatible schemas must not share a batch");
         assert_eq!(batches[0].ts_column(), &[1]);
         assert_eq!(batches[1].ts_column(), &[2]);
+        assert_eq!(batches[1].column(0).value(0), Value::str("seven"));
     }
 
     #[test]
@@ -757,10 +640,9 @@ mod tests {
         cr.offer_batch_from(0, &batch_of(&[3, 1, 7, 5]));
         cr.offer_batch_from(1, &batch_of(&[2]));
         cr.offer_batch_from(0, &batch_of(&[0])); // late: counted
-                                                 // Equal-timestamp entries check the arrival tiebreak survives.
-        let mut out = Vec::new();
-        cr.offer_from(0, stock(5, 99, "B", 9.0, 9), &mut out);
-        assert!(out.is_empty());
+                                                 // A second pending row at ts 5 checks the arrival tiebreak survives.
+        let tie = EventBatch::from_events(&[stock(5, 99, "B", 9.0, 9)]).unwrap();
+        assert_eq!(cr.offer_batch_from(0, &tie).released_rows(), 0);
 
         let mut w = SnapshotWriter::new();
         cr.write_snapshot(&mut w);
@@ -778,11 +660,11 @@ mod tests {
         assert_eq!(back.pending_len(), cr.pending_len());
         // Both drain identically — same order, same row contents.
         let drain = |c: &mut ColumnarReorder| {
-            let mut out = Vec::new();
-            c.flush_events(&mut out);
-            out.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+            c.flush().iter().flat_map(EventBatch::iter).map(|e| e.to_string()).collect::<Vec<_>>()
         };
-        assert_eq!(drain(&mut back), drain(&mut cr));
+        let drained = drain(&mut cr);
+        assert_eq!(drained.len(), 6, "source 1 at 2 holds the frontier at 0: nothing released");
+        assert_eq!(drain(&mut back), drained);
     }
 
     #[test]
@@ -804,19 +686,6 @@ mod tests {
             ColumnarReorder::restore_snapshot(&mut SnapshotReader::new(&bytes)),
             Err(SnapshotError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn mixed_granularity_shares_one_pending_set() {
-        let mut cr = ColumnarReorder::new(3);
-        let mut out = Vec::new();
-        assert_eq!(cr.offer_from(0, stock(4, 0, "A", 1.0, 1), &mut out), ReorderOutcome::Accepted);
-        let r = cr.offer_batch_from(0, &batch_of(&[2, 8]));
-        // Frontier 8-3=5 releases the record-path row (4) and the batch row
-        // (2) interleaved in time order.
-        assert_eq!(released_ts(&r), vec![2, 4]);
-        assert!(out.is_empty());
-        assert_eq!(cr.pending_len(), 1);
     }
 
     #[test]

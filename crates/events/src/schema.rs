@@ -64,11 +64,6 @@ impl Schema {
             .ok_or_else(|| EventError::UnknownField(name.to_string()))
     }
 
-    /// Type of the field with the given name.
-    pub fn field_type(&self, name: &str) -> Result<ValueType, EventError> {
-        Ok(self.fields[self.field_index(name)?].ty)
-    }
-
     /// The canonical stock-trade schema used throughout the paper's examples:
     /// `(id: int, name: string, price: float, volume: int)`.
     ///
@@ -147,7 +142,7 @@ mod tests {
         let s = Schema::stocks();
         assert_eq!(s.arity(), 4);
         assert_eq!(s.field_index("price").unwrap(), 2);
-        assert_eq!(s.field_type("name").unwrap(), ValueType::Str);
+        assert_eq!(s.fields()[s.field_index("name").unwrap()].ty, ValueType::Str);
         assert!(s.field_index("nope").is_err());
     }
 

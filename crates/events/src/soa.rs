@@ -225,7 +225,7 @@ impl Column {
     }
 
     /// Bytes of one element of this column.
-    pub fn elem_bytes(&self) -> usize {
+    fn elem_bytes(&self) -> usize {
         match self {
             Column::Int(_) => std::mem::size_of::<i64>(),
             Column::Float(_) => std::mem::size_of::<f64>(),
@@ -458,15 +458,29 @@ impl EventBatch {
 
     /// Gathers `rows` (in the given order) into a new batch.
     pub fn select(&self, rows: &[u32]) -> EventBatch {
-        let mut b = EventBatch::builder(Arc::clone(self.schema()), rows.len());
-        for &row in rows {
-            b.note_ts(self.data.ts(row as usize));
-            for (col, src) in b.cols.iter_mut().zip(&self.data.cols) {
-                col.push(src.value(row as usize)).expect("same schema");
-            }
-        }
-        b.finish()
+        gather(Arc::clone(self.schema()), rows.iter().map(|&row| (&*self.data, row as usize)))
     }
+}
+
+/// Copies `(source batch, row)` pairs, in the given order, into a fresh
+/// batch of `schema`, reading each value from its own source column. Every
+/// source batch must carry a schema structurally equal to `schema` (the
+/// callers guarantee it), so no row is validated here — the per-row checks
+/// of [`BatchBuilder::push_event`] are for input from outside the crate.
+/// The result is finished under [`DictMode::Auto`], exactly like a batch
+/// built row by row.
+pub(crate) fn gather<'a>(
+    schema: Arc<Schema>,
+    rows: impl ExactSizeIterator<Item = (&'a BatchData, usize)>,
+) -> EventBatch {
+    let mut b = EventBatch::builder(schema, rows.len());
+    for (src, row) in rows {
+        b.note_ts(src.ts(row));
+        for (col, src_col) in b.cols.iter_mut().zip(&src.cols) {
+            col.push(src_col.value(row)).expect("gathered rows share the schema");
+        }
+    }
+    b.finish()
 }
 
 /// Incremental [`EventBatch`] constructor. Values are validated against the
@@ -716,6 +730,69 @@ mod tests {
         }
         let batch = b.finish();
         assert!(batch.column(1).as_syms().is_some(), "257+ distinct symbols exceed u8 codes");
+    }
+
+    /// A stock batch with `n` rows from `ts0` on, under its own `Arc` of
+    /// the schema; `names` cycles through the string column.
+    fn source_batch(n: usize, ts0: Ts, names: &[&str]) -> EventBatch {
+        let mut b = EventBatch::builder(Schema::stocks(), n);
+        for i in 0..n {
+            let row = [
+                Value::Int(ts0 as i64 + i as i64),
+                Value::str(names[i % names.len()]),
+                Value::Float(i as f64 * 0.5),
+                Value::Int(-(i as i64)),
+            ];
+            b.push_row(ts0 + i as u64, &row).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn gather_equals_the_validating_builder() {
+        // Dictionary-encoded source, a plain (small) one, and a plain
+        // high-cardinality one: three batches, three `Arc`s of one schema.
+        let dict = source_batch(80, 0, &["IBM", "Sun", "Oracle"]);
+        let small = source_batch(10, 0, &["Sun", "HP"]);
+        let many: Vec<String> = (0..DICT_MAX_CARD + 4).map(|i| format!("s{i}")).collect();
+        let many: Vec<&str> = many.iter().map(String::as_str).collect();
+        let wide = source_batch(DICT_MAX_CARD + 4, 200, &many);
+        assert!(dict.column(1).as_dict().is_some() && small.column(1).as_syms().is_some());
+        assert!(wide.column(1).as_syms().is_some());
+        assert!(!Arc::ptr_eq(dict.schema(), small.schema()));
+
+        // Time-ordered interleavings big enough to encode, one small enough
+        // to stay plain, one past the dictionary capacity, and one in
+        // arrival order.
+        let sorted: Vec<(&EventBatch, usize)> = (0..10)
+            .flat_map(|i| [(&dict, i), (&small, i)])
+            .chain((10..80).map(|i| (&dict, i)))
+            .chain((0..10).map(|i| (&wide, i)))
+            .collect();
+        let short: Vec<(&EventBatch, usize)> = vec![(&dict, 3), (&small, 9), (&wide, 0)];
+        let wide_rows: Vec<(&EventBatch, usize)> = (0..wide.len()).map(|i| (&wide, i)).collect();
+        let shuffled: Vec<(&EventBatch, usize)> =
+            (0..70).map(|i| (&dict, (i * 37) % 80)).chain([(&small, 4)]).collect();
+        let mut shapes = Vec::new();
+        for picks in [&sorted, &short, &wide_rows, &shuffled] {
+            let events: Vec<Event> = picks.iter().map(|&(b, row)| b.event(row)).collect();
+            let want = EventBatch::from_events(&events).unwrap();
+            let got = gather(Schema::stocks(), picks.iter().map(|&(b, row)| (&**b.data(), row)));
+            assert_eq!(got.ts_column(), want.ts_column());
+            assert_eq!(got.is_sorted(), want.is_sorted());
+            assert_eq!(got.max_ts(), want.max_ts());
+            for field in 0..Schema::stocks().arity() {
+                let (g, w) = (got.column(field), want.column(field));
+                assert_eq!(g.as_dict().is_some(), w.as_dict().is_some(), "layout of {field}");
+                assert_eq!(g.as_dict().map(DictStr::dict), w.as_dict().map(DictStr::dict));
+                for row in 0..want.len() {
+                    assert!(g.value(row).identical(&w.value(row)), "field {field} row {row}");
+                }
+            }
+            shapes.push((want.is_sorted(), want.column(1).as_dict().is_some()));
+        }
+        // Sortedness and both string layouts were exercised.
+        assert_eq!(shapes, [(true, true), (true, false), (true, false), (false, true)]);
     }
 
     #[test]

@@ -147,32 +147,10 @@ impl Value {
         }
     }
 
-    /// Boolean view of the value.
-    pub fn as_bool(&self) -> Result<bool, EventError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(EventError::TypeMismatch {
-                expected: ValueType::Bool,
-                found: other.value_type(),
-            }),
-        }
-    }
-
     /// String view of the value (resolves the interned symbol).
     pub fn as_str(&self) -> Result<&'static str, EventError> {
         match self {
             Value::Str(s) => Ok(s.as_str()),
-            other => Err(EventError::TypeMismatch {
-                expected: ValueType::Str,
-                found: other.value_type(),
-            }),
-        }
-    }
-
-    /// The interned symbol of a string value.
-    pub fn as_sym(&self) -> Result<Sym, EventError> {
-        match self {
-            Value::Str(s) => Ok(*s),
             other => Err(EventError::TypeMismatch {
                 expected: ValueType::Str,
                 found: other.value_type(),
@@ -501,9 +479,8 @@ mod tests {
     fn accessors_enforce_types() {
         assert_eq!(Value::Int(7).as_i64().unwrap(), 7);
         assert!(Value::str("x").as_i64().is_err());
-        assert!(Value::Bool(true).as_bool().unwrap());
+        assert!(Value::Bool(true).as_str().is_err());
         assert_eq!(Value::str("x").as_str().unwrap(), "x");
-        assert_eq!(Value::str("x").as_sym().unwrap(), Sym::intern("x"));
         assert_eq!(Value::Int(7).as_f64().unwrap(), 7.0);
     }
 

@@ -116,11 +116,6 @@ impl AnalyzedQuery {
         self.classes.len()
     }
 
-    /// Id of the named class.
-    pub fn class_id(&self, name: &str) -> Option<ClassId> {
-        self.classes.iter().position(|c| c.name == name)
-    }
-
     /// True when the pattern is a flat sequence of (possibly negated or
     /// closure) classes — the shape the DP optimizer of §5.2.3 reorders.
     pub fn is_flat_sequence(&self) -> bool {

@@ -176,13 +176,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// True for `= != < <= > >=`.
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
-}
-
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -197,12 +197,6 @@ impl TypedExpr {
             }
         }
     }
-
-    /// Evaluates as a predicate: any evaluation failure is `false`.
-    #[inline]
-    pub fn eval_bool(&self, binding: &impl EventBinding) -> bool {
-        matches!(self.eval(binding), Ok(Value::Bool(true)))
-    }
 }
 
 /// Applies a non-boolean-connective binary operator to two already-evaluated
@@ -349,11 +343,11 @@ mod tests {
         let a = stock(1, 1, "IBM", 130.0, 10);
         let b = stock(2, 2, "Sun", 100.0, 10);
         let binding = vec![Some(a), Some(b)];
-        assert!(e.eval_bool(&SliceBinding(&binding)));
+        assert!(matches!(e.eval(&SliceBinding(&binding)), Ok(Value::Bool(true))));
 
         let binding =
             vec![Some(stock(1, 1, "IBM", 110.0, 10)), Some(stock(2, 2, "Sun", 100.0, 10))];
-        assert!(!e.eval_bool(&SliceBinding(&binding)));
+        assert!(!matches!(e.eval(&SliceBinding(&binding)), Ok(Value::Bool(true))));
     }
 
     #[test]
@@ -365,7 +359,7 @@ mod tests {
         );
         let binding: Vec<Option<EventRef>> = vec![None];
         assert_eq!(e.eval(&SliceBinding(&binding)), Err(EvalError::Unbound(0)));
-        assert!(!e.eval_bool(&SliceBinding(&binding)));
+        assert!(!matches!(e.eval(&SliceBinding(&binding)), Ok(Value::Bool(true))));
     }
 
     #[test]
@@ -463,6 +457,6 @@ mod tests {
             Box::new(TypedExpr::Lit(Value::Int(1))),
         );
         let binding: Vec<Option<EventRef>> = vec![];
-        assert!(!e.eval_bool(&SliceBinding(&binding)));
+        assert!(!matches!(e.eval(&SliceBinding(&binding)), Ok(Value::Bool(true))));
     }
 }

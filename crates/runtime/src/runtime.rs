@@ -524,8 +524,7 @@ pub struct RuntimeReport {
     /// Number of worker shards that ran.
     pub workers: usize,
     /// Events rejected by the reorder stage as beyond the slack window
-    /// (0 without [`RuntimeBuilder::slack`]). Also stamped into
-    /// [`RuntimeReport::metrics`]. Under [`LatenessPolicy::DeadLetter`],
+    /// (0 without [`RuntimeBuilder::slack`]). Under [`LatenessPolicy::DeadLetter`],
     /// counts events surfaced through [`Runtime::take_late_events`] too.
     pub late_events: u64,
     /// Peak number of rows the reorder stage held back at once — the
@@ -1190,20 +1189,11 @@ impl Runtime {
         for m in &query_metrics {
             metrics.merge(m);
         }
-        // Report-level stamping, exactly once on the grand total: the
-        // symbol-table stats describe one process-global source (live
-        // engines keep the fields at zero — the live-queryable forms are
-        // the `zstream_symbols_interned` / `zstream_symbol_bytes_saved`
-        // gauges), and the reorder stage sits upstream of per-query
-        // routing, so its counters also land on the grand total only.
-        metrics.stamp_symbol_stats();
         let (late_events, reorder_buffered_peak) = self
             .reorder
             .as_ref()
             .map(|r| (r.late_count(), r.buffered_peak() as u64))
             .unwrap_or((0, 0));
-        metrics.late_events += late_events;
-        metrics.reorder_buffered_peak = metrics.reorder_buffered_peak.max(reorder_buffered_peak);
         Ok(RuntimeReport {
             matches,
             query_metrics,

@@ -84,14 +84,6 @@ impl StockConfig {
         self.price_scales[idx] = scale;
         self
     }
-
-    /// The expected per-time-unit rate of one name (its weight fraction
-    /// divided by the timestamp step) — feeds the optimizer's statistics.
-    pub fn expected_rate(&self, name: &str) -> f64 {
-        let total: f64 = self.names.iter().map(|(_, w)| w).sum();
-        let w = self.names.iter().find(|(n, _)| n == name).map(|(_, w)| *w).unwrap_or(0.0);
-        w / total / self.ts_step as f64
-    }
 }
 
 /// Price-comparison factor achieving a target selectivity for
@@ -276,7 +268,6 @@ mod tests {
     #[test]
     fn rates_follow_weights() {
         let cfg = StockConfig::with_rates(&[("IBM", 1.0), ("Sun", 9.0)], 20_000, 1);
-        assert!((cfg.expected_rate("IBM") - 0.1).abs() < 1e-12);
         let events = StockGenerator::generate(cfg);
         let ibm = events
             .iter()

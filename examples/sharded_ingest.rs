@@ -69,6 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ready = runtime.ingest_columns(batch)?;
         emit(&runtime, &ready);
     }
+    // The columnar data plane interns every string attribute once into the
+    // process-wide symbol table; the runtime publishes its stats as gauges.
+    let obs = runtime.observe();
+    let gauge = |name: &str| obs.gauge_value(name).unwrap_or(0);
+    let (interned, bytes_saved) =
+        (gauge("zstream_symbols_interned"), gauge("zstream_symbol_bytes_saved"));
     let report = runtime.shutdown()?;
     total += report.matches.len();
     println!("    … ({total} matches total, first {shown} shown)\n");
@@ -89,18 +95,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.workers,
         report.dropped.iter().sum::<u64>()
     );
-    // The columnar data plane interns every string attribute once into the
-    // process-wide symbol table; the aggregated metrics carry its stats.
     let syms = zstream::events::symbol_stats();
     println!(
         "symbol table: {} distinct strings in {} bytes ({} intern calls, {} bytes of \
          re-allocation avoided) — every stock name is stored once, however many of the \
          {} events carry it",
-        report.metrics.symbols_interned,
-        syms.bytes,
-        syms.intern_calls,
-        report.metrics.symbol_bytes_saved,
-        total_events,
+        interned, syms.bytes, syms.intern_calls, bytes_saved, total_events,
     );
     Ok(())
 }

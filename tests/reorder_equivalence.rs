@@ -111,7 +111,6 @@ proptest! {
         );
         prop_assert_eq!(&got, &expected, "matches must equal the sorted survivors'");
         prop_assert_eq!(report.late_events, late.len() as u64, "late count must be exact");
-        prop_assert_eq!(report.metrics.late_events, late.len() as u64);
     }
 
     /// Several individually ordered sources with arbitrary inter-source
@@ -203,7 +202,7 @@ fn stock_workload_disordered_ingest_is_byte_identical() {
             assert_eq!(got, expected, "{input}, workers={workers}");
             assert_eq!(report.late_events, 0, "{input}");
             assert!(
-                report.reorder_buffered_peak > 0 && report.metrics.reorder_buffered_peak > 0,
+                report.reorder_buffered_peak > 0,
                 "{input} ingest must have buffered something"
             );
         }
@@ -283,7 +282,6 @@ fn drop_policy_counts_and_discards() {
     let report = runtime.shutdown().unwrap();
     matches.extend(report.matches.iter().cloned());
     assert_eq!(report.late_events, 2);
-    assert_eq!(report.metrics.late_events, 2);
     // Survivors 9, 10, 11 pair up within the window; the dropped rows
     // (ts 4 and ts 2, rendered as `Stocks@4[..]` / `Stocks@2[..]`) must
     // appear in no match.
