@@ -509,7 +509,12 @@ pub struct RuntimeReport {
     /// ([`QueryId::index`]). Dropped queries keep their slot: the metrics
     /// they accumulated before the drop stay reported there.
     pub query_metrics: Vec<EngineMetrics>,
-    /// Grand total across queries.
+    /// Grand total across queries: the plain sum of
+    /// [`RuntimeReport::query_metrics`]. Process-global numbers are not in
+    /// it: the reorder stage's are [`RuntimeReport::late_events`] and
+    /// [`RuntimeReport::reorder_buffered_peak`], the symbol table's are the
+    /// `zstream_symbols_interned` / `zstream_symbol_bytes_saved` gauges of
+    /// [`Runtime::observe`].
     pub metrics: EngineMetrics,
     /// Per-query count of ingested events the **router** could not deliver
     /// (indexed by registry slot, like [`RuntimeReport::query_metrics`]):
@@ -524,8 +529,9 @@ pub struct RuntimeReport {
     /// Number of worker shards that ran.
     pub workers: usize,
     /// Events rejected by the reorder stage as beyond the slack window
-    /// (0 without [`RuntimeBuilder::slack`]). Under [`LatenessPolicy::DeadLetter`],
-    /// counts events surfaced through [`Runtime::take_late_events`] too.
+    /// (0 without [`RuntimeBuilder::slack`]). Under
+    /// [`LatenessPolicy::DeadLetter`], counts events surfaced through
+    /// [`Runtime::take_late_events`] too.
     pub late_events: u64,
     /// Peak number of rows the reorder stage held back at once — the
     /// memory cost of the configured slack (0 without a reorder stage).
