@@ -333,7 +333,7 @@ impl AdaptiveEngine {
             let events: Vec<&EventRef> = bufs
                 .iter()
                 .enumerate()
-                .filter_map(|(bi, b)| b.get(sample_index(s, bi, b.len())).slot(0).as_one())
+                .filter_map(|(bi, b)| b.get(sample_index(s, bi, b.len())).one(0))
                 .collect();
             if events.len() != bufs.len() {
                 continue;

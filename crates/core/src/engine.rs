@@ -187,7 +187,7 @@ impl Engine {
     /// Routes a whole columnar batch and runs one round (§4.3: one batch
     /// of primitive events per round). Single-class predicates (§4.1
     /// push-down) evaluate column-wise over the batch, and only the
-    /// surviving rows materialize leaf records. Predicates evaluate through
+    /// surviving rows enter leaf buffers. Predicates evaluate through
     /// the engine's own index. A caller holding event handles packs them
     /// first ([`EventBatch::from_events`], `zstream_events::repack_events`).
     /// Returns the round's matches built as `Record`s (see
@@ -301,7 +301,8 @@ impl Engine {
         Vec::new()
     }
 
-    /// Column-wise intake of one batch (§4.1 push-down over columns).
+    /// Column-wise intake of one batch (§4.1 push-down over columns): each
+    /// admitted row enters its class's leaf buffer as one event handle.
     /// `input` restricts intake to those (ascending) rows of the batch;
     /// `None` means every row.
     ///
@@ -448,9 +449,10 @@ impl Engine {
                 admitted_delta = scratch.union.count() as u64;
             }
             admitting += 1;
-            let leaf = self.plan.leaf_of_class[c];
+            let leaf = &mut self.plan.nodes[self.plan.leaf_of_class[c]].buf;
+            let ts = batch.ts_column();
             for row in bits.ones() {
-                self.plan.nodes[leaf].buf.push(Record::primitive(batch.event(row)));
+                leaf.push_event(ts[row], batch.event(row));
             }
         }
         self.metrics.events_admitted += admitted_delta;
@@ -461,61 +463,59 @@ impl Engine {
         }
     }
 
-    /// Row-at-a-time intake for sparse selections: narrows a `Vec<u32>`
-    /// selection per class (no O(batch) scratch), then unions admissions
-    /// via bitmap OR + popcount.
+    /// Row-at-a-time intake for sparse selections: narrows the input
+    /// selection per class into reused row lists (no O(batch) scratch),
+    /// then unions admissions via bitmap OR + popcount.
     fn route_columns_rows(&mut self, batch: &EventBatch, input: Option<&[u32]>) {
         let n = batch.len();
         let n_input = input.map_or(n, <[u32]>::len);
         let batch_schema = batch.schema().name_sym();
+        let scratch = &mut self.scratch;
+        scratch.rows.resize_with(self.class_schema.len(), Vec::new);
+        scratch.sels.clear();
         // Phase 1: per matched class, narrow the input to its final
-        // selection (`None` = the whole input survived every predicate).
-        let mut class_sels: Vec<(usize, Option<Vec<u32>>)> = Vec::new();
-        for c in 0..self.aq.num_classes() {
-            if self.class_schema[c] != batch_schema {
+        // selection (not narrowed = the whole input survived every
+        // predicate).
+        for (c, class) in self.class_schema.iter().enumerate() {
+            if *class != batch_schema {
                 continue;
             }
             self.offered[c] += n_input as u64;
-            let mut sel: Option<Vec<u32>> = None;
+            let rows = &mut scratch.rows[c];
+            let mut narrowed = false;
             for pred in &self.intake.preds[c] {
-                match (&mut sel, input) {
-                    (Some(rows), _) => rows.retain(|r| pred.passes(batch, *r as usize, c)),
-                    (None, None) => {
-                        sel = Some(
-                            (0..n as u32).filter(|r| pred.passes(batch, *r as usize, c)).collect(),
-                        );
+                let passes = |r: &u32| pred.passes(batch, *r as usize, c);
+                if narrowed {
+                    rows.retain(passes);
+                } else {
+                    rows.clear();
+                    match input {
+                        None => rows.extend((0..n as u32).filter(passes)),
+                        Some(input) => rows.extend(input.iter().copied().filter(passes)),
                     }
-                    (None, Some(rows)) => {
-                        sel = Some(
-                            rows.iter()
-                                .copied()
-                                .filter(|r| pred.passes(batch, *r as usize, c))
-                                .collect(),
-                        );
-                    }
+                    narrowed = true;
                 }
-                if matches!(&sel, Some(rows) if rows.is_empty()) {
+                if rows.is_empty() {
                     break;
                 }
             }
-            class_sels.push((c, sel));
+            scratch.sels.push((c, narrowed));
         }
         // `events_admitted` counts input rows admitted into at least one
         // class: the whole input if any class kept everything, otherwise
         // the popcount of the OR of the per-class selections.
-        let admitted_delta = if class_sels.iter().any(|(_, sel)| sel.is_none()) {
+        let admitted_delta = if scratch.sels.iter().any(|(_, narrowed)| !narrowed) {
             n_input as u64
         } else {
-            match class_sels.as_slice() {
+            match scratch.sels.as_slice() {
                 [] => 0,
-                [(_, Some(rows))] => rows.len() as u64,
+                [(c, _)] => scratch.rows[*c].len() as u64,
                 many => {
-                    let union = &mut self.scratch.union;
-                    union.reset(n, false);
-                    for (_, sel) in many {
-                        union.set_rows(sel.as_deref().unwrap_or(&[]));
+                    scratch.union.reset(n, false);
+                    for (c, _) in many {
+                        scratch.union.set_rows(&scratch.rows[*c]);
                     }
-                    union.count() as u64
+                    scratch.union.count() as u64
                 }
             }
         };
@@ -524,33 +524,21 @@ impl Engine {
             obs.admitted.add(admitted_delta);
             obs.kernel_fallback_rows.add(n_input as u64);
         }
-        // Phase 2: materialize leaf records for the surviving rows, in the
-        // same class-then-row order as the kernel path fills buffers.
-        for (c, sel) in class_sels {
-            let leaf = self.plan.leaf_of_class[c];
-            let admit = |row: usize, this: &mut PhysicalPlan| {
-                this.nodes[leaf].buf.push(Record::primitive(batch.event(row)));
-            };
-            match (sel, input) {
-                (None, None) => {
-                    self.admitted[c] += n as u64;
-                    for row in 0..n {
-                        admit(row, &mut self.plan);
-                    }
-                }
-                (None, Some(rows)) => {
-                    self.admitted[c] += rows.len() as u64;
-                    for row in rows {
-                        admit(*row as usize, &mut self.plan);
-                    }
-                }
-                (Some(rows), _) => {
-                    self.admitted[c] += rows.len() as u64;
-                    for row in rows {
-                        admit(row as usize, &mut self.plan);
+        // Phase 2: admit the surviving rows into leaf buffers, in the same
+        // class-then-row order as the kernel path fills buffers.
+        let ts = batch.ts_column();
+        for &(c, narrowed) in &scratch.sels {
+            let leaf = &mut self.plan.nodes[self.plan.leaf_of_class[c]].buf;
+            let rows = if narrowed { Some(scratch.rows[c].as_slice()) } else { input };
+            match rows {
+                None => (0..n).for_each(|row| leaf.push_event(ts[row], batch.event(row))),
+                Some(rows) => {
+                    for &row in rows {
+                        leaf.push_event(ts[row as usize], batch.event(row as usize));
                     }
                 }
             }
+            self.admitted[c] += rows.map_or(n, <[u32]>::len) as u64;
         }
     }
 
@@ -616,7 +604,7 @@ impl Engine {
         use std::fmt::Write;
         use zstream_lang::TypedReturn;
         let root = &self.plan.nodes[self.plan.root];
-        let binding = crate::physical::binding::RecordBinding { rec, map: &root.map };
+        let binding = crate::physical::binding::RecordBinding { rec: rec.view(), map: &root.map };
         let mut s = format!("[{}..{}]", rec.start_ts(), rec.end_ts());
         for r in &self.aq.returns {
             match r {
@@ -708,7 +696,7 @@ impl Engine {
         for node in &mut engine.plan.nodes {
             let n_recs = r.len()?;
             for _ in 0..n_recs {
-                node.buf.push(r.record()?);
+                node.buf.restore(r.record()?).map_err(SnapshotError::Corrupt)?;
             }
             let consumed = usize::try_from(r.u64()?)
                 .map_err(|_| SnapshotError::Corrupt("consumed cursor exceeds usize".into()))?;
@@ -728,7 +716,8 @@ impl Snapshot for Engine {
     /// Serializes the evolving state: watermark, metrics, per-class intake
     /// counters, a reserved length word (always 0; it counted events
     /// pushed one at a time, and restore rejects any other value), and
-    /// every node buffer with its consumed cursor. The query, plan shape
+    /// every node buffer with its consumed cursor (a leaf entry as the
+    /// one-slot record it stands for). The query, plan shape
     /// and intake predicates are **not** written —
     /// [`crate::CompiledParts::restore_engine`] re-derives them from the
     /// compiled query, which also makes the snapshot independent of

@@ -248,13 +248,14 @@ pub enum IntakeMode {
     Rows,
 }
 
-/// Reusable bitmap scratch for vectorized intake.
+/// Reusable scratch for columnar intake: bitmaps for the kernel path, row
+/// lists for the row-at-a-time path.
 ///
 /// **Invariant:** contents are meaningful only *within* one
-/// `route_columns` call — between calls the bitmaps hold stale bits of the
+/// `route_columns` call — between calls they hold stale state of the
 /// previous batch, so every use inside the call must start from a full
-/// overwrite (`Bitmap::reset` / `Bitmap::copy_from`), never read
-/// carried-over state.
+/// overwrite (`Bitmap::reset` / `Bitmap::copy_from`, `Vec::clear`), never
+/// read carried-over state.
 #[derive(Debug, Default)]
 pub(crate) struct IntakeScratch {
     /// One class's admissions when they are narrower than its class mask:
@@ -264,6 +265,11 @@ pub(crate) struct IntakeScratch {
     /// Union of the admitting classes' rows — `events_admitted` is its
     /// popcount.
     pub(crate) union: Bitmap,
+    /// Row path: the classes offered the batch, each with whether its
+    /// predicates narrowed the input (its rows are then in `rows`).
+    pub(crate) sels: Vec<(usize, bool)>,
+    /// Row path: per class, the narrowed selection.
+    pub(crate) rows: Vec<Vec<u32>>,
 }
 
 /// Conjunct identity: see [`IntakePred::kernel_key`].

@@ -131,6 +131,13 @@ pub struct PartitionedEngine {
     subscription: Option<Arc<Subscription>>,
     events_in: u64,
     dropped: u64,
+    /// Per-batch grouping scratch: each key's selected rows (emptied after
+    /// the key's push, capacity kept), and the keys of the batch being
+    /// routed in first-seen order.
+    // zlint::allow(snapshot, "scratch space: emptied after every batch")
+    groups: HashMap<HashableValue, Vec<u32>>,
+    // zlint::allow(snapshot, "scratch space: emptied after every batch")
+    order: Vec<HashableValue>,
     /// Instruments: the counters and histogram are cloned into each
     /// partition engine (cells are shared across partitions), the trace
     /// ring stays here (see [`PartitionedEngine::set_obs`]).
@@ -165,6 +172,8 @@ impl PartitionedEngine {
             subscription: None,
             events_in: 0,
             dropped: 0,
+            groups: HashMap::new(),
+            order: Vec::new(),
             obs: None,
         })
     }
@@ -272,33 +281,33 @@ impl PartitionedEngine {
         mut index: Option<&mut SharedPredIndex>,
     ) -> MatchBatch {
         let col = batch.column(field_idx);
-        let mut order: Vec<HashableValue> = Vec::new();
-        let mut groups: HashMap<HashableValue, Vec<u32>> = HashMap::new();
+        let (mut groups, mut order) =
+            (std::mem::take(&mut self.groups), std::mem::take(&mut self.order));
         let mut last_row = None;
         for row in rows {
             last_row = Some(row);
             let key = col.value(row as usize).hash_key();
-            match groups.get_mut(&key) {
-                Some(group) => group.push(row),
-                None => {
-                    order.push(key);
-                    groups.insert(key, vec![row]);
-                }
+            let group = groups.entry(key).or_default();
+            if group.is_empty() {
+                order.push(key);
             }
+            group.push(row);
         }
-        let Some(last_ts) = last_row.map(|row| batch.ts_column()[row as usize]) else {
-            return MatchBatch::new();
-        };
         let trace = self.obs.as_ref().and_then(|obs| obs.trace.clone());
         let start = trace.as_ref().map(|_| std::time::Instant::now());
         let (mut out, mut rounds) = (MatchBatch::new(), 0u64);
-        for key in order {
-            let group = groups.remove(&key).expect("every key in `order` has a group");
+        for key in order.drain(..) {
+            let group = groups.get_mut(&key).expect("every key in `order` has a group");
             let engine = self.partition_mut(key);
             let before = engine.metrics().assembly_rounds;
-            engine.push_intake(batch, Some(&group), index.as_deref_mut(), &mut out);
+            engine.push_intake(batch, Some(group), index.as_deref_mut(), &mut out);
             rounds += engine.metrics().assembly_rounds - before;
+            group.clear();
         }
+        (self.groups, self.order) = (groups, order);
+        let Some(last_ts) = last_row.map(|row| batch.ts_column()[row as usize]) else {
+            return out;
+        };
         out.sort_by_end();
         if let (Some(trace), Some(start), Some(obs)) = (trace, start, &self.obs) {
             if rounds > 0 {

@@ -1,4 +1,4 @@
-//! Predicate bindings over buffer records.
+//! Predicate bindings over buffer entries.
 //!
 //! Predicates are [`TypedExpr`]s referencing classes by id; plan nodes cover
 //! ordered subsets of classes, so each node carries a [`ClassMap`] from class
@@ -8,7 +8,7 @@
 //! candidate negation event (NSEQ), and against a candidate closure event
 //! (KSEQ per-event qualification).
 
-use zstream_events::{EventRef, Record, Slot};
+use zstream_events::{EventRef, RecordView};
 use zstream_lang::{ClassId, EvalError, EventBinding, TypedExpr};
 
 /// Maps class ids to slot positions within a node's records.
@@ -36,36 +36,21 @@ impl ClassMap {
     }
 }
 
-fn slot_event<'a>(rec: &'a Record, map: &ClassMap, class: ClassId) -> Option<&'a EventRef> {
-    let slot = map.slot_of(class)?;
-    rec.slot(slot).as_one()
-}
-
-fn slot_closure<'a>(rec: &'a Record, map: &ClassMap, class: ClassId) -> &'a [EventRef] {
-    match map.slot_of(class) {
-        Some(slot) => match rec.slot(slot) {
-            Slot::Many(_) => rec.slot(slot).events(),
-            _ => &[],
-        },
-        None => &[],
-    }
-}
-
-/// Binding over one record.
+/// Binding over one buffer entry (a leaf event or an internal record).
 pub struct RecordBinding<'a> {
-    /// The record.
-    pub rec: &'a Record,
+    /// The entry.
+    pub rec: RecordView<'a>,
     /// Class-to-slot map of the owning node.
     pub map: &'a ClassMap,
 }
 
 impl EventBinding for RecordBinding<'_> {
     fn event(&self, class: ClassId) -> Option<&EventRef> {
-        slot_event(self.rec, self.map, class)
+        self.rec.one(self.map.slot_of(class)?)
     }
 
     fn closure(&self, class: ClassId) -> &[EventRef] {
-        slot_closure(self.rec, self.map, class)
+        self.map.slot_of(class).map_or(&[], |slot| self.rec.group(slot))
     }
 }
 
@@ -138,7 +123,7 @@ pub fn pred_passes(expr: &TypedExpr, binding: &impl EventBinding, optional_mask:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zstream_events::{stock, Value, ValueType};
+    use zstream_events::{stock, Record, Value, ValueType};
     use zstream_lang::{BinOp, TypedExpr};
 
     fn attr(class: ClassId, field: usize, ty: ValueType) -> TypedExpr {
@@ -161,8 +146,8 @@ mod tests {
         let lmap = ClassMap::new(2, &[0]);
         let rmap = ClassMap::new(2, &[1]);
         let b = PairBinding {
-            left: RecordBinding { rec: &lrec, map: &lmap },
-            right: RecordBinding { rec: &rrec, map: &rmap },
+            left: RecordBinding { rec: lrec.view(), map: &lmap },
+            right: RecordBinding { rec: rrec.view(), map: &rmap },
         };
         // price (field 2) of class 0 > price of class 1
         let e = TypedExpr::Binary(
@@ -177,7 +162,7 @@ mod tests {
     fn unbound_optional_class_is_vacuous() {
         let rec = Record::primitive(stock(1, 1, "IBM", 10.0, 1));
         let map = ClassMap::new(2, &[0]);
-        let b = RecordBinding { rec: &rec, map: &map };
+        let b = RecordBinding { rec: rec.view(), map: &map };
         let e = TypedExpr::Binary(
             BinOp::Gt,
             Box::new(attr(1, 2, ValueType::Float)),
@@ -193,7 +178,7 @@ mod tests {
         let map = ClassMap::new(2, &[0]);
         let candidate = stock(5, 9, "Sun", 99.0, 1);
         let b = WithEventBinding {
-            base: RecordBinding { rec: &rec, map: &map },
+            base: RecordBinding { rec: rec.view(), map: &map },
             class: 1,
             event: &candidate,
         };

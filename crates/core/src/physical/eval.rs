@@ -19,15 +19,16 @@
 //! * **NEG** — the on-top filter: drop composites with a qualifying
 //!   negation instance interleaved between `prev` and `next`.
 //!
-//! Every operator describes each output as [`Part`]s plus a span and hands
-//! it to its node's one sink (`Out`): an internal node's buffer, which
-//! builds a [`Record`] for its parent to read, or — at the plan root — the
-//! round's [`MatchBatch`], which packs `(source, row)` ids and builds
-//! nothing. Matches become `Record`s only where a consumer asks for them
+//! Every operator reads its children's entries — leaf events and internal
+//! records alike — through [`RecordView`]s. It describes each output as
+//! [`Part`]s plus a span and hands it to its node's one sink (`Out`): an
+//! internal node's buffer, which builds a [`Record`] for its parent to
+//! read, or — at the plan root — the round's [`MatchBatch`], which packs
+//! `(source, row)` ids and builds nothing. Matches become `Record`s only where a consumer asks for them
 //! (`Engine::push_columns`, or the runtime's control thread), so the thread
 //! that assembles them never allocates or refcounts per match.
 
-use zstream_events::{EventRef, MatchBatch, Part, Record, Slot, Ts};
+use zstream_events::{EventRef, MatchBatch, Part, Record, RecordView, Ts};
 use zstream_lang::{eval_binop, ClassId, EventBinding, KleeneKind, TypedExpr};
 
 use crate::physical::binding::{
@@ -64,7 +65,7 @@ impl PhysicalPlan {
             }
         }
         if self.nodes[root].is_leaf() {
-            // Degenerate single-class pattern: emit unconsumed leaf records.
+            // Degenerate single-class pattern: emit unconsumed leaf entries.
             let buf = &mut self.nodes[root].buf;
             let mut sink = Out::Matches(out);
             for i in buf.consumed()..buf.len() {
@@ -74,24 +75,11 @@ impl PhysicalPlan {
         }
     }
 
-    /// Prunes every buffer and rebuilds hash indexes whose build-side buffer
-    /// shifted.
+    /// Prunes every buffer. A hash index over a buffer that shifted
+    /// rebuilds on its next sync ([`HashIndex::sync`]).
     fn prune_all(&mut self, eat: Ts) {
-        let pruned: Vec<bool> = self.nodes.iter_mut().map(|n| n.buf.prune(eat) > 0).collect();
-        for k in 0..self.nodes.len() {
-            let Some(spec) = self.nodes[k].hash.clone() else { continue };
-            let (left, right) = match self.nodes[k].kind {
-                NodeKind::Seq { left, right } | NodeKind::Conj { left, right } => (left, right),
-                _ => continue,
-            };
-            let (before, rest) = self.nodes.split_at_mut(k);
-            let node = &mut rest[0];
-            if pruned[left] {
-                node.hash_left.rebuild(&before[left].buf, &before[left].map, &spec.left);
-            }
-            if pruned[right] && matches!(node.kind, NodeKind::Conj { .. }) {
-                node.hash_right.rebuild(&before[right].buf, &before[right].map, &spec.right);
-            }
+        for node in &mut self.nodes {
+            node.buf.prune(eat);
         }
     }
 
@@ -121,7 +109,7 @@ impl PhysicalPlan {
         let mut out = Vec::new();
         for c in 0..self.num_classes {
             let li = self.leaf_of_class[c];
-            out.push((c, std::mem::take(&mut self.nodes[li].buf)));
+            out.push((c, std::mem::replace(&mut self.nodes[li].buf, Buffer::leaf())));
         }
         out
     }
@@ -157,17 +145,17 @@ impl<'a> Out<'a> {
     /// Emits `left` and `right` side by side (left classes first) over the
     /// union of their spans — SEQ and CONJ output.
     #[inline]
-    fn combine(&mut self, left: &Record, right: &Record) {
+    fn combine(&mut self, left: RecordView<'_>, right: RecordView<'_>) {
         self.emit(
-            &[Part::Slots(left.slots()), Part::Slots(right.slots())],
+            &[left.part(), right.part()],
             left.start_ts().min(right.start_ts()),
             left.end_ts().max(right.end_ts()),
         );
     }
 
     /// Emits `rec` unchanged.
-    fn forward(&mut self, rec: &Record) {
-        self.emit(&[Part::Slots(rec.slots())], rec.start_ts(), rec.end_ts());
+    fn forward(&mut self, rec: RecordView<'_>) {
+        self.emit(&[rec.part()], rec.start_ts(), rec.end_ts());
     }
 }
 
@@ -200,13 +188,13 @@ fn finish_consume(nodes: &mut [Node], child: usize) {
 fn guards_pass(
     guards: &[crate::physical::plan::NegGuard],
     rmap: &ClassMap,
-    lr: &Record,
-    rr: &Record,
+    lr: RecordView<'_>,
+    rr: RecordView<'_>,
 ) -> bool {
     guards.iter().all(|g| {
-        g.neg_classes.iter().all(|nc| match rmap.slot_of(*nc).map(|p| rr.slot(p)) {
-            Some(Slot::One(b)) => lr.end_ts() >= b.ts(),
-            _ => true,
+        g.neg_classes.iter().all(|nc| match rmap.slot_of(*nc).and_then(|p| rr.one(p)) {
+            Some(b) => lr.end_ts() >= b.ts(),
+            None => true,
         })
     })
 }
@@ -219,16 +207,14 @@ fn eval_seq(
     ctx: &EvalCtx,
     root: Option<&mut MatchBatch>,
 ) {
-    // Sync the build-side hash index with the left child's buffer.
-    if let Some(spec) = nodes[k].hash.clone() {
-        let (before, rest) = nodes.split_at_mut(k);
-        rest[0].hash_left.sync(&before[left].buf, &before[left].map, &spec.left);
-    }
     let (before, rest) = nodes.split_at_mut(k);
-    let node = &mut rest[0];
     let lnode = &before[left];
     let rnode = &before[right];
-    let Node { buf, preds, split_preds, split_flag, hash, hash_left, guards, .. } = node;
+    let Node { buf, preds, split_preds, split_flag, hash, hash_left, guards, .. } = &mut rest[0];
+    // Sync the build-side hash index with the left child's buffer.
+    if let Some(spec) = &*hash {
+        hash_left.sync(&lnode.buf, &lnode.map, &spec.left);
+    }
     let mut out = Out::new(buf, root);
     let mut candidates: Vec<u32> = Vec::new();
     // Split-predicate fast path: sound only when no referenced class can be
@@ -328,7 +314,7 @@ fn split_preds_pass(
     fixed_vals: &[Option<zstream_events::Value>],
     covered: &[usize],
     hash_used: bool,
-    lr: &Record,
+    lr: RecordView<'_>,
     lmap: &ClassMap,
 ) -> bool {
     split_preds.iter().zip(fixed_vals).all(|(sp, fv)| {
@@ -337,7 +323,7 @@ fn split_preds_pass(
         }
         let Some(fv) = fv else { return false };
         let pv = match &sp.probe {
-            ProbeSide::Slot { slot, field } => match lr.slot(*slot).as_one() {
+            ProbeSide::Slot { slot, field } => match lr.one(*slot) {
                 Some(ev) => ev.value(*field),
                 None => return false,
             },
@@ -371,16 +357,15 @@ fn eval_conj(
     ctx: &EvalCtx,
     root: Option<&mut MatchBatch>,
 ) {
-    if let Some(spec) = nodes[k].hash.clone() {
-        let (before, rest) = nodes.split_at_mut(k);
-        rest[0].hash_left.sync(&before[left].buf, &before[left].map, &spec.left);
-        rest[0].hash_right.sync(&before[right].buf, &before[right].map, &spec.right);
-    }
     let (before, rest) = nodes.split_at_mut(k);
     let Node { buf, preds, hash, hash_left, hash_right, .. } = &mut rest[0];
     let mut out = Out::new(buf, root);
     let lnode = &before[left];
     let rnode = &before[right];
+    if let Some(spec) = &*hash {
+        hash_left.sync(&lnode.buf, &lnode.map, &spec.left);
+        hash_right.sync(&rnode.buf, &rnode.map, &spec.right);
+    }
 
     let mut lc = lnode.buf.consumed();
     let mut rc = rnode.buf.consumed();
@@ -469,11 +454,11 @@ fn eval_disj(
         if take_left {
             let r = lnode.buf.get(lc);
             lc += 1;
-            out.emit(&[Part::Slots(r.slots()), Part::Nulls(rwidth)], r.start_ts(), r.end_ts());
+            out.emit(&[r.part(), Part::Nulls(rwidth)], r.start_ts(), r.end_ts());
         } else {
             let r = rnode.buf.get(rc);
             rc += 1;
-            out.emit(&[Part::Nulls(lwidth), Part::Slots(r.slots())], r.start_ts(), r.end_ts());
+            out.emit(&[Part::Nulls(lwidth), r.part()], r.start_ts(), r.end_ts());
         }
     }
     finish_consume(nodes, left);
@@ -507,7 +492,7 @@ fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
                 if best.as_ref().is_some_and(|(bt, _, _)| bts <= *bt) {
                     break; // cannot beat the best found so far
                 }
-                let Some(ev) = b.slot(0).as_one() else { continue };
+                let Some(ev) = b.one(0) else { continue };
                 let binding = WithEventBinding {
                     base: RecordBinding { rec: rr, map: &rnode.map },
                     class: nclass,
@@ -528,7 +513,7 @@ fn eval_nseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
             Some((_, c, ev)) if c == *nc => Part::One(ev),
             _ => Part::Nulls(1),
         }));
-        parts.push(Part::Slots(rr.slots()));
+        parts.push(rr.part());
         out.emit(&parts, rr.start_ts(), rr.end_ts());
     }
     finish_consume(nodes, right);
@@ -580,19 +565,20 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
         ctx,
         out: Out::new(buf, root),
     };
-    // Start-anchor candidates ending before `bound` (one unanchored pass
-    // when the closure opens the pattern).
-    let starts = |bound: Ts| -> Vec<Option<(&Node, &Record)>> {
-        match start {
-            Some(s) => {
-                let snode = &before[s];
-                (0..snode.buf.prefix_end_before(bound))
-                    .map(|i| Some((snode, snode.buf.get(i))))
-                    .collect()
-            }
-            None => vec![None],
+    // Start-anchor candidates of a group ending at `last` whose closure
+    // begins after `bound`: indexes into the start buffer of the entries
+    // ending before `bound` and no earlier than the window allows (an
+    // anchor's start is at most its end), or one unanchored pass when the
+    // closure opens the pattern.
+    let starts = |bound: Ts, last: Ts| match start {
+        Some(s) => {
+            let sbuf = &before[s].buf;
+            sbuf.first_end_at_or_after(last.saturating_sub(ctx.window))
+                ..sbuf.prefix_end_before(bound)
         }
+        None => 0..1,
     };
+    let anchor = |i: usize| start.map(|s| (&before[s], before[s].buf.get(i)));
 
     match end {
         Some(e) => {
@@ -600,8 +586,8 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
             let enode = &before[e];
             for ei in enode.buf.consumed()..enode.buf.len() {
                 let er = enode.buf.get(ei);
-                for sr in starts(er.start_ts()) {
-                    kseq.groups(sr, (enode, er));
+                for si in starts(er.start_ts(), er.end_ts()) {
+                    kseq.groups(anchor(si), (enode, er));
                 }
             }
             finish_consume(nodes, e);
@@ -614,8 +600,9 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
             };
             let mbuf = kseq.mbuf;
             for mi in mbuf.consumed()..mbuf.len() {
-                for sr in starts(mbuf.get(mi).end_ts()) {
-                    kseq.trailing_group(sr, mi, cc as usize);
+                let last = mbuf.get(mi).end_ts();
+                for si in starts(last, last) {
+                    kseq.trailing_group(anchor(si), mi, cc as usize);
                 }
             }
             finish_consume(nodes, closure);
@@ -625,7 +612,7 @@ fn eval_kseq(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
 
 /// A start or end anchor of a closure group: the anchor's leaf node (for
 /// its class map) and one of its records.
-type Anchor<'a> = (&'a Node, &'a Record);
+type Anchor<'a> = (&'a Node, RecordView<'a>);
 
 /// One KSEQ node's round: its predicates, the closure buffer, and its sink.
 struct Kseq<'a, 'o> {
@@ -681,7 +668,7 @@ impl Kseq<'_, '_> {
         let lo_window = mbuf.first_end_at_or_after(er.end_ts().saturating_sub(self.ctx.window));
         let hi = mbuf.prefix_end_before(er.start_ts());
         let qualifying: Vec<EventRef> = (lo_start.max(lo_window)..hi)
-            .filter_map(|j| mbuf.get(j).slot(0).as_one())
+            .filter_map(|j| mbuf.get(j).one(0))
             .filter(|ev| self.qualifies(start, Some(end), ev))
             .cloned()
             .collect();
@@ -716,7 +703,7 @@ impl Kseq<'_, '_> {
         let mut j = mi + 1;
         while j > lo && group_rev.len() < cc {
             j -= 1;
-            let Some(ev) = mbuf.get(j).slot(0).as_one() else { continue };
+            let Some(ev) = mbuf.get(j).one(0) else { continue };
             if self.qualifies(start, None, ev) {
                 group_rev.push(ev.clone());
             } else if j == mi {
@@ -733,12 +720,16 @@ impl Kseq<'_, '_> {
     /// Emits `start; group; end` if it fits the window and passes the
     /// group-level predicates.
     fn emit(&mut self, start: Option<Anchor<'_>>, group: &[EventRef], end: Option<Anchor<'_>>) {
-        // Anchors are leaf records, so a record's span is its event's
+        // Anchors are leaf entries, so an anchor's span is its event's
         // timestamp; the group is in time order.
         let (s, e) = (start.map(|a| a.1), end.map(|a| a.1));
-        let firsts =
-            [s.map(Record::start_ts), group.first().map(EventRef::ts), e.map(Record::start_ts)];
-        let lasts = [s.map(Record::end_ts), group.last().map(EventRef::ts), e.map(Record::end_ts)];
+        let firsts = [
+            s.map(RecordView::start_ts),
+            group.first().map(EventRef::ts),
+            e.map(RecordView::start_ts),
+        ];
+        let lasts =
+            [s.map(RecordView::end_ts), group.last().map(EventRef::ts), e.map(RecordView::end_ts)];
         let (Some(lo), Some(hi)) =
             (firsts.into_iter().flatten().min(), lasts.into_iter().flatten().max())
         else {
@@ -752,9 +743,9 @@ impl Kseq<'_, '_> {
             return;
         }
         let parts = [
-            Part::Slots(s.map_or(&[], Record::slots)),
+            s.map_or(Part::Slots(&[]), RecordView::part),
             Part::Group(group),
-            Part::Slots(e.map_or(&[], Record::slots)),
+            e.map_or(Part::Slots(&[]), RecordView::part),
         ];
         self.out.emit(&parts, lo, hi);
     }
@@ -782,8 +773,8 @@ fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Ma
         if !rec_preds.iter().all(|p| pred_passes(p, &base, ctx.optional_mask)) {
             continue;
         }
-        let prev_ts = map.slot_of(prev).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
-        let next_ts = map.slot_of(next).and_then(|p| rr.slot(p).as_one()).map(|e| e.ts());
+        let prev_ts = map.slot_of(prev).and_then(|p| rr.one(p)).map(|e| e.ts());
+        let next_ts = map.slot_of(next).and_then(|p| rr.one(p)).map(|e| e.ts());
         let (Some(prev_ts), Some(next_ts)) = (prev_ts, next_ts) else {
             // Defensive: anchors should always be bound for flat sequences.
             out.forward(rr);
@@ -798,19 +789,16 @@ fn eval_negtop(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Ma
             let lo = nb.buf.first_end_at_or_after(prev_ts + 1);
             let hi = nb.buf.prefix_end_before(next_ts);
             for j in lo..hi {
-                let Some(ev) = nb.buf.get(j).slot(0).as_one() else { continue };
+                let Some(ev) = nb.buf.get(j).one(0) else { continue };
                 let binding = WithEventBinding {
                     base: RecordBinding { rec: rr, map: &inode.map },
                     class: nclass,
                     event: ev,
                 };
                 let optional = ctx.optional_mask | (neg_mask & !(1u64 << nclass));
-                let relevant: Vec<&TypedExpr> = cand_preds
-                    .iter()
-                    .copied()
-                    .filter(|p| p.class_mask() & (1u64 << nclass) != 0)
-                    .collect();
-                if relevant.iter().all(|p| pred_passes(p, &binding, optional)) {
+                let mut relevant =
+                    cand_preds.iter().filter(|p| p.class_mask() & (1u64 << nclass) != 0);
+                if relevant.all(|p| pred_passes(p, &binding, optional)) {
                     negated = true;
                     break 'outer;
                 }

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use zstream_events::{HashableValue, Record};
+use zstream_events::{HashableValue, RecordView};
 use zstream_lang::ClassId;
 
 use crate::physical::binding::ClassMap;
@@ -36,7 +36,7 @@ pub struct HashSpec {
     pub covered_preds: Vec<usize>,
 }
 
-/// A hash index over a build-side buffer: composite key → record indexes in
+/// A hash index over a build-side buffer: composite key → entry indexes in
 /// buffer order. Maintained incrementally; rebuilt when the buffer prunes.
 #[derive(Debug, Default)]
 pub struct HashIndex {
@@ -47,6 +47,8 @@ pub struct HashIndex {
     unkeyed: Vec<u32>,
     indexed: usize,
     entries: usize,
+    /// The build buffer's [`Buffer::shifts`] when this index was built.
+    shifts: u64,
 }
 
 impl HashIndex {
@@ -56,19 +58,26 @@ impl HashIndex {
     }
 
     /// Extracts the composite key of `rec` using `parts`; `None` when any
-    /// part's class is unbound (such records can never satisfy the equality).
-    pub fn key_of(rec: &Record, map: &ClassMap, parts: &[KeyPart]) -> Option<Vec<HashableValue>> {
+    /// part's class is unbound (such entries can never satisfy the equality).
+    pub fn key_of(
+        rec: RecordView<'_>,
+        map: &ClassMap,
+        parts: &[KeyPart],
+    ) -> Option<Vec<HashableValue>> {
         parts
             .iter()
-            .map(|p| {
-                let slot = map.slot_of(p.class)?;
-                rec.slot(slot).as_one().map(|e| e.value(p.field).hash_key())
-            })
+            .map(|p| rec.one(map.slot_of(p.class)?).map(|e| e.value(p.field).hash_key()))
             .collect()
     }
 
-    /// Brings the index up to date with `buffer` (indexes new records).
+    /// Brings the index up to date with `buffer`: indexes new entries, or
+    /// rebuilds when the buffer removed entries since (their indexes
+    /// shifted).
     pub fn sync(&mut self, buffer: &Buffer, map: &ClassMap, parts: &[KeyPart]) {
+        if self.shifts != buffer.shifts() {
+            self.rebuild(buffer, map, parts);
+            return;
+        }
         while self.indexed < buffer.len() {
             let idx = self.indexed;
             match Self::key_of(buffer.get(idx), map, parts) {
@@ -82,13 +91,14 @@ impl HashIndex {
         }
     }
 
-    /// Rebuilds from scratch (after the underlying buffer pruned records and
-    /// indexes shifted).
-    pub fn rebuild(&mut self, buffer: &Buffer, map: &ClassMap, parts: &[KeyPart]) {
+    /// Rebuilds from scratch (after the underlying buffer removed entries
+    /// and indexes shifted; [`HashIndex::sync`] calls it when needed).
+    fn rebuild(&mut self, buffer: &Buffer, map: &ClassMap, parts: &[KeyPart]) {
         self.map.clear();
         self.unkeyed.clear();
         self.indexed = 0;
         self.entries = 0;
+        self.shifts = buffer.shifts();
         self.sync(buffer, map, parts);
     }
 
@@ -119,9 +129,9 @@ mod tests {
     use zstream_events::stock;
 
     fn buf_with(names: &[(&str, u64)]) -> (Buffer, ClassMap) {
-        let mut b = Buffer::new();
+        let mut b = Buffer::leaf();
         for (name, ts) in names {
-            b.push(Record::primitive(stock(*ts, *ts as i64, name, 1.0, 1)));
+            b.push_event(*ts, stock(*ts, *ts as i64, name, 1.0, 1));
         }
         (b, ClassMap::new(1, &[0]))
     }
@@ -145,7 +155,7 @@ mod tests {
         let (mut b, map) = buf_with(&[("IBM", 1)]);
         let mut idx = HashIndex::new();
         idx.sync(&b, &map, &name_key());
-        b.push(Record::primitive(stock(5, 5, "IBM", 1.0, 1)));
+        b.push_event(5, stock(5, 5, "IBM", 1.0, 1));
         idx.sync(&b, &map, &name_key());
         let key = HashIndex::key_of(b.get(0), &map, &name_key()).unwrap();
         assert_eq!(idx.probe(&key), &[0, 1]);
@@ -164,6 +174,19 @@ mod tests {
     }
 
     #[test]
+    fn sync_rebuilds_after_the_buffer_pruned() {
+        let (mut b, map) = buf_with(&[("IBM", 1), ("Sun", 2), ("IBM", 3)]);
+        let mut idx = HashIndex::new();
+        idx.sync(&b, &map, &name_key());
+        b.prune(2);
+        b.push_event(4, stock(4, 4, "IBM", 1.0, 1));
+        idx.sync(&b, &map, &name_key());
+        let key = HashIndex::key_of(b.get(1), &map, &name_key()).unwrap();
+        assert_eq!(idx.probe(&key), &[1, 2]);
+        assert_eq!(idx.entries(), 3);
+    }
+
+    #[test]
     fn mixed_type_equality_join_keys_coerce() {
         // Regression (§5.2.2 hashable form): an equality join between an
         // `int` column and a `float` column must treat `Int(v)` and
@@ -176,10 +199,10 @@ mod tests {
         let float_schema =
             Arc::new(Schema::builder("FloatSide").field("k", ValueType::Float).build().unwrap());
         let big = 1i64 << 53;
-        let mut build = Buffer::new();
+        let mut build = Buffer::leaf();
         for (ts, v) in [(1, 2), (2, big), (3, big + 1)] {
             let e = Event::new(Arc::clone(&int_schema), ts, vec![Value::Int(v)]).unwrap();
-            build.push(Record::primitive(e));
+            build.push_event(ts, e);
         }
         let map = ClassMap::new(2, &[0]);
         let parts = vec![KeyPart { class: 0, field: 0 }];
@@ -188,9 +211,9 @@ mod tests {
 
         let probe_key = |v: f64| {
             let e = Event::new(Arc::clone(&float_schema), 9, vec![Value::Float(v)]).unwrap();
-            let rec = Record::primitive(e);
             let pmap = ClassMap::new(2, &[1]);
-            HashIndex::key_of(&rec, &pmap, &[KeyPart { class: 1, field: 0 }]).unwrap()
+            HashIndex::key_of(RecordView::event(9, &e), &pmap, &[KeyPart { class: 1, field: 0 }])
+                .unwrap()
         };
         // Float(2.0) finds Int(2).
         assert_eq!(idx.probe(&probe_key(2.0)), &[0]);
@@ -205,9 +228,9 @@ mod tests {
     #[test]
     fn composite_keys_distinguish_pairs() {
         // Key on (name, volume).
-        let mut b = Buffer::new();
-        b.push(Record::primitive(stock(1, 1, "IBM", 1.0, 10)));
-        b.push(Record::primitive(stock(2, 2, "IBM", 1.0, 20)));
+        let mut b = Buffer::leaf();
+        b.push_event(1, stock(1, 1, "IBM", 1.0, 10));
+        b.push_event(2, stock(2, 2, "IBM", 1.0, 20));
         let map = ClassMap::new(1, &[0]);
         let parts = vec![KeyPart { class: 0, field: 1 }, KeyPart { class: 0, field: 3 }];
         let mut idx = HashIndex::new();

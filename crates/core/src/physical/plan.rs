@@ -8,7 +8,7 @@
 //! evaluation order.
 //!
 //! Buffer retention roles:
-//! * leaves always retain records (consumed-cursor semantics) — this is the
+//! * leaves always retain their events (consumed-cursor semantics) — this is the
 //!   §5.3 modification that makes adaptive plan switching duplicate-free,
 //! * internal nodes consumed as the right/outer input of SEQ, the inputs of
 //!   DISJ, or the input of a NEG filter are *drained* after consumption
@@ -196,9 +196,13 @@ pub struct Node {
 impl Node {
     fn new(kind: NodeKind, classes: Vec<ClassId>, num_classes: usize) -> Node {
         let map = ClassMap::new(num_classes, &classes);
+        let buf = match kind {
+            NodeKind::Leaf { .. } => Buffer::leaf(),
+            _ => Buffer::records(),
+        };
         Node {
             kind,
-            buf: Buffer::new(),
+            buf,
             classes,
             map,
             preds: Vec::new(),

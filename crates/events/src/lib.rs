@@ -53,7 +53,7 @@ pub use error::EventError;
 pub use event::{stock, Event, EventBuilder};
 pub use kernel::{cmp_value, filter_cmp, filter_str_eq, Bitmap, CmpOp};
 pub use matches::MatchBatch;
-pub use record::{Part, Record, Slot};
+pub use record::{Part, Record, RecordView, Slot};
 pub use reorder::{repack_events, BatchRelease, ColumnarReorder, ReorderStats};
 pub use route::{shard_of, split_batch_rows, RowSplit};
 pub use schema::{Field, Schema, SchemaBuilder};

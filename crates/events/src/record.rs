@@ -2,14 +2,18 @@
 //!
 //! §4.2 of the paper: *"Each buffer contains a number of records, each of
 //! which has three parts: a vector of event pointers, a start time and an end
-//! time."* A [`Record`] is exactly that. Leaf records hold one pointer;
-//! internal records hold one [`Slot`] per pattern class covered by the
-//! operator's subtree, in pattern order:
+//! time."* A leaf record is one event pointer whose start and end are that
+//! event's timestamp, so a leaf buffer stores exactly that: a `(Ts,
+//! EventRef)` entry, with no slot array. A [`Record`] is the internal form:
+//! one [`Slot`] per pattern class covered by the operator's subtree, in
+//! pattern order:
 //!
 //! * [`Slot::One`] — the usual case, one constituent primitive event,
 //! * [`Slot::Many`] — a Kleene-closure group produced by KSEQ,
 //! * [`Slot::None`] — the `(NULL, Rr)` rows emitted by NSEQ when no negation
 //!   instance negates `Rr` (Algorithm 2, steps 5/10).
+//!
+//! Operators read both through one [`RecordView`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -94,6 +98,79 @@ impl Part<'_> {
     }
 }
 
+/// A borrowed view of one buffer entry — a leaf's event or an internal
+/// [`Record`] — as every operator reads it: its span, its output [`Part`],
+/// and the event or closure group bound at each slot position.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    start: Ts,
+    end: Ts,
+    pub(crate) body: ViewBody<'a>,
+}
+
+/// What a [`RecordView`] points at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ViewBody<'a> {
+    /// A leaf entry: one event, at slot 0.
+    Event(&'a EventRef),
+    /// An internal record's slots.
+    Slots(&'a [Slot]),
+}
+
+impl<'a> RecordView<'a> {
+    /// A leaf entry: `event`, stamped `ts`, spanning `[ts, ts]`.
+    #[inline]
+    pub fn event(ts: Ts, event: &'a EventRef) -> RecordView<'a> {
+        RecordView { start: ts, end: ts, body: ViewBody::Event(event) }
+    }
+
+    /// Start timestamp: earliest constituent primitive event (§3).
+    #[inline]
+    pub fn start_ts(self) -> Ts {
+        self.start
+    }
+
+    /// End timestamp: latest constituent primitive event (§3).
+    #[inline]
+    pub fn end_ts(self) -> Ts {
+        self.end
+    }
+
+    /// The single event bound at slot position `i`, if one is.
+    #[inline]
+    pub fn one(self, i: usize) -> Option<&'a EventRef> {
+        match self.body {
+            ViewBody::Event(e) => {
+                debug_assert_eq!(i, 0, "a leaf entry has one slot");
+                Some(e)
+            }
+            ViewBody::Slots(slots) => slots[i].as_one(),
+        }
+    }
+
+    /// The Kleene-closure group bound at slot position `i` (empty unless the
+    /// slot holds one).
+    #[inline]
+    pub fn group(self, i: usize) -> &'a [EventRef] {
+        match self.body {
+            ViewBody::Slots(slots) => match &slots[i] {
+                Slot::Many(es) => es,
+                _ => &[],
+            },
+            ViewBody::Event(_) => &[],
+        }
+    }
+
+    /// Every slot of this entry as one output part.
+    #[inline]
+    pub fn part(self) -> Part<'a> {
+        match self.body {
+            ViewBody::Event(e) => Part::One(e),
+            ViewBody::Slots(slots) => Part::Slots(slots),
+        }
+    }
+}
+
 /// A buffer record: a vector of event slots plus a start and end timestamp.
 ///
 /// Records are cheap to clone (slots hold `Arc`s) and are kept sorted by
@@ -106,7 +183,8 @@ pub struct Record {
 }
 
 impl Record {
-    /// A leaf record wrapping one primitive event.
+    /// A one-slot record wrapping one primitive event: the record form of a
+    /// leaf entry (what a snapshot writes a leaf entry as).
     pub fn primitive(event: EventRef) -> Record {
         let ts = event.ts();
         Record { slots: Box::new([Slot::One(event)]), start: ts, end: ts }
@@ -197,6 +275,12 @@ impl Record {
         self.end
     }
 
+    /// This record as a [`RecordView`].
+    #[inline]
+    pub fn view(&self) -> RecordView<'_> {
+        RecordView { start: self.start, end: self.end, body: ViewBody::Slots(&self.slots) }
+    }
+
     /// Slots in pattern order for the class range this record covers.
     pub fn slots(&self) -> &[Slot] {
         &self.slots
@@ -210,7 +294,8 @@ impl Record {
 
     /// Approximate in-memory footprint in bytes (record header + slot array +
     /// closure spill), for the logical memory accounting of Tables 3/5.
-    /// Shared primitive events are *not* counted; they are owned by leaves.
+    /// The primitive events themselves are *not* counted: they live in the
+    /// source batches every leaf entry and slot points into.
     pub fn footprint(&self) -> usize {
         std::mem::size_of::<Record>() + self.slots.iter().map(Slot::footprint).sum::<usize>()
     }

@@ -12,7 +12,7 @@
 //! snapshot-local dictionaries (symbols, schemas, events), each using the
 //! same scheme: a reference writes the entry's dictionary index, and an
 //! index equal to the current dictionary length introduces a new entry whose
-//! body follows inline. Events referenced several times (a leaf record and
+//! body follows inline. Events referenced several times (a leaf entry and
 //! an internal record sharing a constituent) are therefore stored once and
 //! restored to one shared handle, preserving intra-snapshot identity.
 //!
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::record::{Record, Slot};
+use crate::record::{Record, RecordView, Slot, ViewBody};
 use crate::schema::Schema;
 use crate::sym::Sym;
 use crate::time::Ts;
@@ -269,20 +269,31 @@ impl SnapshotWriter {
     }
 
     /// Writes a buffer record: slots plus its explicit `[start, end]` span.
-    pub fn record(&mut self, r: &Record) {
-        self.len(r.slots().len());
-        for slot in r.slots() {
-            match slot {
-                Slot::None => self.u8(0),
-                Slot::One(e) => {
-                    self.u8(1);
-                    self.event(e);
-                }
-                Slot::Many(es) => {
-                    self.u8(2);
-                    self.len(es.len());
-                    for e in es.iter() {
-                        self.event(e);
+    /// A leaf entry writes as the one-slot record it stands for, so
+    /// [`SnapshotReader::record`] reads either kind back as a [`Record`].
+    pub fn record(&mut self, r: RecordView<'_>) {
+        match r.body {
+            ViewBody::Event(e) => {
+                self.len(1);
+                self.u8(1);
+                self.event(e);
+            }
+            ViewBody::Slots(slots) => {
+                self.len(slots.len());
+                for slot in slots {
+                    match slot {
+                        Slot::None => self.u8(0),
+                        Slot::One(e) => {
+                            self.u8(1);
+                            self.event(e);
+                        }
+                        Slot::Many(es) => {
+                            self.u8(2);
+                            self.len(es.len());
+                            for e in es.iter() {
+                                self.event(e);
+                            }
+                        }
                     }
                 }
             }
@@ -656,7 +667,7 @@ mod tests {
             7,
         );
         let mut w = SnapshotWriter::new();
-        w.record(&rec);
+        w.record(rec.view());
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
         let back = r.record().unwrap();
@@ -668,6 +679,21 @@ mod tests {
         assert_eq!(back.slot(2).events().len(), 2);
         // The shared constituent keeps one identity inside the snapshot.
         assert_eq!(back.slot(1).as_one().unwrap().identity(), back.slot(2).events()[0].identity());
+    }
+
+    #[test]
+    fn a_leaf_entry_writes_as_its_one_slot_record() {
+        let e = stock(4, 1, "IBM", 1.0, 1);
+        let bytes = |view: RecordView<'_>| {
+            let mut w = SnapshotWriter::new();
+            w.record(view);
+            w.into_bytes()
+        };
+        let leaf = bytes(RecordView::event(4, &e));
+        assert_eq!(leaf, bytes(Record::primitive(e.clone()).view()));
+        let back = SnapshotReader::new(&leaf).record().unwrap();
+        assert_eq!((back.start_ts(), back.end_ts()), (4, 4));
+        assert_eq!(back.slot(0).as_one().unwrap().to_string(), e.to_string());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The columnar layout is what makes intake vectorizable: single-class
 //! predicates (§4.1 push-down) and partition-key routing scan a column of
 //! plain `i64`/`f64`/[`Sym`] values instead of walking per-event heap
-//! objects, and only the surviving rows materialize leaf records.
+//! objects, and only the surviving rows enter leaf buffers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -166,7 +166,7 @@ impl OrderedMerge {
             w.u64(m.query.0 as u64);
             w.u64(m.shard as u64);
             w.u64(m.seq);
-            w.record(&m.record);
+            w.record(m.record.view());
         }
     }
 
@@ -453,7 +453,7 @@ mod tests {
             w.u64(0);
             w.u64(0);
             w.u64(seq);
-            w.record(&m(0, 0, seq, 5).record);
+            w.record(m(0, 0, seq, 5).record.view());
         }
         let bytes = w.into_bytes();
         let err = OrderedMerge::restore_snapshot(&mut SnapshotReader::new(&bytes), |_| true);

@@ -1343,8 +1343,12 @@ fn replicated_checkpoint() -> Vec<u8> {
 }
 
 /// `(length, fnv64)` of [`replicated_checkpoint`]'s file as written by the
-/// runtime that ran one engine per registration.
-const REPLICATED_CHECKPOINT: (usize, u64) = (21208, 0x0bef_f9c4_b1f3_c228);
+/// runtime that ran one engine per registration, with each engine's
+/// checkpointed `peak_bytes` restated for 24-byte leaf entries: that file
+/// differs from the one first pinned (`0x0bef_f9c4_b1f3_c228`) only in
+/// those sixteen counter words, 112 bytes (two 56-byte boxed leaf records)
+/// now 48.
+const REPLICATED_CHECKPOINT: (usize, u64) = (21208, 0x9b34_6625_2802_6628);
 
 /// Sharing changes no checkpoint byte: a group's engine is written once
 /// per member, and the writer's event dictionary makes that the file
