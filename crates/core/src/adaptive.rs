@@ -7,7 +7,9 @@
 //! * per-class **rates** and single-class **selectivities** from the
 //!   engine's intake counters,
 //! * **multi-class predicate selectivities** by sampling event pairs from
-//!   the live leaf buffers and evaluating the predicates on them,
+//!   the leaf buffers between a check round's intake and its assembly (the
+//!   round drains consumed trigger leaves) and evaluating the predicates
+//!   on them,
 //!
 //! and every `check_interval` rounds compares them against the statistics
 //! the current plan was built with. When any statistic moved by more than
@@ -146,13 +148,22 @@ impl AdaptiveEngine {
     /// `check_interval` rounds, re-measures and maybe switches plans (§5.3
     /// switches happen only on round boundaries).
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
-        let out = self.engine.push_columns(batch);
         self.rounds_since_check += 1;
-        if self.rounds_since_check >= self.config.check_interval {
-            self.rounds_since_check = 0;
+        if self.rounds_since_check < self.config.check_interval {
+            return self.engine.push_columns(batch);
+        }
+        self.rounds_since_check = 0;
+        // Measure between intake and assembly: the round drains the
+        // consumed trigger leaf and prunes the other leaves to the EAT
+        // floor, so only now do the leaves hold the batch's events to
+        // sample predicates over.
+        self.engine.admit_columns(batch);
+        let measured = self.measure();
+        let out = self.engine.round_records();
+        if let Some(measured) = measured {
             // Adaptation failures (e.g. degenerate statistics) must never
             // break query processing; skip the check instead.
-            let _ = self.maybe_adapt();
+            let _ = self.adapt(measured);
         }
         out
     }
@@ -162,13 +173,10 @@ impl AdaptiveEngine {
         self.engine.flush()
     }
 
-    /// Measures statistics, re-plans if they drifted, installs the new plan
-    /// if it is predicted to be sufficiently better. Returns whether a
+    /// Re-plans if the `measured` statistics drifted, and installs the new
+    /// plan if it is predicted to be sufficiently better. Returns whether a
     /// switch happened.
-    pub fn maybe_adapt(&mut self) -> Result<bool, CoreError> {
-        let Some(measured) = self.measure() else {
-            return Ok(false);
-        };
+    fn adapt(&mut self, measured: Statistics) -> Result<bool, CoreError> {
         let aq = self.engine.analyzed().clone();
         // A closed measurement window is the post-hoc truth for the
         // previous decision, drift or not — back-fill before deciding.
@@ -201,6 +209,9 @@ impl AdaptiveEngine {
     /// check interval: measures once more and back-fills the latest
     /// decision's actuals. Call at end of stream (a decision taken in the
     /// final window would otherwise never see its observed statistics).
+    /// It measures after the last round, whose trigger leaves are drained:
+    /// a predicate over a trigger class has no sample there and keeps its
+    /// current estimate.
     pub fn finalize_observations(&mut self) {
         if let Some(measured) = self.measure() {
             let aq = self.engine.analyzed().clone();
@@ -289,9 +300,13 @@ impl AdaptiveEngine {
                 .with_single_sel(c, if d_off == 0 { 1.0 } else { d_adm as f64 / d_off as f64 });
         }
         for (i, p) in aq.multi_preds.iter().enumerate() {
-            if let Some(sel) = self.sample_pred_selectivity(p.mask, &p.expr) {
-                stats = stats.with_pred_sel(i, sel);
-            }
+            // No sample — an empty leaf, such as a rare trigger class its
+            // last round drained — is no evidence of drift: keep the
+            // current estimate.
+            let sel = self
+                .sample_pred_selectivity(p.mask, &p.expr)
+                .unwrap_or_else(|| self.current_stats.pred_sel(i));
+            stats = stats.with_pred_sel(i, sel);
         }
         self.last_snapshot = CounterSnapshot { offered, admitted, watermark };
         Some(stats)

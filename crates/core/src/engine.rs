@@ -13,7 +13,10 @@
 //! 4. assemble events bottom-up, materializing intermediate results in node
 //!    buffers and emitting complete composites at the root — packed into a
 //!    [`MatchBatch`] of `(source, row)` ids, which [`Engine::push_rows`]
-//!    returns as is and [`Engine::push_columns`] builds into `Record`s.
+//!    returns as is and [`Engine::push_columns`] builds into `Record`s,
+//! 5. after every round, idle or assembly, prune to the **EAT floor**
+//!    (`watermark − window`): no later round can read an entry that starts
+//!    before it, so a round leaves only live state behind.
 
 use std::sync::Arc;
 
@@ -193,8 +196,23 @@ impl Engine {
     /// Returns the round's matches built as `Record`s (see
     /// [`Engine::push_rows`] for the packed form).
     pub fn push_columns(&mut self, batch: &EventBatch) -> Vec<Record> {
+        self.admit_columns(batch);
+        self.round_records()
+    }
+
+    /// The intake half of [`Engine::push_columns`]: routes `batch` into
+    /// the leaf buffers without running its round. [`Engine::round_records`]
+    /// must follow before the next batch (the adaptive controller samples
+    /// the leaves in between).
+    pub(crate) fn admit_columns(&mut self, batch: &EventBatch) {
+        self.route_columns(batch, None, None);
+    }
+
+    /// The round half of [`Engine::push_columns`], after
+    /// [`Engine::admit_columns`].
+    pub(crate) fn round_records(&mut self) -> Vec<Record> {
         let mut out = MatchBatch::new();
-        self.push_intake(batch, None, None, &mut out);
+        self.round(&mut out);
         out.records()
     }
 
@@ -228,8 +246,8 @@ impl Engine {
         out
     }
 
-    /// Both entries: route the selection, run one round, append its
-    /// matches to `out`.
+    /// [`Engine::push_rows`] and the per-key engines of a partitioned one:
+    /// route the selection, run one round, append its matches to `out`.
     pub(crate) fn push_intake(
         &mut self,
         batch: &EventBatch,
@@ -283,7 +301,7 @@ impl Engine {
                 *offered += n as u64;
             }
         }
-        self.metrics.idle_rounds += 1;
+        self.idle_round();
         true
     }
 
@@ -297,7 +315,7 @@ impl Engine {
             self.earliest_trigger_end().is_none(),
             "every push runs its own round, so a flush has nothing to assemble"
         );
-        self.metrics.idle_rounds += 1;
+        self.idle_round();
         Vec::new()
     }
 
@@ -543,10 +561,13 @@ impl Engine {
     }
 
     /// One round: idle if no trigger instance is waiting, otherwise compute
-    /// the EAT and assemble, appending the matches to `out`.
+    /// the EAT and assemble, appending the matches to `out`. Either way the
+    /// round ends pruned to the EAT floor ([`Engine::prune_to_floor`]), so
+    /// the memory sample, a snapshot or a plan switch after it sees only
+    /// state a later round can read.
     fn round(&mut self, out: &mut MatchBatch) {
         let Some(earliest) = self.earliest_trigger_end() else {
-            self.metrics.idle_rounds += 1;
+            self.idle_round();
             return;
         };
         let eat = earliest.saturating_sub(self.plan.window);
@@ -554,6 +575,7 @@ impl Engine {
         let start = self.obs.as_ref().map(|_| std::time::Instant::now());
         let before = out.len();
         self.plan.assemble(eat, out);
+        self.prune_to_floor();
         let matched = (out.len() - before) as u64;
         self.metrics.matches_out += matched;
         self.metrics.sample_memory(self.plan.total_bytes());
@@ -566,6 +588,26 @@ impl Engine {
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             obs.record_round(self.watermark, ns, matched);
+        }
+    }
+
+    /// A round with nothing to assemble. The watermark may still have
+    /// moved, so it prunes like any other round: a stream with no trigger
+    /// instance holds one window of state, not all of it.
+    fn idle_round(&mut self) {
+        self.metrics.idle_rounds += 1;
+        self.prune_to_floor();
+    }
+
+    /// Prunes every buffer to the **EAT floor**, `watermark − window`: input
+    /// is time-ordered, so every later trigger instance ends at or after the
+    /// watermark, and every match it completes starts at or after the floor.
+    /// The next round's own EAT (§4.3) is therefore never below the floor,
+    /// and this removes only what that round's prune would remove — earlier,
+    /// so output cannot change.
+    fn prune_to_floor(&mut self) {
+        if self.plan.config.eat_pruning {
+            self.plan.prune_all(self.watermark.saturating_sub(self.plan.window));
         }
     }
 

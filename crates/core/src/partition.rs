@@ -647,6 +647,36 @@ mod tests {
         assert_eq!(pe.metrics().events_in, 2, "dropped rows still count as offered");
     }
 
+    /// Rounds keep only live state in every key: after each push, no
+    /// per-key engine holds an entry starting before its own floor
+    /// (`watermark − window`), with batches spanning ten windows,
+    /// and the output still equals the oracle.
+    #[test]
+    fn every_key_ends_its_rounds_at_its_floor() {
+        let src = "PATTERN A; B; C WHERE A.name = B.name = C.name WITHIN 10";
+        let batches = batches(&stream(0..300, &["IBM", "Sun", "Oracle", "HP"], 3), 100);
+        let c = compiled(src);
+        let intake = build_intake(&c.aq, None).unwrap();
+        let mut pe =
+            PartitionedEngine::new(c.clone(), PlanConfig::default(), &intake, "name").unwrap();
+        let mut out = Vec::new();
+        for batch in &batches {
+            out.extend(pe.push_columns(batch));
+            for engine in pe.partitions.values() {
+                let floor = engine.watermark().saturating_sub(engine.plan().window);
+                for node in &engine.plan().nodes {
+                    assert!(node.buf.iter().all(|e| e.start_ts() >= floor), "below {floor}");
+                }
+            }
+        }
+        out.extend(pe.flush());
+        let mut sigs: Vec<_> = out.iter().map(|r| pe.record_signature(r)).collect();
+        sigs.sort();
+        let oracle = crate::reference::reference_signatures(&c.aq, &intake, &handles(&batches));
+        assert!(!sigs.is_empty());
+        assert_eq!(sigs, oracle);
+    }
+
     /// The two-class keyed query of the snapshot tests.
     const KEYED_AB: &str = "PATTERN A; B WHERE A.name = B.name WITHIN 100";
 

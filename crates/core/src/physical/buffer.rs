@@ -11,14 +11,19 @@
 //!
 //! A buffer tracks a *consumed* cursor instead of physically deleting
 //! entries on consumption. This implements the §5.3 modification ("do not
-//! perform Line 7 of Algorithm 1 for leaf buffers"): leaf buffers retain
-//! events so a new plan can rebuild intermediate state after an adaptive
-//! plan switch, while the cursor keeps each assembly round independent —
-//! the combination of retained entries and cursors yields exactly-once
-//! output. Internal buffers in *drain* roles (right child of SEQ, inputs of
-//! DISJ, the KSEQ end buffer) are physically cleared after consumption,
-//! matching Algorithm 1's `Clear RBuf`. The root's output never enters its
-//! buffer: it is packed into the round's `MatchBatch` (see `eval`).
+//! perform Line 7 of Algorithm 1 for leaf buffers"): non-trigger leaf
+//! buffers retain events so a new plan can rebuild intermediate state after
+//! an adaptive plan switch, while the cursor keeps each assembly round
+//! independent — the combination of retained entries and cursors yields
+//! exactly-once output. Buffers in *drain* roles — internal nodes, and
+//! trigger-class leaves, consumed as the right child of SEQ, an input of
+//! DISJ or the input of a NEG filter — are physically cleared after
+//! consumption, matching Algorithm 1's `Clear RBuf`: a plan switch keeps a
+//! trigger leaf's cursor, so no plan reads a consumed trigger event again.
+//! Whatever is retained lives until the engine prunes it to the EAT floor
+//! at the end of a round ([`Buffer::prune`]). The root's output never
+//! enters its buffer: it is packed into the round's `MatchBatch` (see
+//! `eval`).
 
 use std::collections::VecDeque;
 

@@ -19,6 +19,12 @@
 //! * **NEG** — the on-top filter: drop composites with a qualifying
 //!   negation instance interleaved between `prev` and `next`.
 //!
+//! A consumed input in a drain role — an internal node, or a trigger-class
+//! leaf, under SEQ-right, DISJ or NEG — is cleared in the round that
+//! consumes it (`finish_consume`); every other input keeps its entries
+//! behind a cursor until the engine prunes them to its EAT floor after the
+//! round (`Engine::round`).
+//!
 //! Every operator reads its children's entries — leaf events and internal
 //! records alike — through [`RecordView`]s. It describes each output as
 //! [`Part`]s plus a span and hands it to its node's one sink (`Out`): an
@@ -43,17 +49,16 @@ use crate::physical::plan::{Node, NodeKind, PhysicalPlan, ProbeSide};
 pub struct EvalCtx {
     /// The query time window.
     pub window: Ts,
-    /// Earliest allowed timestamp this round (§4.3).
-    pub eat: Ts,
     /// Classes that may be legitimately unbound (disjunction branches).
     pub optional_mask: u64,
 }
 
 impl PhysicalPlan {
-    /// Runs one assembly round: prunes every buffer against `eat`, evaluates
-    /// all internal nodes bottom-up, and appends the root's output to `out`.
+    /// Runs one assembly round: prunes every buffer against `eat` (the
+    /// round's earliest allowed timestamp, §4.3), evaluates all internal
+    /// nodes bottom-up, and appends the root's output to `out`.
     pub fn assemble(&mut self, eat: Ts, out: &mut MatchBatch) {
-        let ctx = EvalCtx { window: self.window, eat, optional_mask: self.optional_mask };
+        let ctx = EvalCtx { window: self.window, optional_mask: self.optional_mask };
         if self.config.eat_pruning {
             self.prune_all(eat);
         }
@@ -75,9 +80,11 @@ impl PhysicalPlan {
         }
     }
 
-    /// Prunes every buffer. A hash index over a buffer that shifted
-    /// rebuilds on its next sync ([`HashIndex::sync`]).
-    fn prune_all(&mut self, eat: Ts) {
+    /// Prunes every buffer — leaves and internal nodes, negation and
+    /// closure leaves alike — to entries starting at or after `eat`. A hash
+    /// index over a buffer that shifted rebuilds on its next sync
+    /// ([`HashIndex::sync`]).
+    pub(crate) fn prune_all(&mut self, eat: Ts) {
         for node in &mut self.nodes {
             node.buf.prune(eat);
         }
@@ -171,9 +178,10 @@ fn eval_node(nodes: &mut [Node], k: usize, ctx: &EvalCtx, root: Option<&mut Matc
     }
 }
 
-/// Consumes a child after its new records were processed: internal buffers
-/// in drain roles are cleared (Algorithm 1 step 7), everything else keeps
-/// records behind the cursor.
+/// Consumes a child after its new records were processed: buffers in drain
+/// roles (internal nodes and trigger-class leaves, [`Node::drain`]) are
+/// cleared (Algorithm 1 step 7), everything else keeps records behind the
+/// cursor.
 fn finish_consume(nodes: &mut [Node], child: usize) {
     if nodes[child].drain {
         nodes[child].buf.clear();

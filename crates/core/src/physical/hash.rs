@@ -5,7 +5,8 @@
 //! and probes it with each right record instead of scanning the whole left
 //! buffer. Multiple equality predicates at one node form a composite key —
 //! the paper's "primary and secondary hash tables" collapse into one
-//! composite-keyed table with identical semantics.
+//! composite-keyed table with identical semantics. A key is a plain value,
+//! stored inline: extracting one allocates nothing.
 
 use std::collections::HashMap;
 
@@ -36,11 +37,28 @@ pub struct HashSpec {
     pub covered_preds: Vec<usize>,
 }
 
-/// A hash index over a build-side buffer: composite key → entry indexes in
-/// buffer order. Maintained incrementally; rebuilt when the buffer prunes.
+/// The most parts a composite key holds. A node with more cross-child
+/// equalities hashes on the first `MAX_KEY_PARTS` and evaluates the rest
+/// per pair.
+pub const MAX_KEY_PARTS: usize = 4;
+
+/// A hash key: one value — every paper query's case — or up to
+/// [`MAX_KEY_PARTS`] values inline. One index's keys all have its spec's
+/// part count, so the padding of a short composite never makes two keys
+/// of one index equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HashKey {
+    /// A single-part key.
+    One(HashableValue),
+    /// A composite key; parts past the spec's count hold a fixed pad.
+    Many([HashableValue; MAX_KEY_PARTS]),
+}
+
+/// A hash index over a build-side buffer: key → entry indexes in buffer
+/// order. Maintained incrementally; rebuilt when the buffer prunes.
 #[derive(Debug, Default)]
 pub struct HashIndex {
-    map: HashMap<Vec<HashableValue>, Vec<u32>>,
+    map: HashMap<HashKey, Vec<u32>>,
     /// Records whose key could not be extracted (an equality attribute's
     /// class left unbound by a disjunction): they match every probe
     /// vacuously and are appended to every candidate list.
@@ -57,17 +75,21 @@ impl HashIndex {
         HashIndex::default()
     }
 
-    /// Extracts the composite key of `rec` using `parts`; `None` when any
-    /// part's class is unbound (such entries can never satisfy the equality).
-    pub fn key_of(
-        rec: RecordView<'_>,
-        map: &ClassMap,
-        parts: &[KeyPart],
-    ) -> Option<Vec<HashableValue>> {
-        parts
-            .iter()
-            .map(|p| rec.one(map.slot_of(p.class)?).map(|e| e.value(p.field).hash_key()))
-            .collect()
+    /// Extracts the key of `rec` using `parts` (at most [`MAX_KEY_PARTS`]);
+    /// `None` when any part's class is unbound (such entries can never
+    /// satisfy the equality).
+    pub fn key_of(rec: RecordView<'_>, map: &ClassMap, parts: &[KeyPart]) -> Option<HashKey> {
+        let value =
+            |p: &KeyPart| rec.one(map.slot_of(p.class)?).map(|e| e.value(p.field).hash_key());
+        if let [part] = parts {
+            return value(part).map(HashKey::One);
+        }
+        debug_assert!(parts.len() <= MAX_KEY_PARTS, "{} key parts", parts.len());
+        let mut key = [HashableValue::Bool(false); MAX_KEY_PARTS];
+        for (slot, part) in key.iter_mut().zip(parts) {
+            *slot = value(part)?;
+        }
+        Some(HashKey::Many(key))
     }
 
     /// Brings the index up to date with `buffer`: indexes new entries, or
@@ -103,7 +125,7 @@ impl HashIndex {
     }
 
     /// Build-side record indexes matching `key`, in buffer order.
-    pub fn probe(&self, key: &[HashableValue]) -> &[u32] {
+    pub fn probe(&self, key: &HashKey) -> &[u32] {
         self.map.get(key).map_or(&[], Vec::as_slice)
     }
 

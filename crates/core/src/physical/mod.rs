@@ -10,5 +10,5 @@ pub mod plan;
 pub use binding::{ClassMap, PairBinding, RecordBinding, WithEventBinding};
 pub use buffer::Buffer;
 pub use eval::EvalCtx;
-pub use hash::{HashIndex, HashSpec, KeyPart};
+pub use hash::{HashIndex, HashKey, HashSpec, KeyPart};
 pub use plan::{NegGuard, Node, NodeKind, PhysicalPlan, PlanConfig};

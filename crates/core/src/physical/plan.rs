@@ -8,13 +8,19 @@
 //! evaluation order.
 //!
 //! Buffer retention roles:
-//! * leaves always retain their events (consumed-cursor semantics) — this is the
-//!   §5.3 modification that makes adaptive plan switching duplicate-free,
-//! * internal nodes consumed as the right/outer input of SEQ, the inputs of
-//!   DISJ, or the input of a NEG filter are *drained* after consumption
-//!   (Algorithm 1's `Clear RBuf`),
+//! * nodes consumed as the right/outer input of SEQ, the inputs of DISJ, or
+//!   the input of a NEG filter are *drained* after consumption (Algorithm
+//!   1's `Clear RBuf`) when they are internal nodes or trigger-class leaves:
+//!   an adaptive switch keeps a trigger leaf's cursor, so no plan reads a
+//!   consumed trigger event again,
+//! * every other leaf retains its events behind a consumed cursor — the §5.3
+//!   modification that lets a new plan rebuild intermediate state after an
+//!   adaptive switch without duplicates,
 //! * internal nodes consumed as SEQ-left or CONJ inputs retain records with
-//!   cursors (Algorithm 3 keeps both sides).
+//!   cursors (Algorithm 3 keeps both sides), and so do CONJ leaves.
+//!
+//! Retained entries live until the engine prunes them to its EAT floor
+//! after the round (`Engine::round`).
 
 use zstream_events::Ts;
 use zstream_lang::{AnalyzedQuery, BinOp, ClassId, KleeneKind, TypedExpr, TypedPattern};
@@ -24,7 +30,7 @@ use crate::cost::shape::PlanShape;
 use crate::error::CoreError;
 use crate::physical::binding::ClassMap;
 use crate::physical::buffer::Buffer;
-use crate::physical::hash::{HashIndex, HashSpec, KeyPart};
+use crate::physical::hash::{HashIndex, HashSpec, KeyPart, MAX_KEY_PARTS};
 
 /// Build-time configuration toggles (ablation switches for the benches).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,6 +355,8 @@ struct Builder<'a> {
     config: PlanConfig,
     /// Multi-class predicates the caller already applies (not placed).
     applied: &'a [usize],
+    /// Classes whose arrival can complete a match.
+    trigger_classes: Vec<ClassId>,
 }
 
 impl<'a> Builder<'a> {
@@ -360,7 +368,8 @@ impl<'a> Builder<'a> {
             leaf_of_class.push(nodes.len());
             nodes.push(Node::new(NodeKind::Leaf { class: c }, vec![c], n));
         }
-        Builder { aq, nodes, leaf_of_class, config, applied }
+        let trigger_classes = trigger_classes(&aq.pattern);
+        Builder { aq, nodes, leaf_of_class, config, applied, trigger_classes }
     }
 
     fn push_node(&mut self, kind: NodeKind, classes: Vec<ClassId>) -> usize {
@@ -369,12 +378,14 @@ impl<'a> Builder<'a> {
         idx
     }
 
-    /// Marks `child` as drained-by-parent if it is an internal node (leaves
-    /// always retain).
+    /// Marks `child` as drained-by-parent if it is an internal node or a
+    /// trigger-class leaf (other leaves retain for §5.3 plan switches).
     fn mark_drain(&mut self, child: usize) {
-        if !self.nodes[child].is_leaf() {
-            self.nodes[child].drain = true;
-        }
+        let node = &mut self.nodes[child];
+        node.drain = match node.kind {
+            NodeKind::Leaf { class } => self.trigger_classes.contains(&class),
+            _ => true,
+        };
     }
 
     fn build_unit(&mut self, unit: &Unit) -> Result<usize, CoreError> {
@@ -545,6 +556,9 @@ impl<'a> Builder<'a> {
                 let rmask = self.nodes[ri].mask();
                 let mut spec = HashSpec { left: vec![], right: vec![], covered_preds: vec![] };
                 for (pi, pred) in self.nodes[i].preds.iter().enumerate() {
+                    if spec.left.len() == MAX_KEY_PARTS {
+                        break;
+                    }
                     if let Some(((c1, f1), (c2, f2))) = as_equality(pred) {
                         let (lpart, rpart) =
                             if lmask & (1u64 << c1) != 0 && rmask & (1u64 << c2) != 0 {
@@ -592,7 +606,6 @@ impl<'a> Builder<'a> {
             self.nodes[i].split_flag = flags;
         }
 
-        let trigger_classes = trigger_classes(&aq.pattern);
         let optional_mask = optional_mask(&aq.pattern, false);
         Ok(PhysicalPlan {
             nodes: self.nodes,
@@ -600,7 +613,7 @@ impl<'a> Builder<'a> {
             leaf_of_class: self.leaf_of_class,
             window: aq.window,
             num_classes: aq.num_classes(),
-            trigger_classes,
+            trigger_classes: self.trigger_classes,
             optional_mask,
             config: self.config,
         })
@@ -822,6 +835,51 @@ mod tests {
         )
         .unwrap();
         assert!(plan.nodes[plan.root].hash.is_none());
+    }
+
+    /// More cross-child equalities than a key holds ([`MAX_KEY_PARTS`]):
+    /// the join hashes on the first four and checks the fifth per pair.
+    /// Names and volumes repeat often, so pairs agree on the key and still
+    /// differ in volume; the output equals the oracle, hash on and off.
+    #[test]
+    fn equalities_beyond_the_key_width_are_checked_per_pair() {
+        use crate::{build_intake, reference_signatures, EngineBuilder, EngineConfig};
+        use zstream_events::{stock, EventBatch, EventRef};
+
+        let src = "PATTERN T1; T2 \
+                   WHERE T1.name = T2.name AND T2.name = T1.name AND T1.name = T2.name \
+                     AND T2.name = T1.name AND T1.volume = T2.volume \
+                   WITHIN 6";
+        let events: Vec<EventRef> = (0..90u64)
+            .map(|i| {
+                let name = ["IBM", "Sun"][(i % 3 % 2) as usize];
+                stock(i / 2, i as i64, name, 1.0, (i % 5 % 2) as i64)
+            })
+            .collect();
+        let batches: Vec<EventBatch> =
+            events.chunks(8).map(|c| EventBatch::from_events(c).unwrap()).collect();
+        let handles: Vec<EventRef> = batches.iter().flat_map(EventBatch::iter).collect();
+        let q = aq(src);
+        let expected = reference_signatures(&q, &build_intake(&q, None).unwrap(), &handles);
+        assert!(!expected.is_empty());
+        for use_hash in [true, false] {
+            let plan = PlanConfig { use_hash, ..Default::default() };
+            let mut engine = EngineBuilder::parse(src)
+                .unwrap()
+                .config(EngineConfig { plan, ..Default::default() })
+                .build()
+                .unwrap();
+            let root = &engine.plan().nodes[engine.plan().root];
+            assert_eq!(root.hash.as_ref().map(|h| h.left.len()), use_hash.then_some(4));
+            let mut out = Vec::new();
+            for batch in &batches {
+                out.extend(engine.push_columns(batch));
+            }
+            out.extend(engine.flush());
+            let mut sigs: Vec<_> = out.iter().map(|r| engine.record_signature(r)).collect();
+            sigs.sort();
+            assert_eq!(sigs, expected, "use_hash={use_hash}");
+        }
     }
 
     #[test]

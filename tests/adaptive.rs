@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::rebatch;
+use common::{assert_live, handles, oracle_sigs, rebatch};
 use zstream::core::{
     build_intake, AdaptiveConfig, AdaptiveEngine, CompiledQuery, Engine, EngineBuilder,
     NegStrategy, PlanConfig, PlanShape, Statistics,
@@ -132,6 +132,71 @@ fn adaptive_columnar_intake_equals_static_and_still_switches() {
         assert_eq!(columnar_sigs, static_sigs, "seed {seed}");
         assert!(replans >= 1, "drifting rates should trigger re-planning (seed {seed})");
         assert!(switches >= 1, "the optimal shape changes across phases (seed {seed})");
+    }
+}
+
+/// Plan switches between rounds that each end pruned to the EAT floor:
+/// every batch spans more than ten windows, so a switch finds at most one
+/// window of leaf history to replay. The output still equals the oracle,
+/// with no duplicate, and every round leaves only live state.
+#[test]
+fn switches_across_batches_wider_than_ten_windows_equal_the_oracle() {
+    let src = "PATTERN IBM; Sun; Oracle WITHIN 5";
+    // One event per time unit, so a 64-row batch spans 63.
+    let events: Vec<EventRef> = three_phase_stream(7, 600)
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let mut event = zstream::events::Event::builder(Schema::stocks(), i as u64 + 1);
+            for field in 0..4 {
+                event = event.value(e.value(field));
+            }
+            event.build_ref().unwrap()
+        })
+        .collect();
+    let batches = rebatch(&events, &[64]);
+    let mut adaptive = adaptive_engine(src, None);
+    let mut out = Vec::new();
+    for batch in &batches {
+        let span = batch.ts_column()[batch.len() - 1] - batch.ts_column()[0];
+        assert!(batch.len() < 64 || span >= 10 * 5, "a batch spans {span} time units");
+        out.extend(adaptive.push_columns(batch));
+        assert_live(adaptive.engine(), src);
+    }
+    out.extend(adaptive.flush());
+    let mut sigs: Vec<Signature> =
+        out.iter().map(|r| adaptive.engine().record_signature(r)).collect();
+    let n = sigs.len();
+    sigs.sort();
+    sigs.dedup();
+    assert_eq!(n, sigs.len(), "adaptive engine emitted duplicates");
+    assert!(adaptive.engine().metrics().plan_switches >= 1, "the stream should switch plans");
+    assert!(!sigs.is_empty());
+    assert_eq!(sigs, oracle_sigs(src, Some("name"), &handles(&batches)));
+}
+
+/// The controller samples predicates between a check round's intake and
+/// its assembly: a predicate over the trigger class (`Oracle`) is measured
+/// on the batch's own trigger events, which the round then drains. A check
+/// whose batch holds no `Oracle` (phase three makes it rare) keeps the
+/// estimate it had instead of reading the uniform default as drift.
+#[test]
+fn trigger_class_predicates_are_sampled_before_the_round_drains_them() {
+    use std::sync::Arc;
+    use zstream::obs::Obs;
+
+    let src = "PATTERN IBM; Sun; Oracle WHERE Oracle.price > 1000 * Sun.price WITHIN 40";
+    let mut adaptive = adaptive_engine(src, None);
+    let hub = Arc::new(Obs::new());
+    adaptive.attach_obs(hub.clone(), "q0");
+    for batch in rebatch(&three_phase_stream(7, 400), &[16]) {
+        adaptive.push_columns(&batch);
+    }
+    let decisions = hub.snapshot().decisions;
+    assert!(!decisions.is_empty(), "drifting rates should trigger re-planning");
+    for d in &decisions {
+        let pred = d.measured.iter().find(|(name, _)| name == "pred.0").map(|(_, v)| *v);
+        assert!(pred.is_some_and(|v| v < 0.1), "decision {}: pred.0 read {pred:?}", d.seq);
     }
 }
 

@@ -154,6 +154,22 @@ pub fn engine_run(
     (engine, records)
 }
 
+/// Panics unless every entry of every plan node of `engine` starts at or
+/// after its EAT floor, `watermark − window`: what a round must leave
+/// behind when EAT pruning is on (no later match can use anything older).
+pub fn assert_live(engine: &Engine, what: &str) {
+    let plan = engine.plan();
+    let floor = engine.watermark().saturating_sub(plan.window);
+    for (i, node) in plan.nodes.iter().enumerate() {
+        if let Some(stale) = node.buf.iter().find(|e| e.start_ts() < floor) {
+            panic!(
+                "{what}: node {i} holds an entry starting at {} below the floor {floor}",
+                stale.start_ts()
+            );
+        }
+    }
+}
+
 /// Sorted, deduplicated signatures from the single-threaded engine.
 pub fn engine_sigs(parts: &CompiledParts, batches: &[EventBatch]) -> Vec<Signature> {
     let (engine, records) = engine_run(parts, batches);

@@ -1343,12 +1343,18 @@ fn replicated_checkpoint() -> Vec<u8> {
 }
 
 /// `(length, fnv64)` of [`replicated_checkpoint`]'s file as written by the
-/// runtime that ran one engine per registration, with each engine's
-/// checkpointed `peak_bytes` restated for 24-byte leaf entries: that file
-/// differs from the one first pinned (`0x0bef_f9c4_b1f3_c228`) only in
-/// those sixteen counter words, 112 bytes (two 56-byte boxed leaf records)
-/// now 48.
-const REPLICATED_CHECKPOINT: (usize, u64) = (21208, 0x9b34_6625_2802_6628);
+/// runtime that ran one engine per registration, restated twice for state
+/// the engines stopped keeping, never for a changed match:
+/// - 24-byte leaf entries: the file first pinned (`0x0bef_f9c4_b1f3_c228`)
+///   differed only in sixteen `peak_bytes` words, 112 bytes (two 56-byte
+///   boxed leaf records) then 48 (21,208 bytes, `0x9b34_6625_2802_6628`);
+/// - rounds that end pruned to the EAT floor and drain consumed trigger
+///   leaves: node by node, the engines differ only in entry counts. Each
+///   of the twenty two-class engines drops the two consumed entries of its
+///   `B` leaf (its `peak_bytes` reads 0, not 48), and each of the twelve
+///   per-key `A; B; C` engines, which never admit a `C`, keeps 1 of the 12
+///   entries of its `A` and of its `B` leaf: 21,208 bytes become 10,864.
+const REPLICATED_CHECKPOINT: (usize, u64) = (10864, 0x6947_7955_988c_7ee8);
 
 /// Sharing changes no checkpoint byte: a group's engine is written once
 /// per member, and the writer's event dictionary makes that the file

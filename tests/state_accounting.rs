@@ -12,7 +12,9 @@
 //!
 //! The bounds below are deterministic counts for the stated inputs, not
 //! timings: each family's heap/`peak_bytes` ratio is pinned to a range
-//! around its measured value, and its allocations per event to a ceiling.
+//! around its measured value, its allocations per event to a ceiling, and
+//! its heap peak to a ceiling, so a change that makes `peak_bytes` read
+//! smaller cannot let the real heap grow.
 //! Run with `--nocapture` to print the measured rows; `docs/ARCHITECTURE.md`
 //! ("State accounting") records them and what `peak_bytes` leaves out.
 
@@ -132,7 +134,7 @@ impl Usage {
     }
 
     /// Prints the row and checks it against the pinned ranges.
-    fn check(&self, ratio: (f64, f64), max_allocs_per_event: f64) {
+    fn check(&self, ratio: (f64, f64), max_allocs_per_event: f64, max_heap_peak: usize) {
         println!(
             "{:<18} events {:>7}  peak_bytes {:>9}  heap peak {:>9}  heap/count x{:.2}  \
              allocs/event {:.2}",
@@ -157,6 +159,12 @@ impl Usage {
             "{}: {:.2} allocations per event, bound {max_allocs_per_event}",
             self.family,
             self.allocs_per_event()
+        );
+        assert!(
+            self.heap_peak <= max_heap_peak,
+            "{}: heap peak {} above {max_heap_peak}",
+            self.family,
+            self.heap_peak
         );
     }
 }
@@ -222,15 +230,16 @@ fn partitioned_keyed() {
         heap_peak,
         allocs,
     };
-    usage.check((5.5, 7.5), 2.0);
+    usage.check((36.0, 49.0), 2.0, 845_028);
     assert!(usage.heap_peak < BOXED_LEAVES_HEAP_PEAK, "leaf entries hold more heap than boxes did");
+    assert!(usage.peak_bytes <= 25_000, "rounds left dead entries behind");
 }
 
 /// Flat keyed: the same query on one engine that hash-joins on `name`.
 #[test]
 fn flat_keyed() {
     let batches = keyed_stream(KEYED_EVENTS);
-    engine_usage("flat keyed", KEYED, false, &batches).check((3.5, 5.0), 6.5);
+    engine_usage("flat keyed", KEYED, false, &batches).check((6.2, 8.4), 1.85, 508_730);
 }
 
 /// Fanout: paper Query 4 at selectivity 1/8, about 90 matches per event.
@@ -260,7 +269,7 @@ fn fanout() {
         heap_peak,
         allocs,
     };
-    usage.check((25.0, 38.0), 3.0);
+    usage.check((220.0, 300.0), 3.0, 9_817_794);
 }
 
 /// NSEQ: a pushed-down negation (Algorithm 2).
@@ -268,7 +277,7 @@ fn fanout() {
 fn negation() {
     let batches = three_stocks(60_000);
     let src = "PATTERN IBM; !Sun; Oracle WHERE Sun.price > Oracle.price WITHIN 35";
-    engine_usage("nseq", src, true, &batches).check((10.5, 15.5), 1.6);
+    engine_usage("nseq", src, true, &batches).check((290.0, 395.0), 1.6, 332_571);
 }
 
 /// KSEQ: a Kleene closure between two anchors (Algorithm 4).
@@ -276,7 +285,7 @@ fn negation() {
 fn kleene() {
     let batches = three_stocks(60_000);
     let src = "PATTERN IBM; Sun+; Oracle WITHIN 10";
-    engine_usage("kseq", src, true, &batches).check((10.0, 14.5), 3.0);
+    engine_usage("kseq", src, true, &batches).check((860.0, 1160.0), 3.0, 303_692);
 }
 
 /// The NFA baseline on the keyed query: per-event pushes of row handles.
@@ -298,5 +307,5 @@ fn nfa() {
         heap_peak,
         allocs,
     };
-    usage.check((0.6, 0.9), 4.0);
+    usage.check((0.6, 0.9), 4.0, 6_440);
 }
